@@ -29,7 +29,7 @@ from .spaces import (
     splitting_for_window,
 )
 from .subspaces import Subspace, pair_index
-from .windows import ModeWindow, WindowedOperator, lift_frame, mode_span
+from .windows import ModeWindow, WindowedOperator, mode_span, pad_by_predicate
 
 __all__ = [
     "LaurentSymbol",
@@ -253,20 +253,13 @@ class LaurentCircle:
         return ModeWindow(self.half_width, self.channels)
 
     def labels(self):
+        """Mode numbers, or (mode, channel) pairs with several channels."""
         w = self.window
+        modes = w.mode_labels().tolist()
         if self.channels == 1:
-            return tuple(int(n) for n in w.mode_labels())
-        return tuple((int(w.mode_of_index(i)[1]), w.mode_of_index(i)[0])
-                     for i in range(w.dim))
-
-    def shift_generator(self):
-        """Truncated multiplication by z inside the window (per channel)."""
-        w = self.window
-        m = np.zeros((w.dim, w.dim), dtype=np.complex128)
-        for c in range(self.channels):
-            for n in range(-self.half_width, self.half_width):
-                m[w.index_of(c, n + 1), w.index_of(c, n)] = 1.0
-        return m
+            return tuple(modes)
+        channels = np.repeat(np.arange(self.channels), w.modes_per_channel)
+        return tuple(zip(modes, channels.tolist()))
 
     def space(self):
         w = self.window
@@ -274,7 +267,6 @@ class LaurentCircle:
             dim=w.dim,
             basis_labels=self.labels(),
             splitting=splitting_for_window(w, self.convention),
-            algebra_generators=(self.shift_generator(),),
             window=w,
             convention=self.convention,
         )
@@ -296,25 +288,21 @@ def symbol_band_matrix(sym, from_window, to_window):
     The target window must be wide enough that no output mode of any
     input mode is truncated.
     """
-    if sym.channels != from_window.channels:
-        raise DimensionMismatch("symbol channels do not match the window")
+    if not sym.channels == from_window.channels == to_window.channels:
+        raise DimensionMismatch("symbol channels do not match the windows")
     if to_window.half_width < from_window.half_width + sym.degree:
         raise DimensionMismatch("target window truncates the symbol action")
-    m = np.zeros((to_window.dim, from_window.dim), dtype=np.complex128)
+    c = sym.channels
+    m = np.zeros((c, to_window.modes_per_channel, c,
+                  from_window.modes_per_channel), dtype=np.complex128)
+    cols = np.arange(from_window.modes_per_channel)
     for p in range(sym.coeffs.shape[0]):
-        shift = sym.d_min + p
-        coef = sym.coeffs[p]
-        for cin in range(sym.channels):
-            for cout in range(sym.channels):
-                v = coef[cout, cin]
-                if v == 0:
-                    continue
-                for n in range(-from_window.half_width,
-                               from_window.half_width + 1):
-                    t = n + shift
-                    m[to_window.index_of(cout, t),
-                      from_window.index_of(cin, n)] += v
-    return m
+        # input mode n sits at column n + from_hw, its image mode
+        # n + shift at row n + shift + to_hw, in every channel pair
+        rows = cols + (sym.d_min + p) + (to_window.half_width
+                                         - from_window.half_width)
+        m[:, rows, :, cols] = sym.coeffs[p]
+    return m.reshape(to_window.dim, from_window.dim)
 
 
 def multiplication_operator(sym, base_window):
@@ -403,23 +391,6 @@ def annulus_correspondence(outer, inner):
                           subspace=Subspace(frame))
 
 
-def _pad_by_predicate(sub, window, margin, predicate):
-    """Canonical padded companion of a coordinate-supported subspace:
-    embed the frame and append the margin modes allowed by the
-    predicate."""
-    padded_window = window.pad(margin)
-    lifted = lift_frame(sub.frame, window, padded_window)
-    labels = padded_window.mode_labels()
-    cols = [lifted]
-    for i in range(padded_window.dim):
-        n = int(labels[i])
-        if abs(n) > window.half_width and predicate(n):
-            e = np.zeros((padded_window.dim, 1), dtype=np.complex128)
-            e[i, 0] = 1.0
-            cols.append(e)
-    return Subspace(np.hstack(cols))
-
-
 def twisted_cap(circle, sym):
     """Outgoing disk whose Cauchy data is pushed through a symbol.
 
@@ -434,7 +405,7 @@ def twisted_cap(circle, sym):
         return Correspondence(source=space, target=zero, subspace=cap)
     op = multiplication_operator(sym, circle.window)
     margin = op.domain_window.half_width - circle.half_width
-    padded = _pad_by_predicate(cap, circle.window, margin, lambda n: n <= 0)
+    padded = pad_by_predicate(cap, circle.window, margin, lambda n: n <= 0)
     sub = op.apply_within_window(padded)
     return Correspondence(source=space, target=zero, subspace=sub)
 
@@ -510,7 +481,7 @@ def mv_pairing(sphere_pair, sym, n, flat_predicate=None):
     stacked_plus = nfold_subspace(h_plus, n)
     op = multiplication_operator(sym, window)
     margin = op.domain_window.half_width - half
-    padded = _pad_by_predicate(stacked_minus, window, margin, flat_predicate)
+    padded = pad_by_predicate(stacked_minus, window, margin, flat_predicate)
     image = op.apply_within_window(padded)
     twisted = pair_index(image, stacked_plus).index
     base = pair_index(h_minus, h_plus).index

@@ -293,11 +293,10 @@ def _invertible_on_window(op):
 def fan_index(f):
     """All four index formulas of a fan, computed independently."""
     n = f.ambient.dim
-    total_member_dim = sum(m.dim for m in f.members)
-    stacked = np.hstack([m.frame for m in f.members]) if total_member_dim \
-        else np.zeros((n, 0), dtype=np.complex128)
-    r1 = rank(stacked)
-    formula1 = (total_member_dim - r1) - (n - r1)
+    # The stacked inclusion of the members, from their direct sum (dim T)
+    # into the ambient (dim n), has kernel T - r and cokernel n - r; its
+    # rank r cancels, so formula 1 needs no SVD.
+    formula1 = sum(m.dim for m in f.members) - n
 
     formula2 = None
     if f.construction is not None:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInput, DimensionMismatch, SelfLoopUnsupported
-from .fans import Fan, TwistChain, fan_index, plain_ambient_space
+from .fans import Fan, TwistChain, plain_ambient_space
 from .morphisms import tilde_ind, twist_graph
 from .subspaces import Subspace, pair_index
 from .windows import ModeWindow
@@ -162,7 +162,7 @@ def _assembly(g, v, which, margin=0):
         block = np.zeros((total, frame.shape[1]), dtype=np.complex128)
         block[c * per:(c + 1) * per, :] = frame
         cols.append(block)
-    return Subspace(np.hstack(cols))
+    return Subspace._trusted(np.hstack(cols))
 
 
 def incoming_assembly(g, v):
@@ -249,7 +249,7 @@ def _big_rows(g, v):
 def _embed(frame, rows, total):
     out = np.zeros((total, frame.shape[1]), dtype=np.complex128)
     out[rows, :] = frame
-    return Subspace(out)
+    return Subspace._trusted(out)
 
 
 def global_index_fan(g):
@@ -292,9 +292,10 @@ def global_index_fan(g):
                 raise InvalidInput("edge twist carries no symbol")
             extras.append(("sym", _embedded_scalar_symbol(t.symbol, c, len(slots))))
         members.append(_embed(_realized_member(g, v, extras).frame, rows, total))
-    f = Fan(ambient=plain_ambient_space(total, labels=labels),
-            parts=tuple(parts), members=tuple(members))
-    return fan_index(f).formula1
+    # built for its NotAFan checks; the index is formula 1 of fan_index
+    Fan(ambient=plain_ambient_space(total, labels=labels),
+        parts=tuple(parts), members=tuple(members))
+    return sum(m.dim for m in members) - total
 
 
 def global_index_selfglue(l, phi):
@@ -534,9 +535,8 @@ def _flipped_space(space):
     convention = SHARP_NEGATIVE if space.convention == SHARP_NONNEG \
         else SHARP_NONNEG
     return ModelSpace(dim=space.dim, basis_labels=space.basis_labels,
-                      splitting=swapped,
-                      algebra_generators=space.algebra_generators,
-                      window=space.window, convention=convention)
+                      splitting=swapped, window=space.window,
+                      convention=convention)
 
 
 def flip_edge(g, eid):

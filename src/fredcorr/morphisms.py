@@ -17,11 +17,13 @@ from .spaces import ModelSpace, convention_predicate, spaces_match
 from .subspaces import (
     Subspace,
     complement,
+    current_tolerance,
     direct_sum,
     intersection,
     nullspace,
     pair_index,
     rank,
+    singular_values,
 )
 from .windows import lift_frame, restricted_image, window_rows_mask, windowed_graph
 
@@ -112,7 +114,7 @@ def compose(l1, l2):
     else:
         u, s, _ = np.linalg.svd(projected, full_matrices=False)
         r = int(np.count_nonzero(s > COMPOSE_DROP_TOL))
-        sub = Subspace(u[:, :r])
+        sub = Subspace._trusted(u[:, :r])
     return Correspondence(source=l1.source, target=l2.target, subspace=sub)
 
 
@@ -161,10 +163,22 @@ class Twist:
 
 def commutator_rank(t):
     """Rank of the commutator of the compressed operator with the sharp
-    projector of the base splitting."""
+    projector of the base splitting.
+
+    In the orthonormal basis (sharp, flat) of a valid splitting, P B - B P
+    is zero but for the blocks sharp^H B flat and -flat^H B sharp, so its
+    singular values are those of the two blocks, under one cutoff.
+    """
     b = t.base_square_matrix()
-    p = t.base.splitting.sharp.projector()
-    return rank(p @ b - b @ p)
+    sharp = t.base.splitting.sharp.frame
+    flat = t.base.splitting.flat.frame
+    if sharp.shape[1] == 0 or flat.shape[1] == 0:
+        return 0
+    s = np.concatenate([singular_values(sharp.conj().T @ b @ flat),
+                        singular_values(flat.conj().T @ b @ sharp)])
+    if s.max() == 0.0:
+        return 0
+    return int(np.count_nonzero(s > current_tolerance() * s.max()))
 
 
 def tilde_ind(t):

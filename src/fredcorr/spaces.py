@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidInput
 from .subspaces import Subspace, rank, subspaces_equal
-from .windows import ModeWindow, PaddedSubspace, lift_frame, mode_span
+from .windows import ModeWindow, PaddedSubspace, mode_span, pad_by_predicate
 
 __all__ = [
     "SHARP_NONNEG",
@@ -34,7 +34,7 @@ __all__ = [
     "nfold_subspace",
 ]
 
-# Projector validation slack.
+# Slack of the splitting and projector checks.
 PROJECTOR_ATOL = 1e-10
 
 # The two mode-sign conventions used by circle models.  Which half is
@@ -62,9 +62,10 @@ def convention_predicate(name):
 class Splitting:
     """Orthogonal decomposition of the ambient space into sharp and flat.
 
-    Validated through the symmetry S = P_sharp - P_flat, which must
-    square to the identity; this packs orthogonality and completeness
-    into one check.
+    The symmetry S = P_sharp - P_flat must square to the identity.  Both
+    halves are orthonormal frames whose dimensions fill the space, so
+    tr(S^2) = n - 2 |sharp^H flat|_F^2, and S^2 = I holds exactly when
+    sharp^H flat = 0; that small block is what gets checked.
     """
 
     sharp: Subspace
@@ -76,9 +77,10 @@ class Splitting:
         n = self.sharp.ambient_dim
         if self.sharp.dim + self.flat.dim != n:
             raise InvalidInput("sharp and flat dimensions do not fill the space")
-        s = self.sharp.projector() - self.flat.projector()
-        if not np.allclose(s @ s, np.eye(n), atol=PROJECTOR_ATOL):
-            raise InvalidInput("splitting symmetry does not square to identity")
+        if self.sharp.dim and self.flat.dim:
+            overlap = np.abs(self.sharp.frame.conj().T @ self.flat.frame).max()
+            if not overlap <= PROJECTOR_ATOL:
+                raise InvalidInput("splitting symmetry does not square to identity")
 
     @property
     def ambient_dim(self):
@@ -122,8 +124,7 @@ def splitting_for_window(window, convention):
 
 @dataclass(frozen=True, eq=False)
 class ModelSpace:
-    """A finite model Hilbert space: labeled basis, splitting, and an
-    optional list of algebra generator matrices.
+    """A finite model Hilbert space: labeled basis and splitting.
 
     Circle-derived spaces also carry their mode window and splitting
     convention so that canonical padded companions of the splitting
@@ -133,7 +134,6 @@ class ModelSpace:
     dim: int
     basis_labels: tuple
     splitting: Splitting
-    algebra_generators: tuple = ()
     window: ModeWindow = None
     convention: str = None
 
@@ -145,15 +145,6 @@ class ModelSpace:
         if self.splitting.ambient_dim != self.dim:
             raise DimensionMismatch("splitting does not match space dimension")
         object.__setattr__(self, "basis_labels", tuple(self.basis_labels))
-        gens = []
-        for g in self.algebra_generators:
-            g = np.asarray(g, dtype=np.complex128)
-            if g.shape != (self.dim, self.dim):
-                raise DimensionMismatch("generator is not a square matrix of the space")
-            g = g.copy()
-            g.setflags(write=False)
-            gens.append(g)
-        object.__setattr__(self, "algebra_generators", tuple(gens))
         if self.window is not None and self.window.dim != self.dim:
             raise DimensionMismatch("window does not match space dimension")
         if self.convention is not None:
@@ -178,19 +169,7 @@ class ModelSpace:
         else:
             base = self.splitting.sharp
             keep = pred
-        padded_window = self.window.pad(margin)
-        lifted = lift_frame(base.frame, self.window, padded_window)
-        labels = padded_window.mode_labels()
-        extra = [
-            i for i in range(padded_window.dim)
-            if abs(int(labels[i])) > self.window.half_width and keep(int(labels[i]))
-        ]
-        cols = [lifted]
-        for i in extra:
-            e = np.zeros((padded_window.dim, 1), dtype=np.complex128)
-            e[i, 0] = 1.0
-            cols.append(e)
-        padded = Subspace(np.hstack(cols))
+        padded = pad_by_predicate(base, self.window, margin, keep)
         return PaddedSubspace(base=base, padded=padded,
                               base_window=self.window, margin=margin)
 
@@ -208,9 +187,8 @@ class ModelSpace:
 
     def with_splitting(self, splitting):
         return ModelSpace(dim=self.dim, basis_labels=self.basis_labels,
-                          splitting=splitting,
-                          algebra_generators=self.algebra_generators,
-                          window=self.window, convention=self.convention)
+                          splitting=splitting, window=self.window,
+                          convention=self.convention)
 
 
 def spaces_match(a, b):

@@ -147,6 +147,14 @@ class Subspace:
     """A subspace of C^n, stored as an orthonormal frame of shape (n, k).
 
     ``k = 0`` frames are legal and represent the zero subspace.
+
+    ``Subspace(frame)`` checks the Gram matrix, for frames from outside.
+    Frames that are orthonormal by construction skip it via
+    :meth:`_trusted`: SVD factors (``from_span``, ``intersection``,
+    ``complement``, ``restricted_image``, ``compose``), coordinate spans
+    (``from_indices``, ``zero``, ``full``), and valid frames placed on
+    disjoint rows (``direct_sum``, ``lift_subspace``, padded companions,
+    graph assemblies).
     """
 
     frame: np.ndarray
@@ -158,12 +166,22 @@ class Subspace:
         if q.shape[1] > q.shape[0]:
             raise InvalidInput("frame has more columns than ambient dimension")
         if q.shape[1] > 0:
-            gram = q.conj().T @ q
-            if not np.allclose(gram, np.eye(q.shape[1]), rtol=0.0, atol=max(FRAME_ATOL, 1e-13 * q.shape[0])):
+            defect = np.abs(q.conj().T @ q - np.eye(q.shape[1])).max()
+            # negated so that a NaN defect is refused too
+            if not defect <= max(FRAME_ATOL, 1e-13 * q.shape[0]):
                 raise InvalidInput("frame columns are not orthonormal")
         q = q.copy()
         q.setflags(write=False)
         object.__setattr__(self, "frame", q)
+
+    @classmethod
+    def _trusted(cls, frame):
+        """Unchecked wrap of a fresh, orthonormal-by-construction frame."""
+        q = np.ascontiguousarray(frame, dtype=np.complex128)
+        q.setflags(write=False)
+        sub = object.__new__(cls)
+        object.__setattr__(sub, "frame", q)
+        return sub
 
     @property
     def ambient_dim(self):
@@ -176,15 +194,15 @@ class Subspace:
     @classmethod
     def from_span(cls, matrix, tol=None):
         """Subspace spanned by the columns of an arbitrary matrix."""
-        return cls(orthonormalize(matrix, tol=tol))
+        return cls._trusted(orthonormalize(matrix, tol=tol))
 
     @classmethod
     def zero(cls, ambient_dim):
-        return cls(np.zeros((ambient_dim, 0), dtype=np.complex128))
+        return cls._trusted(np.zeros((ambient_dim, 0), dtype=np.complex128))
 
     @classmethod
     def full(cls, ambient_dim):
-        return cls(np.eye(ambient_dim, dtype=np.complex128))
+        return cls._trusted(np.eye(ambient_dim, dtype=np.complex128))
 
     @classmethod
     def from_indices(cls, ambient_dim, indices):
@@ -195,9 +213,8 @@ class Subspace:
         if idx.size and (idx.min() < 0 or idx.max() >= ambient_dim):
             raise InvalidInput("coordinate index out of range")
         q = np.zeros((ambient_dim, idx.size), dtype=np.complex128)
-        for col, j in enumerate(np.sort(idx)):
-            q[j, col] = 1.0
-        return cls(q)
+        q[np.sort(idx), np.arange(idx.size)] = 1.0
+        return cls._trusted(q)
 
     def projector(self):
         """The orthogonal projector onto this subspace as a dense matrix."""
@@ -272,7 +289,7 @@ def intersection(a, b):
     keep = int(np.count_nonzero(s > 1.0 - ANGLE_TOL))
     if keep == 0:
         return Subspace.zero(a.ambient_dim)
-    return Subspace(a.frame @ u[:, :keep])
+    return Subspace._trusted(a.frame @ u[:, :keep])
 
 
 def subspace_sum(a, b):
@@ -286,7 +303,7 @@ def complement(a):
     if a.dim == 0:
         return Subspace.full(a.ambient_dim)
     u, _, _ = _svd(a.frame, full_matrices=True)
-    return Subspace(u[:, a.dim:])
+    return Subspace._trusted(u[:, a.dim:])
 
 
 @dataclass(frozen=True)
@@ -357,7 +374,7 @@ def direct_sum(a, b):
     q = np.zeros((na + nb, a.dim + b.dim), dtype=np.complex128)
     q[:na, : a.dim] = a.frame
     q[na:, a.dim:] = b.frame
-    return Subspace(q)
+    return Subspace._trusted(q)
 
 
 def embed(a, ambient_dim, offset):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidInput
-from .subspaces import Subspace, nullspace, orthonormalize
+from .subspaces import Subspace, nullspace
 
 __all__ = [
     "ModeWindow",
@@ -27,6 +27,7 @@ __all__ = [
     "mode_span",
     "lift_frame",
     "lift_subspace",
+    "pad_by_predicate",
     "window_rows_mask",
     "restricted_image",
     "windowed_graph",
@@ -116,7 +117,24 @@ def lift_frame(frame, from_window, to_window):
 
 def lift_subspace(sub, from_window, to_window):
     """Embed a subspace of a subwindow into a larger window."""
-    return Subspace(lift_frame(sub.frame, from_window, to_window))
+    return Subspace._trusted(lift_frame(sub.frame, from_window, to_window))
+
+
+def pad_by_predicate(sub, window, margin, predicate):
+    """Padded companion of a subspace of ``window``: its frame lifted into
+    the window padded by ``margin``, plus every margin mode whose number
+    satisfies ``predicate``.  The margin modes lie outside the lifted
+    rows, so the frame stays orthonormal."""
+    padded_window = window.pad(margin)
+    labels = padded_window.mode_labels()
+    extra = [i for i in range(padded_window.dim)
+             if abs(int(labels[i])) > window.half_width
+             and predicate(int(labels[i]))]
+    frame = np.zeros((padded_window.dim, sub.dim + len(extra)),
+                     dtype=np.complex128)
+    frame[:, :sub.dim] = lift_frame(sub.frame, window, padded_window)
+    frame[extra, sub.dim + np.arange(len(extra))] = 1.0
+    return Subspace._trusted(frame)
 
 
 def window_rows_mask(range_window, base_window):
@@ -144,7 +162,7 @@ def restricted_image(matrix, keep_rows, tol=None):
         raise DimensionMismatch("row mask does not match matrix")
     killed = m[~keep, :]
     inside = nullspace(killed, tol=tol)
-    return Subspace(orthonormalize(m[keep, :] @ inside, tol=tol))
+    return Subspace.from_span(m[keep, :] @ inside, tol=tol)
 
 
 def windowed_graph(matrix, keep_rows, tol=None):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fredcorr.circles import (
+    LaurentCircle,
     LaurentSymbol,
     annulus_correspondence,
     annulus_transfer_factors,
@@ -16,6 +17,7 @@ from fredcorr.circles import (
     random_laurent_symbol,
     sphere_hardy_pair,
     stabilization_m0,
+    symbol_band_matrix,
     symbol_twist,
     twist_circle,
     winding_number,
@@ -246,3 +248,46 @@ def test_random_symbol_shape():
         sym = random_laurent_symbol(rng, channels=3, degree=3)
         assert sym.channels == 3
         assert sym.degree <= 3
+
+
+def _band_matrix_by_loop(sym, from_window, to_window):
+    """Reference: one entry per (power, channel pair, input mode)."""
+    m = np.zeros((to_window.dim, from_window.dim), dtype=np.complex128)
+    for p in range(sym.coeffs.shape[0]):
+        shift = sym.d_min + p
+        coef = sym.coeffs[p]
+        for cin in range(sym.channels):
+            for cout in range(sym.channels):
+                v = coef[cout, cin]
+                if v == 0:
+                    continue
+                for n in range(-from_window.half_width,
+                               from_window.half_width + 1):
+                    m[to_window.index_of(cout, n + shift),
+                      from_window.index_of(cin, n)] += v
+    return m
+
+
+@pytest.mark.parametrize("channels,d_min", [(1, -2), (2, -1), (3, -3)])
+def test_symbol_band_matrix_matches_loop(channels, d_min):
+    rng = np.random.default_rng(channels)
+    shape = (4, channels, channels)
+    coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    coeffs[1, 0, channels - 1] = 0.0
+    sym = LaurentSymbol(coeffs=coeffs, d_min=d_min)
+    w = ModeWindow(5, channels)
+    for to in (w.pad(sym.degree), w.pad(sym.degree + 2)):
+        assert np.array_equal(symbol_band_matrix(sym, w, to),
+                              _band_matrix_by_loop(sym, w, to))
+
+
+@pytest.mark.parametrize("channels", [1, 2, 3])
+def test_circle_labels_match_loop(channels):
+    circle = LaurentCircle(4, channels=channels)
+    w = circle.window
+    if channels == 1:
+        expected = tuple(int(n) for n in w.mode_labels())
+    else:
+        expected = tuple((w.mode_of_index(i)[1], w.mode_of_index(i)[0])
+                         for i in range(w.dim))
+    assert circle.labels() == expected

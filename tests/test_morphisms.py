@@ -240,6 +240,22 @@ def test_twist_validation():
     assert commutator_rank(t) == 1
 
 
+def test_commutator_rank_matches_dense_commutator():
+    from fredcorr.circles import random_laurent_symbol, symbol_twist, twist_circle
+    from fredcorr.subspaces import rank
+    h = circle_space(7, SHARP_NONNEG)
+    sym = random_laurent_symbol(np.random.default_rng(5), channels=2, degree=2)
+    twists = [Twist(base=h, operator=shift_operator(h.window, 2), budget=4),
+              symbol_twist(sym, twist_circle(7, channels=2))]
+    for t in twists:
+        for seed in range(4):
+            s = perturb_splitting(t.base.splitting, 2, seed=seed)
+            tp = t.with_base_splitting(s)
+            b = tp.base_square_matrix()
+            p = s.sharp.projector()
+            assert commutator_rank(tp) == rank(p @ b - b @ p)
+
+
 def test_twist_graph_clips_leaking_mode():
     h = circle_space(4, SHARP_NONNEG)
     g = twist_graph(Twist(base=h, operator=shift_operator(h.window, 1), budget=2))

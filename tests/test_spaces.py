@@ -69,6 +69,17 @@ def test_splitting_validation_rejects_overlap():
         Splitting(sharp=a, flat=b)
 
 
+def test_splitting_validation_rejects_small_tilt():
+    # S^2 - I is -sin^2(theta) I = -1e-8 I here, which a relative
+    # tolerance on S^2 can pass; the overlap sharp^H flat = sin(theta)
+    # is far above the slack
+    theta = 1e-4
+    sharp = Subspace(np.array([[np.cos(theta)], [np.sin(theta)]]))
+    flat = Subspace.from_indices(2, [1])
+    with pytest.raises(InvalidInput):
+        Splitting(sharp=sharp, flat=flat)
+
+
 def test_splitting_symmetry_squares_to_identity():
     s = splitting_for_window(ModeWindow(3), SHARP_NEGATIVE)
     sym = s.symmetry()

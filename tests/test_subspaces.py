@@ -49,6 +49,70 @@ def test_frame_validation_rejects_skew():
     bad = np.ones((4, 2))
     with pytest.raises(InvalidInput):
         Subspace(bad)
+    nan_frame = np.eye(4)[:, :2]
+    nan_frame[3, 1] = np.nan
+    with pytest.raises(InvalidInput):
+        Subspace(nan_frame)
+
+
+def test_trusted_frames_pass_the_public_check(monkeypatch):
+    # Route every frame the package builds for itself through the Gram
+    # check of the public constructor, along one example of each route.
+    from fredcorr.circles import (
+        LaurentSymbol,
+        build_sphere_chain,
+        chain_circle,
+        disk_correspondence,
+        random_laurent_symbol,
+        symbol_twist,
+        twist_circle,
+        winding_number,
+    )
+    from fredcorr.fans import fan_index, random_fan
+    from fredcorr.graphs import (
+        global_index_additive,
+        global_index_fan,
+        random_graph,
+    )
+    from fredcorr.morphisms import (
+        chain_total_index,
+        compose_with_twist,
+        reduce_chain_ledger,
+        tilde_ind,
+    )
+
+    checked = []
+
+    def public(cls, frame):
+        checked.append(frame.shape)
+        return cls(frame)
+
+    monkeypatch.setattr(Subspace, "_trusted", classmethod(public))
+
+    chain = build_sphere_chain(6, twists=(LaurentSymbol.scalar([1.0, 0.4], 1),))
+    total = chain_total_index(chain)
+    assert total == 2
+    for order in [(0, 1), (1, 0)]:
+        assert reduce_chain_ledger(chain, order).total == total
+
+    sym = random_laurent_symbol(np.random.default_rng(3), channels=2, degree=2)
+    assert tilde_ind(symbol_twist(sym, twist_circle(8, channels=2))) \
+        == winding_number(sym)
+
+    circle = chain_circle(6)
+    t = symbol_twist(LaurentSymbol.monomial(1), circle)
+    ti = tilde_ind(t)
+    assert compose_with_twist(
+        t, disk_correspondence(circle, "outgoing"), "pre") == 1 + ti
+    assert compose_with_twist(
+        t, disk_correspondence(circle, "incoming"), "post") == ti
+
+    g = random_graph(np.random.default_rng([9, 0]))
+    assert global_index_fan(g) == global_index_additive(g)
+
+    rep = fan_index(random_fan(np.random.default_rng([8, 0])))
+    assert rep.formula1 == rep.formula3 == rep.formula4
+    assert checked
 
 
 def test_from_indices():
