@@ -21,6 +21,7 @@ from .subspaces import (
     RestrictionReport,
     Subspace,
     complement,
+    dimension_index,
     intersection,
     nullspace,
     orthonormalize,

@@ -28,7 +28,7 @@ from .spaces import (
     nfold_subspace,
     splitting_for_window,
 )
-from .subspaces import Subspace, pair_index
+from .subspaces import Subspace, dimension_index
 from .windows import ModeWindow, WindowedOperator, mode_span, pad_by_predicate
 
 __all__ = [
@@ -58,11 +58,19 @@ __all__ = [
 VALIDATION_GRID = 512
 WINDING_GRID = 1024
 WINDING_GRID_CAP = 2 ** 20
+# A symbol is singular where |det| on the circle is at most MIN_DET times
+# the largest value its coefficients allow (_det_floor): scale-free.
 MIN_DET = 1e-8
 
 
 def _unit_grid(n):
     return np.exp(2j * np.pi * np.arange(n) / n)
+
+
+def _det_floor(coeffs):
+    # |det A(z)| <= ||A(z)||^c <= (sum_p ||A_p||_F)^c on the unit circle
+    scale = float(np.linalg.norm(coeffs, axis=(1, 2)).sum())
+    return MIN_DET * scale ** coeffs.shape[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,7 +79,8 @@ class LaurentSymbol:
     matrix of z**(d_min + p).
 
     Construction validates invertibility on the unit circle by sampling
-    the determinant on a fixed grid.
+    the determinant on a fixed grid, relative to the largest value the
+    coefficients allow it.
     """
 
     coeffs: np.ndarray
@@ -92,7 +101,7 @@ class LaurentSymbol:
         object.__setattr__(self, "coeffs", c)
         object.__setattr__(self, "d_min", int(d_min))
         dets = _kernels.det_grid(self.eval_grid(_unit_grid(VALIDATION_GRID)))
-        if float(np.abs(dets).min()) <= MIN_DET:
+        if float(np.abs(dets).min()) <= _det_floor(c):
             raise SymbolSingular("symbol determinant vanishes on the circle")
 
     @property
@@ -219,9 +228,10 @@ def winding_number(sym, grid=WINDING_GRID):
     determinant means the symbol is effectively singular.
     """
     n = grid
+    floor = _det_floor(sym.coeffs)
     while True:
         dets = sym.det_on_grid(n)
-        if float(np.abs(dets).min()) <= MIN_DET:
+        if float(np.abs(dets).min()) <= floor:
             raise SymbolSingular("determinant too close to zero on the grid")
         total, max_step = _kernels.phase_scan(dets)
         if max_step <= math.pi / 2:
@@ -483,8 +493,8 @@ def mv_pairing(sphere_pair, sym, n, flat_predicate=None):
     margin = op.domain_window.half_width - half
     padded = pad_by_predicate(stacked_minus, window, margin, flat_predicate)
     image = op.apply_within_window(padded)
-    twisted = pair_index(image, stacked_plus).index
-    base = pair_index(h_minus, h_plus).index
+    twisted = dimension_index(image, stacked_plus)
+    base = dimension_index(h_minus, h_plus)
     return twisted - n * base
 
 

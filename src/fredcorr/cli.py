@@ -69,6 +69,51 @@ class UsageError(Exception):
     pass
 
 
+# -- parameter parsing ---------------------------------------------------
+
+def _int(value, name):
+    """An integer parameter: a JSON integer or an integral float."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise UsageError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _number(value, name):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise UsageError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _list(value, name, parse, length=None):
+    """A JSON list of ``length`` items (any number when None), each
+    parsed by ``parse(item, description)``."""
+    if not isinstance(value, list) or length not in (None, len(value)):
+        want = "a list" if length is None else f"a list of {length}"
+        raise UsageError(f"{name} must be {want}, got {value!r}")
+    return [parse(item, f"each item of {name}") for item in value]
+
+
+def _int_csv(text, name):
+    try:
+        return [int(k) for k in text.split(",")]
+    except ValueError:
+        raise UsageError(f"{name} must be comma-separated integers, "
+                         f"got {text!r}") from None
+
+
+def _window(params, window, default):
+    if window is not None:
+        return window
+    return _int(params.get("window", default), "window")
+
+
+def _radii(params):
+    return tuple(_list(params.get("radii", [2.0, 1.0]), "radii", _number,
+                       length=2))
+
+
 # -- Laurent symbol serialization ---------------------------------------
 
 def symbol_to_json(sym):
@@ -94,22 +139,28 @@ def _coeff(value):
 
 def symbol_from_json(obj):
     if isinstance(obj, dict) and "power" in obj:
-        return LaurentSymbol.monomial(int(obj["power"]),
-                                      channels=int(obj.get("channels", 1)))
+        return LaurentSymbol.monomial(
+            _int(obj["power"], "symbol power"),
+            channels=_int(obj.get("channels", 1), "symbol channels"))
     if not isinstance(obj, dict) or "entries" not in obj:
         raise UsageError("symbol needs either {'power': k} or "
                          "{'d_min': int, 'entries': [[...]]}")
     entries = obj["entries"]
-    n = len(entries)
+    n = len(entries) if isinstance(entries, list) else 0
+    if n == 0 or any(not isinstance(row, list) or len(row) != n
+                     for row in entries):
+        raise UsageError("symbol entry table must be a square, nonempty "
+                         "list of lists")
+    if any(not isinstance(cell, list) for row in entries for cell in row):
+        raise UsageError("each symbol entry must be a list of coefficients")
     planes = max(len(cell) for row in entries for cell in row)
     coeffs = np.zeros((planes, n, n), dtype=np.complex128)
     for a, row in enumerate(entries):
-        if len(row) != n:
-            raise UsageError("symbol entry table must be square")
         for b, cell in enumerate(row):
             for p, value in enumerate(cell):
                 coeffs[p, a, b] = _coeff(value)
-    return LaurentSymbol(coeffs=coeffs, d_min=int(obj.get("d_min", 0)))
+    return LaurentSymbol(coeffs=coeffs,
+                         d_min=_int(obj.get("d_min", 0), "symbol d_min"))
 
 
 # -- report assembly -----------------------------------------------------
@@ -134,12 +185,16 @@ def _apply_budget(t, budget):
 # -- scenario runners ----------------------------------------------------
 
 def run_pair(params, window, seed, budget):
-    n = int(params.get("ambient", 12))
+    n = _int(params.get("ambient", 12), "ambient")
+    if n < 0:
+        raise UsageError(f"ambient must be nonnegative, got {n}")
     rng = np.random.default_rng(seed)
     dims = params.get("dims")
     if dims is None:
         dims = [int(rng.integers(0, n + 1)), int(rng.integers(0, n + 1))]
-    da, db = (int(d) for d in dims)
+    da, db = _list(dims, "dims", _int, length=2)
+    if not (0 <= da <= n and 0 <= db <= n):
+        raise UsageError(f"dims must lie in 0..{n}, got {[da, db]}")
     a = random_subspace(n, da, rng)
     b = random_subspace(n, db, rng)
     rep = pair_index(a, b)
@@ -163,14 +218,19 @@ def run_pair(params, window, seed, budget):
                    results, checks)
 
 
-def run_twist(params, window, seed, budget):
-    m = window if window is not None else int(params.get("window", 8))
+def _symbol_from_params(params, seed):
     if "symbol" in params:
-        sym = symbol_from_json(params["symbol"])
-    else:
-        rng = np.random.default_rng(seed)
-        sym = random_laurent_symbol(rng, channels=int(params.get("channels", 1)),
-                                    degree=int(params.get("degree", 2)))
+        return symbol_from_json(params["symbol"])
+    channels = _int(params.get("channels", 1), "channels")
+    if channels < 1:
+        raise UsageError(f"channels must be positive, got {channels}")
+    return random_laurent_symbol(np.random.default_rng(seed), channels=channels,
+                                 degree=_int(params.get("degree", 2), "degree"))
+
+
+def run_twist(params, window, seed, budget):
+    m = _window(params, window, 8)
+    sym = _symbol_from_params(params, seed)
     t = _apply_budget(symbol_twist(sym, twist_circle(m, channels=sym.channels)),
                       budget)
     w = winding_number(sym)
@@ -183,15 +243,17 @@ def run_twist(params, window, seed, budget):
 
 def _twists_from_params(params, seed):
     if "twists" in params:
-        return [symbol_from_json(s) for s in params["twists"]]
+        return _list(params["twists"], "twists",
+                     lambda s, _: symbol_from_json(s))
     if "twist_powers" in params:
-        return [LaurentSymbol.monomial(int(k)) for k in params["twist_powers"]]
+        return [LaurentSymbol.monomial(k) for k in
+                _list(params["twist_powers"], "twist_powers", _int)]
     return []
 
 
 def run_chain(params, window, seed, budget):
-    m = window if window is not None else int(params.get("window", 6))
-    radii = tuple(float(r) for r in params.get("radii", (2.0, 1.0)))
+    m = _window(params, window, 6)
+    radii = _radii(params)
     twists = _twists_from_params(params, seed)
     chain = build_sphere_chain(m, twists, radii=radii)
     links = [index(l) for l in chain.links]
@@ -214,13 +276,13 @@ def run_chain(params, window, seed, budget):
 
 
 def run_fan(params, window, seed, budget):
-    m = window if window is not None else int(params.get("window", 6))
+    m = _window(params, window, 6)
     powers = params.get("powers")
     if powers is None:
         rng = np.random.default_rng(seed)
         f = random_fan(rng, half_width=m)
     else:
-        powers = [int(k) for k in powers]
+        powers = _list(powers, "powers", _int)
         space = twist_circle(m).space()
         k = len(powers)
         cuts = [int(round(-m + (i + 1) * (2 * m + 1) / k))
@@ -253,7 +315,12 @@ def _graph_from_params(params, window, seed):
         if window is not None:
             kwargs["half_width"] = window
         return random_graph(rng, **kwargs)
-    m = window if window is not None else int(params.get("window", 8))
+    if not isinstance(params["edges"], list) or not all(
+            isinstance(e, dict) and "source" in e and "target" in e
+            for e in params["edges"]):
+        raise UsageError("edges must be a list of objects with a source "
+                         "and a target")
+    m = _window(params, window, 8)
     circle = twist_circle(m)
     vertices = tuple(params.get("vertices")
                      or sorted({str(e["source"]) for e in params["edges"]}
@@ -294,8 +361,8 @@ def run_graph(params, window, seed, budget):
 
 
 def run_sphere(params, window, seed, budget):
-    m = window if window is not None else int(params.get("window", 6))
-    radii = tuple(float(r) for r in params.get("radii", (2.0, 1.0)))
+    m = _window(params, window, 6)
+    radii = _radii(params)
     twists = _twists_from_params(params, seed)
     chain = build_sphere_chain(m, twists, radii=radii)
     links = [index(l) for l in chain.links]
@@ -321,9 +388,9 @@ def run_sphere(params, window, seed, budget):
 
 
 def run_torus(params, window, seed, budget):
-    m = window if window is not None else int(params.get("window", 8))
-    q = float(params.get("q", 0.5))
-    k = int(params.get("k", 0))
+    m = _window(params, window, 8)
+    q = _number(params.get("q", 0.5), "q")
+    k = _int(params.get("k", 0), "k")
     l, t = build_torus(q, k, m)
     value = global_index_selfglue(l, _apply_budget(t, budget))
     expected = 0 if k == 0 else load_conventions()["torus_twist_sign"] * abs(k)
@@ -334,13 +401,8 @@ def run_torus(params, window, seed, budget):
 
 
 def run_rh_transmission(params, window, seed, budget):
-    m = window if window is not None else int(params.get("window", 8))
-    if "symbol" in params:
-        sym = symbol_from_json(params["symbol"])
-    else:
-        rng = np.random.default_rng(seed)
-        sym = random_laurent_symbol(rng, channels=int(params.get("channels", 1)),
-                                    degree=int(params.get("degree", 2)))
+    m = _window(params, window, 8)
+    sym = _symbol_from_params(params, seed)
     n = sym.channels
     w = winding_number(sym)
     t = _apply_budget(symbol_twist(sym, twist_circle(m, channels=n)), budget)
@@ -394,7 +456,9 @@ def run_scenario(scenario, window=None, seed=None, budget=None):
         raise UsageError(f"unknown parameter(s) for kind {kind!r}: "
                          f"{', '.join(unknown)}")
     if seed is None:
-        seed = int(params.get("seed", 0))
+        seed = _int(params.get("seed", 0), "seed")
+    if seed < 0:
+        raise UsageError(f"seed must be nonnegative, got {seed}")
     out = RUNNERS[kind](params, window, seed, budget)
     if kind in GRAPH_KINDS:
         return out
@@ -547,10 +611,10 @@ def build_parser():
 def _scenario_from_args(args, kind):
     scenario = {"version": SCENARIO_VERSION, "kind": kind}
     if kind == "chain" and args.twist_powers:
-        scenario["twist_powers"] = [int(k) for k in
-                                    args.twist_powers.split(",")]
+        scenario["twist_powers"] = _int_csv(args.twist_powers,
+                                            "--twist-powers")
     if kind == "fan" and args.powers is not None:
-        scenario["powers"] = [int(k) for k in args.powers.split(",")]
+        scenario["powers"] = _int_csv(args.powers, "--powers")
     return scenario
 
 

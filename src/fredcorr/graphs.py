@@ -27,7 +27,7 @@ import numpy as np
 from .errors import InvalidInput, DimensionMismatch, SelfLoopUnsupported
 from .fans import Fan, TwistChain, plain_ambient_space
 from .morphisms import tilde_ind, twist_graph
-from .subspaces import Subspace, pair_index
+from .subspaces import Subspace, dimension_index, pair_index
 from .windows import ModeWindow
 
 __all__ = [
@@ -198,10 +198,11 @@ def vertex_subspace(g, v):
 
 
 def vertex_index(g, v):
-    """Pair index of the vertex data against the outgoing assembly."""
+    """Pair index of the vertex data against the outgoing assembly,
+    counted from their dimensions."""
     if v not in g.vertex_data:
         raise InvalidInput(f"vertex {v!r} has no boundary data")
-    return pair_index(vertex_subspace(g, v), outgoing_assembly(g, v)).index
+    return dimension_index(vertex_subspace(g, v), outgoing_assembly(g, v))
 
 
 def edge_index(g, e):

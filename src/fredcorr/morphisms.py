@@ -6,6 +6,11 @@ formulations would be identically zero for square truncations, so the
 windowed pair formulation is the load-bearing one, and the classical
 operator identities reappear as consistency checks between different
 pair computations.
+
+A pair index is counted from dimensions (``dimension_index``): the rank
+decisions that build the correspondence, the twisted image and the
+composite are the ones the integer depends on.  ``index_report`` runs
+the intersection-and-sum audit (``pair_index``) for the same pair.
 """
 
 from dataclasses import dataclass
@@ -18,6 +23,7 @@ from .subspaces import (
     Subspace,
     complement,
     current_tolerance,
+    dimension_index,
     direct_sum,
     intersection,
     nullspace,
@@ -79,14 +85,15 @@ def _pairing_subspace(l):
 
 def index_report(l):
     """Full pair-index report of a correspondence against the
-    flat-source/sharp-target assembly."""
+    flat-source/sharp-target assembly: the audit of :func:`index`."""
     return pair_index(l.subspace, _pairing_subspace(l))
 
 
 def index(l):
-    """Index of a correspondence: dim of intersection with the
-    flat/sharp assembly minus codim of their sum."""
-    return index_report(l).index
+    """Index of a correspondence against the flat-source/sharp-target
+    assembly, counted as dim L + dim(flat + sharp) - ambient; equal to
+    the intersection minus the codim of the sum in ``index_report``."""
+    return dimension_index(l.subspace, _pairing_subspace(l))
 
 
 def compose(l1, l2):
@@ -185,12 +192,15 @@ def tilde_ind(t):
     """Twist index: the padded flat half is pushed through the operator,
     intersected with the window, and paired against the sharp half.
 
+    The rank decision is the window intersection that builds the image;
+    the pair index is then counted from dimensions.
+
     Equals the winding number of the symbol determinant on circle
     models whose sharp half is the nonnegative-mode span.
     """
     flat_pad = t.base.flat_padded(t.margin)
     image = t.operator.apply_within_window(flat_pad.padded)
-    return pair_index(image, t.base.splitting.sharp).index
+    return dimension_index(image, t.base.splitting.sharp)
 
 
 def twist_graph(t):
@@ -219,7 +229,11 @@ def delta(l1, l2):
     Splitting-independent: the shared endpoint enters through the sum of
     its sharp and flat dimensions only.
     """
-    return index(l1) + index(l2) - index(compose(l1, l2))
+    return _defect(l1, l2, compose(l1, l2))
+
+
+def _defect(l1, l2, composite):
+    return index(l1) + index(l2) - index(composite)
 
 
 def delta_direct(l1, l2):
@@ -300,7 +314,9 @@ def reduce_chain_ledger(c, order):
     ``order`` is a permutation of the original junction ids 0..len-2
     (junction i sits between links i and i+1).  The total of all defect
     events plus the final index must reproduce the chain total no matter
-    the order; the suite checks that equality over all orders.
+    the order; the suite checks that equality over all orders.  Each
+    junction is composed once, and its defect is read off that
+    composite; no composite is reused across orders.
     """
     n_junctions = len(c) - 1
     if sorted(order) != list(range(n_junctions)):
@@ -310,9 +326,9 @@ def reduce_chain_ledger(c, order):
     events = []
     for j in order:
         pos = junction_ids.index(j)
-        d = delta(links[pos], links[pos + 1])
-        events.append(d)
-        links[pos: pos + 2] = [compose(links[pos], links[pos + 1])]
+        composite = compose(links[pos], links[pos + 1])
+        events.append(_defect(links[pos], links[pos + 1], composite))
+        links[pos: pos + 2] = [composite]
         junction_ids.pop(pos)
     final = links[0]
     if not (final.source.is_zero and final.target.is_zero):

@@ -192,11 +192,20 @@ class ModelSpace:
 
 
 def spaces_match(a, b):
-    """Whether two model spaces can be glued (same labels and splitting)."""
+    """Whether two model spaces can be glued (same labels and splitting).
+
+    Equal frames span equal subspaces, so the splitting halves are
+    compared array for array first and by principal angles only when
+    that fails.
+    """
     if a.dim != b.dim or a.basis_labels != b.basis_labels:
         return False
     if a.convention != b.convention:
         return False
+    sa, sb = a.splitting, b.splitting
+    if sa is sb or (np.array_equal(sa.sharp.frame, sb.sharp.frame)
+                    and np.array_equal(sa.flat.frame, sb.flat.frame)):
+        return True
     return (subspaces_equal(a.splitting.sharp, b.splitting.sharp)
             and subspaces_equal(a.splitting.flat, b.splitting.flat))
 

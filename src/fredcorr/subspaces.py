@@ -33,6 +33,7 @@ __all__ = [
     "intersection",
     "subspace_sum",
     "complement",
+    "dimension_index",
     "pair_index",
     "restricted_projection_index",
     "principal_cosines",
@@ -318,12 +319,25 @@ class PairIndexReport:
     index: int
 
 
+def dimension_index(a, b):
+    """Index of a pair counted from dimensions: dim a + dim b - ambient.
+
+    In finite dimension this is the value of :func:`pair_index`, so the
+    only decisions behind it are the rank decisions that built ``a`` and
+    ``b``.  Every index route uses it; ``pair_index`` is the audit.
+    """
+    _check_same_ambient(a, b)
+    return a.dim + b.dim - a.ambient_dim
+
+
 def pair_index(a, b):
     """Index of a pair: dim of the intersection minus codim of the sum.
 
-    Both constituents are computed independently; in finite dimension
-    the result always equals ``dim a + dim b - ambient``, and the
-    acceptance tests check that identity rather than assuming it.
+    The audit route.  Both constituents are decided independently, by
+    the intersection's principal angles and by the rank of the stacked
+    frames; in finite dimension the result always equals
+    :func:`dimension_index`, and the tests, criterion 11 and the
+    ``pair_routes`` suite check that identity rather than assume it.
     """
     _check_same_ambient(a, b)
     inter = intersection(a, b)

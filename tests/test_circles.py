@@ -45,6 +45,16 @@ def test_symbol_rejects_zero_and_singular():
         LaurentSymbol(coeffs=np.zeros((1, 2, 3)), d_min=0)
 
 
+def test_singular_symbol_test_ignores_coefficient_scale():
+    # invertible on the circle however small the coefficients
+    tiny = LaurentSymbol.monomial(1, coefficient=1e-9)
+    assert winding_number(tiny) == 1
+    small = LaurentSymbol.monomial(1, channels=3, coefficient=1e-3)
+    assert winding_number(small) == 3
+    with pytest.raises(SymbolSingular):
+        LaurentSymbol.scalar([-1e-9, 1e-9], d_min=0)
+
+
 def test_symbol_canonicalizes_zero_planes():
     c = np.zeros((3, 1, 1), dtype=complex)
     c[1, 0, 0] = 1.0
@@ -134,6 +144,22 @@ def test_random_symbol_twist_index_is_winding():
         m = max(8, stabilization_m0(sym.degree))
         t = symbol_twist(sym, twist_circle(m, channels=channels))
         assert tilde_ind(t) == winding_number(sym)
+
+
+@pytest.mark.parametrize("channels", [1, 2, 3])
+def test_tilde_ind_matches_pair_index_audit(channels):
+    rng = np.random.default_rng(60 + channels)
+    syms = [random_laurent_symbol(rng, channels=channels, degree=2)
+            for _ in range(3)]
+    if channels == 1:
+        # zeros at 0.3 and 2.5: the twist index misses the inner zero,
+        # and the audit agrees, so the count is not where that goes wrong
+        syms.append(LaurentSymbol.scalar([0.75, -2.8, 1.0], d_min=0))
+    for sym in syms:
+        t = symbol_twist(sym, twist_circle(8, channels=channels))
+        image = t.operator.apply_within_window(
+            t.base.flat_padded(t.margin).padded)
+        assert tilde_ind(t) == pair_index(image, t.base.splitting.sharp).index
 
 
 def test_twist_budget_bounds_commutator():

@@ -65,6 +65,25 @@ def test_unknown_kind_and_version(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("scenario", [
+    {"kind": "twist", "symbol": {"entries": []}},
+    {"kind": "twist", "window": "abc"},
+    {"kind": "sphere", "radii": [1]},
+    {"kind": "pair", "dims": [3]},
+    {"kind": "pair", "dims": [-1, 2]},
+    {"kind": "twist", "window": 8.5},
+    {"kind": "twist", "symbol": {"entries": [[1]]}},
+    {"kind": "chain", "twist_powers": 3},
+    {"kind": "torus", "q": "a"},
+    {"kind": "graph", "edges": [{"source": "a"}]},
+    {"kind": "pair", "seed": -1},
+])
+def test_bad_parameter_is_usage_error(tmp_path, capsys, scenario):
+    path = write_scenario(tmp_path, "bad.json", {"version": 1, **scenario})
+    assert cli.main(["index", path]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_missing_file(capsys):
     assert cli.main(["index", "/nonexistent/x.json"]) == 2
     capsys.readouterr()

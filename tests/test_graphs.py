@@ -35,7 +35,7 @@ from fredcorr.graphs import (
     vertex_index,
     vertex_subspace,
 )
-from fredcorr.subspaces import Subspace, subspaces_equal
+from fredcorr.subspaces import Subspace, pair_index, subspaces_equal
 
 
 class TestSpherePath:
@@ -340,3 +340,12 @@ class TestWindowStability:
     def test_torus(self, half):
         l, phi = build_torus(0.5, 2, half)
         assert global_index_selfglue(l, phi) == -2
+
+
+def test_vertex_index_matches_pair_index_audit():
+    rng = np.random.default_rng(23)
+    for _ in range(3):
+        g = random_graph(rng)
+        for v in g.vertices:
+            rep = pair_index(vertex_subspace(g, v), outgoing_assembly(g, v))
+            assert vertex_index(g, v) == rep.index

@@ -5,9 +5,18 @@ chain circles use sharp = negative modes, under which the incoming disk
 has index 0 and the outgoing disk index 1.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
+from fredcorr.circles import (
+    LaurentSymbol,
+    annulus_correspondence,
+    chain_circle,
+    disk_correspondence,
+    twisted_cap,
+)
 from fredcorr.errors import CompositionMismatch, DimensionMismatch, InvalidInput
 from fredcorr.morphisms import (
     Chain,
@@ -116,7 +125,36 @@ def test_index_report_is_dimension_determined():
                                subspace=random_subspace(2 * h.dim, d, rng))
             rep = index_report(l)
             assert rep.index == rep.dim_intersection - rep.codim_sum
-            assert rep.index == d + h.dim - 2 * h.dim
+            assert rep.index == d + h.dim - 2 * h.dim == index(l)
+
+
+def test_ledger_agrees_with_audit_in_every_order():
+    # A five-link sphere chain reduced in all 24 orders: every link and
+    # every intermediate composite has index == its pair-index audit, and
+    # each ledger event equals the defect computed on its own, both by
+    # delta and from audited indices.
+    circles = [chain_circle(4, r) for r in (2.0, 1.6, 1.1, 0.7)]
+    links = ([disk_correspondence(circles[0], "incoming")]
+             + [annulus_correspondence(a, b) for a, b in zip(circles, circles[1:])]
+             + [twisted_cap(circles[-1], LaurentSymbol.monomial(2))])
+    chain = Chain(links=tuple(links))
+    audit = lambda l: index_report(l).index
+    for l in chain.links:
+        assert index(l) == audit(l)
+    for order in itertools.permutations(range(len(chain) - 1)):
+        ledger = reduce_chain_ledger(chain, order)
+        assert ledger.total == chain_total_index(chain) == 3
+        current, ids = list(chain.links), list(range(len(chain) - 1))
+        for j, event in zip(order, ledger.delta_events):
+            pos = ids.index(j)
+            l1, l2 = current[pos], current[pos + 1]
+            composite = compose(l1, l2)
+            assert index(composite) == audit(composite)
+            assert event == delta(l1, l2) \
+                == audit(l1) + audit(l2) - audit(composite)
+            current[pos: pos + 2] = [composite]
+            ids.pop(pos)
+        assert ledger.final_index == index(current[0])
 
 
 def test_compose_graphs_matches_product():
@@ -135,6 +173,13 @@ def test_compose_mismatch_raises():
     with pytest.raises(CompositionMismatch):
         compose(disk_in(circle_space(3, SHARP_NEGATIVE)),
                 disk_out(circle_space(3, SHARP_NONNEG)))
+    # same labels and convention, but a splitting moved within its class
+    h = circle_space(3)
+    moved = h.with_splitting(perturb_splitting(h.splitting, 1, seed=2))
+    with pytest.raises(CompositionMismatch):
+        compose(disk_in(h), disk_out(moved))
+    with pytest.raises(CompositionMismatch):
+        Chain(links=(disk_in(h), disk_out(moved)))
 
 
 def test_compose_collapses_shared_mode():

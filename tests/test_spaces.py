@@ -233,6 +233,26 @@ def test_zero_space_and_match():
     assert not spaces_match(h1, z)
 
 
+def test_spaces_match_compares_subspaces_not_frames():
+    h = hardy_space(4)
+    rng = np.random.default_rng(3)
+
+    def rotated(sub):
+        g = rng.standard_normal((sub.dim, sub.dim)) \
+            + 1j * rng.standard_normal((sub.dim, sub.dim))
+        u, _ = np.linalg.qr(g)
+        return Subspace(sub.frame @ u)
+
+    s = h.splitting
+    turned = h.with_splitting(Splitting(sharp=rotated(s.sharp),
+                                        flat=rotated(s.flat)))
+    assert not np.array_equal(turned.splitting.sharp.frame, s.sharp.frame)
+    assert spaces_match(h, turned) and spaces_match(turned, h)
+    for seed in range(4):
+        moved = h.with_splitting(perturb_splitting(s, 1, seed=seed))
+        assert not spaces_match(h, moved)
+
+
 def test_flat_padded_companion():
     h = hardy_space(3, convention=SHARP_NEGATIVE)
     ps = h.flat_padded(2)

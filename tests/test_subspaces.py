@@ -9,6 +9,7 @@ from fredcorr.errors import DimensionMismatch, InvalidInput
 from fredcorr.subspaces import (
     Subspace,
     complement,
+    dimension_index,
     direct_sum,
     embed,
     intersection,
@@ -196,10 +197,15 @@ def test_pair_index_dimension_identity(n, da, db, seed):
     a = random_subspace(n, da, rng)
     b = random_subspace(n, db, rng)
     rep = pair_index(a, b)
-    assert rep.index == da + db - n
+    assert rep.index == da + db - n == dimension_index(a, b)
     assert rep.dim_intersection - rep.codim_sum == rep.index
     # and the two constituents satisfy the modular law
     assert rep.dim_intersection + (n - rep.codim_sum) == da + db
+
+
+def test_dimension_index_checks_ambient():
+    with pytest.raises(DimensionMismatch):
+        dimension_index(Subspace.full(3), Subspace.full(4))
 
 
 def test_pair_index_symmetry():
