@@ -28,7 +28,7 @@ from .spaces import (
     nfold_subspace,
     splitting_for_window,
 )
-from .subspaces import Subspace, dimension_index
+from .subspaces import Subspace, current_tolerance, dimension_index
 from .windows import ModeWindow, WindowedOperator, mode_span, pad_by_predicate
 
 __all__ = [
@@ -38,6 +38,8 @@ __all__ = [
     "twist_circle",
     "multiplication_operator",
     "symbol_band_matrix",
+    "certified_ratio",
+    "band_certificate",
     "symbol_twist",
     "symbol_inverse",
     "winding_number",
@@ -58,6 +60,9 @@ __all__ = [
 VALIDATION_GRID = 512
 WINDING_GRID = 1024
 WINDING_GRID_CAP = 2 ** 20
+# Finest grid of the injectivity certificate (two doublings of the
+# validation grid); past it the operator's singular values decide.
+CERTIFICATE_GRID_CAP = 2 ** 11
 # A symbol is singular where |det| on the circle is at most MIN_DET times
 # the largest value its coefficients allow (_det_floor): scale-free.
 MIN_DET = 1e-8
@@ -73,6 +78,14 @@ def _det_floor(coeffs):
     return MIN_DET * scale ** coeffs.shape[1]
 
 
+def _sigma_min_floor(vals, dets):
+    # sigma_min(A) = |det A| / (product of the other c - 1 singular
+    # values) >= |det A| / ||A||_F^(c-1), at every grid point
+    c = vals.shape[-1]
+    norms = np.linalg.norm(vals, axis=(1, 2))
+    return float((np.abs(dets) / norms ** (c - 1)).min())
+
+
 @dataclass(frozen=True, eq=False)
 class LaurentSymbol:
     """A matrix of Laurent polynomials: coeffs[p] is the coefficient
@@ -80,7 +93,8 @@ class LaurentSymbol:
 
     Construction validates invertibility on the unit circle by sampling
     the determinant on a fixed grid, relative to the largest value the
-    coefficients allow it.
+    coefficients allow it.  The same samples give the grid floor of
+    sigma_min(A(z)) that :func:`certified_ratio` starts from.
     """
 
     coeffs: np.ndarray
@@ -100,9 +114,11 @@ class LaurentSymbol:
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
         object.__setattr__(self, "d_min", int(d_min))
-        dets = _kernels.det_grid(self.eval_grid(_unit_grid(VALIDATION_GRID)))
+        vals = self.eval_grid(_unit_grid(VALIDATION_GRID))
+        dets = _kernels.det_grid(vals)
         if float(np.abs(dets).min()) <= _det_floor(c):
             raise SymbolSingular("symbol determinant vanishes on the circle")
+        object.__setattr__(self, "_grid_floor", _sigma_min_floor(vals, dets))
 
     @property
     def channels(self):
@@ -313,6 +329,51 @@ def symbol_band_matrix(sym, from_window, to_window):
                                          - from_window.half_width)
         m[:, rows, :, cols] = sym.coeffs[p]
     return m.reshape(to_window.dim, from_window.dim)
+
+
+def certified_ratio(sym):
+    """A lower bound on sigma_min / sigma_max of every band matrix of the
+    symbol, or 0.0 when the grid does not certify one above twice the
+    current relative tolerance.
+
+    A band matrix whose range window holds every output mode is the
+    Laurent operator of the symbol restricted to coordinate inputs, so by
+    Parseval its sigma_min is at least the infimum over |z| = 1 of
+    sigma_min(A(z)), and its sigma_max at most S = sum_p ||A_p||_F.  The
+    infimum is bounded below by the grid floor of |det A| / ||A||_F^(c-1)
+    minus the Lipschitz term (pi / N) * sum_p |d_min + p| ||A_p||_F, and
+    the grid is doubled, from the validation grid, until that bound
+    exceeds 2 * tol * S or reaches ``CERTIFICATE_GRID_CAP``.
+    """
+    norms = np.linalg.norm(sym.coeffs, axis=(1, 2))
+    scale = float(norms.sum())
+    slope = float(np.abs(sym.d_min + np.arange(norms.size)) @ norms)
+    n, floor = VALIDATION_GRID, sym._grid_floor
+    while True:
+        bound = floor - math.pi / n * slope
+        if bound > 2.0 * current_tolerance() * scale:
+            return bound / scale
+        n *= 2
+        if n > CERTIFICATE_GRID_CAP:
+            return 0.0
+        vals = sym.eval_grid(_unit_grid(n))
+        floor = _sigma_min_floor(vals, _kernels.det_grid(vals))
+
+
+def band_certificate(sym, op):
+    """:func:`certified_ratio` of ``sym`` when the windowed operator's
+    matrix is exactly the band matrix of ``sym`` between its windows, and
+    0.0 (nothing certified) for any other operator or symbol."""
+    if not isinstance(sym, LaurentSymbol):
+        return 0.0
+    d, r = op.domain_window, op.range_window
+    if not (sym.channels == d.channels == r.channels
+            and r.half_width >= d.half_width + sym.degree):
+        return 0.0
+    ratio = certified_ratio(sym)
+    if ratio and np.array_equal(op.matrix, symbol_band_matrix(sym, d, r)):
+        return ratio
+    return 0.0
 
 
 def multiplication_operator(sym, base_window):

@@ -130,6 +130,14 @@ class Twist:
     """An invertible windowed operator on one model space, almost
     commuting with its polarization.
 
+    The operator must be injective on its padded domain.  When it is
+    exactly the band matrix of ``symbol``, the symbol certifies that
+    (``circles.band_certificate``); otherwise, or when the certificate
+    does not reach twice the relative tolerance, the singular values of
+    the operator decide it, as a rank with the relative tolerance.
+    Either way the decided ratio sigma_min / sigma_max (a lower bound,
+    for the certificate) is kept for :func:`tilde_ind`.
+
     ``budget`` bounds the rank of the commutator with the sharp
     projector; pass None to skip that check (useful when re-basing a
     twist onto a perturbed splitting, which inflates the commutator by
@@ -142,13 +150,21 @@ class Twist:
     budget: int = None
 
     def __post_init__(self):
+        # circles builds twists, so it can only be imported at call time
+        from .circles import band_certificate
         op = self.operator
         if self.base.window is None:
             raise InvalidInput("twist base must carry a mode window")
         if op.base_window != self.base.window:
             raise DimensionMismatch("operator base window does not match space")
-        if rank(op.matrix) < op.domain_window.dim:
-            raise InvalidInput("windowed operator is not injective on its domain")
+        ratio = band_certificate(self.symbol, op)
+        if not ratio:
+            s = singular_values(op.matrix)
+            full = s.size == op.domain_window.dim and s[0] > 0.0
+            if not (full and s[-1] > current_tolerance() * s[0]):
+                raise InvalidInput("windowed operator is not injective on its domain")
+            ratio = s[-1] / s[0]
+        object.__setattr__(self, "_injectivity_ratio", float(ratio))
         if self.budget is not None:
             if commutator_rank(self) > self.budget:
                 raise InvalidInput("twist commutator exceeds its rank budget")
@@ -168,23 +184,34 @@ class Twist:
                      operator=self.operator, symbol=self.symbol, budget=None)
 
 
+def _nonzero_block(a):
+    # dropping exactly-zero rows and columns keeps every nonzero
+    # singular value
+    return a[np.ix_(np.any(a != 0, axis=1), np.any(a != 0, axis=0))]
+
+
 def commutator_rank(t):
     """Rank of the commutator of the compressed operator with the sharp
     projector of the base splitting.
 
     In the orthonormal basis (sharp, flat) of a valid splitting, P B - B P
     is zero but for the blocks sharp^H B flat and -flat^H B sharp, so its
-    singular values are those of the two blocks, under one cutoff.
+    singular values are those of the two blocks, under one cutoff.  Rows
+    and columns of a block that are exactly zero are dropped before its
+    SVD: a coordinate splitting leaves only a corner of each block.
     """
     b = t.base_square_matrix()
     sharp = t.base.splitting.sharp.frame
     flat = t.base.splitting.flat.frame
     if sharp.shape[1] == 0 or flat.shape[1] == 0:
         return 0
-    s = np.concatenate([singular_values(sharp.conj().T @ b @ flat),
-                        singular_values(flat.conj().T @ b @ sharp)])
-    if s.max() == 0.0:
+    blocks = [_nonzero_block(sharp.conj().T @ b @ flat),
+              _nonzero_block(flat.conj().T @ b @ sharp)]
+    # a block left with any entry has a nonzero one
+    s = [singular_values(x) for x in blocks if x.size]
+    if not s:
         return 0
+    s = np.concatenate(s)
     return int(np.count_nonzero(s > current_tolerance() * s.max()))
 
 
@@ -192,15 +219,27 @@ def tilde_ind(t):
     """Twist index: the padded flat half is pushed through the operator,
     intersected with the window, and paired against the sharp half.
 
-    The rank decision is the window intersection that builds the image;
-    the pair index is then counted from dimensions.
+    The rank decision is the window intersection that builds the image:
+    the nullspace of the image rows outside the base window, under the
+    relative tolerance.  The pair index is then counted from dimensions.
+    When the twist's injectivity ratio sigma_min / sigma_max exceeds
+    twice the tolerance, every nullspace direction x keeps
+    |M_base x|^2 >= (sigma_min^2 - tol^2 sigma_max^2) |x|^2, above the
+    orthonormalization cutoff, so the image dimension is the nullspace
+    dimension and no image frame is built.  Closer to the cutoff the
+    image is built and orthonormalized (``apply_within_window``).
 
     Equals the winding number of the symbol determinant on circle
     models whose sharp half is the nonnegative-mode span.
     """
-    flat_pad = t.base.flat_padded(t.margin)
-    image = t.operator.apply_within_window(flat_pad.padded)
-    return dimension_index(image, t.base.splitting.sharp)
+    op = t.operator
+    flat_pad = t.base.flat_padded(t.margin).padded
+    sharp = t.base.splitting.sharp
+    if t._injectivity_ratio > 2.0 * current_tolerance():
+        outside = op.matrix[~op.base_rows_mask(), :] @ flat_pad.frame
+        image_dim = nullspace(outside).shape[1]
+        return image_dim + sharp.dim - sharp.ambient_dim
+    return dimension_index(op.apply_within_window(flat_pad), sharp)
 
 
 def twist_graph(t):

@@ -66,6 +66,7 @@ class Splitting:
     halves are orthonormal frames whose dimensions fill the space, so
     tr(S^2) = n - 2 |sharp^H flat|_F^2, and S^2 = I holds exactly when
     sharp^H flat = 0; that small block is what gets checked.
+    Complementary coordinate spans skip the check via :meth:`_trusted`.
     """
 
     sharp: Subspace
@@ -81,6 +82,15 @@ class Splitting:
             overlap = np.abs(self.sharp.frame.conj().T @ self.flat.frame).max()
             if not overlap <= PROJECTOR_ATOL:
                 raise InvalidInput("splitting symmetry does not square to identity")
+
+    @classmethod
+    def _trusted(cls, sharp, flat):
+        """Unchecked wrap of two halves that are complementary by
+        construction."""
+        split = object.__new__(cls)
+        object.__setattr__(split, "sharp", sharp)
+        object.__setattr__(split, "flat", flat)
+        return split
 
     @property
     def ambient_dim(self):
@@ -119,7 +129,7 @@ def splitting_for_window(window, convention):
     pred = convention_predicate(convention)
     sharp = mode_span(window, pred)
     flat = mode_span(window, lambda n: not pred(n))
-    return Splitting(sharp=sharp, flat=flat)
+    return Splitting._trusted(sharp, flat)
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,8 +180,7 @@ class ModelSpace:
             base = self.splitting.sharp
             keep = pred
         padded = pad_by_predicate(base, self.window, margin, keep)
-        return PaddedSubspace(base=base, padded=padded,
-                              base_window=self.window, margin=margin)
+        return PaddedSubspace._trusted(base, padded, self.window, margin)
 
     def flat_padded(self, margin):
         """Canonical padded companion of the flat half.

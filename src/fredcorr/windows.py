@@ -190,6 +190,8 @@ class PaddedSubspace:
     The extension is part of the data, not derived: an arbitrary
     subspace has no canonical enlargement, so constructions that need
     to act on padded inputs carry the companion along explicitly.
+    Companions built by :func:`pad_by_predicate` from their base skip
+    the checks via :meth:`_trusted`.
     """
 
     base: Subspace
@@ -206,6 +208,16 @@ class PaddedSubspace:
         lifted = lift_subspace(self.base, self.base_window, pw)
         if lifted.dim and not self.padded.contains(lifted):
             raise InvalidInput("padded companion does not extend the base")
+
+    @classmethod
+    def _trusted(cls, base, padded, base_window, margin):
+        """Unchecked wrap of a companion that extends its base by
+        construction."""
+        sub = object.__new__(cls)
+        for name, value in (("base", base), ("padded", padded),
+                            ("base_window", base_window), ("margin", margin)):
+            object.__setattr__(sub, name, value)
+        return sub
 
     @property
     def padded_window(self):

@@ -10,6 +10,7 @@ from fredcorr.circles import (
     annulus_transfer_factors,
     build_sphere_chain,
     build_torus,
+    certified_ratio,
     chain_circle,
     disk_correspondence,
     mv_pairing,
@@ -31,7 +32,14 @@ from fredcorr.morphisms import (
     tilde_ind,
     twist_graph,
 )
-from fredcorr.subspaces import pair_index
+from fredcorr.spaces import perturb_splitting
+from fredcorr.subspaces import (
+    current_tolerance,
+    dimension_index,
+    pair_index,
+    rank,
+    singular_values,
+)
 from fredcorr.windows import ModeWindow
 
 
@@ -160,6 +168,113 @@ def test_tilde_ind_matches_pair_index_audit(channels):
         image = t.operator.apply_within_window(
             t.base.flat_padded(t.margin).padded)
         assert tilde_ind(t) == pair_index(image, t.base.splitting.sharp).index
+
+
+def _scalar_with_zeros(rng, inside, outside, d_min):
+    # zeros well inside and well outside the unit disk, none near the circle
+    radii = [rng.uniform(0.1, 0.6) for _ in range(inside)] \
+        + [rng.uniform(1.8, 3.0) for _ in range(outside)]
+    roots = [r * np.exp(2j * np.pi * rng.uniform()) for r in radii]
+    return LaurentSymbol.scalar(np.poly(roots)[::-1], d_min=d_min)
+
+
+def _symbols(rng, channels):
+    if channels == 1:
+        # random_laurent_symbol(channels=1) only draws monomials
+        return [_scalar_with_zeros(rng, 1, 1, -1),
+                _scalar_with_zeros(rng, 0, 2, 0)]
+    return [random_laurent_symbol(rng, channels=channels, degree=d)
+            for d in (1, 2)]
+
+
+def _fault_symbol(rng):
+    # U diag((z - a)(z - b), c z^-3) V with |a| <= 0.5 and |b| >= 2:
+    # winding 1 - 3 = -2, but the twist index misses the inner zero
+    a = rng.uniform(0.1, 0.5) * np.exp(2j * np.pi * rng.uniform())
+    b = rng.uniform(2.0, 4.0) * np.exp(2j * np.pi * rng.uniform())
+    c = np.zeros((6, 2, 2), dtype=np.complex128)
+    c[3:, 0, 0] = [a * b, -(a + b), 1.0]
+    c[0, 1, 1] = 0.5 + rng.uniform(0.0, 1.5)
+    u, v = (np.linalg.qr(rng.standard_normal((2, 2))
+                         + 1j * rng.standard_normal((2, 2)))[0]
+            for _ in range(2))
+    return LaurentSymbol(coeffs=np.einsum("ij,pjk,kl->pil", u, c, v),
+                         d_min=-3)
+
+
+def _image_route(t):
+    # tilde_ind with the twisted image built and orthonormalized
+    flat_pad = t.base.flat_padded(t.margin).padded
+    return dimension_index(t.operator.apply_within_window(flat_pad),
+                           t.base.splitting.sharp)
+
+
+@pytest.mark.parametrize("channels", [1, 2, 3])
+def test_certified_ratio_bounds_the_band_matrix_condition(channels):
+    rng = np.random.default_rng(80 + channels)
+    for sym in _symbols(rng, channels):
+        ratio = certified_ratio(sym)
+        assert ratio > 2 * current_tolerance()
+        for m in (8, 24, 64):
+            op = multiplication_operator(sym, ModeWindow(m, channels))
+            s = singular_values(op.matrix)
+            assert ratio <= s[-1] / s[0]
+            wider = symbol_band_matrix(sym, op.domain_window,
+                                       op.range_window.pad(3))
+            s = singular_values(wider)
+            assert ratio <= s[-1] / s[0]
+
+
+def test_symbol_twist_is_certified_from_its_symbol():
+    sym = random_laurent_symbol(np.random.default_rng(4), channels=2, degree=2)
+    t = symbol_twist(sym, twist_circle(8, channels=2))
+    assert t._injectivity_ratio == certified_ratio(sym) > 0
+
+
+def test_zero_near_the_circle_takes_the_svd_route():
+    # a zero 1e-7 outside the circle: the symbol is valid, but no grid up
+    # to the cap certifies it, so the singular values decide, as before
+    a = (1 + 1e-7) * np.exp(0.3j)
+    sym = LaurentSymbol.scalar([-a, 1.0], d_min=0)
+    assert certified_ratio(sym) == 0.0
+    t = symbol_twist(sym, twist_circle(16))
+    m = t.operator.matrix
+    assert rank(m) == m.shape[1]
+    s = singular_values(m)
+    assert t._injectivity_ratio == pytest.approx(s[-1] / s[0], rel=1e-12)
+    assert tilde_ind(t) == _image_route(t)
+
+
+@pytest.mark.parametrize("channels", [1, 2, 3])
+def test_counted_tilde_ind_matches_the_image_route(channels):
+    rng = np.random.default_rng(90 + channels)
+    tol = current_tolerance()
+    for sym in _symbols(rng, channels):
+        circle = twist_circle(max(8, stabilization_m0(sym.degree)),
+                              channels=channels)
+        t = symbol_twist(sym, circle)
+        assert t._injectivity_ratio > 2 * tol
+        assert tilde_ind(t) == _image_route(t)
+        labels = circle.window.mode_labels()
+        interior = np.flatnonzero(np.abs(labels) <= circle.half_width - 3)
+        for seed in range(3):
+            s = perturb_splitting(t.base.splitting, 2, seed=seed,
+                                  support=interior)
+            tp = t.with_base_splitting(s)
+            assert tp._injectivity_ratio > 2 * tol
+            assert tilde_ind(tp) == _image_route(tp)
+
+
+def test_counted_tilde_ind_on_inner_zero_symbols():
+    # the routes agree on the known inner-zero fault: both read -3 where
+    # the winding is -2, so mending that fault changes this figure
+    rng = np.random.default_rng(507060)
+    for _ in range(2):
+        sym = _fault_symbol(rng)
+        assert winding_number(sym) == -2
+        t = symbol_twist(sym, twist_circle(48, channels=2))
+        assert t._injectivity_ratio > 2 * current_tolerance()
+        assert tilde_ind(t) == _image_route(t) == -3
 
 
 def test_twist_budget_bounds_commutator():

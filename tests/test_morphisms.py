@@ -285,6 +285,76 @@ def test_twist_validation():
     assert commutator_rank(t) == 1
 
 
+def test_twist_with_a_disagreeing_symbol_is_decided_by_its_operator():
+    from fredcorr.circles import band_certificate, multiplication_operator
+    h = circle_space(6, SHARP_NONNEG)
+    sym = LaurentSymbol.monomial(1)
+    good = multiplication_operator(sym, h.window)
+    assert band_certificate(sym, good) > 0
+    m = good.matrix.copy()
+    m[:, 3] = 0.0
+    bad = WindowedOperator(domain_window=good.domain_window,
+                           range_window=good.range_window,
+                           base_window=h.window, matrix=m)
+    assert band_certificate(sym, bad) == 0.0
+    with pytest.raises(InvalidInput):
+        Twist(base=h, operator=bad, symbol=sym)
+    # injective operators of other symbols: same windows, and wider ones
+    for other in (LaurentSymbol.monomial(1, coefficient=2.0),
+                  LaurentSymbol.monomial(-2)):
+        op = multiplication_operator(other, h.window)
+        assert band_certificate(sym, op) == 0.0
+        t = Twist(base=h, operator=op, symbol=sym)
+        assert t._injectivity_ratio == pytest.approx(1.0)
+
+
+def test_tilde_ind_builds_the_image_near_the_cutoff(monkeypatch):
+    from fredcorr.subspaces import current_tolerance, dimension_index
+    h = circle_space(6, SHARP_NONNEG)
+    shift = shift_operator(h.window, 1)
+    original = WindowedOperator.apply_within_window
+    calls = []
+
+    def spy(op, sub):
+        calls.append(sub.dim)
+        return original(op, sub)
+
+    monkeypatch.setattr(WindowedOperator, "apply_within_window", spy)
+    tol = current_tolerance()
+    # column 4 is mode -3, inside the padded flat half
+    for scale, builds in ((1.5 * tol, True), (3.0 * tol, False)):
+        m = shift.matrix.copy()
+        m[:, 4] *= scale
+        t = Twist(base=h, operator=WindowedOperator(
+            domain_window=shift.domain_window, range_window=shift.range_window,
+            base_window=h.window, matrix=m))
+        assert t._injectivity_ratio == pytest.approx(scale)
+        calls.clear()
+        got = tilde_ind(t)
+        assert bool(calls) == builds
+        flat_pad = t.base.flat_padded(t.margin).padded
+        assert got == dimension_index(original(t.operator, flat_pad),
+                                      t.base.splitting.sharp) == 1
+
+
+def test_commutator_rank_on_coordinate_splittings():
+    from fredcorr.circles import random_laurent_symbol, symbol_twist, twist_circle
+    from fredcorr.subspaces import rank
+    rng = np.random.default_rng(21)
+    for channels in (1, 2, 3):
+        for degree in (1, 2):
+            sym = random_laurent_symbol(rng, channels=channels, degree=degree)
+            t = symbol_twist(sym, twist_circle(9, channels=channels))
+            b = t.base_square_matrix()
+            p = t.base.splitting.sharp.projector()
+            assert commutator_rank(t) == rank(p @ b - b @ p)
+    h = circle_space(5, SHARP_NONNEG)
+    ident = WindowedOperator(domain_window=h.window, range_window=h.window,
+                             base_window=h.window,
+                             matrix=np.eye(h.dim, dtype=np.complex128))
+    assert commutator_rank(Twist(base=h, operator=ident)) == 0
+
+
 def test_commutator_rank_matches_dense_commutator():
     from fredcorr.circles import random_laurent_symbol, symbol_twist, twist_circle
     from fredcorr.subspaces import rank

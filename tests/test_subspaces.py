@@ -56,9 +56,9 @@ def test_frame_validation_rejects_skew():
         Subspace(nan_frame)
 
 
-def test_trusted_frames_pass_the_public_check(monkeypatch):
-    # Route every frame the package builds for itself through the Gram
-    # check of the public constructor, along one example of each route.
+def _run_every_route():
+    # one example of each route that builds frames, splittings and padded
+    # companions for itself
     from fredcorr.circles import (
         LaurentSymbol,
         build_sphere_chain,
@@ -81,14 +81,6 @@ def test_trusted_frames_pass_the_public_check(monkeypatch):
         reduce_chain_ledger,
         tilde_ind,
     )
-
-    checked = []
-
-    def public(cls, frame):
-        checked.append(frame.shape)
-        return cls(frame)
-
-    monkeypatch.setattr(Subspace, "_trusted", classmethod(public))
 
     chain = build_sphere_chain(6, twists=(LaurentSymbol.scalar([1.0, 0.4], 1),))
     total = chain_total_index(chain)
@@ -113,7 +105,44 @@ def test_trusted_frames_pass_the_public_check(monkeypatch):
 
     rep = fan_index(random_fan(np.random.default_rng([8, 0])))
     assert rep.formula1 == rep.formula3 == rep.formula4
+
+
+def test_trusted_frames_pass_the_public_check(monkeypatch):
+    # Route every frame the package builds for itself through the Gram
+    # check of the public constructor, along one example of each route.
+    checked = []
+
+    def public(cls, frame):
+        checked.append(frame.shape)
+        return cls(frame)
+
+    monkeypatch.setattr(Subspace, "_trusted", classmethod(public))
+    _run_every_route()
     assert checked
+
+
+def test_trusted_splittings_and_companions_pass_the_public_checks(monkeypatch):
+    # The same routes, with every coordinate splitting and every padded
+    # companion sent through its public constructor's checks.
+    from fredcorr.spaces import Splitting
+    from fredcorr.windows import PaddedSubspace
+
+    checked = []
+
+    def public_splitting(cls, sharp, flat):
+        checked.append("splitting")
+        return cls(sharp=sharp, flat=flat)
+
+    def public_companion(cls, base, padded, base_window, margin):
+        checked.append("companion")
+        return cls(base=base, padded=padded, base_window=base_window,
+                   margin=margin)
+
+    monkeypatch.setattr(Splitting, "_trusted", classmethod(public_splitting))
+    monkeypatch.setattr(PaddedSubspace, "_trusted",
+                        classmethod(public_companion))
+    _run_every_route()
+    assert {"splitting", "companion"} <= set(checked)
 
 
 def test_from_indices():
