@@ -39,7 +39,6 @@ from .spaces import (
     SHARP_NONNEG,
     ModelSpace,
     Splitting,
-    conjugated_pair,
     make_splitting,
     perturb_splitting,
     splitting_for_window,

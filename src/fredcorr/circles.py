@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .errors import DimensionMismatch, InvalidInput, SymbolSingular
 from .morphisms import Chain, Correspondence, Twist
 from .spaces import (
@@ -115,7 +114,7 @@ class LaurentSymbol:
         object.__setattr__(self, "coeffs", c)
         object.__setattr__(self, "d_min", int(d_min))
         vals = self.eval_grid(_unit_grid(VALIDATION_GRID))
-        dets = _kernels.det_grid(vals)
+        dets = np.linalg.det(vals)
         if float(np.abs(dets).min()) <= _det_floor(c):
             raise SymbolSingular("symbol determinant vanishes on the circle")
         object.__setattr__(self, "_grid_floor", _sigma_min_floor(vals, dets))
@@ -177,10 +176,14 @@ class LaurentSymbol:
         return self.eval_grid(np.array([z]))[0]
 
     def eval_grid(self, zs):
-        return _kernels.eval_symbol_grid(self.coeffs, self.d_min, np.asarray(zs))
+        """The symbol at each point of ``zs``, as an (N, c, c) stack."""
+        zs = np.asarray(zs, dtype=np.complex128)
+        powers = zs[:, None] ** np.arange(self.coeffs.shape[0])
+        vals = np.tensordot(powers, self.coeffs, axes=(1, 0))
+        return vals * (zs ** self.d_min)[:, None, None]
 
     def det_on_grid(self, n):
-        return _kernels.det_grid(self.eval_grid(_unit_grid(n)))
+        return np.linalg.det(self.eval_grid(_unit_grid(n)))
 
     def product(self, other):
         """Pointwise matrix product self(z) @ other(z)."""
@@ -207,7 +210,7 @@ def symbol_inverse(sym, tol=1e-9):
     span = (sym.coeffs.shape[0] - 1) * c
     n = max(span + 1, 4)
     zs = _unit_grid(n)
-    dets = _kernels.det_grid(sym.eval_grid(zs))
+    dets = np.linalg.det(sym.eval_grid(zs))
     # det powers live in [c*d_min, c*d_min + span]
     powers = c * sym.d_min + np.arange(span + 1)
     coeffs = np.array([np.mean(dets * zs ** (-p)) for p in powers])
@@ -249,9 +252,10 @@ def winding_number(sym, grid=WINDING_GRID):
         dets = sym.det_on_grid(n)
         if float(np.abs(dets).min()) <= floor:
             raise SymbolSingular("determinant too close to zero on the grid")
-        total, max_step = _kernels.phase_scan(dets)
-        if max_step <= math.pi / 2:
-            w = total / (2.0 * math.pi)
+        # phase steps around the closed loop, the last one back to the start
+        steps = np.angle(np.roll(dets, -1) * np.conj(dets))
+        if float(np.abs(steps).max()) <= math.pi / 2:
+            w = float(steps.sum()) / (2.0 * math.pi)
             return int(round(w))
         n *= 2
         if n > WINDING_GRID_CAP:
@@ -357,7 +361,7 @@ def certified_ratio(sym):
         if n > CERTIFICATE_GRID_CAP:
             return 0.0
         vals = sym.eval_grid(_unit_grid(n))
-        floor = _sigma_min_floor(vals, _kernels.det_grid(vals))
+        floor = _sigma_min_floor(vals, np.linalg.det(vals))
 
 
 def band_certificate(sym, op):

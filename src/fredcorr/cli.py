@@ -349,7 +349,9 @@ def run_graph(params, window, seed, budget):
     results = {"window": g.half_width,
                "vertex_indices": per_vertex, "edge_indices": per_edge,
                "additive": additive, "extension": loops}
-    checks = []
+    checks = [_check(f"edge {e} index equals winding",
+                     winding_number(g.edges[e].twist.symbol), per_edge[e])
+              for e in sorted(g.edges) if g.edges[e].twist is not None]
     if loops:
         results["fan"] = None
     else:
@@ -541,13 +543,21 @@ def _load_scenario(path):
                          f"column {exc.colno}: {exc.msg}")
 
 
+def _tolerance(value, name):
+    # NaN fails both comparisons, and each infinity fails one
+    if not 0.0 < value < 1.0:
+        raise UsageError(f"{name} must be a finite number strictly between "
+                         f"0 and 1, got {value!r}")
+    return value
+
+
 def _resolve_tol(flag_value):
     if flag_value is not None:
-        return float(flag_value)
+        return _tolerance(flag_value, "--tol")
     env = os.environ.get("FREDCORR_TOL")
     if env:
         try:
-            return float(env)
+            return _tolerance(float(env), "FREDCORR_TOL")
         except ValueError:
             raise UsageError(f"FREDCORR_TOL is not a number: {env!r}")
     return None

@@ -1,5 +1,5 @@
 """Correspondences between polarized model spaces: composition, indices,
-twists, bordisms, chains, and the composition-defect ledger.
+twists, chains, and the composition-defect ledger.
 
 Every index here is a pair index of explicit subspaces.  Operator-index
 formulations would be identically zero for square truncations, so the
@@ -18,7 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CompositionMismatch, DimensionMismatch, InvalidInput
-from .spaces import ModelSpace, convention_predicate, spaces_match
+from .spaces import (
+    ModelSpace,
+    convention_predicate,
+    off_diagonal_singular_values,
+    spaces_match,
+)
 from .subspaces import (
     Subspace,
     complement,
@@ -28,10 +33,15 @@ from .subspaces import (
     intersection,
     nullspace,
     pair_index,
-    rank,
     singular_values,
 )
-from .windows import lift_frame, restricted_image, window_rows_mask, windowed_graph
+from .windows import (
+    lift_frame,
+    pad_by_predicate,
+    restricted_image,
+    window_rows_mask,
+    windowed_graph,
+)
 
 __all__ = [
     "COMPOSE_DROP_TOL",
@@ -48,9 +58,6 @@ __all__ = [
     "chain_total_index",
     "reduce_chain_ledger",
     "compose_with_twist",
-    "is_bordism",
-    "is_special",
-    "apply_to_subspace",
     "twist_graph",
     "graph_correspondence",
 ]
@@ -184,34 +191,15 @@ class Twist:
                      operator=self.operator, symbol=self.symbol, budget=None)
 
 
-def _nonzero_block(a):
-    # dropping exactly-zero rows and columns keeps every nonzero
-    # singular value
-    return a[np.ix_(np.any(a != 0, axis=1), np.any(a != 0, axis=0))]
-
-
 def commutator_rank(t):
     """Rank of the commutator of the compressed operator with the sharp
-    projector of the base splitting.
-
-    In the orthonormal basis (sharp, flat) of a valid splitting, P B - B P
-    is zero but for the blocks sharp^H B flat and -flat^H B sharp, so its
-    singular values are those of the two blocks, under one cutoff.  Rows
-    and columns of a block that are exactly zero are dropped before its
-    SVD: a coordinate splitting leaves only a corner of each block.
-    """
-    b = t.base_square_matrix()
-    sharp = t.base.splitting.sharp.frame
-    flat = t.base.splitting.flat.frame
-    if sharp.shape[1] == 0 or flat.shape[1] == 0:
+    projector of the base splitting: its singular values are those of the
+    two off-diagonal blocks (``spaces.off_diagonal_singular_values``),
+    counted under one relative cutoff."""
+    split = t.base.splitting
+    s = off_diagonal_singular_values(split, t.base_square_matrix(), split)
+    if not s.size:
         return 0
-    blocks = [_nonzero_block(sharp.conj().T @ b @ flat),
-              _nonzero_block(flat.conj().T @ b @ sharp)]
-    # a block left with any entry has a nonzero one
-    s = [singular_values(x) for x in blocks if x.size]
-    if not s:
-        return 0
-    s = np.concatenate(s)
     return int(np.count_nonzero(s > current_tolerance() * s.max()))
 
 
@@ -382,45 +370,31 @@ def reduce_chain_ledger(c, order):
 
 
 def _slot_companion_frame(l, slot, margin):
-    """Orthonormal frame of the correspondence subspace extended by
-    margin modes on one endpoint slot.
+    """Frame of the correspondence subspace extended by margin modes on
+    one endpoint slot.
 
     The extension follows the bordism model: the source slot continues
-    along its sharp predicate, the target slot along its flat one.
-    Margin indicators are disjoint in support from the lifted frame, so
-    the stack stays orthonormal.
+    along its sharp predicate, the target slot along its flat one.  The
+    margin modes are those of ``pad_by_predicate`` applied to the zero
+    subspace of the slot; they are disjoint in support from the lifted
+    frame, so the stack stays orthonormal.
     """
     n1 = l.source.dim
     if slot == "source":
-        space, rows = l.source, slice(0, n1)
-        other_first = False
-        pred = convention_predicate(space.convention)
+        space, rows, other_rows = l.source, slice(0, n1), slice(n1, None)
     else:
-        space, rows = l.target, slice(n1, None)
-        other_first = True
-        pred = convention_predicate(space.convention)
-        flat_pred = lambda n, p=pred: not p(n)
-        pred = flat_pred
+        space, rows, other_rows = l.target, slice(n1, None), slice(0, n1)
     if space.window is None or space.convention is None:
         raise InvalidInput("twisted endpoint has no window/convention")
+    pred = convention_predicate(space.convention)
+    keep = pred if slot == "source" else (lambda n: not pred(n))
     w = space.window
-    padded_w = w.pad(margin)
-    other_dim = l.subspace.ambient_dim - space.dim
-    lifted_block = lift_frame(l.subspace.frame[rows, :], w, padded_w)
-    other_block = l.subspace.frame[slice(n1, None) if slot == "source" else slice(0, n1), :]
-    labels = padded_w.mode_labels()
-    extras = []
-    for i in range(padded_w.dim):
-        n = int(labels[i])
-        if abs(n) > w.half_width and pred(n):
-            e = np.zeros((other_dim + padded_w.dim, 1), dtype=np.complex128)
-            e[(other_dim + i) if other_first else i, 0] = 1.0
-            extras.append(e)
-    if other_first:
-        main = np.vstack([other_block, lifted_block])
-    else:
-        main = np.vstack([lifted_block, other_block])
-    return np.hstack([main] + extras) if extras else main
+    extras = pad_by_predicate(Subspace.zero(w.dim), w, margin, keep).frame
+    frame = l.subspace.frame
+    lifted = np.hstack([lift_frame(frame[rows, :], w, w.pad(margin)), extras])
+    other = np.hstack([frame[other_rows, :],
+                       np.zeros((frame.shape[0] - space.dim, extras.shape[1]))])
+    return np.vstack([lifted, other] if slot == "source" else [other, lifted])
 
 
 def compose_with_twist(t, l, side):
@@ -467,45 +441,3 @@ def compose_with_twist(t, l, side):
         composite = Correspondence(source=l.source, target=t.base, subspace=sub)
         return index(composite)
     raise InvalidInput("side must be 'pre' or 'post'")
-
-
-def is_bordism(l, rank_budget):
-    """Whether the correspondence projector is a bounded-rank
-    perturbation of sharp-source + flat-target.
-
-    Directions count against the budget only when tilted past 30
-    degrees (singular value of the projector difference above 0.5);
-    a relative cutoff would count every slightly tilted window mode.
-    """
-    p_l = l.subspace.projector()
-    model = direct_sum(l.source.splitting.sharp, l.target.splitting.flat)
-    d = p_l - model.projector()
-    if d.size == 0:
-        return True
-    sv = np.linalg.svd(d, compute_uv=False)
-    return int(np.count_nonzero(sv > 0.5)) <= rank_budget
-
-
-def is_special(l):
-    """Whether the source projection is a bijection from the
-    correspondence onto the source and the target projection is onto."""
-    n1 = l.source.dim
-    rows1 = l.subspace.frame[:n1, :]
-    rows2 = l.subspace.frame[n1:, :]
-    r1 = rank(rows1)
-    return r1 == l.subspace.dim and r1 == n1 and rank(rows2) == l.target.dim
-
-
-def apply_to_subspace(l, a):
-    """Image {y : exists x in a with (x, y) in L} of a subspace under
-    the correspondence."""
-    n1 = l.source.dim
-    if a.ambient_dim != n1:
-        raise DimensionMismatch("subspace does not live in the source")
-    inter = intersection(l.subspace, direct_sum(a, Subspace.full(l.target.dim)))
-    projected = inter.frame[n1:, :]
-    if projected.shape[1] == 0:
-        return Subspace.zero(l.target.dim)
-    u, s, _ = np.linalg.svd(projected, full_matrices=False)
-    r = int(np.count_nonzero(s > COMPOSE_DROP_TOL))
-    return Subspace(u[:, :r])

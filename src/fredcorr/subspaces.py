@@ -38,7 +38,6 @@ __all__ = [
     "restricted_projection_index",
     "principal_cosines",
     "direct_sum",
-    "embed",
     "subspaces_equal",
     "random_subspace",
 ]
@@ -389,15 +388,6 @@ def direct_sum(a, b):
     q[:na, : a.dim] = a.frame
     q[na:, a.dim:] = b.frame
     return Subspace._trusted(q)
-
-
-def embed(a, ambient_dim, offset):
-    """Place a subspace of C^k at row ``offset`` inside C^ambient_dim."""
-    if offset < 0 or offset + a.ambient_dim > ambient_dim:
-        raise DimensionMismatch("embedding window does not fit")
-    q = np.zeros((ambient_dim, a.dim), dtype=np.complex128)
-    q[offset: offset + a.ambient_dim, :] = a.frame
-    return Subspace(q)
 
 
 def subspaces_equal(a, b, tol=1e-8):

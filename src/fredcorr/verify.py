@@ -41,7 +41,13 @@ from .morphisms import (
     reduce_chain_ledger,
     tilde_ind,
 )
-from .spaces import SHARP_NEGATIVE, ModelSpace, perturb_splitting, splitting_for_window
+from .spaces import (
+    SHARP_NEGATIVE,
+    ModelSpace,
+    perturb_splitting,
+    polarization_defect,
+    splitting_for_window,
+)
 from .subspaces import (
     complement,
     pair_index,
@@ -165,6 +171,7 @@ def _rebased(l1, l2, splitting):
 def _suite_delta_splitting_invariance(seed, count, perturbations=5):
     constant = 0
     moved = 0
+    in_class = 0
     for i in range(count):
         rng = _rng(seed, i)
         l1, l2 = _random_composable_pair(rng)
@@ -174,6 +181,8 @@ def _suite_delta_splitting_invariance(seed, count, perturbations=5):
         any_moved = False
         for j in range(perturbations):
             s = perturb_splitting(l1.target.splitting, 2, seed=1000 * i + j)
+            # a rank-2 perturbation tilts at most 4 directions
+            in_class += polarization_defect(l1.target.splitting, s) <= 4
             r1, r2 = _rebased(l1, l2, s)
             if delta(r1, r2) != base:
                 all_same = False
@@ -185,6 +194,8 @@ def _suite_delta_splitting_invariance(seed, count, perturbations=5):
     lines.append(CheckLine("individual summands move for most pairs",
                            int(moved * 2 >= count), 1,
                            detail=f"{moved}/{count} pairs saw a summand change"))
+    lines.append(CheckLine("each perturbed splitting stays in the polarization class",
+                           in_class, count * perturbations))
     return lines
 
 

@@ -281,9 +281,3 @@ class WindowedOperator:
             raise DimensionMismatch("subspace does not match operator domain")
         restricted = self.matrix @ sub.frame
         return restricted_image(restricted, self.base_rows_mask())
-
-    def full_image(self, sub):
-        """Uncut image of ``sub`` inside the range window."""
-        if sub.ambient_dim != self.domain_window.dim:
-            raise DimensionMismatch("subspace does not match operator domain")
-        return Subspace.from_span(self.matrix @ sub.frame)

@@ -432,3 +432,82 @@ def test_circle_labels_match_loop(channels):
         expected = tuple((w.mode_of_index(i)[1], w.mode_of_index(i)[0])
                          for i in range(w.dim))
     assert circle.labels() == expected
+
+
+# Loop references for the vectorised symbol evaluation, determinant and
+# phase scan that circles.py runs on sample grids.
+
+def _horner_by_loop(coeffs, d_min, zs):
+    """Reference: Horner's rule from the top plane at each grid point."""
+    out = np.empty((len(zs),) + coeffs.shape[1:], dtype=np.complex128)
+    for j, z in enumerate(zs):
+        acc = coeffs[-1].copy()
+        for p in range(coeffs.shape[0] - 2, -1, -1):
+            acc = acc * z + coeffs[p]
+        out[j] = acc * z ** d_min
+    return out
+
+
+def _det_by_loop(values):
+    """Reference: one determinant per (c, c) slice."""
+    return np.array([np.linalg.det(v) for v in values])
+
+
+def _phase_scan_by_loop(w):
+    """Reference: (total phase, largest step) around a closed loop."""
+    total, max_step = 0.0, 0.0
+    for j in range(len(w)):
+        z = w[(j + 1) % len(w)] * w[j].conjugate()
+        step = np.arctan2(z.imag, z.real)
+        total += step
+        max_step = max(max_step, abs(step))
+    return total, max_step
+
+
+def test_eval_grid_matches_horner_reference():
+    rng = np.random.default_rng(1)
+    for _ in range(4):
+        c = int(rng.integers(1, 4))
+        planes = int(rng.integers(1, 5))
+        coeffs = rng.standard_normal((planes, c, c)) \
+            + 1j * rng.standard_normal((planes, c, c))
+        sym = LaurentSymbol(coeffs=coeffs, d_min=-2)
+        zs = np.exp(2j * np.pi * rng.uniform(size=64))
+        assert np.allclose(sym.eval_grid(zs),
+                           _horner_by_loop(sym.coeffs, sym.d_min, zs),
+                           atol=1e-12)
+
+
+def test_det_on_grid_matches_per_slice_reference():
+    rng = np.random.default_rng(2)
+    for c in (1, 2, 3):
+        sym = random_laurent_symbol(rng, channels=c, degree=2)
+        zs = np.exp(2j * np.pi * np.arange(50) / 50)
+        assert np.allclose(sym.det_on_grid(50),
+                           _det_by_loop(sym.eval_grid(zs)), atol=1e-10)
+
+
+def test_phase_scan_matches_loop_reference():
+    # winding-2 loops with a wiggle, as in the former backend comparison
+    rng = np.random.default_rng(0)
+    for _ in range(5):
+        a = 0.3 * rng.standard_normal() + 0.3j * rng.standard_normal()
+        assert abs(a) < 1.2
+        coeffs = np.zeros((4, 1, 1), dtype=np.complex128)
+        coeffs[0, 0, 0], coeffs[3, 0, 0] = 1.2, a
+        sym = LaurentSymbol(coeffs=coeffs, d_min=2)
+        total, max_step = _phase_scan_by_loop(sym.det_on_grid(257))
+        assert max_step <= np.pi / 2
+        assert winding_number(sym) == round(total / (2 * np.pi)) == 2
+
+
+def test_winding_matches_phase_scan_reference():
+    # the six symbols of the former backend comparison, with their windings
+    rng = np.random.default_rng(3)
+    syms = [random_laurent_symbol(rng, channels=2, degree=2) for _ in range(5)]
+    syms.append(LaurentSymbol.monomial(-3))
+    assert [winding_number(s) for s in syms] == [0, -1, -1, -1, 2, -3]
+    for s in syms:
+        total, max_step = _phase_scan_by_loop(s.det_on_grid(1024))
+        assert max_step <= np.pi / 2
+        assert winding_number(s) == round(total / (2 * np.pi))

@@ -254,6 +254,42 @@ def test_tol_env_and_flag(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "2", "1", "0", "-1"])
+def test_tol_outside_the_unit_interval_is_refused(tmp_path, capsys, monkeypatch,
+                                                  value):
+    path = write_scenario(tmp_path, "t.json",
+                          {"version": 1, "kind": "torus", "q": 0.5, "k": 0,
+                           "window": 6})
+    saved = subspaces.DEFAULT_TOL
+    assert cli.main(["index", path, f"--tol={value}"]) == 2
+    assert capsys.readouterr().err.startswith("error: --tol must be")
+    monkeypatch.setenv("FREDCORR_TOL", value)
+    assert cli.main(["index", path]) == 2
+    assert capsys.readouterr().err.startswith("error: FREDCORR_TOL must be")
+    assert subspaces.DEFAULT_TOL == saved
+
+
+def test_graph_edge_indices_are_checked_against_windings(tmp_path, capsys,
+                                                         monkeypatch):
+    path = write_scenario(tmp_path, "g.json", {
+        "version": 1, "kind": "graph", "window": 8,
+        "edges": [
+            {"id": "a", "source": "x", "target": "y", "twist": {"power": 2}},
+            {"id": "b", "source": "y", "target": "z", "twist": {"power": -1}},
+            {"id": "c", "source": "z", "target": "x"},
+        ]})
+    assert cli.main(["index", path]) == 0
+    out = capsys.readouterr().out
+    assert "[PASS] edge a index equals winding: expected 2, got 2" in out
+    assert "[PASS] edge b index equals winding: expected -1, got -1" in out
+    assert "edge c index" not in out
+    real = cli.edge_index
+    monkeypatch.setattr(cli, "edge_index", lambda g, e: real(g, e) + 1)
+    assert cli.main(["index", path]) == 1
+    assert "[FAIL] edge a index equals winding: expected 2, got 3" in \
+        capsys.readouterr().out
+
+
 def test_symbol_round_trip():
     rng = np.random.default_rng(4)
     for _ in range(5):

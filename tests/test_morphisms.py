@@ -31,9 +31,6 @@ from fredcorr.morphisms import (
     graph_correspondence,
     index,
     index_report,
-    is_bordism,
-    is_special,
-    apply_to_subspace,
     reduce_chain_ledger,
     tilde_ind,
     twist_graph,
@@ -42,10 +39,18 @@ from fredcorr.spaces import (
     SHARP_NEGATIVE,
     SHARP_NONNEG,
     ModelSpace,
+    Splitting,
     perturb_splitting,
+    polarization_defect,
     splitting_for_window,
 )
-from fredcorr.subspaces import Subspace, random_subspace, subspaces_equal
+from fredcorr.subspaces import (
+    Subspace,
+    complement,
+    direct_sum,
+    random_subspace,
+    subspaces_equal,
+)
 from fredcorr.windows import ModeWindow, WindowedOperator, mode_span
 
 
@@ -410,34 +415,21 @@ def test_tilde_ind_survives_interior_rebase():
         assert tilde_ind(t.with_base_splitting(s)) == 1
 
 
-def test_is_bordism_annulus_and_disks():
+def _bordism_defect(l):
+    """Polarization defect of a correspondence against the bordism model
+    sharp-source + flat-target."""
+    src, tgt = l.source.splitting, l.target.splitting
+    model = Splitting(sharp=direct_sum(src.sharp, tgt.flat),
+                      flat=direct_sum(src.flat, tgt.sharp))
+    own = Splitting(sharp=l.subspace, flat=complement(l.subspace))
+    return polarization_defect(own, model)
+
+
+def test_bordism_defect_of_annulus_and_disks():
     hb = circle_space(4, SHARP_NONNEG)
-    assert is_bordism(diag_link(hb, 0.5), 2)
-    assert not is_bordism(diag_link(hb, 0.5), 0)
-    ha = circle_space(3)
-    assert is_bordism(disk_in(ha), 0)
-    assert not is_bordism(disk_in(circle_space(3, SHARP_NONNEG)), 6)
-
-
-def test_is_special():
-    h = circle_space(4)
-    assert is_special(diag_link(h, 0.5))
-    assert is_special(graph_correspondence(h, np.eye(h.dim)))
-    assert not is_special(disk_in(h))
-    assert not is_special(disk_out(h))
-
-
-def test_apply_to_subspace():
-    h = circle_space(4, SHARP_NONNEG)
-    l = diag_link(h, 0.5)
-    half = mode_span(h.window, lambda n: n >= 0)
-    # diagonal weights never change a coordinate span
-    assert subspaces_equal(apply_to_subspace(l, half), half)
-    rng = np.random.default_rng(3)
-    a = np.eye(h.dim) + 0.3 * rng.standard_normal((h.dim, h.dim))
-    g = graph_correspondence(h, a)
-    img = apply_to_subspace(g, half)
-    assert subspaces_equal(img, Subspace.from_span(a @ half.frame))
+    assert _bordism_defect(diag_link(hb, 0.5)) == 2
+    assert _bordism_defect(disk_in(circle_space(3))) == 0
+    assert _bordism_defect(disk_in(circle_space(3, SHARP_NONNEG))) == 7
 
 
 def test_graph_correspondence_validation():

@@ -1,4 +1,5 @@
-"""Tests for splittings, model spaces, perturbations, admissibility."""
+"""Tests for splittings, model spaces, perturbations and the
+polarization defect."""
 
 import numpy as np
 import pytest
@@ -7,16 +8,13 @@ from fredcorr.errors import DimensionMismatch, InvalidInput
 from fredcorr.spaces import (
     SHARP_NEGATIVE,
     SHARP_NONNEG,
-    AdmissiblePair,
     ModelSpace,
     Splitting,
-    admissibility_check,
-    conjugated_pair,
     make_splitting,
     nfold_subspace,
+    off_diagonal_singular_values,
     perturb_splitting,
-    projector_defect_rank,
-    same_polarization,
+    polarization_defect,
     spaces_match,
     splitting_for_window,
 )
@@ -24,7 +22,6 @@ from fredcorr.subspaces import (
     Subspace,
     pair_index,
     random_subspace,
-    subspaces_equal,
 )
 from fredcorr.windows import ModeWindow
 
@@ -95,15 +92,14 @@ def test_perturb_rank_zero_is_identity():
 def test_perturb_projector_difference_rank():
     s = make_splitting(4, lambda n: n >= 0, labels=[-2, -1, 0, 1])
     p = perturb_splitting(s, 1, seed=7)
-    d = projector_defect_rank(s.sharp.projector(), p.sharp.projector())
-    assert d <= 2
+    assert polarization_defect(s, p) <= 2
 
 
 def test_perturb_seeds_stay_in_polarization_class():
     s = splitting_for_window(ModeWindow(5), SHARP_NONNEG)
     for seed in (0, 1):
         p = perturb_splitting(s, 3, seed=seed)
-        assert same_polarization(s, p, budget=6)
+        assert polarization_defect(s, p) <= 6
         assert p.sharp.dim + p.flat.dim == s.ambient_dim
 
 
@@ -151,75 +147,71 @@ def test_unrelated_perturbation_keeps_pair_indices():
         assert pair_index(a, b).index == before
 
 
-def test_conjugated_pair_identity():
-    w = ModeWindow(3)
-    s = splitting_for_window(w, SHARP_NONNEG)
-    out_minus, out_plus = conjugated_pair(np.eye(w.dim), (s.flat, s.sharp), 1)
-    assert subspaces_equal(out_minus, s.flat)
-    assert subspaces_equal(out_plus, s.sharp)
-
-
-def test_conjugated_pair_block_diagonal_doubles_index():
-    w = ModeWindow(3)
-    s = splitting_for_window(w, SHARP_NONNEG)
-    base = pair_index(s.flat, s.sharp).index
-    m2, p2 = conjugated_pair(np.eye(2 * w.dim), (s.flat, s.sharp), 2)
-    assert pair_index(m2, p2).index == 2 * base
-
-
-def test_conjugated_pair_singular_raises():
-    with pytest.raises(InvalidInput):
-        conjugated_pair(np.zeros((5, 5)), (Subspace.zero(5), Subspace.zero(5)), 1)
-
-
 def test_nfold_subspace_dims():
     sub = Subspace.from_indices(4, [1, 3])
     s3 = nfold_subspace(sub, 3)
     assert s3.ambient_dim == 12 and s3.dim == 6
 
 
-def test_admissibility_exact_complementary():
-    p = np.diag([1.0, 1.0, 0.0, 0.0])
-    pair = AdmissiblePair(p_plus=p, p_minus=np.eye(4) - p, rank_budget=0)
-    g = np.diag([2.0, 2.0, 3.0, 3.0])
-    assert admissibility_check(pair, [g], comm_rank_budget=0)
+def test_off_diagonal_values_are_the_projector_difference_spectrum():
+    # P_L - P_R is Hermitian, so its singular values are the absolute
+    # eigenvalues; the two blocks must carry every nonzero one
+    for m in (4, 6):
+        for convention in (SHARP_NONNEG, SHARP_NEGATIVE):
+            s = splitting_for_window(ModeWindow(m), convention)
+            for rank in (1, 2, 3):
+                for seed in range(3):
+                    p = perturb_splitting(s, rank, seed=seed)
+                    d = s.sharp.projector() - p.sharp.projector()
+                    dense = np.abs(np.linalg.eigvalsh(d))
+                    dense = np.sort(dense[dense > 1e-9])
+                    blocks = np.sort(off_diagonal_singular_values(s, None, p))
+                    np.testing.assert_allclose(blocks, dense, atol=1e-9)
+                    assert polarization_defect(s, p) == \
+                        np.count_nonzero(dense > 0.5) <= 2 * rank
 
 
-def test_admissibility_hardy_shift_commutator():
-    m = 5
-    w = ModeWindow(m)
+def test_polarization_defect_counts_transfers_both_ways():
+    w = ModeWindow(3)
     s = splitting_for_window(w, SHARP_NONNEG)
-    p_sharp = s.sharp.projector()
-    shift = np.zeros((w.dim, w.dim))
-    for n in range(-m, m):
-        shift[w.index_of(0, n + 1), w.index_of(0, n)] = 1.0
-    pair = AdmissiblePair(p_plus=p_sharp, p_minus=np.eye(w.dim) - p_sharp,
-                          rank_budget=0)
-    assert admissibility_check(pair, [shift], comm_rank_budget=2)
-    assert not admissibility_check(pair, [shift], comm_rank_budget=0)
+    eye = np.eye(w.dim)
+    sharp_idx = [w.index_of(0, n) for n in range(0, 4)]
+    flat_idx = [w.index_of(0, n) for n in range(-3, 0)]
+
+    def split(sharp):
+        flat = [i for i in range(w.dim) if i not in sharp]
+        return Splitting(sharp=Subspace(eye[:, sharp]),
+                         flat=Subspace(eye[:, flat]))
+
+    assert polarization_defect(s, s) == 0
+    # one direction moved sharp -> flat, one flat -> sharp, and both
+    assert polarization_defect(s, split(sharp_idx[1:])) == 1
+    assert polarization_defect(s, split(sharp_idx + flat_idx[:1])) == 1
+    assert polarization_defect(s, split(sharp_idx[1:] + flat_idx[:1])) == 2
 
 
-def test_admissibility_monotone_in_budgets():
-    rng = np.random.default_rng(8)
-    sub = random_subspace(6, 3, rng)
-    other = random_subspace(6, 2, rng)
-    pair_lo = AdmissiblePair(p_plus=sub.projector(), p_minus=other.projector(),
-                             rank_budget=0)
-    pair_hi = AdmissiblePair(p_plus=sub.projector(), p_minus=other.projector(),
-                             rank_budget=6)
-    g = rng.standard_normal((6, 6))
-    results = [
-        admissibility_check(p, [g], comm_rank_budget=b)
-        for p in (pair_lo, pair_hi) for b in (0, 6)
-    ]
-    # raising either budget can only flip False -> True
-    assert results[1] >= results[0] and results[3] >= results[2]
-    assert results[2] >= results[0] and results[3] >= results[1]
+def test_polarization_defect_counts_only_definite_tilts():
+    w = ModeWindow(3)
+    s = splitting_for_window(w, SHARP_NONNEG)
+    u = s.sharp.frame[:, :1]
+    v = s.flat.frame[:, :1]
+    for theta, expected in ((0.2, 0), (0.45, 0), (0.6, 2), (1.2, 2)):
+        sharp = np.hstack([np.cos(theta) * u + np.sin(theta) * v,
+                           s.sharp.frame[:, 1:]])
+        flat = np.hstack([-np.sin(theta) * u + np.cos(theta) * v,
+                          s.flat.frame[:, 1:]])
+        turned = Splitting(sharp=Subspace(sharp), flat=Subspace(flat))
+        # a rotation by theta tilts two directions by sin(theta)
+        assert polarization_defect(s, turned) == expected
+        np.testing.assert_allclose(
+            off_diagonal_singular_values(s, None, turned),
+            [np.sin(theta)] * 2, atol=1e-12)
 
 
-def test_admissibility_rejects_non_projector():
-    with pytest.raises(InvalidInput):
-        AdmissiblePair(p_plus=np.ones((3, 3)), p_minus=np.eye(3), rank_budget=0)
+def test_polarization_defect_rejects_other_spaces():
+    with pytest.raises(DimensionMismatch):
+        polarization_defect(splitting_for_window(ModeWindow(3), SHARP_NONNEG),
+                            splitting_for_window(ModeWindow(4), SHARP_NONNEG))
 
 
 def test_zero_space_and_match():

@@ -11,7 +11,6 @@ from fredcorr.subspaces import (
     complement,
     dimension_index,
     direct_sum,
-    embed,
     intersection,
     nullspace,
     orthonormalize,
@@ -266,18 +265,13 @@ def test_restricted_projection_index_matches_dims():
         assert rep.kernel_dim >= 0 and rep.cokernel_dim >= 0
 
 
-def test_direct_sum_and_embed():
+def test_direct_sum():
     a = Subspace.from_indices(3, [0])
     b = Subspace.from_indices(4, [1, 2])
     d = direct_sum(a, b)
     assert d.ambient_dim == 7 and d.dim == 3
     assert d.contains(np.eye(7)[0])
     assert d.contains(np.eye(7)[4])
-    e = embed(a, 10, 5)
-    assert e.ambient_dim == 10
-    assert e.contains(np.eye(10)[5])
-    with pytest.raises(DimensionMismatch):
-        embed(a, 4, 3)
 
 
 def test_ambient_mismatch_raises():
