@@ -344,7 +344,7 @@ def run_graph(params, window, seed, budget):
     g = _graph_from_params(params, window, seed)
     per_vertex = {v: vertex_index(g, v) for v in sorted(g.vertices, key=str)}
     per_edge = {e: edge_index(g, e) for e in sorted(g.edges)}
-    additive = global_index_additive(g)
+    additive = sum(per_vertex.values()) + sum(per_edge.values())
     loops = has_self_loops(g)
     results = {"window": g.half_width,
                "vertex_indices": per_vertex, "edge_indices": per_edge,

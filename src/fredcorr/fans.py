@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidInput, NotAFan
-from .spaces import ModelSpace, make_splitting
+from .spaces import ModelSpace
 from .subspaces import (
     current_tolerance,
     intersection,
@@ -22,13 +22,14 @@ from .subspaces import (
     subspace_sum,
     restricted_projection_index,
 )
-from .windows import WindowedOperator, mode_span
+from .windows import WindowedOperator, mode_span, window_rows_mask
 
 __all__ = [
     "Fan",
     "FanIndexReport",
     "PredicatePart",
     "TwistChain",
+    "check_fan_parts",
     "interval_part",
     "half_part",
     "partition_parts",
@@ -37,7 +38,6 @@ __all__ = [
     "twist_fan",
     "random_fan",
     "finite_rank_twist",
-    "plain_ambient_space",
 ]
 
 
@@ -95,16 +95,6 @@ def partition_parts(window, cuts):
     return parts
 
 
-def plain_ambient_space(dim, labels=None):
-    """Model space with no window and a trivial splitting, for fans whose
-    ambient is an abstract direct sum rather than a single circle."""
-    if labels is None:
-        labels = tuple(range(dim))
-    return ModelSpace(dim=dim, basis_labels=tuple(labels),
-                      splitting=make_splitting(dim, lambda n: False,
-                                               labels=labels))
-
-
 @dataclass(frozen=True, eq=False)
 class TwistChain:
     """Composable twist: an ordered tuple of factors, first acting first.
@@ -114,6 +104,14 @@ class TwistChain:
     from the window edge).  Keeping the factors instead of a fixed
     matrix lets the chain be realized at full margin after further
     composition; a fixed matrix could not grow its own domain.
+
+    :meth:`apply` pushes a frame through the factors one at a time and
+    never forms the chain matrix: a symbol factor is shift-and-add over
+    its coefficient planes, an interior factor one block update.
+    :meth:`realize` is :meth:`apply` on the identity frame, and
+    :meth:`certified_ratio` bounds the conditioning of the composite
+    from its factors, so a caller can count the window intersection of
+    an image instead of building it.
     """
 
     factors: tuple
@@ -130,33 +128,96 @@ class TwistChain:
     def then(self, factor):
         return TwistChain(factors=self.factors + (factor,))
 
-    def realize(self, window):
-        """Windowed operator of the whole chain over ``window``.
+    def apply(self, window, frame):
+        """(range window, image) of a frame over ``window.pad(margin)``.
 
-        The domain is padded by the total symbol degree; each symbol
-        factor widens the current window by its own degree so nothing is
-        truncated until the final crop by the caller.
+        Each symbol factor widens the current window by its own degree,
+        so nothing is truncated until the final crop by the caller; an
+        interior factor acts on the coordinates of the base window.
         """
-        from .circles import symbol_band_matrix
         cur = window.pad(self.margin)
-        mat = np.eye(cur.dim, dtype=np.complex128)
+        out = np.array(frame, dtype=np.complex128)
+        if out.shape[0] != cur.dim:
+            raise DimensionMismatch("frame does not match the padded window")
         for kind, data in self.factors:
             if kind == "interior":
                 if data.shape != (window.dim, window.dim):
                     raise DimensionMismatch(
                         "interior factor is not square on the base window")
-                pos = np.flatnonzero(
-                    np.abs(cur.mode_labels().astype(int)) <= window.half_width)
-                big = np.eye(cur.dim, dtype=np.complex128)
-                big[np.ix_(pos, pos)] = data
-                mat = big @ mat
+                pos = window_rows_mask(cur, window)
+                out[pos] = data @ out[pos]
             else:
+                if data.channels != cur.channels:
+                    raise DimensionMismatch(
+                        "symbol channels do not match the windows")
                 nxt = cur.pad(data.degree)
-                mat = symbol_band_matrix(data, cur, nxt) @ mat
+                out = _band_apply(data, cur, nxt, out)
                 cur = nxt
-        return WindowedOperator(domain_window=window.pad(self.margin),
-                                range_window=cur, base_window=window,
-                                matrix=mat)
+        return cur, out
+
+    def realize(self, window):
+        """Windowed operator of the whole chain over ``window``: the
+        image of the identity frame of the padded domain."""
+        domain = window.pad(self.margin)
+        cur, mat = self.apply(window, np.eye(domain.dim, dtype=np.complex128))
+        return WindowedOperator(domain_window=domain, range_window=cur,
+                                base_window=window, matrix=mat)
+
+    def certified_ratio(self, window):
+        """A lower bound on sigma_min / sigma_max of :meth:`realize`'s
+        matrix: the product of the factor ratios, which bounds the
+        composite because every factor is a tall injective map.
+
+        A symbol factor contributes ``circles.certified_ratio``.  An
+        interior factor is the identity outside the coordinates S where
+        it differs from it, so its singular values are those of its block
+        on S together with 1 whenever S is not the whole padded window.
+        """
+        from .circles import certified_ratio
+        ratio = 1.0
+        cur = window.pad(self.margin)
+        for kind, data in self.factors:
+            if kind == "sym":
+                ratio *= certified_ratio(data)
+                cur = cur.pad(data.degree)
+            else:
+                ratio *= _interior_ratio(data, cur.dim)
+            if not ratio:
+                return 0.0
+        return ratio
+
+
+def _band_apply(sym, from_window, to_window, frame):
+    """``symbol_band_matrix(sym, from_window, to_window) @ frame`` by
+    shift-and-add over the coefficient planes, on the channel-major
+    (channel, mode, column) view of the frame."""
+    c = sym.channels
+    per = from_window.modes_per_channel
+    k = frame.shape[1]
+    src = frame.reshape(c, per * k)
+    out = np.zeros((c, to_window.modes_per_channel, k), dtype=np.complex128)
+    # input mode n sits at row n + from_hw, its image mode n + shift at
+    # row n + shift + to_hw
+    base = sym.d_min + to_window.half_width - from_window.half_width
+    for p, plane in enumerate(sym.coeffs):
+        if plane.any():
+            out[:, base + p: base + p + per, :] += \
+                (plane @ src).reshape(c, per, k)
+    return out.reshape(to_window.dim, k)
+
+
+def _interior_ratio(data, dim):
+    """sigma_min / sigma_max of an interior factor embedded as the
+    identity into a window of dimension ``dim``."""
+    diff = data != np.eye(data.shape[0])
+    s_idx = np.flatnonzero(diff.any(axis=0) | diff.any(axis=1))
+    if not s_idx.size:
+        return 1.0
+    s = np.linalg.svd(data[np.ix_(s_idx, s_idx)], compute_uv=False)
+    lo, hi = s[-1], s[0]
+    if s_idx.size < dim:
+        lo, hi = min(lo, 1.0), max(hi, 1.0)
+    return float(lo / hi) if hi > 0.0 else 0.0
 
 
 def _as_chain(twist):
@@ -168,6 +229,22 @@ def _as_chain(twist):
         return TwistChain(factors=(("sym", twist),))
     raise InvalidInput("twist must be None, a Laurent symbol, an interior "
                        "matrix, or a TwistChain")
+
+
+def check_fan_parts(parts, n):
+    """Refuse parts that cannot carry a fan over an ambient of dimension
+    ``n``: each lies in it, their dimensions add up to it, and they are
+    pairwise orthogonal."""
+    for p in parts:
+        if p.ambient_dim != n:
+            raise DimensionMismatch("fan subspace in wrong ambient space")
+    if sum(p.dim for p in parts) != n:
+        raise NotAFan("part dimensions do not add up to the ambient")
+    for i, a in enumerate(parts):
+        for b in parts[i + 1:]:
+            if a.dim and b.dim and \
+                    np.abs(a.frame.conj().T @ b.frame).max() > 1e-9:
+                raise NotAFan("parts are not pairwise orthogonal")
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,16 +269,10 @@ class Fan:
         if not self.parts:
             raise InvalidInput("a fan needs at least one part")
         n = self.ambient.dim
-        for s in self.parts + self.members:
+        for s in self.members:
             if s.ambient_dim != n:
                 raise DimensionMismatch("fan subspace in wrong ambient space")
-        if sum(p.dim for p in self.parts) != n:
-            raise NotAFan("part dimensions do not add up to the ambient")
-        for i, a in enumerate(self.parts):
-            for b in self.parts[i + 1:]:
-                if a.dim and b.dim and \
-                        np.abs(a.frame.conj().T @ b.frame).max() > 1e-9:
-                    raise NotAFan("parts are not pairwise orthogonal")
+        check_fan_parts(self.parts, n)
 
     @property
     def n_parts(self):

@@ -25,10 +25,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInput, DimensionMismatch, SelfLoopUnsupported
-from .fans import Fan, TwistChain, plain_ambient_space
+from .fans import TwistChain, check_fan_parts
 from .morphisms import tilde_ind, twist_graph
-from .subspaces import Subspace, dimension_index, pair_index
-from .windows import ModeWindow
+from .subspaces import Subspace, current_tolerance, nullspace, pair_index
+from .windows import ModeWindow, restricted_image, window_rows_mask
 
 __all__ = [
     "GraphEdge",
@@ -173,18 +173,48 @@ def outgoing_assembly(g, v):
     return _assembly(g, v, "out")
 
 
-def _realized_member(g, v, extra_factors=()):
-    """Window intersection of (extra twists after the vertex recipe)
-    applied to the padded incoming assembly."""
-    recipe = g.vertex_data[v]
-    chain = TwistChain(factors=recipe.factors + tuple(extra_factors))
+def _pushed_assembly(g, v, extra_factors):
+    """The padded incoming assembly pushed through the vertex recipe
+    followed by the extra factors: (chain, base window, image, mask of
+    the image rows inside the base window)."""
+    chain = TwistChain(factors=g.vertex_data[v].factors + tuple(extra_factors))
     window = _vertex_window(g, v)
-    if window is None:
+    frame = _assembly(g, v, "in", margin=chain.margin).frame
+    cur, image = chain.apply(window, frame)
+    return chain, window, image, window_rows_mask(cur, window)
+
+
+def _realized_member(g, v):
+    """Window intersection of the vertex recipe applied to the padded
+    incoming assembly."""
+    if _vertex_window(g, v) is None:
         return Subspace.zero(0)
-    if chain.margin == 0 and not chain.factors:
+    if not g.vertex_data[v].factors:
         return incoming_assembly(g, v)
-    op = chain.realize(window)
-    return op.apply_within_window(_assembly(g, v, "in", margin=chain.margin))
+    _, _, image, keep = _pushed_assembly(g, v, ())
+    return restricted_image(image, keep)
+
+
+def _member_dim(g, v, extra_factors=()):
+    """Dimension of the vertex member, counted without building it.
+
+    The rule is ``morphisms.tilde_ind``'s.  The padded assembly frame is
+    orthonormal, so when the chain's certified ratio sigma_min /
+    sigma_max exceeds twice the tolerance every nullspace direction of
+    the image rows outside the window keeps an inside image above the
+    orthonormalization cutoff, and the member dimension is that
+    nullspace dimension.  Closer to the cutoff the member is built by
+    ``restricted_image``.
+    """
+    data = g.vertex_data[v]
+    if isinstance(data, Subspace):
+        return data.dim
+    if _vertex_window(g, v) is None:
+        return 0
+    chain, window, image, keep = _pushed_assembly(g, v, extra_factors)
+    if chain.certified_ratio(window) > 2.0 * current_tolerance():
+        return nullspace(image[~keep]).shape[1]
+    return restricted_image(image, keep).dim
 
 
 def vertex_subspace(g, v):
@@ -199,10 +229,12 @@ def vertex_subspace(g, v):
 
 def vertex_index(g, v):
     """Pair index of the vertex data against the outgoing assembly,
-    counted from their dimensions."""
+    counted from their dimensions: dim member + dim outgoing - n, with
+    the member dimension of a recipe counted by :func:`_member_dim`."""
     if v not in g.vertex_data:
         raise InvalidInput(f"vertex {v!r} has no boundary data")
-    return dimension_index(vertex_subspace(g, v), outgoing_assembly(g, v))
+    out = outgoing_assembly(g, v)
+    return _member_dim(g, v) + out.dim - out.ambient_dim
 
 
 def edge_index(g, e):
@@ -253,13 +285,35 @@ def _embed(frame, rows, total):
     return Subspace._trusted(out)
 
 
+def _fan_extras(g, v):
+    """The twists of the incoming edges of ``v`` as chain factors, each
+    embedded on its own slot of the vertex's boundary space."""
+    slots = boundary_slots(g, v)
+    twisted = [(c, g.edges[eid].twist) for c, (eid, role) in enumerate(slots)
+               if role == "in" and g.edges[eid].twist is not None]
+    if twisted and not isinstance(g.vertex_data[v], TwistChain):
+        raise InvalidInput(
+            f"vertex {v!r} has twisted incoming edges but no recipe data;"
+            " the fan route cannot compose a twist onto a cropped subspace")
+    extras = []
+    for c, t in twisted:
+        if t.symbol is None:
+            raise InvalidInput("edge twist carries no symbol")
+        extras.append(("sym", _embedded_scalar_symbol(t.symbol, c, len(slots))))
+    return tuple(extras)
+
+
 def global_index_fan(g):
     """Fan index over the edge direct sum: parts are the incoming
     assemblies, members the vertex data with edge twists composed onto
     their target blocks.
 
-    Twisted members need recipe vertex data; a twist composed after the
-    crop would clip the boundary modes that carry its winding.
+    The index is formula 1 of ``fan_index``, the sum of the member
+    dimensions minus the ambient dimension, so each member is counted
+    by :func:`_member_dim` and never built; only the parts are embedded,
+    for the ``check_fan_parts`` refusals.  Twisted members need recipe
+    vertex data; a twist composed after the crop would clip the boundary
+    modes that carry its winding.
     """
     for eid, e in g.edges.items():
         if e.source == e.target:
@@ -268,35 +322,14 @@ def global_index_fan(g):
                 " use global_index_selfglue")
     if not g.edges:
         return 0
-    order = sorted(g.edges)
-    per = 2 * g.half_width + 1
-    total = per * len(order)
-    labels = tuple((eid, int(n)) for eid in order
-                   for n in range(-g.half_width, g.half_width + 1))
-    parts, members = [], []
+    total = (2 * g.half_width + 1) * len(g.edges)
+    parts = []
+    dims = 0
     for v in g.vertices:
-        slots = boundary_slots(g, v)
-        rows = _big_rows(g, v)
-        parts.append(_embed(incoming_assembly(g, v).frame, rows, total))
-        twisted = [(c, g.edges[eid].twist) for c, (eid, role) in enumerate(slots)
-                   if role == "in" and g.edges[eid].twist is not None]
-        if not twisted:
-            members.append(_embed(vertex_subspace(g, v).frame, rows, total))
-            continue
-        if not isinstance(g.vertex_data[v], TwistChain):
-            raise InvalidInput(
-                f"vertex {v!r} has twisted incoming edges but no recipe data;"
-                " the fan route cannot compose a twist onto a cropped subspace")
-        extras = []
-        for c, t in twisted:
-            if t.symbol is None:
-                raise InvalidInput("edge twist carries no symbol")
-            extras.append(("sym", _embedded_scalar_symbol(t.symbol, c, len(slots))))
-        members.append(_embed(_realized_member(g, v, extras).frame, rows, total))
-    # built for its NotAFan checks; the index is formula 1 of fan_index
-    Fan(ambient=plain_ambient_space(total, labels=labels),
-        parts=tuple(parts), members=tuple(members))
-    return sum(m.dim for m in members) - total
+        parts.append(_embed(incoming_assembly(g, v).frame, _big_rows(g, v), total))
+        dims += _member_dim(g, v, _fan_extras(g, v))
+    check_fan_parts(parts, total)
+    return dims - total
 
 
 def global_index_selfglue(l, phi):

@@ -1,0 +1,213 @@
+"""Twist chains applied to frames: the chain action against the dense
+product of its factors, the certified ratio against the realized
+matrix, and the counted graph member against the built one."""
+
+import numpy as np
+import pytest
+
+from fredcorr import graphs
+from fredcorr.circles import LaurentSymbol, random_laurent_symbol, symbol_band_matrix
+from fredcorr.errors import DimensionMismatch
+from fredcorr.fans import TwistChain, finite_rank_twist
+from fredcorr.graphs import (
+    DecompositionGraph,
+    random_graph,
+    sphere_path_graph,
+    vertex_subspace,
+)
+from fredcorr.subspaces import Subspace, current_tolerance
+from fredcorr.windows import ModeWindow, WindowedOperator
+
+
+def dense_realize(chain, window):
+    """Reference chain matrix: every factor embedded as a dense matrix
+    over the current window and multiplied into the identity."""
+    cur = window.pad(chain.margin)
+    mat = np.eye(cur.dim, dtype=np.complex128)
+    for kind, data in chain.factors:
+        if kind == "interior":
+            pos = np.flatnonzero(
+                np.abs(cur.mode_labels().astype(int)) <= window.half_width)
+            big = np.eye(cur.dim, dtype=np.complex128)
+            big[np.ix_(pos, pos)] = data
+            mat = big @ mat
+        else:
+            nxt = cur.pad(data.degree)
+            mat = symbol_band_matrix(data, cur, nxt) @ mat
+            cur = nxt
+    return WindowedOperator(domain_window=window.pad(chain.margin),
+                            range_window=cur, base_window=window, matrix=mat)
+
+
+def true_ratio(chain, window):
+    s = np.linalg.svd(dense_realize(chain, window).matrix, compute_uv=False)
+    return s[-1] / s[0]
+
+
+def interior_vector(rng, window, gap):
+    """Random unit vector on the modes at least ``gap`` from the edge."""
+    mask = np.abs(window.mode_labels()) <= window.half_width - gap
+    v = np.zeros(window.dim, dtype=np.complex128)
+    v[mask] = rng.standard_normal(mask.sum()) + 1j * rng.standard_normal(mask.sum())
+    return v / np.linalg.norm(v)
+
+
+def interior_factor(rng, window, gap=1, scale=0.3):
+    outs = [interior_vector(rng, window, gap) for _ in range(2)]
+    ins = [interior_vector(rng, window, gap) for _ in range(2)]
+    return ("interior", finite_rank_twist(window, outs, ins, scale=scale))
+
+
+def fan_chains(g):
+    """(window, chain) of every recipe vertex, with and without the
+    edge twists the fan route composes onto it."""
+    for v in g.vertices:
+        data = g.vertex_data[v]
+        window = graphs._vertex_window(g, v)
+        if not isinstance(data, TwistChain) or window is None:
+            continue
+        yield window, data
+        extras = graphs._fan_extras(g, v)
+        if extras:
+            yield window, TwistChain(factors=data.factors + extras)
+
+
+@pytest.mark.parametrize("channels", [1, 2, 3])
+@pytest.mark.parametrize("order", [("sym", "interior", "sym"),
+                                   ("interior", "sym", "interior")])
+def test_apply_matches_dense_product(channels, order):
+    rng = np.random.default_rng(10 * channels + len(order[0]))
+    window = ModeWindow(5, channels)
+    chain = TwistChain(factors=tuple(
+        ("sym", random_laurent_symbol(rng, channels=channels, degree=2))
+        if kind == "sym" else interior_factor(rng, window)
+        for kind in order))
+    ref = dense_realize(chain, window)
+    frame = rng.standard_normal((ref.domain_window.dim, 4)) \
+        + 1j * rng.standard_normal((ref.domain_window.dim, 4))
+    cur, image = chain.apply(window, frame)
+    assert cur == ref.range_window
+    np.testing.assert_allclose(image, ref.matrix @ frame, rtol=0, atol=1e-12)
+    op = chain.realize(window)
+    assert op.domain_window == ref.domain_window
+    np.testing.assert_allclose(op.matrix, ref.matrix, rtol=0, atol=1e-12)
+
+
+def test_apply_matches_dense_product_on_fan_members():
+    # the recipes followed by the embedded edge symbols of the fan route
+    with_extras = 0
+    for seed in range(10):
+        g = random_graph(np.random.default_rng(seed))
+        for window, chain in fan_chains(g):
+            frame = np.eye(window.pad(chain.margin).dim)[:, ::3]
+            _, image = chain.apply(window, frame)
+            ref = dense_realize(chain, window).matrix @ frame
+            np.testing.assert_allclose(image, ref, rtol=0, atol=1e-12)
+        with_extras += sum(bool(graphs._fan_extras(g, v)) for v in g.vertices)
+    assert with_extras
+
+
+def test_apply_refuses_mismatched_inputs():
+    window = ModeWindow(4)
+    chain = TwistChain(factors=(("sym", LaurentSymbol.monomial(1)),))
+    with pytest.raises(DimensionMismatch):
+        chain.apply(window, np.eye(window.dim))
+    two = TwistChain(factors=(("sym", LaurentSymbol.monomial(1, channels=2)),))
+    with pytest.raises(DimensionMismatch):
+        two.apply(window, np.eye(window.pad(1).dim))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_certified_ratio_bounds_random_graph_chains(seed):
+    g = random_graph(np.random.default_rng(seed))
+    for window, chain in fan_chains(g):
+        got = chain.certified_ratio(window)
+        assert 0.0 < got <= true_ratio(chain, window) * (1 + 1e-12)
+
+
+def test_certified_ratio_of_a_wide_finite_rank_factor():
+    rng = np.random.default_rng(5)
+    window = ModeWindow(8, channels=2)
+    factor = interior_factor(rng, window, gap=1, scale=0.45)
+    assert np.count_nonzero(np.any(factor[1] != np.eye(window.dim), axis=0)) \
+        > 0.8 * window.dim
+    alone = TwistChain(factors=(factor,))
+    # the factor's singular values are its block's and ones, so the
+    # bound is exact for the factor alone
+    assert alone.certified_ratio(window) == pytest.approx(
+        true_ratio(alone, window), rel=1e-9)
+    shifted = alone.then(("sym", LaurentSymbol.monomial(1, channels=2)))
+    assert 0.0 < shifted.certified_ratio(window) \
+        <= true_ratio(shifted, window) * (1 + 1e-12)
+
+
+def test_certified_ratio_counts_the_identity_and_multiplies():
+    window = ModeWindow(4)
+    m = np.eye(window.dim, dtype=np.complex128)
+    m[3, 3], m[5, 5] = 2.0, 3.0
+    once = TwistChain(factors=(("interior", m),))
+    # singular values 3, 2 and the untouched ones
+    assert once.certified_ratio(window) == pytest.approx(1 / 3)
+    assert true_ratio(once, window) == pytest.approx(1 / 3)
+    twice = once.then(("interior", m))
+    assert twice.certified_ratio(window) == pytest.approx(1 / 9)
+    assert true_ratio(twice, window) == pytest.approx(1 / 9)
+
+
+def built_member(g, v, extras=()):
+    """The member by the dense chain matrix and the window intersection
+    of the padded incoming assembly."""
+    data = g.vertex_data[v]
+    if isinstance(data, Subspace):
+        return data
+    chain = TwistChain(factors=data.factors + tuple(extras))
+    op = dense_realize(chain, graphs._vertex_window(g, v))
+    return op.apply_within_window(graphs._assembly(g, v, "in", margin=chain.margin))
+
+
+def assert_counts_equal_built_members(g):
+    for v in g.vertices:
+        assert graphs._member_dim(g, v) == vertex_subspace(g, v).dim \
+            == built_member(g, v).dim
+        extras = graphs._fan_extras(g, v)
+        if extras:
+            assert graphs._member_dim(g, v, extras) \
+                == built_member(g, v, extras).dim
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_member_count_equals_built_member_random(seed):
+    assert_counts_equal_built_members(random_graph(np.random.default_rng(seed)))
+
+
+@pytest.mark.parametrize("k", range(-2, 3))
+def test_member_count_equals_built_member_sphere_path(k):
+    twist = LaurentSymbol.monomial(k) if k else None
+    assert_counts_equal_built_members(sphere_path_graph(6, twist=twist))
+
+
+def test_member_count_builds_the_image_near_the_cutoff(monkeypatch):
+    base = sphere_path_graph(6)
+    window = graphs._vertex_window(base, "out")
+    real = graphs.restricted_image
+    calls = []
+
+    def spy(image, keep, tol=None):
+        calls.append(image.shape)
+        return real(image, keep, tol=tol)
+
+    monkeypatch.setattr(graphs, "restricted_image", spy)
+    tol = current_tolerance()
+    # mode -3 lies in the flat half that the incoming assembly holds
+    for scale, builds in ((1.5 * tol, True), (3.0 * tol, False)):
+        m = np.eye(window.dim, dtype=np.complex128)
+        m[window.index_of(0, -3), window.index_of(0, -3)] = scale
+        chain = TwistChain(factors=(("interior", m),))
+        assert chain.certified_ratio(window) == pytest.approx(scale)
+        g = DecompositionGraph(vertices=base.vertices, edges=dict(base.edges),
+                               vertex_data={**base.vertex_data, "out": chain})
+        calls.clear()
+        got = graphs._member_dim(g, "out")
+        assert bool(calls) == builds
+        assert got == vertex_subspace(g, "out").dim \
+            == built_member(g, "out").dim == 6

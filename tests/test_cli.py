@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from fredcorr import cli, subspaces
+from fredcorr import cli, graphs, subspaces
 from fredcorr.circles import LaurentSymbol, random_laurent_symbol
 
 
@@ -288,6 +288,28 @@ def test_graph_edge_indices_are_checked_against_windings(tmp_path, capsys,
     assert cli.main(["index", path]) == 1
     assert "[FAIL] edge a index equals winding: expected 2, got 3" in \
         capsys.readouterr().out
+
+
+def test_graph_decides_each_index_once(capsys, monkeypatch):
+    # spied where the runner finds them and where the library routes do
+    calls = {"vertex": [], "edge": []}
+    for name, key in (("vertex_index", "vertex"), ("edge_index", "edge")):
+        real = getattr(cli, name)
+
+        def spy(g, x, real=real, key=key):
+            calls[key].append(x)
+            return real(g, x)
+
+        monkeypatch.setattr(cli, name, spy)
+        monkeypatch.setattr(graphs, name, spy)
+    assert cli.main(["graph", "--seed", "4", "--format", "json"]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert sorted(calls["vertex"]) == sorted(results["vertex_indices"])
+    assert sorted(calls["edge"]) == sorted(results["edge_indices"])
+    assert len(calls["vertex"]) == 4 and len(calls["edge"]) > 0
+    assert results["additive"] == results["fan"] == \
+        sum(results["vertex_indices"].values()) \
+        + sum(results["edge_indices"].values())
 
 
 def test_symbol_round_trip():
