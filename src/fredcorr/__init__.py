@@ -49,7 +49,6 @@ from .morphisms import (
     Twist,
     chain_total_index,
     compose,
-    compose_with_twist,
     delta,
     delta_direct,
     graph_correspondence,

@@ -24,10 +24,9 @@ from .spaces import (
     SHARP_NEGATIVE,
     SHARP_NONNEG,
     ModelSpace,
-    nfold_subspace,
     splitting_for_window,
 )
-from .subspaces import Subspace, current_tolerance, dimension_index
+from .subspaces import Subspace, current_tolerance, dimension_index, direct_sum
 from .windows import ModeWindow, WindowedOperator, mode_span, pad_by_predicate
 
 __all__ = [
@@ -552,8 +551,8 @@ def mv_pairing(sphere_pair, sym, n, flat_predicate=None):
         flat_predicate = lambda m: m < 0
     half = h_minus.ambient_dim // 2
     window = ModeWindow(half, channels=n)
-    stacked_minus = nfold_subspace(h_minus, n)
-    stacked_plus = nfold_subspace(h_plus, n)
+    stacked_minus = direct_sum(*[h_minus] * n)
+    stacked_plus = direct_sum(*[h_plus] * n)
     op = multiplication_operator(sym, window)
     margin = op.domain_window.half_width - half
     padded = pad_by_predicate(stacked_minus, window, margin, flat_predicate)

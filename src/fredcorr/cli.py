@@ -693,6 +693,7 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    saved_tol = subspaces.DEFAULT_TOL
     try:
         tol = _resolve_tol(getattr(args, "tol", None))
         if tol is not None:
@@ -716,6 +717,9 @@ def main(argv=None):
     except FredcorrError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    finally:
+        # the override holds for this one command, not for the process
+        subspaces.DEFAULT_TOL = saved_tol
 
 
 if __name__ == "__main__":

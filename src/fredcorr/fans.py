@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidInput, NotAFan
-from .spaces import ModelSpace
+from .morphisms import commutator_rank
+from .spaces import ModelSpace, Splitting
 from .subspaces import (
     current_tolerance,
     intersection,
@@ -22,7 +23,12 @@ from .subspaces import (
     subspace_sum,
     restricted_projection_index,
 )
-from .windows import WindowedOperator, mode_span, window_rows_mask
+from .windows import (
+    WindowedOperator,
+    mode_span,
+    pad_by_predicate,
+    window_rows_mask,
+)
 
 __all__ = [
     "Fan",
@@ -45,9 +51,10 @@ __all__ = [
 class PredicatePart:
     """One part of a windowed decomposition, defined by a mode predicate.
 
-    The predicate is evaluated on padded windows too, which gives the
-    part a canonical companion at every margin: boundary parts grow into
-    the margin, interior parts do not.
+    The predicate is evaluated on the margin modes too
+    (``windows.pad_by_predicate``), which gives the part a canonical
+    companion at every margin: boundary parts grow into the margin,
+    interior parts do not.
     """
 
     window: object
@@ -57,7 +64,8 @@ class PredicatePart:
         return mode_span(self.window, self.predicate)
 
     def padded(self, margin):
-        return mode_span(self.window.pad(margin), self.predicate)
+        return pad_by_predicate(self.base(), self.window, margin,
+                                self.predicate)
 
 
 def interval_part(window, lo, hi):
@@ -290,12 +298,6 @@ class FanIndexReport:
     formula4: int
 
 
-def _base_square(op):
-    rows = op.base_rows_mask()
-    cols = op.base_columns_mask()
-    return op.matrix[np.ix_(rows, cols)]
-
-
 def _default_budget(chain, window):
     # margin modes crossing a part boundary, plus slack for small-rank
     # perturbations riding on top of a shift
@@ -314,18 +316,20 @@ def fan_from_twists(space, parts, twists, budget=None):
     ``twists`` are per-part chains (a Laurent symbol, an interior square
     matrix, a TwistChain, or None).  Every twist must almost commute
     with every part projector: the commutator rank of the base-cropped
-    twist with the part projector is checked against ``budget``.
+    twist with each part's coordinate splitting (the part against the
+    rest of the window) is checked against ``budget``.
     """
     if space.window is None:
         raise InvalidInput("fan construction needs a windowed ambient space")
     if len(parts) != len(twists):
         raise InvalidInput("parts and twists differ in length")
     window = space.window
-    projectors = []
+    splittings = []
     for part in parts:
         if part.window.dim != window.dim:
             raise DimensionMismatch("part window does not match the ambient")
-        projectors.append(part.base().projector())
+        rest = mode_span(window, lambda n, pred=part.predicate: not pred(n))
+        splittings.append(Splitting._trusted(part.base(), rest))
     chains = [_as_chain(t) for t in twists]
     members = []
     for part, chain in zip(parts, chains):
@@ -333,10 +337,10 @@ def fan_from_twists(space, parts, twists, budget=None):
             members.append(part.base())
             continue
         op, member = _member_of(chain, part, window)
-        b = _base_square(op)
+        b = op.base_square()
         cap = _default_budget(chain, window) if budget is None else budget
-        for p in projectors:
-            if rank(b @ p - p @ b) > cap:
+        for split in splittings:
+            if commutator_rank(b, split) > cap:
                 raise NotAFan(
                     "twist does not almost commute with a part projector "
                     f"(budget {cap})"
@@ -356,8 +360,7 @@ def _invertible_on_window(op):
     leak = op.matrix[np.ix_(~rows, cols)]
     if leak.size and np.abs(leak).max() > tol:
         return False
-    square = op.matrix[np.ix_(rows, cols)]
-    s = np.linalg.svd(square, compute_uv=False)
+    s = np.linalg.svd(op.base_square(), compute_uv=False)
     return s[-1] > tol * s[0]
 
 
@@ -378,7 +381,7 @@ def fan_index(f):
             acc = np.zeros((n, n), dtype=np.complex128)
             for (part, _), op in zip(f.construction, ops):
                 p = part.base().projector()
-                acc += p if op is None else _base_square(op) @ p
+                acc += p if op is None else op.base_square() @ p
             ker = n - rank(acc)
             coker = n - rank(acc.conj().T)
             formula2 = ker - coker

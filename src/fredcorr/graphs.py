@@ -27,7 +27,7 @@ import numpy as np
 from .errors import InvalidInput, DimensionMismatch, SelfLoopUnsupported
 from .fans import TwistChain, check_fan_parts
 from .morphisms import tilde_ind, twist_graph
-from .subspaces import Subspace, current_tolerance, nullspace, pair_index
+from .subspaces import Subspace, current_tolerance, direct_sum, pair_index, rank
 from .windows import ModeWindow, restricted_image, window_rows_mask
 
 __all__ = [
@@ -142,27 +142,23 @@ def _assembly(g, v, which, margin=0):
     """Block stack of splitting halves over the boundary slots.
 
     ``which`` is "in" (sharp on outgoing, flat on incoming) or "out"
-    (the blockwise complement).  With a margin the per-edge canonical
-    padded companions are stacked instead, for feeding a twist chain.
+    (the blockwise complement).  With a margin each edge's half is padded
+    by ``ModelSpace.sharp_padded``/``flat_padded`` first, for feeding a
+    twist chain; the blocks are stacked by ``subspaces.direct_sum``.
     """
     slots = boundary_slots(g, v)
     if not slots:
         return Subspace.zero(0)
-    per = 2 * (g.half_width + margin) + 1
-    cols = []
-    total = per * len(slots)
-    for c, (eid, role) in enumerate(slots):
+    blocks = []
+    for eid, role in slots:
         sp = g.edges[eid].space
         take_sharp = (role == "out") == (which == "in")
         if margin == 0:
-            frame = (sp.splitting.sharp if take_sharp else sp.splitting.flat).frame
+            blocks.append(sp.splitting.sharp if take_sharp else sp.splitting.flat)
         else:
-            padded = sp.sharp_padded(margin) if take_sharp else sp.flat_padded(margin)
-            frame = padded.padded.frame
-        block = np.zeros((total, frame.shape[1]), dtype=np.complex128)
-        block[c * per:(c + 1) * per, :] = frame
-        cols.append(block)
-    return Subspace._trusted(np.hstack(cols))
+            blocks.append(sp.sharp_padded(margin) if take_sharp
+                          else sp.flat_padded(margin))
+    return direct_sum(*blocks)
 
 
 def incoming_assembly(g, v):
@@ -203,8 +199,8 @@ def _member_dim(g, v, extra_factors=()):
     sigma_max exceeds twice the tolerance every nullspace direction of
     the image rows outside the window keeps an inside image above the
     orthonormalization cutoff, and the member dimension is that
-    nullspace dimension.  Closer to the cutoff the member is built by
-    ``restricted_image``.
+    nullspace dimension, counted as columns minus rank.  Closer to the
+    cutoff the member is built by ``restricted_image``.
     """
     data = g.vertex_data[v]
     if isinstance(data, Subspace):
@@ -213,7 +209,8 @@ def _member_dim(g, v, extra_factors=()):
         return 0
     chain, window, image, keep = _pushed_assembly(g, v, extra_factors)
     if chain.certified_ratio(window) > 2.0 * current_tolerance():
-        return nullspace(image[~keep]).shape[1]
+        outside = image[~keep]
+        return outside.shape[1] - rank(outside)
     return restricted_image(image, keep).dim
 
 

@@ -18,12 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CompositionMismatch, DimensionMismatch, InvalidInput
-from .spaces import (
-    ModelSpace,
-    convention_predicate,
-    off_diagonal_singular_values,
-    spaces_match,
-)
+from .spaces import ModelSpace, off_diagonal_singular_values, spaces_match
 from .subspaces import (
     Subspace,
     complement,
@@ -31,17 +26,11 @@ from .subspaces import (
     dimension_index,
     direct_sum,
     intersection,
-    nullspace,
     pair_index,
+    rank,
     singular_values,
 )
-from .windows import (
-    lift_frame,
-    pad_by_predicate,
-    restricted_image,
-    window_rows_mask,
-    windowed_graph,
-)
+from .windows import restricted_image, windowed_graph
 
 __all__ = [
     "COMPOSE_DROP_TOL",
@@ -57,7 +46,6 @@ __all__ = [
     "delta_direct",
     "chain_total_index",
     "reduce_chain_ledger",
-    "compose_with_twist",
     "twist_graph",
     "graph_correspondence",
 ]
@@ -173,31 +161,25 @@ class Twist:
             ratio = s[-1] / s[0]
         object.__setattr__(self, "_injectivity_ratio", float(ratio))
         if self.budget is not None:
-            if commutator_rank(self) > self.budget:
+            if commutator_rank(op.base_square(), self.base.splitting) \
+                    > self.budget:
                 raise InvalidInput("twist commutator exceeds its rank budget")
 
     @property
     def margin(self):
         return self.operator.domain_window.half_width - self.base.window.half_width
 
-    def base_square_matrix(self):
-        """The base-to-base compression of the operator."""
-        rows = self.operator.base_rows_mask()
-        cols = self.operator.base_columns_mask()
-        return self.operator.matrix[np.ix_(rows, cols)]
-
     def with_base_splitting(self, splitting):
         return Twist(base=self.base.with_splitting(splitting),
                      operator=self.operator, symbol=self.symbol, budget=None)
 
 
-def commutator_rank(t):
-    """Rank of the commutator of the compressed operator with the sharp
-    projector of the base splitting: its singular values are those of the
-    two off-diagonal blocks (``spaces.off_diagonal_singular_values``),
+def commutator_rank(b, splitting):
+    """Rank of the commutator of a square matrix ``b`` with the sharp
+    projector of ``splitting``: its singular values are those of the two
+    off-diagonal blocks (``spaces.off_diagonal_singular_values``),
     counted under one relative cutoff."""
-    split = t.base.splitting
-    s = off_diagonal_singular_values(split, t.base_square_matrix(), split)
+    s = off_diagonal_singular_values(splitting, b, splitting)
     if not s.size:
         return 0
     return int(np.count_nonzero(s > current_tolerance() * s.max()))
@@ -214,18 +196,19 @@ def tilde_ind(t):
     twice the tolerance, every nullspace direction x keeps
     |M_base x|^2 >= (sigma_min^2 - tol^2 sigma_max^2) |x|^2, above the
     orthonormalization cutoff, so the image dimension is the nullspace
-    dimension and no image frame is built.  Closer to the cutoff the
-    image is built and orthonormalized (``apply_within_window``).
+    dimension, counted as columns minus rank, and no image frame or
+    nullspace basis is built.  Closer to the cutoff the image is built
+    and orthonormalized (``apply_within_window``).
 
     Equals the winding number of the symbol determinant on circle
     models whose sharp half is the nonnegative-mode span.
     """
     op = t.operator
-    flat_pad = t.base.flat_padded(t.margin).padded
+    flat_pad = t.base.flat_padded(t.margin)
     sharp = t.base.splitting.sharp
     if t._injectivity_ratio > 2.0 * current_tolerance():
         outside = op.matrix[~op.base_rows_mask(), :] @ flat_pad.frame
-        image_dim = nullspace(outside).shape[1]
+        image_dim = outside.shape[1] - rank(outside)
         return image_dim + sharp.dim - sharp.ambient_dim
     return dimension_index(op.apply_within_window(flat_pad), sharp)
 
@@ -367,77 +350,3 @@ def reduce_chain_ledger(c, order):
         final_index=final_index,
         total=sum(events) + final_index,
     )
-
-
-def _slot_companion_frame(l, slot, margin):
-    """Frame of the correspondence subspace extended by margin modes on
-    one endpoint slot.
-
-    The extension follows the bordism model: the source slot continues
-    along its sharp predicate, the target slot along its flat one.  The
-    margin modes are those of ``pad_by_predicate`` applied to the zero
-    subspace of the slot; they are disjoint in support from the lifted
-    frame, so the stack stays orthonormal.
-    """
-    n1 = l.source.dim
-    if slot == "source":
-        space, rows, other_rows = l.source, slice(0, n1), slice(n1, None)
-    else:
-        space, rows, other_rows = l.target, slice(n1, None), slice(0, n1)
-    if space.window is None or space.convention is None:
-        raise InvalidInput("twisted endpoint has no window/convention")
-    pred = convention_predicate(space.convention)
-    keep = pred if slot == "source" else (lambda n: not pred(n))
-    w = space.window
-    extras = pad_by_predicate(Subspace.zero(w.dim), w, margin, keep).frame
-    frame = l.subspace.frame
-    lifted = np.hstack([lift_frame(frame[rows, :], w, w.pad(margin)), extras])
-    other = np.hstack([frame[other_rows, :],
-                       np.zeros((frame.shape[0] - space.dim, extras.shape[1]))])
-    return np.vstack([lifted, other] if slot == "source" else [other, lifted])
-
-
-def compose_with_twist(t, l, side):
-    """Index of the correspondence composed with a windowed twist.
-
-    ``side`` is "pre" (twist feeds into the correspondence) or "post"
-    (twist applied after it).  The twisted endpoint of the subspace is
-    first extended by its margin companion, so boundary modes shifted
-    across the window edge are not clipped; for correspondences that
-    are bounded perturbations of the reference polarization the result
-    equals index(l) + tilde_ind(t) with the twist's own base splitting.
-    """
-    op = t.operator
-    cols = op.base_columns_mask()
-    if side == "pre":
-        if not spaces_match(t.base, l.source):
-            raise CompositionMismatch("twist base does not match the source")
-        # (x, y) with op x + y inside the doubly padded companion of L
-        comp_frame = _slot_companion_frame(l, "source", 2 * t.margin)
-        comp = Subspace(comp_frame) if comp_frame.shape[1] \
-            else Subspace.zero(comp_frame.shape[0])
-        n_t = l.target.dim
-        p_perp = np.eye(comp.ambient_dim) - comp.projector()
-        b = np.zeros((comp.ambient_dim, t.base.dim + n_t), dtype=np.complex128)
-        b[: op.range_window.dim, : t.base.dim] = op.matrix[:, cols]
-        b[op.range_window.dim:, t.base.dim:] = np.eye(n_t)
-        sub = Subspace.from_span(nullspace(p_perp @ b))
-        composite = Correspondence(source=t.base, target=l.target, subspace=sub)
-        return index(composite)
-    if side == "post":
-        if not spaces_match(t.base, l.target):
-            raise CompositionMismatch("twist base does not match the target")
-        comp_frame = _slot_companion_frame(l, "target", t.margin)
-        n_s = l.source.dim
-        big = np.zeros((n_s + op.range_window.dim, comp_frame.shape[0]),
-                       dtype=np.complex128)
-        big[:n_s, :n_s] = np.eye(n_s)
-        big[n_s:, n_s:] = op.matrix
-        keep = np.concatenate([
-            np.ones(n_s, dtype=bool),
-            window_rows_mask(op.range_window, t.base.window),
-        ])
-        sub = restricted_image(big @ comp_frame, keep)
-        composite = Correspondence(source=l.source, target=t.base, subspace=sub)
-        return index(composite)
-    raise InvalidInput("side must be 'pre' or 'post'")

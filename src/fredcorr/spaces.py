@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidInput
 from .subspaces import Subspace, singular_values, subspaces_equal
-from .windows import ModeWindow, PaddedSubspace, mode_span, pad_by_predicate
+from .windows import ModeWindow, mode_span, pad_by_predicate
 
 __all__ = [
     "SHARP_NONNEG",
@@ -31,7 +31,6 @@ __all__ = [
     "POLARIZATION_CUTOFF",
     "off_diagonal_singular_values",
     "polarization_defect",
-    "nfold_subspace",
 ]
 
 # Slack of the splitting check.
@@ -141,8 +140,9 @@ class ModelSpace:
     """A finite model Hilbert space: labeled basis and splitting.
 
     Circle-derived spaces also carry their mode window and splitting
-    convention so that canonical padded companions of the splitting
-    halves can be formed.
+    convention, so :meth:`flat_padded` and :meth:`sharp_padded` can pad
+    a splitting half into a wider window (``windows.pad_by_predicate``);
+    they return the padded ``Subspace``, whose base is the half itself.
     """
 
     dim: int
@@ -183,8 +183,7 @@ class ModelSpace:
         else:
             base = self.splitting.sharp
             keep = pred
-        padded = pad_by_predicate(base, self.window, margin, keep)
-        return PaddedSubspace._trusted(base, padded, self.window, margin)
+        return pad_by_predicate(base, self.window, margin, keep)
 
     def flat_padded(self, margin):
         """Canonical padded companion of the flat half.
@@ -331,14 +330,3 @@ def polarization_defect(left, right):
     is at most k."""
     s = off_diagonal_singular_values(left, None, right)
     return int(np.count_nonzero(s > POLARIZATION_CUTOFF))
-
-
-def nfold_subspace(sub, n):
-    """Block diagonal n-fold copy of a subspace."""
-    if n < 1:
-        raise InvalidInput("n must be positive")
-    d, k = sub.ambient_dim, sub.dim
-    q = np.zeros((n * d, n * k), dtype=np.complex128)
-    for i in range(n):
-        q[i * d:(i + 1) * d, i * k:(i + 1) * k] = sub.frame
-    return Subspace(q)

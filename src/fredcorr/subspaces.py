@@ -59,10 +59,6 @@ def current_tolerance():
     return DEFAULT_TOL
 
 
-def _resolve(tol):
-    return DEFAULT_TOL if tol is None else tol
-
-
 def _svd(a, full_matrices=False):
     # the divide-and-conquer driver occasionally refuses benign inputs;
     # the transposed problem takes a different reduction and converges
@@ -80,14 +76,13 @@ def singular_values(a):
         return np.linalg.svd(a.conj().T, compute_uv=False)
 
 
-def orthonormalize(matrix, tol=None):
+def orthonormalize(matrix):
     """Orthonormal basis of the column span of ``matrix``.
 
-    Singular directions below ``tol`` times the largest singular value
-    are dropped.  The result has shape ``(n, r)`` with ``r`` the numeric
-    rank; a zero or empty input yields shape ``(n, 0)``.
+    Singular directions below the relative tolerance times the largest
+    singular value are dropped.  The result has shape ``(n, r)`` with
+    ``r`` the numeric rank; a zero or empty input yields shape ``(n, 0)``.
     """
-    tol = _resolve(tol)
     a = np.asarray(matrix, dtype=np.complex128)
     if a.ndim != 2:
         raise InvalidInput("expected a 2d array of column vectors")
@@ -96,35 +91,33 @@ def orthonormalize(matrix, tol=None):
     u, s, _ = _svd(a)
     if s.size == 0 or s[0] == 0.0:
         return np.zeros((a.shape[0], 0), dtype=np.complex128)
-    r = int(np.count_nonzero(s > tol * s[0]))
+    r = int(np.count_nonzero(s > DEFAULT_TOL * s[0]))
     return u[:, :r]
 
 
-def rank(matrix, tol=None, absolute_tol=None):
+def rank(matrix, absolute_tol=None):
     """Numeric rank with a relative singular value cutoff.
 
     ``absolute_tol`` switches to a direct comparison, for callers that
     need the cutoff on the same scale as some other classification.
     """
-    tol = _resolve(tol)
     a = np.asarray(matrix, dtype=np.complex128)
     if a.size == 0:
         return 0
     s = singular_values(a)
     if s.size == 0 or s[0] == 0.0:
         return 0
-    cut = tol * s[0] if absolute_tol is None else absolute_tol
+    cut = DEFAULT_TOL * s[0] if absolute_tol is None else absolute_tol
     return int(np.count_nonzero(s > cut))
 
 
-def nullspace(matrix, tol=None, absolute_tol=None):
+def nullspace(matrix, absolute_tol=None):
     """Orthonormal basis of the kernel of ``matrix``.
 
     With ``absolute_tol`` set, singular values are compared against it
     directly instead of relative to the largest one.  Returns an
     ``(n, k)`` array whose columns span the kernel.
     """
-    tol = _resolve(tol)
     a = np.asarray(matrix, dtype=np.complex128)
     if a.ndim != 2:
         raise InvalidInput("expected a 2d array")
@@ -135,7 +128,7 @@ def nullspace(matrix, tol=None, absolute_tol=None):
         return np.eye(n, dtype=np.complex128)
     _, s, vh = _svd(a, full_matrices=True)
     if absolute_tol is None:
-        cut = tol * s[0] if s.size and s[0] > 0 else np.inf
+        cut = DEFAULT_TOL * s[0] if s.size and s[0] > 0 else np.inf
     else:
         cut = absolute_tol
     r = int(np.count_nonzero(s > cut))
@@ -153,8 +146,8 @@ class Subspace:
     :meth:`_trusted`: SVD factors (``from_span``, ``intersection``,
     ``complement``, ``restricted_image``, ``compose``), coordinate spans
     (``from_indices``, ``zero``, ``full``), and valid frames placed on
-    disjoint rows (``direct_sum``, ``lift_subspace``, padded companions,
-    graph assemblies).
+    disjoint rows (``direct_sum``, which also stacks graph assemblies
+    and ``mv_pairing``'s n-fold half, and ``windows.pad_by_predicate``).
     """
 
     frame: np.ndarray
@@ -192,9 +185,9 @@ class Subspace:
         return self.frame.shape[1]
 
     @classmethod
-    def from_span(cls, matrix, tol=None):
+    def from_span(cls, matrix):
         """Subspace spanned by the columns of an arbitrary matrix."""
-        return cls._trusted(orthonormalize(matrix, tol=tol))
+        return cls._trusted(orthonormalize(matrix))
 
     @classmethod
     def zero(cls, ambient_dim):
@@ -219,12 +212,6 @@ class Subspace:
     def projector(self):
         """The orthogonal projector onto this subspace as a dense matrix."""
         return self.frame @ self.frame.conj().T
-
-    def complement(self):
-        return complement(self)
-
-    def intersect(self, other):
-        return intersection(self, other)
 
     def contains(self, other, tol=1e-8):
         """Whether ``other`` (a Subspace or an (n,) vector) lies inside."""
@@ -381,12 +368,22 @@ def restricted_projection_index(a, target):
                              index=ker - coker)
 
 
-def direct_sum(a, b):
-    """Block diagonal subspace of the concatenated ambient space."""
-    na, nb = a.ambient_dim, b.ambient_dim
-    q = np.zeros((na + nb, a.dim + b.dim), dtype=np.complex128)
-    q[:na, : a.dim] = a.frame
-    q[na:, a.dim:] = b.frame
+def direct_sum(*subs):
+    """Block diagonal subspace of the concatenated ambient space: the
+    frames in order, each on its own rows and columns."""
+    # plain loops: compose and index call this on small frames, where
+    # generator sums and the dim properties cost a measurable share
+    n = k = 0
+    for s in subs:
+        n += s.frame.shape[0]
+        k += s.frame.shape[1]
+    q = np.zeros((n, k), dtype=np.complex128)
+    row = col = 0
+    for s in subs:
+        f = s.frame
+        q[row:row + f.shape[0], col:col + f.shape[1]] = f
+        row += f.shape[0]
+        col += f.shape[1]
     return Subspace._trusted(q)
 
 

@@ -21,12 +21,10 @@ from .subspaces import Subspace, nullspace
 
 __all__ = [
     "ModeWindow",
-    "PaddedSubspace",
     "WindowedOperator",
     "mode_interval",
     "mode_span",
     "lift_frame",
-    "lift_subspace",
     "pad_by_predicate",
     "window_rows_mask",
     "restricted_image",
@@ -115,16 +113,16 @@ def lift_frame(frame, from_window, to_window):
     return out
 
 
-def lift_subspace(sub, from_window, to_window):
-    """Embed a subspace of a subwindow into a larger window."""
-    return Subspace._trusted(lift_frame(sub.frame, from_window, to_window))
-
-
 def pad_by_predicate(sub, window, margin, predicate):
     """Padded companion of a subspace of ``window``: its frame lifted into
     the window padded by ``margin``, plus every margin mode whose number
     satisfies ``predicate``.  The margin modes lie outside the lifted
-    rows, so the frame stays orthonormal."""
+    rows, so the frame stays orthonormal.
+
+    The one builder of padded halves: ``ModelSpace.flat_padded`` and
+    ``sharp_padded`` (twists, graph assemblies), the twisted cap,
+    ``mv_pairing`` and ``fans.PredicatePart.padded`` all call it.  An arbitrary subspace has no canonical
+    enlargement, so callers keep the base they padded themselves."""
     padded_window = window.pad(margin)
     labels = padded_window.mode_labels()
     extra = [i for i in range(padded_window.dim)
@@ -147,7 +145,7 @@ def window_rows_mask(range_window, base_window):
     return np.abs(labels) <= base_window.half_width
 
 
-def restricted_image(matrix, keep_rows, tol=None):
+def restricted_image(matrix, keep_rows):
     """Image of an operator restricted to inputs that land inside a window.
 
     ``matrix`` maps some domain into a long range; ``keep_rows`` is a
@@ -161,11 +159,11 @@ def restricted_image(matrix, keep_rows, tol=None):
     if keep.shape != (m.shape[0],):
         raise DimensionMismatch("row mask does not match matrix")
     killed = m[~keep, :]
-    inside = nullspace(killed, tol=tol)
-    return Subspace.from_span(m[keep, :] @ inside, tol=tol)
+    inside = nullspace(killed)
+    return Subspace.from_span(m[keep, :] @ inside)
 
 
-def windowed_graph(matrix, keep_rows, tol=None):
+def windowed_graph(matrix, keep_rows):
     """Graph ``{(x, Ax)}`` restricted to pairs that stay inside the window.
 
     ``matrix`` maps the (already windowed) domain into an extended range
@@ -179,49 +177,7 @@ def windowed_graph(matrix, keep_rows, tol=None):
         raise DimensionMismatch("row mask does not match matrix")
     stacked = np.vstack([np.eye(m.shape[1], dtype=np.complex128), m])
     mask = np.concatenate([np.ones(m.shape[1], dtype=bool), keep])
-    return restricted_image(stacked, mask, tol=tol)
-
-
-@dataclass(frozen=True, eq=False)
-class PaddedSubspace:
-    """A subspace of a base window together with its extension to the
-    padded window.
-
-    The extension is part of the data, not derived: an arbitrary
-    subspace has no canonical enlargement, so constructions that need
-    to act on padded inputs carry the companion along explicitly.
-    Companions built by :func:`pad_by_predicate` from their base skip
-    the checks via :meth:`_trusted`.
-    """
-
-    base: Subspace
-    padded: Subspace
-    base_window: ModeWindow
-    margin: int
-
-    def __post_init__(self):
-        pw = self.base_window.pad(self.margin)
-        if self.base.ambient_dim != self.base_window.dim:
-            raise DimensionMismatch("base subspace does not match base window")
-        if self.padded.ambient_dim != pw.dim:
-            raise DimensionMismatch("padded subspace does not match padded window")
-        lifted = lift_subspace(self.base, self.base_window, pw)
-        if lifted.dim and not self.padded.contains(lifted):
-            raise InvalidInput("padded companion does not extend the base")
-
-    @classmethod
-    def _trusted(cls, base, padded, base_window, margin):
-        """Unchecked wrap of a companion that extends its base by
-        construction."""
-        sub = object.__new__(cls)
-        for name, value in (("base", base), ("padded", padded),
-                            ("base_window", base_window), ("margin", margin)):
-            object.__setattr__(sub, name, value)
-        return sub
-
-    @property
-    def padded_window(self):
-        return self.base_window.pad(self.margin)
+    return restricted_image(stacked, mask)
 
 
 @dataclass(frozen=True, eq=False)
@@ -263,17 +219,10 @@ class WindowedOperator:
         """Mask of padded-domain columns whose mode lies in the base."""
         return window_rows_mask(self.domain_window, self.base_window)
 
-    @property
-    def padded_domain_labels(self):
-        return self.domain_window.mode_labels()
-
-    @property
-    def base_labels(self):
-        return self.base_window.mode_labels()
-
-    def base_matrix(self):
-        """Rows of the matrix belonging to the base window."""
-        return self.matrix[self.base_rows_mask(), :]
+    def base_square(self):
+        """The base-to-base compression of the operator."""
+        return self.matrix[np.ix_(self.base_rows_mask(),
+                                  self.base_columns_mask())]
 
     def apply_within_window(self, sub):
         """Window intersection of the image of ``sub``, in base coordinates."""

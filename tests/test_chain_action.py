@@ -192,9 +192,9 @@ def test_member_count_builds_the_image_near_the_cutoff(monkeypatch):
     real = graphs.restricted_image
     calls = []
 
-    def spy(image, keep, tol=None):
+    def spy(image, keep):
         calls.append(image.shape)
-        return real(image, keep, tol=tol)
+        return real(image, keep)
 
     monkeypatch.setattr(graphs, "restricted_image", spy)
     tol = current_tolerance()

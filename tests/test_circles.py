@@ -166,7 +166,7 @@ def test_tilde_ind_matches_pair_index_audit(channels):
     for sym in syms:
         t = symbol_twist(sym, twist_circle(8, channels=channels))
         image = t.operator.apply_within_window(
-            t.base.flat_padded(t.margin).padded)
+            t.base.flat_padded(t.margin))
         assert tilde_ind(t) == pair_index(image, t.base.splitting.sharp).index
 
 
@@ -204,7 +204,7 @@ def _fault_symbol(rng):
 
 def _image_route(t):
     # tilde_ind with the twisted image built and orthonormalized
-    flat_pad = t.base.flat_padded(t.margin).padded
+    flat_pad = t.base.flat_padded(t.margin)
     return dimension_index(t.operator.apply_within_window(flat_pad),
                            t.base.splitting.sharp)
 
@@ -282,7 +282,8 @@ def test_twist_budget_bounds_commutator():
     for _ in range(6):
         sym = random_laurent_symbol(rng, channels=2, degree=2)
         t = symbol_twist(sym, twist_circle(8, channels=2))
-        assert commutator_rank(t) <= t.budget
+        assert commutator_rank(t.operator.base_square(),
+                               t.base.splitting) <= t.budget
 
 
 def test_twist_index_stable_across_windows():

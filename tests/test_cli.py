@@ -248,9 +248,21 @@ def test_tol_env_and_flag(tmp_path, capsys, monkeypatch):
                            "window": 6})
     monkeypatch.setenv("FREDCORR_TOL", "not-a-number")
     assert cli.main(["index", path]) == 2
-    # explicit flag wins over the broken env value
+    seen = []
+    real = cli.run_scenario
+
+    def spy(*args, **kwargs):
+        seen.append(subspaces.current_tolerance())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_scenario", spy)
+    saved = subspaces.DEFAULT_TOL
+    # explicit flag wins over the broken env value, for this command only
     assert cli.main(["index", path, "--tol", "1e-8"]) == 0
-    assert subspaces.DEFAULT_TOL == 1e-8
+    monkeypatch.setenv("FREDCORR_TOL", "1e-7")
+    assert cli.main(["index", path]) == 0
+    assert seen == [1e-8, 1e-7]
+    assert subspaces.DEFAULT_TOL == saved
     capsys.readouterr()
 
 

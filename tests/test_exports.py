@@ -42,3 +42,25 @@ def test_import_does_not_load_numba():
                          text=True, check=True,
                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
     assert out.stdout.strip() == "False"
+
+
+def test_perfbench_trace_targets_resolve():
+    # the benchmark's tracer wraps these names from outside; a deleted or
+    # renamed one would break ``perfbench/run.py --trace 1``
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.TARGETS
+    for _, modname, attr in tracer.TARGETS:
+        owner = importlib.import_module(modname)
+        if "." in attr:
+            cls_name, meth = attr.split(".")
+            assert meth in vars(getattr(owner, cls_name)), attr
+        elif isinstance(getattr(owner, attr), type):
+            assert "__post_init__" in vars(getattr(owner, attr)), attr
+        else:
+            assert callable(getattr(owner, attr)), attr

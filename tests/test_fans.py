@@ -229,3 +229,31 @@ def test_two_part_shift_fans_agree(cut, k1, k2):
     # window-edge contributions: the lower part carries k1, the interior
     # boundary between the parts cancels, the top edge carries -k2
     assert rep.formula1 == k1 - k2
+
+
+def test_part_commutator_count_matches_the_dense_commutator(monkeypatch):
+    # fan_from_twists counts each part's commutator on the off-diagonal
+    # blocks of the part's coordinate splitting; each splitting passes
+    # the public check, and the dense commutator with the part projector
+    # is the reference
+    from fredcorr import fans
+    from fredcorr.spaces import Splitting
+    from fredcorr.subspaces import rank
+    real = fans.commutator_rank
+    compared = []
+
+    def checked(b, split):
+        Splitting(sharp=split.sharp, flat=split.flat)
+        p = split.sharp.projector()
+        got = real(b, split)
+        assert got == rank(b @ p - p @ b)
+        compared.append(got)
+        return got
+
+    monkeypatch.setattr(fans, "commutator_rank", checked)
+    for seed in range(8):
+        random_fan(np.random.default_rng([seed, 3]), channels=1 + seed % 2)
+    assert any(compared)
+    space, w = circle_setup()
+    z = LaurentSymbol.monomial(1)
+    fan_from_twists(space, partition_parts(w, [0]), [z, None], budget=1)

@@ -25,7 +25,6 @@ from fredcorr.morphisms import (
     chain_total_index,
     commutator_rank,
     compose,
-    compose_with_twist,
     delta,
     delta_direct,
     graph_correspondence,
@@ -287,7 +286,7 @@ def test_twist_validation():
     with pytest.raises(InvalidInput):
         Twist(base=h, operator=shift_operator(w, 1), budget=0)
     t = Twist(base=h, operator=shift_operator(w, 1), budget=2)
-    assert commutator_rank(t) == 1
+    assert commutator_rank(t.operator.base_square(), h.splitting) == 1
 
 
 def test_twist_with_a_disagreeing_symbol_is_decided_by_its_operator():
@@ -337,7 +336,7 @@ def test_tilde_ind_builds_the_image_near_the_cutoff(monkeypatch):
         calls.clear()
         got = tilde_ind(t)
         assert bool(calls) == builds
-        flat_pad = t.base.flat_padded(t.margin).padded
+        flat_pad = t.base.flat_padded(t.margin)
         assert got == dimension_index(original(t.operator, flat_pad),
                                       t.base.splitting.sharp) == 1
 
@@ -350,14 +349,14 @@ def test_commutator_rank_on_coordinate_splittings():
         for degree in (1, 2):
             sym = random_laurent_symbol(rng, channels=channels, degree=degree)
             t = symbol_twist(sym, twist_circle(9, channels=channels))
-            b = t.base_square_matrix()
+            b = t.operator.base_square()
             p = t.base.splitting.sharp.projector()
-            assert commutator_rank(t) == rank(p @ b - b @ p)
+            assert commutator_rank(b, t.base.splitting) == rank(p @ b - b @ p)
     h = circle_space(5, SHARP_NONNEG)
     ident = WindowedOperator(domain_window=h.window, range_window=h.window,
                              base_window=h.window,
                              matrix=np.eye(h.dim, dtype=np.complex128))
-    assert commutator_rank(Twist(base=h, operator=ident)) == 0
+    assert commutator_rank(ident.base_square(), h.splitting) == 0
 
 
 def test_commutator_rank_matches_dense_commutator():
@@ -371,9 +370,9 @@ def test_commutator_rank_matches_dense_commutator():
         for seed in range(4):
             s = perturb_splitting(t.base.splitting, 2, seed=seed)
             tp = t.with_base_splitting(s)
-            b = tp.base_square_matrix()
+            b = tp.operator.base_square()
             p = s.sharp.projector()
-            assert commutator_rank(tp) == rank(p @ b - b @ p)
+            assert commutator_rank(b, s) == rank(p @ b - b @ p)
 
 
 def test_twist_graph_clips_leaking_mode():
@@ -387,23 +386,14 @@ def test_twist_graph_clips_leaking_mode():
 
 
 @pytest.mark.parametrize("k", [-2, -1, 1, 2])
-def test_compose_with_twist_contract(k):
-    # the composite index must shift by the twist index on both sides,
-    # including shifts that push cap modes across the window edge
-    h = circle_space(6)
-    t = Twist(base=h, operator=shift_operator(h.window, k), budget=2 * abs(k))
-    ti = tilde_ind(t)
-    assert compose_with_twist(t, disk_out(h), "pre") == 1 + ti
-    assert compose_with_twist(t, disk_in(h), "post") == 0 + ti
-
-
-def test_compose_with_twist_validation():
-    h = circle_space(5)
-    t = Twist(base=h, operator=shift_operator(h.window, 1), budget=2)
-    with pytest.raises(CompositionMismatch):
-        compose_with_twist(t, disk_in(h), "pre")
-    with pytest.raises(InvalidInput):
-        compose_with_twist(t, disk_out(h), "sideways")
+def test_twisted_cap_shifts_the_outgoing_disk_by_the_twist_index(k):
+    # Ind(disk_out after T) = 1 + ind T, including shifts that push cap
+    # modes across the window edge
+    from fredcorr.circles import symbol_twist, twist_circle
+    sym = LaurentSymbol.monomial(k)
+    ti = tilde_ind(symbol_twist(sym, twist_circle(6)))
+    assert ti == k
+    assert index(twisted_cap(chain_circle(6), sym)) == 1 + ti
 
 
 def test_tilde_ind_survives_interior_rebase():

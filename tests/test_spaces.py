@@ -11,7 +11,6 @@ from fredcorr.spaces import (
     ModelSpace,
     Splitting,
     make_splitting,
-    nfold_subspace,
     off_diagonal_singular_values,
     perturb_splitting,
     polarization_defect,
@@ -20,10 +19,11 @@ from fredcorr.spaces import (
 )
 from fredcorr.subspaces import (
     Subspace,
+    direct_sum,
     pair_index,
     random_subspace,
 )
-from fredcorr.windows import ModeWindow
+from fredcorr.windows import ModeWindow, lift_frame
 
 
 def hardy_space(m, convention=SHARP_NONNEG, channels=1):
@@ -148,8 +148,20 @@ def test_unrelated_perturbation_keeps_pair_indices():
 
 
 def test_nfold_subspace_dims():
-    sub = Subspace.from_indices(4, [1, 3])
-    s3 = nfold_subspace(sub, 3)
+    # the n-fold block copy mv_pairing stacks with direct_sum, and mixed
+    # blocks with an empty one, against a block loop
+    rng = np.random.default_rng(6)
+    sub = random_subspace(5, 2, rng)
+    for subs in ([sub] * 3, [sub, Subspace.zero(2), random_subspace(4, 3, rng)],
+                 [sub]):
+        ref = np.zeros((sum(s.ambient_dim for s in subs),
+                        sum(s.dim for s in subs)), dtype=np.complex128)
+        row = col = 0
+        for s in subs:
+            ref[row:row + s.ambient_dim, col:col + s.dim] = s.frame
+            row, col = row + s.ambient_dim, col + s.dim
+        np.testing.assert_array_equal(direct_sum(*subs).frame, ref)
+    s3 = direct_sum(*[Subspace.from_indices(4, [1, 3])] * 3)
     assert s3.ambient_dim == 12 and s3.dim == 6
 
 
@@ -247,19 +259,20 @@ def test_spaces_match_compares_subspaces_not_frames():
 
 def test_flat_padded_companion():
     h = hardy_space(3, convention=SHARP_NEGATIVE)
-    ps = h.flat_padded(2)
+    padded = h.flat_padded(2)
     # flat = modes n >= 0 under this convention; margin adds modes 4, 5
-    assert ps.base.dim == 4
-    assert ps.padded.dim == 6
-    pw = ps.padded_window
-    assert ps.padded.contains(np.eye(pw.dim)[pw.index_of(0, 5)])
-    assert not ps.padded.contains(np.eye(pw.dim)[pw.index_of(0, -5)])
+    assert h.splitting.flat.dim == 4
+    assert padded.dim == 6
+    pw = h.window.pad(2)
+    assert padded.contains(np.eye(pw.dim)[pw.index_of(0, 5)])
+    assert not padded.contains(np.eye(pw.dim)[pw.index_of(0, -5)])
 
 
 def test_sharp_padded_companion_after_perturbation():
     h = hardy_space(3)
     pert = perturb_splitting(h.splitting, 1, seed=11)
     h2 = h.with_splitting(pert)
-    ps = h2.sharp_padded(1)
-    assert ps.base.dim == pert.sharp.dim
-    assert ps.padded.dim == pert.sharp.dim + 1
+    padded = h2.sharp_padded(1)
+    assert padded.dim == pert.sharp.dim + 1
+    lifted = lift_frame(pert.sharp.frame, h.window, h.window.pad(1))
+    assert padded.contains(Subspace(lifted))

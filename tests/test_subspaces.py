@@ -61,9 +61,9 @@ def _run_every_route():
     from fredcorr.circles import (
         LaurentSymbol,
         build_sphere_chain,
-        chain_circle,
-        disk_correspondence,
+        mv_pairing,
         random_laurent_symbol,
+        sphere_hardy_pair,
         symbol_twist,
         twist_circle,
         winding_number,
@@ -76,7 +76,6 @@ def _run_every_route():
     )
     from fredcorr.morphisms import (
         chain_total_index,
-        compose_with_twist,
         reduce_chain_ledger,
         tilde_ind,
     )
@@ -89,15 +88,7 @@ def _run_every_route():
 
     sym = random_laurent_symbol(np.random.default_rng(3), channels=2, degree=2)
     assert tilde_ind(symbol_twist(sym, twist_circle(8, channels=2))) \
-        == winding_number(sym)
-
-    circle = chain_circle(6)
-    t = symbol_twist(LaurentSymbol.monomial(1), circle)
-    ti = tilde_ind(t)
-    assert compose_with_twist(
-        t, disk_correspondence(circle, "outgoing"), "pre") == 1 + ti
-    assert compose_with_twist(
-        t, disk_correspondence(circle, "incoming"), "post") == ti
+        == mv_pairing(sphere_hardy_pair(6), sym, 2) == winding_number(sym)
 
     g = random_graph(np.random.default_rng([9, 0]))
     assert global_index_fan(g) == global_index_additive(g)
@@ -121,10 +112,13 @@ def test_trusted_frames_pass_the_public_check(monkeypatch):
 
 
 def test_trusted_splittings_and_companions_pass_the_public_checks(monkeypatch):
-    # The same routes, with every coordinate splitting and every padded
-    # companion sent through its public constructor's checks.
+    # The same routes, with every coordinate splitting sent through its
+    # public constructor's checks, and every padded companion (all built
+    # by pad_by_predicate) checked to contain its lifted base.
+    import sys
+
+    from fredcorr import windows
     from fredcorr.spaces import Splitting
-    from fredcorr.windows import PaddedSubspace
 
     checked = []
 
@@ -132,14 +126,21 @@ def test_trusted_splittings_and_companions_pass_the_public_checks(monkeypatch):
         checked.append("splitting")
         return cls(sharp=sharp, flat=flat)
 
-    def public_companion(cls, base, padded, base_window, margin):
+    real = windows.pad_by_predicate
+
+    def checked_companion(sub, window, margin, predicate):
+        padded = real(sub, window, margin, predicate)
+        lifted = Subspace(windows.lift_frame(sub.frame, window,
+                                             window.pad(margin)))
+        assert padded.contains(lifted)
         checked.append("companion")
-        return cls(base=base, padded=padded, base_window=base_window,
-                   margin=margin)
+        return padded
 
     monkeypatch.setattr(Splitting, "_trusted", classmethod(public_splitting))
-    monkeypatch.setattr(PaddedSubspace, "_trusted",
-                        classmethod(public_companion))
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("fredcorr") and \
+                getattr(mod, "pad_by_predicate", None) is real:
+            monkeypatch.setattr(mod, "pad_by_predicate", checked_companion)
     _run_every_route()
     assert {"splitting", "companion"} <= set(checked)
 

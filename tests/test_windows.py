@@ -7,12 +7,11 @@ from fredcorr.errors import DimensionMismatch, InvalidInput
 from fredcorr.subspaces import Subspace
 from fredcorr.windows import (
     ModeWindow,
-    PaddedSubspace,
     WindowedOperator,
     lift_frame,
-    lift_subspace,
     mode_interval,
     mode_span,
+    pad_by_predicate,
     restricted_image,
     window_rows_mask,
     windowed_graph,
@@ -65,7 +64,7 @@ def test_lift_frame_places_modes():
     small = ModeWindow(1)
     big = ModeWindow(3)
     sub = mode_interval(small, 0, 1)
-    lifted = lift_subspace(sub, small, big)
+    lifted = Subspace(lift_frame(sub.frame, small, big))
     assert lifted.ambient_dim == big.dim
     assert lifted.contains(np.eye(big.dim)[big.index_of(0, 0)])
     assert lifted.contains(np.eye(big.dim)[big.index_of(0, 1)])
@@ -134,12 +133,19 @@ def test_windowed_operator_validation():
 
 
 def test_padded_subspace_validation():
-    base_w = ModeWindow(2)
-    sub = mode_span(base_w, lambda n: n < 0)
+    # a padded companion from pad_by_predicate: the lifted base first,
+    # then the margin modes the predicate keeps on every channel, and an
+    # orthonormal frame
+    base_w = ModeWindow(2, channels=2)
     pad_w = base_w.pad(1)
-    good = lift_subspace(sub, base_w, pad_w)
-    ps = PaddedSubspace(base=sub, padded=good, base_window=base_w, margin=1)
-    assert ps.padded_window.half_width == 3
-    bad = mode_span(pad_w, lambda n: n > 0)
-    with pytest.raises(InvalidInput):
-        PaddedSubspace(base=sub, padded=bad, base_window=base_w, margin=1)
+    rng = np.random.default_rng(4)
+    sub = Subspace.from_span(rng.standard_normal((base_w.dim, 3)))
+    padded = pad_by_predicate(sub, base_w, 1, lambda n: n < 0)
+    assert padded.ambient_dim == pad_w.dim and padded.dim == 3 + 2
+    np.testing.assert_array_equal(padded.frame[:, :3],
+                                  lift_frame(sub.frame, base_w, pad_w))
+    for c in range(2):
+        assert padded.contains(np.eye(pad_w.dim)[pad_w.index_of(c, -3)])
+        assert not padded.contains(np.eye(pad_w.dim)[pad_w.index_of(c, 3)])
+    Subspace(padded.frame)
+    assert pad_by_predicate(sub, base_w, 0, lambda n: True).dim == 3
