@@ -102,6 +102,9 @@ class LaurentSymbol:
         c = np.asarray(self.coeffs, dtype=np.complex128)
         if c.ndim != 3 or c.shape[1] != c.shape[2] or c.shape[0] == 0:
             raise InvalidInput("coefficients must have shape (powers, c, c)")
+        # before the zero planes are stripped: NaN is not > 0
+        if not np.isfinite(c).all():
+            raise InvalidInput("symbol coefficients must be finite")
         # canonicalize: strip zero planes at both ends
         nz = [p for p in range(c.shape[0]) if np.any(np.abs(c[p]) > 0)]
         if not nz:
@@ -364,19 +367,13 @@ def certified_ratio(sym):
 
 
 def band_certificate(sym, op):
-    """:func:`certified_ratio` of ``sym`` when the windowed operator's
-    matrix is exactly the band matrix of ``sym`` between its windows, and
-    0.0 (nothing certified) for any other operator or symbol."""
-    if not isinstance(sym, LaurentSymbol):
+    """:func:`certified_ratio` of ``sym`` when :func:`multiplication_operator`
+    built ``op`` from that very symbol (its read-only matrix is then the
+    band matrix of the frozen symbol), and 0.0 (nothing certified) for
+    any other operator or symbol."""
+    if sym is None or op._symbol is not sym:
         return 0.0
-    d, r = op.domain_window, op.range_window
-    if not (sym.channels == d.channels == r.channels
-            and r.half_width >= d.half_width + sym.degree):
-        return 0.0
-    ratio = certified_ratio(sym)
-    if ratio and np.array_equal(op.matrix, symbol_band_matrix(sym, d, r)):
-        return ratio
-    return 0.0
+    return certified_ratio(sym)
 
 
 def multiplication_operator(sym, base_window):
@@ -384,14 +381,17 @@ def multiplication_operator(sym, base_window):
 
     The domain is the base window padded by the symbol degree; the range
     is padded by twice the degree so that no output mode of any padded
-    input is truncated.
+    input is truncated.  Only here is ``sym`` recorded on the operator,
+    for :func:`band_certificate`.
     """
     d = sym.degree
     domain = base_window.pad(d)
     rng_w = base_window.pad(2 * d)
     m = symbol_band_matrix(sym, domain, rng_w)
-    return WindowedOperator(domain_window=domain, range_window=rng_w,
-                            base_window=base_window, matrix=m)
+    op = WindowedOperator(domain_window=domain, range_window=rng_w,
+                          base_window=base_window, matrix=m)
+    object.__setattr__(op, "_symbol", sym)
+    return op
 
 
 def symbol_twist(sym, circle):

@@ -130,11 +130,11 @@ def symbol_to_json(sym):
 
 
 def _coeff(value):
-    if isinstance(value, (int, float)):
-        return complex(value)
+    """A coefficient: a JSON number or a pair [re, im] of numbers."""
     if isinstance(value, list) and len(value) == 2:
-        return complex(float(value[0]), float(value[1]))
-    raise UsageError(f"bad coefficient {value!r}: want a number or [re, im]")
+        return complex(_number(value[0], "coefficient"),
+                       _number(value[1], "coefficient"))
+    return complex(_number(value, "coefficient"))
 
 
 def symbol_from_json(obj):

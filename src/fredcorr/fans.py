@@ -328,8 +328,9 @@ def fan_from_twists(space, parts, twists, budget=None):
     for part in parts:
         if part.window.dim != window.dim:
             raise DimensionMismatch("part window does not match the ambient")
-        rest = mode_span(window, lambda n, pred=part.predicate: not pred(n))
-        splittings.append(Splitting._trusted(part.base(), rest))
+        labels = part.window.mode_labels()
+        splittings.append(Splitting._coordinate(
+            [bool(part.predicate(int(n))) for n in labels]))
     chains = [_as_chain(t) for t in twists]
     members = []
     for part, chain in zip(parts, chains):

@@ -125,8 +125,8 @@ class Twist:
     """An invertible windowed operator on one model space, almost
     commuting with its polarization.
 
-    The operator must be injective on its padded domain.  When it is
-    exactly the band matrix of ``symbol``, the symbol certifies that
+    The operator must be injective on its padded domain.  When it was
+    built from ``symbol`` itself, the symbol certifies that
     (``circles.band_certificate``); otherwise, or when the certificate
     does not reach twice the relative tolerance, the singular values of
     the operator decide it, as a rank with the relative tolerance.

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidInput
 from .subspaces import Subspace, singular_values, subspaces_equal
-from .windows import ModeWindow, mode_span, pad_by_predicate
+from .windows import ModeWindow, pad_by_predicate
 
 __all__ = [
     "SHARP_NONNEG",
@@ -69,11 +69,14 @@ class Splitting:
     halves are orthonormal frames whose dimensions fill the space, so
     tr(S^2) = n - 2 |sharp^H flat|_F^2, and S^2 = I holds exactly when
     sharp^H flat = 0; that small block is what gets checked.
-    Complementary coordinate spans skip the check via :meth:`_trusted`.
+    Complementary coordinate spans skip the check: :meth:`_coordinate`
+    builds them from a sharp mask and records it, so that
+    :func:`off_diagonal_singular_values` reads submatrices instead.
     """
 
     sharp: Subspace
     flat: Subspace
+    _sharp_mask = None
 
     def __post_init__(self):
         if self.sharp.ambient_dim != self.flat.ambient_dim:
@@ -93,6 +96,17 @@ class Splitting:
         split = object.__new__(cls)
         object.__setattr__(split, "sharp", sharp)
         object.__setattr__(split, "flat", flat)
+        return split
+
+    @classmethod
+    def _coordinate(cls, sharp_mask):
+        """Trusted coordinate splitting that records its sharp mask."""
+        mask = np.array(sharp_mask, dtype=bool)
+        mask.setflags(write=False)
+        n = mask.size
+        split = cls._trusted(Subspace.from_indices(n, np.flatnonzero(mask)),
+                             Subspace.from_indices(n, np.flatnonzero(~mask)))
+        object.__setattr__(split, "_sharp_mask", mask)
         return split
 
     @property
@@ -119,20 +133,15 @@ def make_splitting(space_dim, sharp_mode_predicate, labels=None):
             labels = list(range(space_dim))
     if len(labels) != space_dim:
         raise InvalidInput("label count does not match dimension")
-    sharp_idx = [i for i, lab in enumerate(labels) if sharp_mode_predicate(lab)]
-    flat_idx = [i for i in range(space_dim) if i not in set(sharp_idx)]
-    return Splitting(
-        sharp=Subspace.from_indices(space_dim, sharp_idx),
-        flat=Subspace.from_indices(space_dim, flat_idx),
-    )
+    return Splitting._coordinate(
+        [bool(sharp_mode_predicate(lab)) for lab in labels])
 
 
 def splitting_for_window(window, convention):
-    """Coordinate splitting of a mode window under a named convention."""
-    pred = convention_predicate(convention)
-    sharp = mode_span(window, pred)
-    flat = mode_span(window, lambda n: not pred(n))
-    return Splitting._trusted(sharp, flat)
+    """Coordinate splitting of a mode window under a named convention,
+    from one mask: the convention's predicate on the mode labels."""
+    return Splitting._coordinate(
+        convention_predicate(convention)(window.mode_labels()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -308,16 +317,22 @@ def off_diagonal_singular_values(left, b, right):
     (1 - P_L) P_R, whose two terms have orthogonal ranges and orthogonal
     row spaces.  Rows and columns of a block that are exactly zero are
     dropped before its SVD: a coordinate splitting leaves only a corner
-    of each block.
+    of each block.  When L is R and records its sharp mask m, the frames
+    are unit columns in coordinate order, so the blocks of B are exactly
+    the submatrices B[m, ~m] and B[~m, m], read without any product.
     """
     if left.ambient_dim != right.ambient_dim:
         raise DimensionMismatch("splittings live in different spaces")
-    # both products run before either SVD: interleaving the two kinds of
-    # call made a wide-window operation about 7 % slower
-    blocks = [_nonzero_block(x.frame.conj().T @ y.frame if b is None
-                             else x.frame.conj().T @ b @ y.frame)
-              for x, y in ((left.sharp, right.flat), (left.flat, right.sharp))
-              if x.dim and y.dim]
+    m = left._sharp_mask if left is right else None
+    if b is not None and m is not None:
+        raw = [b[np.ix_(m, ~m)], b[np.ix_(~m, m)]]
+    else:
+        raw = [x.frame.conj().T @ y.frame if b is None
+               else x.frame.conj().T @ b @ y.frame
+               for x, y in ((left.sharp, right.flat), (left.flat, right.sharp))]
+    # every block is formed before either SVD: interleaving the two kinds
+    # of call made a wide-window operation about 7 % slower
+    blocks = [_nonzero_block(x) for x in raw]
     # a block left with any entry has a nonzero one
     s = [singular_values(x) for x in blocks if x.size]
     return np.concatenate(s) if s else np.zeros(0)

@@ -196,6 +196,8 @@ class WindowedOperator:
     range_window: ModeWindow
     base_window: ModeWindow
     matrix: np.ndarray
+    # set by circles.multiplication_operator only: the matrix's symbol
+    _symbol = None
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=np.complex128)

@@ -53,6 +53,19 @@ def test_symbol_rejects_zero_and_singular():
         LaurentSymbol(coeffs=np.zeros((1, 2, 3)), d_min=0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(1, np.nan)])
+@pytest.mark.parametrize("plane", [0, 1, 2])
+def test_symbol_refuses_non_finite_coefficients(bad, plane):
+    # a non-finite end plane used to be stripped as if it were zero
+    c = np.array([1.0, 0.5, 0.25], dtype=complex)
+    c[plane] = bad
+    with pytest.raises(InvalidInput, match="finite"):
+        LaurentSymbol.scalar(c, d_min=1)
+    entries = [[(0, [1.0]), (0, [])], [(1, [bad]), (0, [2.0])]]
+    with pytest.raises(InvalidInput, match="finite"):
+        LaurentSymbol.from_entries(entries)
+
+
 def test_singular_symbol_test_ignores_coefficient_scale():
     # invertible on the circle however small the coefficients
     tiny = LaurentSymbol.monomial(1, coefficient=1e-9)

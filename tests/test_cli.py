@@ -84,6 +84,33 @@ def test_bad_parameter_is_usage_error(tmp_path, capsys, scenario):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("kind", ["twist", "rh_transmission", "sphere"])
+@pytest.mark.parametrize("entries, reason", [
+    ([[[1.0, NAN]]], "finite"),
+    ([[[NAN, 1.0]]], "finite"),
+    ([[[1.0, NAN, 1.0]]], "finite"),
+    ([[[1.0, INF]]], "finite"),
+    ([[[-INF, 1.0]]], "finite"),
+    ([[[True]]], "number"),
+    ([[[1.0, [0.5, True]]]], "number"),
+])
+def test_non_finite_or_boolean_coefficient_is_refused(tmp_path, capsys, kind,
+                                                      entries, reason):
+    sym = {"d_min": 1, "entries": entries}
+    payload = {"version": 1, "kind": kind, "window": 8}
+    payload.update({"twists": [sym]} if kind == "sphere" else {"symbol": sym})
+    path = write_scenario(tmp_path, "bad.json", payload)
+    assert cli.main(["index", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert reason in lines[0]
+
+
 def test_missing_file(capsys):
     assert cli.main(["index", "/nonexistent/x.json"]) == 2
     capsys.readouterr()

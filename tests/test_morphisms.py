@@ -15,6 +15,7 @@ from fredcorr.circles import (
     annulus_correspondence,
     chain_circle,
     disk_correspondence,
+    multiplication_operator,
     twisted_cap,
 )
 from fredcorr.errors import CompositionMismatch, DimensionMismatch, InvalidInput
@@ -39,6 +40,7 @@ from fredcorr.spaces import (
     SHARP_NONNEG,
     ModelSpace,
     Splitting,
+    off_diagonal_singular_values,
     perturb_splitting,
     polarization_defect,
     splitting_for_window,
@@ -359,6 +361,17 @@ def test_commutator_rank_on_coordinate_splittings():
     assert commutator_rank(ident.base_square(), h.splitting) == 0
 
 
+def _frame_route(split, b):
+    # the dense route: sharp^H B flat and flat^H B sharp as frame products
+    blocks = [x.frame.conj().T @ b @ y.frame
+              for x, y in ((split.sharp, split.flat),
+                           (split.flat, split.sharp))]
+    blocks = [a[np.ix_(np.any(a != 0, axis=1), np.any(a != 0, axis=0))]
+              for a in blocks]
+    s = [np.linalg.svd(a, compute_uv=False) for a in blocks if a.size]
+    return np.concatenate(s) if s else np.zeros(0)
+
+
 def test_commutator_rank_matches_dense_commutator():
     from fredcorr.circles import random_laurent_symbol, symbol_twist, twist_circle
     from fredcorr.subspaces import rank
@@ -373,6 +386,88 @@ def test_commutator_rank_matches_dense_commutator():
             b = tp.operator.base_square()
             p = s.sharp.projector()
             assert commutator_rank(b, s) == rank(p @ b - b @ p)
+            # a perturbed splitting has no mask and keeps the frame route
+            assert tp.base.splitting._sharp_mask is None
+            assert np.array_equal(off_diagonal_singular_values(s, b, s),
+                                  _frame_route(s, b))
+
+
+@pytest.mark.parametrize("channels", [1, 2, 3])
+@pytest.mark.parametrize("convention", [SHARP_NONNEG, SHARP_NEGATIVE])
+def test_coordinate_blocks_equal_the_frame_products(channels, convention):
+    from fredcorr.circles import random_laurent_symbol
+    rng = np.random.default_rng(40 + channels)
+    for m in (4, 8, 24, 48):
+        w = ModeWindow(m, channels)
+        split = splitting_for_window(w, convention)
+        assert split._sharp_mask is not None
+        if channels == 1:
+            # random scalar draws are monomials; this one has three planes
+            coeffs = 0.3 * (rng.standard_normal(3)
+                            + 1j * rng.standard_normal(3))
+            coeffs[1] = 2.0
+            sym = LaurentSymbol.scalar(coeffs, d_min=-1)
+        else:
+            sym = random_laurent_symbol(rng, channels=channels, degree=2)
+        band = multiplication_operator(sym, w).base_square()
+        dense = rng.standard_normal((w.dim, w.dim)) \
+            + 1j * rng.standard_normal((w.dim, w.dim))
+        # exactly-zero entries, rows and columns beside the band's zeros
+        dense[rng.random(dense.shape) < 0.3] = 0.0
+        dense[:, 1] = 0.0
+        dense[w.dim - 2, :] = 0.0
+        for b in (band, dense):
+            got = off_diagonal_singular_values(split, b, split)
+            assert got.size
+            assert np.array_equal(got, _frame_route(split, b))
+
+
+def test_band_certificate_comes_from_provenance():
+    from fredcorr.circles import (band_certificate, certified_ratio,
+                                  random_laurent_symbol, symbol_twist,
+                                  twist_circle)
+    circle = twist_circle(8, channels=2)
+    sym = random_laurent_symbol(np.random.default_rng(11), channels=2,
+                                degree=2)
+    op = multiplication_operator(sym, circle.window)
+    assert band_certificate(sym, op) == certified_ratio(sym) > 0
+    # the same matrix, built by hand: nothing recorded, nothing certified
+    hand = WindowedOperator(domain_window=op.domain_window,
+                            range_window=op.range_window,
+                            base_window=op.base_window, matrix=op.matrix)
+    assert np.array_equal(hand.matrix, op.matrix)
+    assert band_certificate(sym, hand) == 0.0
+    # an equal symbol that is not the recorded one is not certified either
+    twin = LaurentSymbol(coeffs=sym.coeffs, d_min=sym.d_min)
+    assert band_certificate(twin, op) == 0.0
+    assert band_certificate(None, op) == 0.0
+    t = symbol_twist(sym, circle)
+    assert t._injectivity_ratio == certified_ratio(sym)
+    by_hand = Twist(base=circle.space(), operator=hand, symbol=sym,
+                    budget=t.budget)
+    s = np.linalg.svd(op.matrix, compute_uv=False)
+    assert by_hand._injectivity_ratio == pytest.approx(s[-1] / s[0])
+    assert tilde_ind(by_hand) == tilde_ind(t)
+    turned = perturb_splitting(t.base.splitting, 1, seed=3)
+    assert t.with_base_splitting(turned)._injectivity_ratio \
+        == t._injectivity_ratio
+
+
+def test_symbol_twist_builds_one_band_matrix(monkeypatch):
+    from fredcorr import circles
+    calls = []
+    real = circles.symbol_band_matrix
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(circles, "symbol_band_matrix", spy)
+    sym = circles.random_laurent_symbol(np.random.default_rng(2), channels=2,
+                                        degree=2)
+    t = circles.symbol_twist(sym, circles.twist_circle(8, channels=2))
+    assert len(calls) == 1
+    assert t._injectivity_ratio == circles.certified_ratio(sym)
 
 
 def test_twist_graph_clips_leaking_mode():
