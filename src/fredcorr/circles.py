@@ -294,14 +294,17 @@ class LaurentCircle:
         return tuple(zip(modes, channels.tolist()))
 
     def space(self):
-        w = self.window
-        return ModelSpace(
-            dim=w.dim,
-            basis_labels=self.labels(),
-            splitting=splitting_for_window(w, self.convention),
-            window=w,
-            convention=self.convention,
-        )
+        """The model space, built on the first call and then shared."""
+        if "_space" not in self.__dict__:
+            w = self.window
+            object.__setattr__(self, "_space", ModelSpace(
+                dim=w.dim,
+                basis_labels=self.labels(),
+                splitting=splitting_for_window(w, self.convention),
+                window=w,
+                convention=self.convention,
+            ))
+        return self._space
 
 
 def chain_circle(half_width, radius=1.0, channels=1):

@@ -322,7 +322,11 @@ def _graph_from_params(params, window, seed):
                          "and a target")
     m = _window(params, window, 8)
     circle = twist_circle(m)
-    vertices = tuple(params.get("vertices")
+    listed = params.get("vertices")
+    if listed is not None and not (isinstance(listed, list) and all(
+            isinstance(v, str) for v in listed)):
+        raise UsageError(f"vertices must be a list of strings, got {listed!r}")
+    vertices = tuple(listed
                      or sorted({str(e["source"]) for e in params["edges"]}
                                | {str(e["target"]) for e in params["edges"]}))
     edges = {}
@@ -334,6 +338,8 @@ def _graph_from_params(params, window, seed):
                 raise UsageError("graph edge twists must be scalar symbols")
             tw = symbol_twist(sym, circle)
         eid = str(spec.get("id", f"e{i}"))
+        if eid in edges:
+            raise UsageError(f"edge id {eid!r} is repeated")
         edges[eid] = GraphEdge(str(spec["source"]), str(spec["target"]),
                                circle.space(), twist=tw)
     data = {v: TwistChain(factors=()) for v in vertices}

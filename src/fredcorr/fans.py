@@ -24,10 +24,11 @@ from .subspaces import (
     restricted_projection_index,
 )
 from .windows import (
+    ModeWindow,
     WindowedOperator,
+    lift_frame,
     mode_span,
     pad_by_predicate,
-    window_rows_mask,
 )
 
 __all__ = [
@@ -107,15 +108,17 @@ def partition_parts(window, cuts):
 class TwistChain:
     """Composable twist: an ordered tuple of factors, first acting first.
 
-    A factor is ("sym", LaurentSymbol) or ("interior", square matrix on
-    the base window whose difference from the identity is supported away
-    from the window edge).  Keeping the factors instead of a fixed
+    A factor is ("sym", LaurentSymbol), ("slot", (channel, scalar
+    symbol)) acting on one channel only, or ("interior", square matrix
+    on the base window whose difference from the identity is supported
+    away from the window edge).  Keeping the factors instead of a fixed
     matrix lets the chain be realized at full margin after further
     composition; a fixed matrix could not grow its own domain.
 
     :meth:`apply` pushes a frame through the factors one at a time and
-    never forms the chain matrix: a symbol factor is shift-and-add over
-    its coefficient planes, an interior factor one block update.
+    never forms the chain matrix: a symbol or slot factor is
+    shift-and-add over its coefficient planes, an interior factor one
+    block update on its support (found once, kept by :meth:`then`).
     :meth:`realize` is :meth:`apply` on the identity frame, and
     :meth:`certified_ratio` bounds the conditioning of the composite
     from its factors, so a caller can count the window intersection of
@@ -126,20 +129,33 @@ class TwistChain:
 
     def __post_init__(self):
         for kind, _ in self.factors:
-            if kind not in ("sym", "interior"):
+            if kind not in ("sym", "slot", "interior"):
                 raise InvalidInput(f"unknown twist factor kind {kind!r}")
+        object.__setattr__(self, "_supports", [None] * len(self.factors))
 
     @property
     def margin(self):
-        return sum(f.degree for kind, f in self.factors if kind == "sym")
+        return sum(_symbol_of(kind, data).degree
+                   for kind, data in self.factors if kind != "interior")
 
-    def then(self, factor):
-        return TwistChain(factors=self.factors + (factor,))
+    def then(self, *factors):
+        """The chain followed by ``factors``, keeping found supports."""
+        chain = TwistChain(factors=self.factors + factors)
+        for i, (kind, _) in enumerate(self.factors):
+            if kind == "interior":
+                chain._supports[i] = self._support(i)
+        return chain
+
+    def _support(self, i):
+        """(support S, block on S) of interior factor ``i``."""
+        if self._supports[i] is None:
+            self._supports[i] = _interior_support(self.factors[i][1])
+        return self._supports[i]
 
     def apply(self, window, frame):
         """(range window, image) of a frame over ``window.pad(margin)``.
 
-        Each symbol factor widens the current window by its own degree,
+        Each symbol or slot factor widens the window by its own degree,
         so nothing is truncated until the final crop by the caller; an
         interior factor acts on the coordinates of the base window.
         """
@@ -147,20 +163,37 @@ class TwistChain:
         out = np.array(frame, dtype=np.complex128)
         if out.shape[0] != cur.dim:
             raise DimensionMismatch("frame does not match the padded window")
-        for kind, data in self.factors:
+        for i, (kind, data) in enumerate(self.factors):
             if kind == "interior":
                 if data.shape != (window.dim, window.dim):
                     raise DimensionMismatch(
                         "interior factor is not square on the base window")
-                pos = window_rows_mask(cur, window)
-                out[pos] = data @ out[pos]
-            else:
-                if data.channels != cur.channels:
+                idx, block = self._support(i)
+                # base coordinate c * per + r sits at row c * per' + r + shift
+                shift = cur.half_width - window.half_width
+                rows = idx + 2 * shift * (idx // window.modes_per_channel) \
+                    + shift
+                out[rows] = block @ out[rows]
+                continue
+            sym = _symbol_of(kind, data)
+            nxt = cur.pad(sym.degree)
+            if kind == "sym":
+                if sym.channels != cur.channels:
                     raise DimensionMismatch(
                         "symbol channels do not match the windows")
-                nxt = cur.pad(data.degree)
-                out = _band_apply(data, cur, nxt, out)
-                cur = nxt
+                out = _band_apply(sym, cur, nxt, out)
+            else:
+                ch = data[0]
+                if sym.channels != 1 or not 0 <= ch < cur.channels:
+                    raise DimensionMismatch(
+                        "slot factor does not act on one channel")
+                per, per_nxt = cur.modes_per_channel, nxt.modes_per_channel
+                src = out[ch * per:(ch + 1) * per]
+                out = lift_frame(out, cur, nxt)
+                out[ch * per_nxt:(ch + 1) * per_nxt] = _band_apply(
+                    sym, ModeWindow(cur.half_width),
+                    ModeWindow(nxt.half_width), src)
+            cur = nxt
         return cur, out
 
     def realize(self, window):
@@ -176,23 +209,35 @@ class TwistChain:
         matrix: the product of the factor ratios, which bounds the
         composite because every factor is a tall injective map.
 
-        A symbol factor contributes ``circles.certified_ratio``.  An
-        interior factor is the identity outside the coordinates S where
-        it differs from it, so its singular values are those of its block
-        on S together with 1 whenever S is not the whole padded window.
+        A symbol factor contributes ``circles.certified_ratio``.  A slot
+        factor with symbol a is block diagonal, isometries beside a's band
+        matrix, so it gives min(1, lo) / max(1, S) where S = sum_p |a_p|
+        and lo = ``certified_ratio(a)`` * S.  An interior factor is the
+        identity outside its support S, so its singular values are its
+        block's together with 1 whenever S is not the whole window.
         """
         from .circles import certified_ratio
         ratio = 1.0
         cur = window.pad(self.margin)
-        for kind, data in self.factors:
-            if kind == "sym":
-                ratio *= certified_ratio(data)
-                cur = cur.pad(data.degree)
+        for i, (kind, data) in enumerate(self.factors):
+            if kind == "interior":
+                ratio *= _interior_ratio(*self._support(i), cur.dim)
             else:
-                ratio *= _interior_ratio(data, cur.dim)
+                sym = _symbol_of(kind, data)
+                sym_ratio = certified_ratio(sym)
+                if kind == "slot":
+                    scale = float(
+                        np.linalg.norm(sym.coeffs, axis=(1, 2)).sum())
+                    sym_ratio = min(1.0, sym_ratio * scale) / max(1.0, scale)
+                ratio *= sym_ratio
+                cur = cur.pad(sym.degree)
             if not ratio:
                 return 0.0
         return ratio
+
+
+def _symbol_of(kind, data):
+    return data[1] if kind == "slot" else data
 
 
 def _band_apply(sym, from_window, to_window, frame):
@@ -214,16 +259,23 @@ def _band_apply(sym, from_window, to_window, frame):
     return out.reshape(to_window.dim, k)
 
 
-def _interior_ratio(data, dim):
-    """sigma_min / sigma_max of an interior factor embedded as the
-    identity into a window of dimension ``dim``."""
+def _interior_support(data):
+    """The coordinates S where an interior factor differs from the
+    identity, and its block on S; its rows and columns through S vanish
+    off the block."""
     diff = data != np.eye(data.shape[0])
-    s_idx = np.flatnonzero(diff.any(axis=0) | diff.any(axis=1))
-    if not s_idx.size:
+    idx = np.flatnonzero(diff.any(axis=0) | diff.any(axis=1))
+    return idx, data[np.ix_(idx, idx)]
+
+
+def _interior_ratio(idx, block, dim):
+    """sigma_min / sigma_max of an interior factor, given by its support
+    and block, embedded into a window of dimension ``dim``."""
+    if not idx.size:
         return 1.0
-    s = np.linalg.svd(data[np.ix_(s_idx, s_idx)], compute_uv=False)
+    s = np.linalg.svd(block, compute_uv=False)
     lo, hi = s[-1], s[0]
-    if s_idx.size < dim:
+    if idx.size < dim:
         lo, hi = min(lo, 1.0), max(hi, 1.0)
     return float(lo / hi) if hi > 0.0 else 0.0
 
@@ -424,7 +476,7 @@ def twist_fan(f, edge_twists):
             new_chain = chain
         else:
             new_chain = extra if chain is None else \
-                TwistChain(factors=chain.factors + extra.factors)
+                chain.then(*extra.factors)
         if new_chain is None:
             new_members.append(part.base())
         else:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInput, DimensionMismatch, SelfLoopUnsupported
-from .fans import TwistChain, check_fan_parts
+from .fans import TwistChain
 from .morphisms import tilde_ind, twist_graph
 from .subspaces import Subspace, current_tolerance, direct_sum, pair_index, rank
 from .windows import ModeWindow, restricted_image, window_rows_mask
@@ -173,7 +173,7 @@ def _pushed_assembly(g, v, extra_factors):
     """The padded incoming assembly pushed through the vertex recipe
     followed by the extra factors: (chain, base window, image, mask of
     the image rows inside the base window)."""
-    chain = TwistChain(factors=g.vertex_data[v].factors + tuple(extra_factors))
+    chain = g.vertex_data[v].then(*extra_factors)
     window = _vertex_window(g, v)
     frame = _assembly(g, v, "in", margin=chain.margin).frame
     cur, image = chain.apply(window, frame)
@@ -251,40 +251,10 @@ def global_index_additive(g):
             + sum(edge_index(g, e) for e in g.edges))
 
 
-def _embedded_scalar_symbol(sym, channel, n_channels):
-    """Diagonal multichannel symbol acting as ``sym`` on one channel."""
-    from .circles import LaurentSymbol
-    lo = min(sym.d_min, 0)
-    hi = max(sym.d_max, 0)
-    coeffs = np.zeros((hi - lo + 1, n_channels, n_channels), dtype=np.complex128)
-    for c in range(n_channels):
-        if c != channel:
-            coeffs[-lo, c, c] = 1.0
-    coeffs[sym.d_min - lo: sym.d_max - lo + 1, channel, channel] = \
-        sym.coeffs[:, 0, 0]
-    return LaurentSymbol(coeffs=coeffs, d_min=lo)
-
-
-def _big_rows(g, v):
-    """Row indices of the vertex boundary slots inside the edge direct sum."""
-    order = sorted(g.edges)
-    per = 2 * g.half_width + 1
-    offset = {eid: i * per for i, eid in enumerate(order)}
-    rows = []
-    for eid, _ in boundary_slots(g, v):
-        rows.extend(range(offset[eid], offset[eid] + per))
-    return np.asarray(rows, dtype=int)
-
-
-def _embed(frame, rows, total):
-    out = np.zeros((total, frame.shape[1]), dtype=np.complex128)
-    out[rows, :] = frame
-    return Subspace._trusted(out)
-
-
 def _fan_extras(g, v):
-    """The twists of the incoming edges of ``v`` as chain factors, each
-    embedded on its own slot of the vertex's boundary space."""
+    """The twists of the incoming edges of ``v`` as slot factors, each
+    acting by the edge's own symbol on its slot of the vertex's boundary
+    space."""
     slots = boundary_slots(g, v)
     twisted = [(c, g.edges[eid].twist) for c, (eid, role) in enumerate(slots)
                if role == "in" and g.edges[eid].twist is not None]
@@ -296,7 +266,7 @@ def _fan_extras(g, v):
     for c, t in twisted:
         if t.symbol is None:
             raise InvalidInput("edge twist carries no symbol")
-        extras.append(("sym", _embedded_scalar_symbol(t.symbol, c, len(slots))))
+        extras.append(("slot", (c, t.symbol)))
     return tuple(extras)
 
 
@@ -307,10 +277,13 @@ def global_index_fan(g):
 
     The index is formula 1 of ``fan_index``, the sum of the member
     dimensions minus the ambient dimension, so each member is counted
-    by :func:`_member_dim` and never built; only the parts are embedded,
-    for the ``check_fan_parts`` refusals.  Twisted members need recipe
-    vertex data; a twist composed after the crop would clip the boundary
-    modes that carry its winding.
+    by :func:`_member_dim` and never built.  The parts need no
+    ``check_fan_parts`` pass: they are the sharp half of each edge at
+    its source and the flat half at its target, so their dimensions fill
+    each edge block, and every ``Splitting`` keeps its halves orthogonal
+    to ``PROJECTOR_ATOL``.  Twisted members need recipe vertex data; a
+    twist composed after the crop would clip the boundary modes that
+    carry its winding.
     """
     for eid, e in g.edges.items():
         if e.source == e.target:
@@ -320,13 +293,8 @@ def global_index_fan(g):
     if not g.edges:
         return 0
     total = (2 * g.half_width + 1) * len(g.edges)
-    parts = []
-    dims = 0
-    for v in g.vertices:
-        parts.append(_embed(incoming_assembly(g, v).frame, _big_rows(g, v), total))
-        dims += _member_dim(g, v, _fan_extras(g, v))
-    check_fan_parts(parts, total)
-    return dims - total
+    return sum(_member_dim(g, v, _fan_extras(g, v))
+               for v in g.vertices) - total
 
 
 def global_index_selfglue(l, phi):
@@ -499,6 +467,8 @@ def _permute_recipe(chain, perm, per):
     for kind, payload in chain.factors:
         if kind == "interior":
             factors.append((kind, p @ payload @ p.T))
+        elif kind == "slot":
+            factors.append((kind, (perm.index(payload[0]), payload[1])))
         else:
             coeffs = payload.coeffs[:, perm, :][:, :, perm]
             factors.append((kind, type(payload)(coeffs=coeffs,

@@ -124,10 +124,12 @@ def pad_by_predicate(sub, window, margin, predicate):
     ``mv_pairing`` and ``fans.PredicatePart.padded`` all call it.  An arbitrary subspace has no canonical
     enlargement, so callers keep the base they padded themselves."""
     padded_window = window.pad(margin)
-    labels = padded_window.mode_labels()
-    extra = [i for i in range(padded_window.dim)
-             if abs(int(labels[i])) > window.half_width
-             and predicate(int(labels[i]))]
+    h, per = window.half_width, padded_window.modes_per_channel
+    # the predicate sees only the mode number: test each margin mode once
+    margin_modes = [*range(-h - margin, -h), *range(h + 1, h + margin + 1)]
+    rows = [n + h + margin for n in margin_modes if predicate(n)]
+    extra = (per * np.arange(window.channels)[:, None]
+             + np.array(rows, dtype=int)).ravel()
     frame = np.zeros((padded_window.dim, sub.dim + len(extra)),
                      dtype=np.complex128)
     frame[:, :sub.dim] = lift_frame(sub.frame, window, padded_window)

@@ -5,7 +5,7 @@ matrix, and the counted graph member against the built one."""
 import numpy as np
 import pytest
 
-from fredcorr import graphs
+from fredcorr import fans, graphs
 from fredcorr.circles import LaurentSymbol, random_laurent_symbol, symbol_band_matrix
 from fredcorr.errors import DimensionMismatch
 from fredcorr.fans import TwistChain, finite_rank_twist
@@ -19,9 +19,24 @@ from fredcorr.subspaces import Subspace, current_tolerance
 from fredcorr.windows import ModeWindow, WindowedOperator
 
 
+def embedded_scalar_symbol(sym, channel, n_channels):
+    """Diagonal multichannel symbol diag(1, ..., sym, ..., 1) acting as
+    ``sym`` on one channel: the reference for a slot factor."""
+    lo = min(sym.d_min, 0)
+    hi = max(sym.d_max, 0)
+    coeffs = np.zeros((hi - lo + 1, n_channels, n_channels), dtype=np.complex128)
+    for c in range(n_channels):
+        if c != channel:
+            coeffs[-lo, c, c] = 1.0
+    coeffs[sym.d_min - lo: sym.d_max - lo + 1, channel, channel] = \
+        sym.coeffs[:, 0, 0]
+    return LaurentSymbol(coeffs=coeffs, d_min=lo)
+
+
 def dense_realize(chain, window):
     """Reference chain matrix: every factor embedded as a dense matrix
-    over the current window and multiplied into the identity."""
+    over the current window and multiplied into the identity; a slot
+    factor as the band matrix of its embedded diagonal symbol."""
     cur = window.pad(chain.margin)
     mat = np.eye(cur.dim, dtype=np.complex128)
     for kind, data in chain.factors:
@@ -32,6 +47,8 @@ def dense_realize(chain, window):
             big[np.ix_(pos, pos)] = data
             mat = big @ mat
         else:
+            if kind == "slot":
+                data = embedded_scalar_symbol(data[1], data[0], cur.channels)
             nxt = cur.pad(data.degree)
             mat = symbol_band_matrix(data, cur, nxt) @ mat
             cur = nxt
@@ -69,7 +86,7 @@ def fan_chains(g):
         yield window, data
         extras = graphs._fan_extras(g, v)
         if extras:
-            yield window, TwistChain(factors=data.factors + extras)
+            yield window, data.then(*extras)
 
 
 @pytest.mark.parametrize("channels", [1, 2, 3])
@@ -94,9 +111,9 @@ def test_apply_matches_dense_product(channels, order):
 
 
 def test_apply_matches_dense_product_on_fan_members():
-    # the recipes followed by the embedded edge symbols of the fan route
+    # the recipes followed by the edge slot factors of the fan route
     with_extras = 0
-    for seed in range(10):
+    for seed in range(20):
         g = random_graph(np.random.default_rng(seed))
         for window, chain in fan_chains(g):
             frame = np.eye(window.pad(chain.margin).dim)[:, ::3]
@@ -154,13 +171,168 @@ def test_certified_ratio_counts_the_identity_and_multiplies():
     assert true_ratio(twice, window) == pytest.approx(1 / 9)
 
 
+SLOT_SYMBOLS = [
+    LaurentSymbol.scalar([2.0, 0.5 - 0.3j], -1),
+    LaurentSymbol.scalar([0.3, 1.0, 0.2j], 0),
+    LaurentSymbol.scalar([0.4j], 2),
+    LaurentSymbol.scalar([1.0], 0),
+]
+
+
+@pytest.mark.parametrize("channels", [1, 2, 3])
+@pytest.mark.parametrize("sym", SLOT_SYMBOLS)
+def test_slot_factor_matches_the_embedded_symbol(channels, sym):
+    rng = np.random.default_rng(channels)
+    window = ModeWindow(5, channels)
+    for ch in range(channels):
+        chain = TwistChain(factors=(interior_factor(rng, window),
+                                    ("slot", (ch, sym))))
+        chain = chain.then(("slot", (channels - 1 - ch, sym)))
+        ref = dense_realize(chain, window)
+        frame = rng.standard_normal((ref.domain_window.dim, 5)) \
+            + 1j * rng.standard_normal((ref.domain_window.dim, 5))
+        cur, image = chain.apply(window, frame)
+        assert cur == ref.range_window
+        np.testing.assert_allclose(image, ref.matrix @ frame, rtol=0, atol=1e-12)
+        got = chain.certified_ratio(window)
+        assert 0.0 < got <= true_ratio(chain, window) * (1 + 1e-12)
+
+
+def test_slot_factor_refuses_a_wrong_channel_or_symbol():
+    window = ModeWindow(4, channels=2)
+    for factor in (("slot", (2, LaurentSymbol.monomial(1))),
+                   ("slot", (-1, LaurentSymbol.monomial(1))),
+                   ("slot", (0, LaurentSymbol.monomial(1, channels=2)))):
+        chain = TwistChain(factors=(factor,))
+        with pytest.raises(DimensionMismatch):
+            chain.apply(window, np.eye(window.pad(1).dim))
+
+
+def test_permuted_recipe_moves_the_slot_with_its_channel():
+    rng = np.random.default_rng(11)
+    window = ModeWindow(4, channels=3)
+    chain = TwistChain(factors=(
+        interior_factor(rng, window),
+        ("sym", random_laurent_symbol(rng, channels=3, degree=1)),
+        ("slot", (0, SLOT_SYMBOLS[0]))))
+    perm = [2, 0, 1]
+    moved = graphs._permute_recipe(chain, perm, window.modes_per_channel)
+    assert moved.factors[2][0] == "slot"
+    assert moved.factors[2][1][0] == perm.index(0)
+
+    def permute(frame, w):
+        per = w.modes_per_channel
+        return np.vstack([frame[old * per:(old + 1) * per] for old in perm])
+
+    domain = window.pad(chain.margin)
+    frame = rng.standard_normal((domain.dim, 4)) \
+        + 1j * rng.standard_normal((domain.dim, 4))
+    cur, image = chain.apply(window, frame)
+    _, moved_image = moved.apply(window, permute(frame, domain))
+    np.testing.assert_allclose(moved_image, permute(image, cur),
+                               rtol=0, atol=1e-12)
+
+
+def dense_unitary(rng, n):
+    q, _ = np.linalg.qr(rng.standard_normal((n, n))
+                        + 1j * rng.standard_normal((n, n)))
+    return q
+
+
+def edge_factor(rng, window):
+    """Interior factor whose support holds the window's edge modes."""
+    m = np.eye(window.dim, dtype=np.complex128)
+    for c in range(window.channels):
+        i = window.index_of(c, -window.half_width)
+        j = window.index_of(c, window.half_width)
+        m[np.ix_([i, j], [i, j])] = dense_unitary(rng, 2) * 1.5
+    return m
+
+
+@pytest.mark.parametrize("channels", [1, 2])
+@pytest.mark.parametrize("support", ["empty", "full", "edge"])
+def test_interior_factor_by_its_support(channels, support):
+    rng = np.random.default_rng(7)
+    window = ModeWindow(4, channels)
+    m = {"empty": lambda: np.eye(window.dim, dtype=np.complex128),
+         "full": lambda: dense_unitary(rng, window.dim),
+         "edge": lambda: edge_factor(rng, window)}[support]()
+    idx, block = fans._interior_support(m)
+    assert idx.size == {"empty": 0, "full": window.dim,
+                        "edge": 2 * channels}[support]
+    np.testing.assert_array_equal(block, m[np.ix_(idx, idx)])
+    shift = ("sym", LaurentSymbol.monomial(-1, channels=channels))
+    for factors in ((("interior", m),),
+                    (shift, ("interior", m), ("slot", (0, SLOT_SYMBOLS[0])))):
+        chain = TwistChain(factors=factors)
+        ref = dense_realize(chain, window)
+        frame = rng.standard_normal((ref.domain_window.dim, 3)) \
+            + 1j * rng.standard_normal((ref.domain_window.dim, 3))
+        _, image = chain.apply(window, frame)
+        np.testing.assert_allclose(image, ref.matrix @ frame, rtol=0, atol=1e-12)
+        got = chain.certified_ratio(window)
+        assert 0.0 < got <= true_ratio(chain, window) * (1 + 1e-12)
+    if support == "empty":
+        assert TwistChain(factors=(("interior", m),)).certified_ratio(window) \
+            == 1.0
+
+
+def test_then_carries_the_supports_over():
+    rng = np.random.default_rng(3)
+    window = ModeWindow(5, 2)
+    chain = TwistChain(factors=(interior_factor(rng, window),
+                                ("sym", LaurentSymbol.monomial(1, channels=2)),
+                                interior_factor(rng, window)))
+    longer = chain.then(("slot", (1, SLOT_SYMBOLS[1])),
+                        interior_factor(rng, window))
+    for i in (0, 2):
+        assert longer._support(i) is chain._support(i)
+    assert longer._supports[4] is None
+
+
+def count_support_scans(monkeypatch):
+    real = fans._interior_support
+    calls = []
+
+    def spy(data):
+        calls.append(data.shape)
+        return real(data)
+
+    monkeypatch.setattr(fans, "_interior_support", spy)
+    return calls
+
+
+def interior_count(g):
+    return sum(kind == "interior" for v in g.vertices
+               for kind, _ in g.vertex_data[v].factors)
+
+
+@pytest.mark.parametrize("first, second", [
+    (graphs.global_index_additive, graphs.global_index_fan),
+    (graphs.global_index_fan, graphs.global_index_additive),
+])
+def test_supports_are_found_once_per_recipe(monkeypatch, first, second):
+    calls = count_support_scans(monkeypatch)
+    found = 0
+    for seed in range(10):
+        g = random_graph(np.random.default_rng(seed))
+        n = interior_count(g)
+        found += n
+        calls.clear()
+        first(g)
+        assert len(calls) == n
+        second(g)
+        assert len(calls) == n
+    assert found
+
+
 def built_member(g, v, extras=()):
     """The member by the dense chain matrix and the window intersection
     of the padded incoming assembly."""
     data = g.vertex_data[v]
     if isinstance(data, Subspace):
         return data
-    chain = TwistChain(factors=data.factors + tuple(extras))
+    chain = data.then(*extras)
     op = dense_realize(chain, graphs._vertex_window(g, v))
     return op.apply_within_window(graphs._assembly(g, v, "in", margin=chain.margin))
 

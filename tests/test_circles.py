@@ -525,3 +525,14 @@ def test_winding_matches_phase_scan_reference():
         total, max_step = _phase_scan_by_loop(s.det_on_grid(1024))
         assert max_step <= np.pi / 2
         assert winding_number(s) == round(total / (2 * np.pi))
+
+
+def test_circle_space_is_built_once():
+    circle = LaurentCircle(6, channels=2)
+    first = circle.space()
+    assert circle.space() is first
+    fresh = LaurentCircle(6, channels=2).space()
+    assert fresh is not first
+    assert fresh.basis_labels == first.basis_labels
+    np.testing.assert_array_equal(fresh.splitting.sharp.frame,
+                                  first.splitting.sharp.frame)

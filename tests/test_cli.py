@@ -76,12 +76,33 @@ def test_unknown_kind_and_version(tmp_path, capsys):
     {"kind": "chain", "twist_powers": 3},
     {"kind": "torus", "q": "a"},
     {"kind": "graph", "edges": [{"source": "a"}]},
+    {"kind": "graph", "vertices": [["a"], "b"],
+     "edges": [{"source": "a", "target": "b"}]},
+    {"kind": "graph", "vertices": "ab",
+     "edges": [{"source": "a", "target": "b"}]},
     {"kind": "pair", "seed": -1},
 ])
 def test_bad_parameter_is_usage_error(tmp_path, capsys, scenario):
     path = write_scenario(tmp_path, "bad.json", {"version": 1, **scenario})
     assert cli.main(["index", path]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("edges", [
+    [{"source": "a", "target": "b", "id": "x", "twist": {"power": 2}},
+     {"source": "b", "target": "a", "id": "x"}],
+    # a default id e<i> colliding with an explicit one
+    [{"source": "a", "target": "b", "id": "e1"},
+     {"source": "b", "target": "a"}],
+])
+def test_repeated_graph_edge_id_is_refused(tmp_path, capsys, edges):
+    path = write_scenario(tmp_path, "dup.json",
+                          {"version": 1, "kind": "graph", "edges": edges})
+    assert cli.main(["index", path]) == 2
+    out, err = capsys.readouterr()
+    assert not out
+    assert err.startswith("error: ") and "repeated" in err
+    assert repr(edges[0]["id"]) in err
 
 
 NAN, INF = float("nan"), float("inf")

@@ -12,7 +12,7 @@ from fredcorr.circles import (
     winding_number,
 )
 from fredcorr.errors import DimensionMismatch, InvalidInput, SelfLoopUnsupported
-from fredcorr.fans import TwistChain
+from fredcorr.fans import TwistChain, check_fan_parts
 from fredcorr.graphs import (
     DecompositionGraph,
     GraphEdge,
@@ -349,3 +349,56 @@ def test_vertex_index_matches_pair_index_audit():
         for v in g.vertices:
             rep = pair_index(vertex_subspace(g, v), outgoing_assembly(g, v))
             assert vertex_index(g, v) == rep.index
+
+
+# global_index_fan of random_graph(default_rng(seed)) for seeds 0-29, as
+# decided when the route still embedded its parts and checked them
+RANDOM_FAN_INDICES = [-1, 3, -1, -3, 0, -4, -1, -6, -1, -7, -2, -3, 2, 4, -3,
+                      4, 5, -4, 4, 0, 3, -1, 0, 5, -1, 1, -3, -1, -10, 0]
+
+
+def embedded_incoming_assemblies(g):
+    """The parts of the graph's fan: each vertex's incoming assembly
+    embedded into the edge direct sum, edge blocks in sorted id order."""
+    order = sorted(g.edges)
+    per = 2 * g.half_width + 1
+    total = per * len(order)
+    parts = []
+    for v in g.vertices:
+        rows = [order.index(eid) * per + r
+                for eid, _ in boundary_slots(g, v) for r in range(per)]
+        frame = incoming_assembly(g, v).frame
+        big = np.zeros((total, frame.shape[1]), dtype=np.complex128)
+        big[rows] = frame
+        parts.append(Subspace(big))
+    return parts, total
+
+
+def assert_fan_parts_pass_the_check(g, expected):
+    parts, total = embedded_incoming_assemblies(g)
+    check_fan_parts(parts, total)
+    assert global_index_fan(g) == expected == global_index_additive(g)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_fan_parts_of_random_graphs_pass_the_check(seed):
+    g = random_graph(np.random.default_rng(seed))
+    assert_fan_parts_pass_the_check(g, RANDOM_FAN_INDICES[seed])
+
+
+@pytest.mark.parametrize("k", [-2, 0, 1, 2])
+def test_fan_parts_of_sphere_paths_pass_the_check(k):
+    twist = LaurentSymbol.monomial(k) if k else None
+    assert_fan_parts_pass_the_check(sphere_path_graph(8, twist=twist), 1 + k)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_fan_parts_of_perturbed_splittings_pass_the_check(seed):
+    # recipes materialize under perturbation, so the edges carry no twist
+    g = random_graph(np.random.default_rng(500 + seed), twist_probability=0.0)
+    if seed == 0:
+        g = sphere_path_graph(8)
+    p = perturb_edge_splittings(g, rank=2, seed=seed)
+    assert any(e.space.splitting._sharp_mask is None
+               for e in p.edges.values())
+    assert_fan_parts_pass_the_check(p, global_index_fan(g))

@@ -149,3 +149,41 @@ def test_padded_subspace_validation():
         assert not padded.contains(np.eye(pad_w.dim)[pad_w.index_of(c, 3)])
     Subspace(padded.frame)
     assert pad_by_predicate(sub, base_w, 0, lambda n: True).dim == 3
+
+
+def padded_by_loop(sub, window, margin, predicate):
+    """Reference padded companion: every coordinate of the padded window
+    tested one at a time."""
+    padded_window = window.pad(margin)
+    labels = padded_window.mode_labels()
+    extra = [i for i in range(padded_window.dim)
+             if abs(int(labels[i])) > window.half_width
+             and predicate(int(labels[i]))]
+    frame = np.zeros((padded_window.dim, sub.dim + len(extra)),
+                     dtype=np.complex128)
+    frame[:, :sub.dim] = lift_frame(sub.frame, window, padded_window)
+    frame[extra, sub.dim + np.arange(len(extra))] = 1.0
+    return frame
+
+
+@pytest.mark.parametrize("channels", [1, 2, 3])
+@pytest.mark.parametrize("half_width, margin", [(0, 2), (2, 0), (2, 1), (3, 4)])
+@pytest.mark.parametrize("predicate", [lambda n: n < 0, lambda n: n >= 0,
+                                       lambda n: n % 2 == 0, lambda n: False])
+def test_pad_by_predicate_tests_only_the_margin(channels, half_width, margin,
+                                                predicate):
+    window = ModeWindow(half_width, channels)
+    rng = np.random.default_rng(half_width + margin)
+    sub = Subspace.from_span(rng.standard_normal((window.dim, 2)))
+    seen = []
+
+    def spy(n):
+        seen.append(n)
+        return predicate(n)
+
+    padded = pad_by_predicate(sub, window, margin, spy)
+    np.testing.assert_array_equal(
+        padded.frame, padded_by_loop(sub, window, margin, predicate))
+    assert sorted(seen) == [n for n in range(-half_width - margin,
+                                             half_width + margin + 1)
+                            if abs(n) > half_width]
