@@ -33,7 +33,7 @@ from .subspaces import (
     subspace_sum,
     subspaces_equal,
 )
-from .windows import ModeWindow, WindowedOperator, mode_interval, mode_span
+from .windows import ModeWindow, WindowedOperator, mode_span
 from .spaces import (
     SHARP_NEGATIVE,
     SHARP_NONNEG,

@@ -43,7 +43,6 @@ __all__ = [
     "winding_number",
     "disk_correspondence",
     "annulus_correspondence",
-    "annulus_transfer_factors",
     "twisted_cap",
     "build_sphere_chain",
     "build_torus",
@@ -147,35 +146,6 @@ class LaurentSymbol:
         """Scalar symbol from a coefficient list for powers d_min..."""
         c = np.asarray(coefficients, dtype=np.complex128).reshape(-1, 1, 1)
         return cls(coeffs=c, d_min=d_min)
-
-    @classmethod
-    def from_entries(cls, entries):
-        """Matrix symbol from per-entry (offset, coefficient list) pairs.
-
-        ``entries[i][j]`` describes the (i, j) matrix element.
-        """
-        n = len(entries)
-        if any(len(row) != n for row in entries):
-            raise InvalidInput("entry table must be square")
-        los, his = [], []
-        for row in entries:
-            for off, coeffs in row:
-                if len(coeffs) == 0:
-                    continue
-                los.append(off)
-                his.append(off + len(coeffs) - 1)
-        if not los:
-            raise SymbolSingular("symbol is identically zero")
-        lo, hi = min(los), max(his)
-        c = np.zeros((hi - lo + 1, n, n), dtype=np.complex128)
-        for i, row in enumerate(entries):
-            for j, (off, coeffs) in enumerate(row):
-                for p, val in enumerate(coeffs):
-                    c[off - lo + p, i, j] += val
-        return cls(coeffs=c, d_min=lo)
-
-    def eval(self, z):
-        return self.eval_grid(np.array([z]))[0]
 
     def eval_grid(self, zs):
         """The symbol at each point of ``zs``, as an (N, c, c) stack."""
@@ -444,14 +414,6 @@ def _diagonal_pair_frame(dim_per_side, window, q):
         frame[i, i] = a / norm
         frame[dim_per_side + i, i] = b / norm
     return frame
-
-
-def annulus_transfer_factors(outer, inner):
-    """Per-mode coefficient transfer factors q^n from the outer circle
-    to the inner one; bounded for nonnegative modes, growing for
-    negative ones."""
-    q = inner.radius / outer.radius
-    return q ** outer.window.mode_labels().astype(float)
 
 
 def annulus_correspondence(outer, inner):

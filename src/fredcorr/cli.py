@@ -257,7 +257,7 @@ def run_chain(params, window, seed, budget):
     twists = _twists_from_params(params, seed)
     chain = build_sphere_chain(m, twists, radii=radii)
     links = [index(l) for l in chain.links]
-    total = chain_total_index(chain)
+    total = sum(links)
     base = load_conventions()["sphere_total_index"]
     expected = base + sum(winding_number(s) for s in twists)
     left = reduce_chain_ledger(chain, tuple(range(len(chain) - 1)))
@@ -268,7 +268,7 @@ def run_chain(params, window, seed, budget):
                "delta_events_right": list(right.delta_events)}
     checks = [
         _check("total is one plus total winding", expected, total),
-        _check("total equals sum of links", sum(links), total),
+        _check("ledger total equals chain total", total, left.total),
         _check("reduction orders agree", left.total, right.total),
     ]
     return _report("chain", {"window": m, "radii": list(radii), "seed": seed},
@@ -309,18 +309,14 @@ def run_fan(params, window, seed, budget):
 
 
 def _graph_from_params(params, window, seed):
+    m = _window(params, window, 8)
     if "edges" not in params:
-        rng = np.random.default_rng(seed)
-        kwargs = {}
-        if window is not None:
-            kwargs["half_width"] = window
-        return random_graph(rng, **kwargs)
+        return random_graph(np.random.default_rng(seed), half_width=m)
     if not isinstance(params["edges"], list) or not all(
             isinstance(e, dict) and "source" in e and "target" in e
             for e in params["edges"]):
         raise UsageError("edges must be a list of objects with a source "
                          "and a target")
-    m = _window(params, window, 8)
     circle = twist_circle(m)
     listed = params.get("vertices")
     if listed is not None and not (isinstance(listed, list) and all(
@@ -374,7 +370,7 @@ def run_sphere(params, window, seed, budget):
     twists = _twists_from_params(params, seed)
     chain = build_sphere_chain(m, twists, radii=radii)
     links = [index(l) for l in chain.links]
-    total = chain_total_index(chain)
+    total = sum(links)
     base = load_conventions()["sphere_total_index"]
     expected = base + sum(winding_number(s) for s in twists)
     prod = None

@@ -38,7 +38,6 @@ __all__ = [
     "TwistChain",
     "check_fan_parts",
     "interval_part",
-    "half_part",
     "partition_parts",
     "fan_from_twists",
     "fan_index",
@@ -79,14 +78,6 @@ def interval_part(window, lo, hi):
             return False
         return True
     return PredicatePart(window=window, predicate=pred)
-
-
-def half_part(window, side):
-    if side == "nonneg":
-        return PredicatePart(window=window, predicate=lambda n: n >= 0)
-    if side == "negative":
-        return PredicatePart(window=window, predicate=lambda n: n < 0)
-    raise InvalidInput(f"unknown half side {side!r}")
 
 
 def partition_parts(window, cuts):
@@ -515,8 +506,11 @@ def random_fan(rng, half_width=6, channels=1, max_parts=4):
     circle = twist_circle(half_width, channels=channels)
     space = circle.space()
     window = space.window
-    n_parts = int(rng.integers(2, max_parts + 1))
     lo, hi = -half_width + 1, half_width
+    if hi - lo < max_parts - 1:  # each part needs its own cut mode
+        raise InvalidInput(f"{max_parts} random parts need half_width >= "
+                           f"{(max_parts + 1) // 2}, got {half_width}")
+    n_parts = int(rng.integers(2, max_parts + 1))
     cuts = sorted(rng.choice(np.arange(lo, hi), size=n_parts - 1,
                              replace=False).tolist())
     parts = partition_parts(window, cuts)

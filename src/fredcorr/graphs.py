@@ -396,6 +396,8 @@ def random_graph(rng, n_vertices=None, n_edges=None, half_width=8,
     monomials or random symbols of the exactly-windowable class.
     """
     from .circles import LaurentSymbol, random_laurent_symbol, symbol_twist, twist_circle
+    if half_width < 5:  # the rotations need modes inside |n| <= half_width - 4
+        raise InvalidInput(f"a random graph needs half_width >= 5, got {half_width}")
     if n_vertices is None:
         n_vertices = int(rng.integers(2, 5))
     if n_edges is None:

@@ -1,15 +1,21 @@
 """Named property suites behind the ``verify`` subcommand.
 
-Each suite replays one of the randomized invariants on freshly drawn
-instances with deterministic seeding, and reports per-property counts.
-The convention suite re-derives every pinned sign and compares it with
-the checked-in manifest, so a refactoring that silently flips an
-orientation fails loudly here.
+Most suites are a scenario kind over drawn parameters: draw ``i`` of
+seed ``s`` samples the parameters and a scenario seed from one stream,
+runs the scenario through ``cli.run_scenario``, and counts each of its
+checks by name, so a suite and a scenario file run the same routes.
+The suites that no scenario kind expresses (products of twists, the
+composition defect, reduction orders, window sweeps) draw their own
+instances with the same deterministic seeding.  The convention suite
+re-derives every pinned sign and compares it with the checked-in
+manifest, so a refactoring that silently flips an orientation fails
+loudly here.
 """
 
 import itertools
 import json
 from dataclasses import dataclass
+from functools import partial
 from importlib import resources
 
 import numpy as np
@@ -29,8 +35,8 @@ from .circles import (
     twisted_cap,
     winding_number,
 )
-from .fans import fan_index, random_fan
-from .graphs import global_index_additive, global_index_fan, global_index_selfglue, random_graph
+from .errors import InvalidInput
+from .graphs import global_index_selfglue
 from .morphisms import (
     Chain,
     Correspondence,
@@ -48,13 +54,7 @@ from .spaces import (
     polarization_defect,
     splitting_for_window,
 )
-from .subspaces import (
-    complement,
-    pair_index,
-    random_subspace,
-    rank,
-    restricted_projection_index,
-)
+from .subspaces import random_subspace
 from .windows import ModeWindow, mode_span
 
 __all__ = [
@@ -98,39 +98,51 @@ def _rng(seed, i):
     return np.random.default_rng([seed, i])
 
 
-def _suite_pair_routes(seed, count):
-    hits = [0, 0, 0]
+def _run_scenarios(kind, draw, seed, count):
+    """Runs the ``kind`` scenario on ``count`` drawn parameter sets and
+    counts each of its checks by name."""
+    from .cli import run_scenario  # cli imports this module
+    tally = {}
     for i in range(count):
         rng = _rng(seed, i)
-        n = int(rng.integers(6, 15))
-        a = random_subspace(n, int(rng.integers(0, n + 1)), rng)
-        b = random_subspace(n, int(rng.integers(0, n + 1)), rng)
-        expected = a.dim + b.dim - n
-        rep = pair_index(a, b)
-        stacked = np.hstack([a.frame, -b.frame])
-        r = rank(stacked)
-        inclusion = (a.dim + b.dim - r) - (n - r)
-        restriction = restricted_projection_index(a, complement(b)).index
-        hits[0] += rep.index == expected
-        hits[1] += inclusion == rep.index
-        hits[2] += restriction == rep.index
-    return [
-        CheckLine("intersection minus codim equals dimension identity", hits[0], count),
-        CheckLine("stacked-frame kernel/cokernel route agrees", hits[1], count),
-        CheckLine("restricted-projection route agrees", hits[2], count),
-    ]
+        params = draw(rng)
+        report, _ = run_scenario({"version": 1, "kind": kind, **params},
+                                 seed=int(rng.integers(2 ** 31)))
+        for c in report["checks"]:
+            hits = tally.setdefault(c["name"], [0, 0])
+            hits[0] += c["status"] == "PASS"
+            hits[1] += 1
+    return [CheckLine(name, passed, total)
+            for name, (passed, total) in sorted(tally.items())]
 
 
-def _suite_twist_winding(seed, count):
-    ok = 0
-    for i in range(count):
-        rng = _rng(seed, i)
-        channels = int(rng.integers(1, 4))
-        degree = int(rng.integers(1, 4))
-        sym = random_laurent_symbol(rng, channels=channels, degree=degree)
-        t = symbol_twist(sym, twist_circle(8, channels=channels))
-        ok += tilde_ind(t) == winding_number(sym)
-    return [CheckLine("windowed twist index equals winding", ok, count)]
+def _draw_pair(rng):
+    n = int(rng.integers(6, 15))
+    return {"ambient": n, "dims": [int(rng.integers(0, n + 1)) for _ in range(2)]}
+
+
+def _draw_twist(rng):
+    return {"window": 8, "channels": int(rng.integers(1, 4)),
+            "degree": int(rng.integers(1, 4))}
+
+
+def _draw_radii(rng):
+    r2 = float(np.exp(rng.uniform(np.log(0.5), np.log(2.0))))
+    r1 = r2 * float(np.exp(rng.uniform(np.log(1.05), np.log(3.0))))
+    return {"window": 6, "radii": [r1, r2]}
+
+
+def _draw_torus(rng):
+    return {"window": 8, "q": float(rng.uniform(0.2, 0.95)),
+            "k": int(rng.integers(-3, 4))}
+
+
+def _draw_monomial(rng):
+    return {"window": 6, "symbol": {"power": int(rng.integers(-3, 4))}}
+
+
+def _draw_seed_only(rng):
+    return {}
 
 
 def _suite_twist_additivity(seed, count):
@@ -240,72 +252,6 @@ def _suite_chain_association(seed, count):
     ]
 
 
-def _suite_fan_four_formulas(seed, count):
-    f13 = f14 = 0
-    f2_ok = f2_n = 0
-    for i in range(count):
-        rng = _rng(seed, i)
-        f = random_fan(rng)
-        rep = fan_index(f)
-        f13 += rep.formula1 == rep.formula3
-        f14 += rep.formula1 == rep.formula4
-        if rep.formula2 is not None:
-            f2_n += 1
-            f2_ok += rep.formula2 == rep.formula1
-    return [
-        CheckLine("residue formula equals member-sum formula", f13, count),
-        CheckLine("telescoped formula agrees", f14, count),
-        CheckLine("twist-sum formula agrees when defined", f2_ok, f2_n),
-    ]
-
-
-def _suite_graph_routes(seed, count):
-    ok = 0
-    for i in range(count):
-        rng = _rng(seed, i)
-        g = random_graph(rng)
-        ok += global_index_fan(g) == global_index_additive(g)
-    return [CheckLine("fan route equals additive route", ok, count)]
-
-
-def _suite_sphere_radii(seed, count):
-    ok = 0
-    for i in range(count):
-        rng = _rng(seed, i)
-        r2 = float(np.exp(rng.uniform(np.log(0.5), np.log(2.0))))
-        r1 = r2 * float(np.exp(rng.uniform(np.log(1.05), np.log(3.0))))
-        total = chain_total_index(build_sphere_chain(6, radii=(r1, r2)))
-        ok += total == 1
-    return [CheckLine("sphere total is 1 for all radius pairs", ok, count)]
-
-
-def _suite_torus_weights(seed, count):
-    ok = 0
-    for i in range(count):
-        rng = _rng(seed, i)
-        k = int(rng.integers(-3, 4))
-        expected = 0 if k == 0 else -abs(k)
-        values = []
-        for q in rng.uniform(0.2, 0.95, size=2):
-            l, t = build_torus(float(q), k, 8)
-            values.append(global_index_selfglue(l, t))
-        ok += values[0] == values[1] == expected
-    return [CheckLine("torus index is weight-independent and pinned", ok, count)]
-
-
-def _suite_mv_pairing(seed, count):
-    pair = sphere_hardy_pair(6)
-    base = mv_pairing(pair, LaurentSymbol.monomial(1), 1)
-    ok = 0
-    ks = range(-3, 4)
-    for k in ks:
-        ok += mv_pairing(pair, LaurentSymbol.monomial(k), 1) == k * base
-    return [
-        CheckLine("monomial pairing is k times the base value", ok, len(ks)),
-        CheckLine("base value is +1", int(base == 1), 1),
-    ]
-
-
 def _suite_window_stability(seed, count):
     sphere_vals = {chain_total_index(build_sphere_chain(m, (LaurentSymbol.monomial(2),)))
                    for m in range(6, 13)}
@@ -379,17 +325,18 @@ def _suite_conventions(seed, count):
 
 
 SUITES = {
-    "pair_routes": (_suite_pair_routes, 100),
-    "twist_winding": (_suite_twist_winding, 25),
+    "pair_routes": (partial(_run_scenarios, "pair", _draw_pair), 100),
+    "twist_winding": (partial(_run_scenarios, "twist", _draw_twist), 25),
     "twist_additivity": (_suite_twist_additivity, 20),
     "delta_splitting_invariance": (_suite_delta_splitting_invariance, 20),
     "delta_direct_combination": (_suite_delta_direct, 30),
     "chain_association": (_suite_chain_association, 10),
-    "fan_four_formulas": (_suite_fan_four_formulas, 50),
-    "graph_fan_vs_additive": (_suite_graph_routes, 20),
-    "sphere_radii": (_suite_sphere_radii, 10),
-    "torus_weights": (_suite_torus_weights, 10),
-    "mv_pairing": (_suite_mv_pairing, 7),
+    # the scenario seed draws the whole fan or graph
+    "fan_four_formulas": (partial(_run_scenarios, "fan", _draw_seed_only), 50),
+    "graph_fan_vs_additive": (partial(_run_scenarios, "graph", _draw_seed_only), 20),
+    "sphere_radii": (partial(_run_scenarios, "chain", _draw_radii), 10),
+    "torus_weights": (partial(_run_scenarios, "torus", _draw_torus), 10),
+    "mv_pairing": (partial(_run_scenarios, "rh_transmission", _draw_monomial), 7),
     "window_stability": (_suite_window_stability, 5),
     "conventions": (_suite_conventions, 1),
 }
@@ -403,5 +350,9 @@ def run_suite(name, seed=0, count=None):
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; available: {', '.join(available_suites())}")
     fn, default_count = SUITES[name]
-    checks = fn(seed, default_count if count is None else count)
-    return SuiteReport(suite=name, checks=tuple(checks))
+    count = default_count if count is None else count
+    if seed < 0:
+        raise InvalidInput(f"seed must be nonnegative, got {seed}")
+    if count < 1:
+        raise InvalidInput(f"count must be positive, got {count}")
+    return SuiteReport(suite=name, checks=tuple(fn(seed, count)))

@@ -22,7 +22,6 @@ from .subspaces import Subspace, nullspace
 __all__ = [
     "ModeWindow",
     "WindowedOperator",
-    "mode_interval",
     "mode_span",
     "lift_frame",
     "pad_by_predicate",
@@ -87,11 +86,6 @@ def mode_span(window, predicate):
     labels = window.mode_labels()
     idx = [i for i in range(window.dim) if predicate(int(labels[i]))]
     return Subspace.from_indices(window.dim, idx)
-
-
-def mode_interval(window, lo, hi):
-    """Span of modes with ``lo <= n <= hi`` in every channel."""
-    return mode_span(window, lambda n: lo <= n <= hi)
 
 
 def lift_frame(frame, from_window, to_window):

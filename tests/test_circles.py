@@ -7,7 +7,6 @@ from fredcorr.circles import (
     LaurentCircle,
     LaurentSymbol,
     annulus_correspondence,
-    annulus_transfer_factors,
     build_sphere_chain,
     build_torus,
     certified_ratio,
@@ -43,6 +42,11 @@ from fredcorr.subspaces import (
 from fredcorr.windows import ModeWindow
 
 
+def matrix_symbol(d_min, *planes):
+    """A matrix symbol from its coefficient planes for powers d_min..."""
+    return LaurentSymbol(coeffs=np.array(planes, dtype=complex), d_min=d_min)
+
+
 def test_symbol_rejects_zero_and_singular():
     with pytest.raises(SymbolSingular):
         LaurentSymbol(coeffs=np.zeros((1, 1, 1)), d_min=0)
@@ -61,9 +65,8 @@ def test_symbol_refuses_non_finite_coefficients(bad, plane):
     c[plane] = bad
     with pytest.raises(InvalidInput, match="finite"):
         LaurentSymbol.scalar(c, d_min=1)
-    entries = [[(0, [1.0]), (0, [])], [(1, [bad]), (0, [2.0])]]
     with pytest.raises(InvalidInput, match="finite"):
-        LaurentSymbol.from_entries(entries)
+        matrix_symbol(0, [[1.0, 0], [0, 2.0]], [[0, 0], [bad, 0]])
 
 
 def test_singular_symbol_test_ignores_coefficient_scale():
@@ -94,13 +97,11 @@ def test_symbol_eval_and_product():
     assert np.allclose(prod.eval_grid(zs)[:, 0, 0], (1 + 0.5 * zs) * (1 - 0.3 / zs))
 
 
-def test_symbol_from_entries():
-    s = LaurentSymbol.from_entries([
-        [(0, [1.0]), (1, [0.5])],
-        [(0, []), (-1, [1.0])],
-    ])
+def test_matrix_symbol_eval_grid():
+    s = matrix_symbol(-1, [[0, 0], [0, 1.0]], [[1.0, 0], [0, 0]],
+                      [[0, 0.5], [0, 0]])
     z = np.exp(0.4j)
-    m = s.eval(z)
+    m = s.eval_grid([z])[0]
     assert np.allclose(m, [[1.0, 0.5 * z], [0.0, 1.0 / z]])
 
 
@@ -118,15 +119,10 @@ def test_winding_of_scalar_roots():
 
 
 def test_winding_of_matrix_symbols():
-    mixed = LaurentSymbol.from_entries([
-        [(1, [1.0]), (0, [])],
-        [(0, []), (-1, [1.0])],
-    ])
+    mixed = matrix_symbol(-1, [[0, 0], [0, 1.0]], [[0, 0], [0, 0]],
+                          [[1.0, 0], [0, 0]])
     assert winding_number(mixed) == 0
-    tri = LaurentSymbol.from_entries([
-        [(1, [1.0]), (0, [0.7])],
-        [(0, []), (1, [2.0])],
-    ])
+    tri = matrix_symbol(0, [[0, 0.7], [0, 0]], [[1.0, 0], [0, 2.0]])
     assert winding_number(tri) == 2
 
 
@@ -325,13 +321,18 @@ def test_disk_indices_and_annulus():
         disk_correspondence(outer, "both")
 
 
-def test_annulus_transfer_factors_profile():
+def test_annulus_is_the_graph_of_the_transfer_factors():
+    # mode n moves from the outer circle to the inner one by q^n
     outer = chain_circle(5, 2.0)
     inner = chain_circle(5, 1.0)
-    f = annulus_transfer_factors(outer, inner)
-    assert np.all(np.diff(f) < 0)
-    assert f[5] == 1.0
-    assert np.all(f[6:] < 1) and np.all(f[:5] > 1)
+    sub = annulus_correspondence(outer, inner).subspace
+    w = outer.window
+    q = inner.radius / outer.radius
+    for n in w.mode_labels():
+        v = np.zeros(2 * w.dim)
+        v[w.index_of(0, int(n))] = 1.0
+        v[w.dim + w.index_of(0, int(n))] = q ** float(n)
+        assert sub.contains(v / np.linalg.norm(v))
 
 
 @pytest.mark.parametrize("m", [4, 6, 8, 10])
@@ -388,10 +389,7 @@ def test_mv_pairing_of_monomials(k):
 
 def test_mv_pairing_two_channel():
     pair = sphere_hardy_pair(8)
-    sym = LaurentSymbol.from_entries([
-        [(1, [1.0]), (0, [])],
-        [(0, []), (0, [1.0])],
-    ])
+    sym = matrix_symbol(0, [[0, 0], [0, 1.0]], [[1.0, 0], [0, 0]])
     assert mv_pairing(pair, sym, 2) == 1
     with pytest.raises(DimensionMismatch):
         mv_pairing(pair, sym, 1)

@@ -1,6 +1,7 @@
 """Command line front end: scenario plumbing, exit codes, determinism,
 and serialization round-trips.  Everything drives cli.main in-process."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -81,6 +82,9 @@ def test_unknown_kind_and_version(tmp_path, capsys):
     {"kind": "graph", "vertices": "ab",
      "edges": [{"source": "a", "target": "b"}]},
     {"kind": "pair", "seed": -1},
+    # too narrow for the random draws
+    {"kind": "graph", "window": 4},
+    {"kind": "fan", "window": 1},
 ])
 def test_bad_parameter_is_usage_error(tmp_path, capsys, scenario):
     path = write_scenario(tmp_path, "bad.json", {"version": 1, **scenario})
@@ -400,3 +404,85 @@ def test_scalar_only_graph_twists(tmp_path, capsys):
         "edges": [{"source": "a", "target": "b", "twist": sym}]})
     assert cli.main(["index", path]) == 2
     assert "scalar" in capsys.readouterr().err
+
+
+def _integers(value):
+    """The integers of a report value, in its shape; floats, flags and
+    nulls dropped."""
+    if isinstance(value, dict):
+        return {k: i for k, v in value.items()
+                if (i := _integers(v)) not in (None, {}, [])}
+    if isinstance(value, list):
+        return [i for v in value if (i := _integers(v)) not in (None, {}, [])]
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    return None
+
+
+# every integer each kind's default scenario reports, pinned so that a
+# refactoring of the runners cannot move one unnoticed
+DEFAULT_SCENARIO_INTEGERS = {
+    "pair": {"ambient": 12, "dims": [11, 8], "pair_index": 7,
+             "dim_intersection": 7, "codim_sum": 0, "inclusion_route": 7,
+             "restriction_route": 7},
+    "twist": {"window": 8, "winding": 1, "twist_index": 1,
+              "symbol": {"d_min": 1}},
+    "chain": {"window": 6, "link_indices": [0, 0, 1], "total": 1,
+              "delta_events_left": [0, 1], "delta_events_right": [0, 1]},
+    "fan": {"window": 6, "n_parts": 4, "part_dims": [3, 3, 4, 3],
+            "member_dims": [3, 3, 4, 3], "formula1": 0, "formula2": 0,
+            "formula3": 0, "formula4": 0},
+    "graph": {"window": 8, "additive": -1, "fan": -1,
+              "vertex_indices": {"v0": 2, "v1": -1, "v2": 1, "v3": -1},
+              "edge_indices": {"e0": -2, "e1": 0, "e2": 0, "e3": 0, "e4": 0}},
+    "sphere": {"window": 6, "link_indices": [0, 0, 1], "chain_total": 1,
+               "graph_additive": 1, "graph_fan": 1},
+    "torus": {"window": 8, "k": 0, "selfglue_index": 0},
+    "rh_transmission": {"window": 8, "channels": 1, "winding": 1,
+                        "twist_index": 1, "mv_pairing": 1, "sphere_total": 2,
+                        "symbol": {"d_min": 1}},
+}
+
+
+@pytest.mark.parametrize("kind", cli.KINDS)
+def test_default_scenario_integers_are_pinned(kind):
+    report, _ = cli.run_scenario({"version": 1, "kind": kind})
+    assert _integers(report["results"]) == DEFAULT_SCENARIO_INTEGERS[kind]
+    assert all(c["status"] == "PASS" for c in report["checks"])
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--seed", "-1"], "seed must be nonnegative"),
+    (["--count", "-1"], "count must be positive"),
+    (["--count", "0"], "count must be positive"),
+])
+def test_verify_refuses_bad_seed_and_count(capsys, flags, message):
+    assert cli.main(["verify", "pair_routes", *flags]) == 2
+    out, err = capsys.readouterr()
+    assert not out
+    assert err.startswith("error: ") and message in err
+
+
+def test_graph_scenario_honours_its_window_key(tmp_path, capsys):
+    path = write_scenario(tmp_path, "g.json", {"version": 1, "kind": "graph",
+                                               "window": 12, "seed": 3})
+    assert cli.main(["index", path, "--format", "json"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["inputs"]["window"] == rep["results"]["window"] == 12
+    # the flag still wins over the key
+    assert cli.main(["index", path, "--window", "10", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["window"] == 10
+
+
+def test_chain_checks_the_ledger_against_the_link_sum(capsys, monkeypatch):
+    real = cli.reduce_chain_ledger
+
+    def off_by_one(chain, order):
+        rep = real(chain, order)
+        return dataclasses.replace(rep, total=rep.total + 1)
+
+    monkeypatch.setattr(cli, "reduce_chain_ledger", off_by_one)
+    assert cli.main(["chain", "--window", "6"]) == 1
+    out = capsys.readouterr().out
+    assert "[FAIL] ledger total equals chain total: expected 1, got 2" in out
+    assert "[PASS] reduction orders agree" in out

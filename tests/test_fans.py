@@ -10,18 +10,24 @@ from fredcorr.circles import LaurentSymbol, twist_circle
 from fredcorr.errors import DimensionMismatch, InvalidInput, NotAFan
 from fredcorr.fans import (
     Fan,
+    PredicatePart,
     TwistChain,
     fan_from_twists,
     fan_index,
     finite_rank_twist,
-    half_part,
     interval_part,
     partition_parts,
     random_fan,
     twist_fan,
 )
 from fredcorr.subspaces import principal_cosines, subspaces_equal
-from fredcorr.windows import mode_interval, mode_span
+from fredcorr.windows import mode_span
+
+
+def halves(window):
+    """The nonnegative and the negative half, as fan parts."""
+    return [PredicatePart(window=window, predicate=lambda n: n >= 0),
+            PredicatePart(window=window, predicate=lambda n: n < 0)]
 
 
 def circle_setup(m=6):
@@ -48,7 +54,7 @@ def test_untwisted_fan_is_zero():
 def test_sphere_fan_index_one():
     space, w = circle_setup()
     z = LaurentSymbol.monomial(1)
-    f = fan_from_twists(space, [half_part(w, "nonneg"), half_part(w, "negative")],
+    f = fan_from_twists(space, halves(w),
                         [None, z])
     rep = fan_index(f)
     assert (rep.formula1, rep.formula3, rep.formula4) == (1, 1, 1)
@@ -73,7 +79,7 @@ def test_shift_twist_moves_interval():
     parts = [interval_part(w, None, -3), interval_part(w, -2, 2),
              interval_part(w, 3, None)]
     f = fan_from_twists(space, parts, [None, z, None])
-    assert subspaces_equal(f.members[1], mode_interval(w, -1, 3))
+    assert subspaces_equal(f.members[1], mode_span(w, lambda n: -1 <= n <= 3))
     # boundary part drags its padded companion through the edge
     g = fan_from_twists(space, parts, [z, None, None])
     assert subspaces_equal(g.members[0], mode_span(w, lambda n: n <= -2))
@@ -113,7 +119,7 @@ def test_retwist_sphere_fan():
     space, w = circle_setup()
     z = LaurentSymbol.monomial(1)
     zi = LaurentSymbol.monomial(-1)
-    f = fan_from_twists(space, [half_part(w, "nonneg"), half_part(w, "negative")],
+    f = fan_from_twists(space, halves(w),
                         [None, z])
     assert fan_index(twist_fan(f, [None, z])).formula1 == 2
     assert fan_index(twist_fan(f, [None, zi])).formula1 == 0

@@ -3,7 +3,7 @@ convention manifest round-trip."""
 
 import pytest
 
-from fredcorr import verify
+from fredcorr import cli, verify
 
 
 def test_registry_lists_every_suite():
@@ -37,6 +37,20 @@ def test_unknown_suite_raises():
 def test_suite_passes(name, count):
     rep = verify.run_suite(name, seed=5, count=count)
     assert rep.ok, [c for c in rep.checks if not c.ok]
+
+
+@pytest.mark.parametrize("name,kind", [
+    ("pair_routes", "pair"),
+    ("sphere_radii", "chain"),
+    ("mv_pairing", "rh_transmission"),
+])
+def test_scenario_suites_count_the_scenario_checks(name, kind):
+    # a scenario suite reports each of its kind's checks over every draw
+    report, _ = cli.run_scenario({"version": 1, "kind": kind})
+    rep = verify.run_suite(name, seed=1, count=3)
+    assert sorted(c.name for c in rep.checks) == \
+        sorted(c["name"] for c in report["checks"])
+    assert all(c.total == 3 for c in rep.checks)
 
 
 def test_deterministic_given_seed():

@@ -9,7 +9,6 @@ from fredcorr.windows import (
     ModeWindow,
     WindowedOperator,
     lift_frame,
-    mode_interval,
     mode_span,
     pad_by_predicate,
     restricted_image,
@@ -53,7 +52,7 @@ def test_mode_span_and_interval():
     w = ModeWindow(4)
     nonneg = mode_span(w, lambda n: n >= 0)
     assert nonneg.dim == 5
-    inner = mode_interval(w, -1, 1)
+    inner = mode_span(w, lambda n: -1 <= n <= 1)
     assert inner.dim == 3
     assert inner.contains(np.eye(w.dim)[w.index_of(0, 0)])
     two = ModeWindow(4, channels=2)
@@ -63,7 +62,7 @@ def test_mode_span_and_interval():
 def test_lift_frame_places_modes():
     small = ModeWindow(1)
     big = ModeWindow(3)
-    sub = mode_interval(small, 0, 1)
+    sub = mode_span(small, lambda n: 0 <= n <= 1)
     lifted = Subspace(lift_frame(sub.frame, small, big))
     assert lifted.ambient_dim == big.dim
     assert lifted.contains(np.eye(big.dim)[big.index_of(0, 0)])
