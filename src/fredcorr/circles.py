@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidInput, SymbolSingular
-from .morphisms import Chain, Correspondence, Twist
+from .morphisms import _NO_MODES, Chain, Correspondence, Twist
 from .spaces import (
     SHARP_NEGATIVE,
     SHARP_NONNEG,
@@ -390,30 +390,12 @@ def disk_correspondence(circle, side):
     """
     space = circle.space()
     zero = ModelSpace.zero_space()
+    labels = circle.window.mode_labels()
     if side == "incoming":
-        sub = mode_span(circle.window, lambda n: n >= 0)
-        return Correspondence(source=zero, target=space, subspace=sub)
+        return Correspondence._span(zero, space, _NO_MODES, labels >= 0)
     if side == "outgoing":
-        sub = mode_span(circle.window, lambda n: n <= 0)
-        return Correspondence(source=space, target=zero, subspace=sub)
+        return Correspondence._span(space, zero, labels <= 0, _NO_MODES)
     raise InvalidInput("side must be 'incoming' or 'outgoing'")
-
-
-def _diagonal_pair_frame(dim_per_side, window, q):
-    """Frame of {(x, Q x)} with Q = diag(q^mode), normalized per mode."""
-    frame = np.zeros((2 * dim_per_side, dim_per_side), dtype=np.complex128)
-    labels = window.mode_labels()
-    for i in range(dim_per_side):
-        n = int(labels[i])
-        # stable per-mode normalization of (1, q^n)
-        if n >= 0:
-            a, b = 1.0, q ** n
-        else:
-            a, b = q ** (-n), 1.0
-        norm = math.hypot(a, b)
-        frame[i, i] = a / norm
-        frame[dim_per_side + i, i] = b / norm
-    return frame
 
 
 def annulus_correspondence(outer, inner):
@@ -423,11 +405,8 @@ def annulus_correspondence(outer, inner):
         raise DimensionMismatch("annulus circles must share window and channels")
     if outer.radius <= inner.radius:
         raise InvalidInput("outer radius must exceed inner radius")
-    q = inner.radius / outer.radius
-    w = outer.window
-    frame = _diagonal_pair_frame(w.dim, w, q)
-    return Correspondence(source=outer.space(), target=inner.space(),
-                          subspace=Subspace(frame))
+    return Correspondence._diagonal(outer.space(), inner.space(),
+                                    inner.radius / outer.radius)
 
 
 def twisted_cap(circle, sym):
@@ -435,13 +414,19 @@ def twisted_cap(circle, sym):
 
     The symbol acts on the padded nonpositive half before the window
     intersection, so the cap absorbs the full transmission data; its
-    index moves by exactly the winding number.
+    index moves by exactly the winding number.  A scalar monomial c z^k
+    maps the nonpositive modes onto the modes n <= k, so its cap is that
+    coordinate span of the window, built with no operator.
     """
     space = circle.space()
     zero = ModelSpace.zero_space()
-    cap = mode_span(circle.window, lambda n: n <= 0)
+    labels = circle.window.mode_labels()
     if sym is None:
-        return Correspondence(source=space, target=zero, subspace=cap)
+        return Correspondence._span(space, zero, labels <= 0, _NO_MODES)
+    if sym.coeffs.shape == (1, 1, 1) and circle.channels == 1:
+        return Correspondence._span(space, zero, labels <= sym.d_min,
+                                    _NO_MODES)
+    cap = Subspace._from_mask(labels <= 0)
     op = multiplication_operator(sym, circle.window)
     margin = op.domain_window.half_width - circle.half_width
     padded = pad_by_predicate(cap, circle.window, margin, lambda n: n <= 0)
@@ -474,11 +459,9 @@ def build_sphere_chain(half_width, twists=(), radii=(2.0, 1.0)):
 
 
 def weighted_diagonal(circle, q):
-    """Endo-correspondence {(a, Q a)} with Q = diag(q^mode)."""
-    w = circle.window
-    frame = _diagonal_pair_frame(w.dim, w, q)
+    """Endo-correspondence {(a, Q a)} with Q = diag(q^mode), q > 0."""
     space = circle.space()
-    return Correspondence(source=space, target=space, subspace=Subspace(frame))
+    return Correspondence._diagonal(space, space, q)
 
 
 def build_torus(q, k, half_width):

@@ -224,8 +224,11 @@ def _symbol_from_params(params, seed):
     channels = _int(params.get("channels", 1), "channels")
     if channels < 1:
         raise UsageError(f"channels must be positive, got {channels}")
+    degree = _int(params.get("degree", 2), "degree")
+    if degree < 1:
+        raise UsageError(f"degree must be positive, got {degree}")
     return random_laurent_symbol(np.random.default_rng(seed), channels=channels,
-                                 degree=_int(params.get("degree", 2), "degree"))
+                                 degree=degree)
 
 
 def run_twist(params, window, seed, budget):
@@ -319,12 +322,14 @@ def _graph_from_params(params, window, seed):
                          "and a target")
     circle = twist_circle(m)
     listed = params.get("vertices")
-    if listed is not None and not (isinstance(listed, list) and all(
-            isinstance(v, str) for v in listed)):
-        raise UsageError(f"vertices must be a list of strings, got {listed!r}")
-    vertices = tuple(listed
-                     or sorted({str(e["source"]) for e in params["edges"]}
-                               | {str(e["target"]) for e in params["edges"]}))
+    if listed is None:
+        listed = sorted({str(e["source"]) for e in params["edges"]}
+                        | {str(e["target"]) for e in params["edges"]})
+    elif not (isinstance(listed, list) and listed
+              and all(isinstance(v, str) for v in listed)):
+        raise UsageError(f"vertices must be a nonempty list of strings, "
+                         f"got {listed!r}")
+    vertices = tuple(listed)
     edges = {}
     for i, spec in enumerate(params["edges"]):
         tw = None

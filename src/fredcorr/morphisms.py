@@ -13,6 +13,7 @@ composite are the ones the integer depends on.  ``index_report`` runs
 the intersection-and-sum audit (``pair_index``) for the same pair.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,57 +52,134 @@ __all__ = [
 ]
 
 # Projected directions below this absolute singular value are dropped
-# when composing: they are the collapsed middle components that the
-# defect ledger accounts for, not noise.
+# when composing a pair that records no structure: they are the
+# collapsed middle components that the defect ledger accounts for, not
+# noise.
 COMPOSE_DROP_TOL = 1e-6
+
+_NO_MODES = np.zeros(0, dtype=bool)
+_NO_MODES.setflags(write=False)
+
+
+def _diagonal_graph_frame(labels, q):
+    """Frame of {(x, Q x)} with Q = diag(q^mode), normalized per mode.
+
+    Column i is (1, q^n) / |(1, q^n)| on mode n >= 0 and (q^-n, 1) /
+    |(q^-n, 1)| below, so no entry overflows.  The powers and norms are
+    taken once per distinct |n|, with Python's ``**`` and ``math.hypot``,
+    so every entry is bit for bit the per-mode loop's.
+    """
+    n = labels.size
+    mags = np.abs(labels)
+    powers = [q ** k for k in range(int(mags.max(initial=0)) + 1)]
+    norms = np.array([math.hypot(1.0, p) for p in powers])
+    major = (1.0 / norms)[mags]
+    minor = (np.array(powers) / norms)[mags]
+    nonneg = labels >= 0
+    cols = np.arange(n)
+    frame = np.zeros((2 * n, n), dtype=np.complex128)
+    frame[cols, cols] = np.where(nonneg, major, minor)
+    frame[n + cols, cols] = np.where(nonneg, minor, major)
+    return frame
 
 
 @dataclass(frozen=True, eq=False)
 class Correspondence:
-    """A subspace of source + target, viewed as a morphism."""
+    """A subspace of source + target, viewed as a morphism.
+
+    Links whose shape is known where they are built record it, for
+    :func:`compose`: :meth:`_span` records ``("span", source_mask,
+    target_mask)`` for a coordinate span, and :meth:`_diagonal` records
+    ``("diag", q)`` for the graph of Q = diag(q^mode).  Every other
+    correspondence, a re-based one included, records None.
+    """
 
     source: ModelSpace
     target: ModelSpace
     subspace: Subspace
+    _structure = None
 
     def __post_init__(self):
         if self.subspace.ambient_dim != self.source.dim + self.target.dim:
             raise DimensionMismatch(
                 "subspace ambient does not equal source dim + target dim")
 
+    @classmethod
+    def _span(cls, source, target, source_mask, target_mask):
+        """Span of the masked source and target coordinates; the masks
+        are recorded read-only."""
+        source_mask.setflags(write=False)
+        target_mask.setflags(write=False)
+        sub = Subspace._from_mask(np.concatenate([source_mask, target_mask]))
+        link = cls(source=source, target=target, subspace=sub)
+        object.__setattr__(link, "_structure",
+                           ("span", source_mask, target_mask))
+        return link
+
+    @classmethod
+    def _diagonal(cls, source, target, q):
+        """Graph of Q = diag(q^mode) over the source window, for a ratio
+        q > 0.  The ratio is what is recorded: q^mode can underflow to 0
+        at wide windows, where Q is still invertible."""
+        if not 0.0 < q < math.inf:
+            raise InvalidInput("diagonal ratio must be positive and finite")
+        frame = _diagonal_graph_frame(source.window.mode_labels(), q)
+        link = cls(source=source, target=target,
+                   subspace=Subspace._trusted(frame))
+        object.__setattr__(link, "_structure", ("diag", q))
+        return link
+
     @property
     def is_endo(self):
         return spaces_match(self.source, self.target)
 
 
-def _pairing_subspace(l):
-    return direct_sum(l.source.splitting.flat, l.target.splitting.sharp)
-
-
 def index_report(l):
     """Full pair-index report of a correspondence against the
     flat-source/sharp-target assembly: the audit of :func:`index`."""
-    return pair_index(l.subspace, _pairing_subspace(l))
+    pairing = direct_sum(l.source.splitting.flat, l.target.splitting.sharp)
+    return pair_index(l.subspace, pairing)
 
 
 def index(l):
     """Index of a correspondence against the flat-source/sharp-target
-    assembly, counted as dim L + dim(flat + sharp) - ambient; equal to
-    the intersection minus the codim of the sum in ``index_report``."""
-    return dimension_index(l.subspace, _pairing_subspace(l))
+    assembly, counted as dim L + dim(flat + sharp) - ambient
+    (``dimension_index``, with the assembly's dimension read off its two
+    blocks instead of building it); equal to the intersection minus the
+    codim of the sum in ``index_report``."""
+    return (l.subspace.dim + l.source.splitting.flat.dim
+            + l.target.splitting.sharp.dim - l.subspace.ambient_dim)
 
 
 def compose(l1, l2):
     """Relational composition of correspondences.
 
-    Intersects (L1 + H3) with (H1 + L2) inside H1 + H2 + H3, projects
-    onto H1 + H3, and drops directions whose projection collapses below
-    an absolute threshold (the lost middle components counted by the
-    defect ledger).
+    Two links that record their structure compose by mode arithmetic,
+    with no SVD and no cutoff.  Q = diag(q^mode) is invertible, so a
+    diagonal graph carries a coordinate span's mask across unchanged:
+    span after span keeps the first source mask and the second target
+    mask, span and diagonal in either order keep the span's masks, and
+    two diagonals give the diagonal of q1 * q2.  A composite between two
+    zero spaces is the zero subspace.
+
+    Any other pair intersects (L1 + H3) with (H1 + L2) inside
+    H1 + H2 + H3, projects onto H1 + H3, and drops directions whose
+    projection collapses below ``COMPOSE_DROP_TOL`` (the lost middle
+    components counted by the defect ledger).
     """
     if not spaces_match(l1.target, l2.source):
         raise CompositionMismatch("target of first does not match source of second")
-    n1, n2, n3 = l1.source.dim, l1.target.dim, l2.target.dim
+    source, target = l1.source, l2.target
+    if source.is_zero and target.is_zero:
+        return Correspondence._span(source, target, _NO_MODES, _NO_MODES)
+    s1, s2 = l1._structure, l2._structure
+    if s1 is not None and s2 is not None:
+        if s1[0] == s2[0] == "diag":
+            return Correspondence._diagonal(source, target, s1[1] * s2[1])
+        source_mask = s1[1] if s1[0] == "span" else s2[1]
+        target_mask = s2[2] if s2[0] == "span" else s1[2]
+        return Correspondence._span(source, target, source_mask, target_mask)
+    n1, n2, n3 = source.dim, l1.target.dim, target.dim
     a = direct_sum(l1.subspace, Subspace.full(n3))
     b = direct_sum(Subspace.full(n1), l2.subspace)
     inter = intersection(a, b)
@@ -117,7 +195,7 @@ def compose(l1, l2):
         u, s, _ = np.linalg.svd(projected, full_matrices=False)
         r = int(np.count_nonzero(s > COMPOSE_DROP_TOL))
         sub = Subspace._trusted(u[:, :r])
-    return Correspondence(source=l1.source, target=l2.target, subspace=sub)
+    return Correspondence(source=source, target=target, subspace=sub)
 
 
 @dataclass(frozen=True, eq=False)

@@ -103,9 +103,8 @@ class Splitting:
         """Trusted coordinate splitting that records its sharp mask."""
         mask = np.array(sharp_mask, dtype=bool)
         mask.setflags(write=False)
-        n = mask.size
-        split = cls._trusted(Subspace.from_indices(n, np.flatnonzero(mask)),
-                             Subspace.from_indices(n, np.flatnonzero(~mask)))
+        split = cls._trusted(Subspace._from_mask(mask),
+                             Subspace._from_mask(~mask))
         object.__setattr__(split, "_sharp_mask", mask)
         return split
 
@@ -152,6 +151,9 @@ class ModelSpace:
     convention, so :meth:`flat_padded` and :meth:`sharp_padded` can pad
     a splitting half into a wider window (``windows.pad_by_predicate``);
     they return the padded ``Subspace``, whose base is the half itself.
+    Each padded half is built on the first call for its half and margin
+    and then shared: the space and its splitting are frozen, and the
+    frame is read-only.
     """
 
     dim: int
@@ -172,6 +174,7 @@ class ModelSpace:
             raise DimensionMismatch("window does not match space dimension")
         if self.convention is not None:
             convention_predicate(self.convention)
+        object.__setattr__(self, "_padded", {})
 
     @classmethod
     def zero_space(cls):
@@ -183,6 +186,9 @@ class ModelSpace:
         return self.dim == 0
 
     def _half_padded(self, half, margin):
+        cached = self._padded.get((half, margin))
+        if cached is not None:
+            return cached
         if self.window is None or self.convention is None:
             raise InvalidInput("space has no window/convention for padding")
         pred = convention_predicate(self.convention)
@@ -192,7 +198,9 @@ class ModelSpace:
         else:
             base = self.splitting.sharp
             keep = pred
-        return pad_by_predicate(base, self.window, margin, keep)
+        padded = pad_by_predicate(base, self.window, margin, keep)
+        self._padded[(half, margin)] = padded
+        return padded
 
     def flat_padded(self, margin):
         """Canonical padded companion of the flat half.

@@ -145,9 +145,11 @@ class Subspace:
     Frames that are orthonormal by construction skip it via
     :meth:`_trusted`: SVD factors (``from_span``, ``intersection``,
     ``complement``, ``restricted_image``, ``compose``), coordinate spans
-    (``from_indices``, ``zero``, ``full``), and valid frames placed on
-    disjoint rows (``direct_sum``, which also stacks graph assemblies
-    and ``mv_pairing``'s n-fold half, and ``windows.pad_by_predicate``).
+    (``from_indices``, ``_from_mask``, ``zero``, ``full``), the per-mode
+    normalized graphs of ``morphisms.Correspondence._diagonal``, and
+    valid frames placed on disjoint rows (``direct_sum``, which also
+    stacks graph assemblies and ``mv_pairing``'s n-fold half, and
+    ``windows.pad_by_predicate``).
     """
 
     frame: np.ndarray
@@ -205,8 +207,17 @@ class Subspace:
             raise InvalidInput("duplicate coordinate indices")
         if idx.size and (idx.min() < 0 or idx.max() >= ambient_dim):
             raise InvalidInput("coordinate index out of range")
-        q = np.zeros((ambient_dim, idx.size), dtype=np.complex128)
-        q[np.sort(idx), np.arange(idx.size)] = 1.0
+        mask = np.zeros(ambient_dim, dtype=bool)
+        mask[idx] = True
+        return cls._from_mask(mask)
+
+    @classmethod
+    def _from_mask(cls, mask):
+        """Coordinate subspace of the directions a boolean mask selects,
+        one unit column per direction in coordinate order."""
+        idx = np.flatnonzero(mask)
+        q = np.zeros((mask.size, idx.size), dtype=np.complex128)
+        q[idx, np.arange(idx.size)] = 1.0
         return cls._trusted(q)
 
     def projector(self):

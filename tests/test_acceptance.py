@@ -1,4 +1,4 @@
-"""Acceptance gate: the thirteen primary criteria, one test and one
+"""Acceptance gate: the fourteen primary criteria, one test and one
 printed PASS/FAIL line each.  Every identity is exact integer equality;
 run with ``pytest -v -s tests/test_acceptance.py`` to see the lines.
 """
@@ -11,14 +11,18 @@ import pytest
 
 from fredcorr.circles import (
     LaurentSymbol,
+    annulus_correspondence,
     build_sphere_chain,
     build_torus,
+    chain_circle,
+    disk_correspondence,
     mv_pairing,
     random_laurent_symbol,
     sphere_hardy_pair,
     stabilization_m0,
     symbol_twist,
     twist_circle,
+    twisted_cap,
     winding_number,
 )
 from fredcorr.graphs import (
@@ -29,7 +33,9 @@ from fredcorr.graphs import (
 )
 from fredcorr.fans import fan_index, random_fan
 from fredcorr.morphisms import (
+    Chain,
     chain_total_index,
+    compose,
     delta,
     delta_direct,
     index,
@@ -45,6 +51,7 @@ from fredcorr.subspaces import (
     restricted_projection_index,
 )
 from fredcorr.verify import (
+    _draw_radii,
     _random_chain,
     _random_composable_pair,
     _rebased,
@@ -263,3 +270,60 @@ def test_criterion_13_window_stabilization():
             vals.append((global_index_additive(g), global_index_fan(g)))
         ok &= stable(vals)
     report(13, "every reported index constant across its window sweep", ok)
+
+
+def _closed_form_walk(chain, order, sign):
+    """Defect of every junction of one reduction order, and whether each
+    equals its closed form kernel part + sign * cokernel part."""
+    links, ids = list(chain.links), list(range(len(chain) - 1))
+    events, ok = [], True
+    for j in order:
+        pos = ids.index(j)
+        l1, l2 = links[pos], links[pos + 1]
+        kp, cp = delta_direct(l1, l2)
+        events.append(delta(l1, l2))
+        ok &= events[-1] == kp + sign * cp
+        links[pos: pos + 2] = [compose(l1, l2)]
+        ids.pop(pos)
+    return tuple(events), ok
+
+
+def test_criterion_14_ledger_events_match_closed_form():
+    # Sphere chains on radius pairs drawn by the sphere_radii sampler,
+    # untwisted and with z^2 and z^-1 caps, and the four-circle chain of
+    # the ledger benchmark.  A diagonal transfer q^n that falls under a
+    # cutoff would move events between windows and off the closed form.
+    sign = load_conventions()["delta_cokernel_sign"]
+    windows = (8, 16, 32, 64, 128)
+    closed_form_windows = (8, 32)
+    rng = np.random.default_rng(14)
+    cases = [(tuple(_draw_radii(rng)["radii"]), sym)
+             for _ in range(3)
+             for sym in (None, LaurentSymbol.monomial(2),
+                         LaurentSymbol.monomial(-1))]
+    radii = [2.0]
+    for _ in range(3):
+        radii.append(radii[-1] * rng.uniform(0.5, 0.85))
+    cases.append((tuple(radii), LaurentSymbol.monomial(2, coefficient=0.7j)))
+    ok = True
+    checked = 0
+    for radii, sym in cases:
+        seen = set()
+        for m in windows:
+            circles = [chain_circle(m, r) for r in radii]
+            chain = Chain(links=(
+                disk_correspondence(circles[0], "incoming"),
+                *[annulus_correspondence(a, b)
+                  for a, b in zip(circles, circles[1:])],
+                twisted_cap(circles[-1], sym)))
+            for order in itertools.permutations(range(len(chain) - 1)):
+                events = reduce_chain_ledger(chain, order).delta_events
+                seen.add((order, events))
+                if m in closed_form_windows:
+                    walked, matched = _closed_form_walk(chain, order, sign)
+                    ok &= matched and walked == events
+                    checked += len(order)
+        # one event tuple per order, the same at every window
+        ok &= len(seen) == len({order for order, _ in seen})
+    report(14, f"ledger events equal their closed form on {checked} "
+               f"junctions and are constant over M in {windows}", ok)

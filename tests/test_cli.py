@@ -92,6 +92,25 @@ def test_bad_parameter_is_usage_error(tmp_path, capsys, scenario):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("scenario, name", [
+    # a degree below 1 is refused, not clamped by the random draw
+    ({"kind": "twist", "degree": -1}, "degree"),
+    ({"kind": "twist", "degree": 0}, "degree"),
+    ({"kind": "rh_transmission", "degree": 0}, "degree"),
+    # an empty vertex list is refused, not read as absent
+    ({"kind": "graph", "vertices": [],
+      "edges": [{"source": "a", "target": "b"}]}, "vertices"),
+])
+def test_values_that_used_to_fall_back_are_refused(tmp_path, capsys,
+                                                   scenario, name):
+    path = write_scenario(tmp_path, "bad.json", {"version": 1, **scenario})
+    assert cli.main(["index", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {name} ")
+
+
 @pytest.mark.parametrize("edges", [
     [{"source": "a", "target": "b", "id": "x", "twist": {"power": 2}},
      {"source": "b", "target": "a", "id": "x"}],

@@ -10,6 +10,7 @@ import itertools
 import numpy as np
 import pytest
 
+from fredcorr import morphisms
 from fredcorr.circles import (
     LaurentSymbol,
     annulus_correspondence,
@@ -17,9 +18,11 @@ from fredcorr.circles import (
     disk_correspondence,
     multiplication_operator,
     twisted_cap,
+    weighted_diagonal,
 )
 from fredcorr.errors import CompositionMismatch, DimensionMismatch, InvalidInput
 from fredcorr.morphisms import (
+    COMPOSE_DROP_TOL,
     Chain,
     Correspondence,
     Twist,
@@ -49,10 +52,17 @@ from fredcorr.subspaces import (
     Subspace,
     complement,
     direct_sum,
+    intersection,
     random_subspace,
     subspaces_equal,
 )
-from fredcorr.windows import ModeWindow, WindowedOperator, mode_span
+from fredcorr.verify import _rebased
+from fredcorr.windows import (
+    ModeWindow,
+    WindowedOperator,
+    mode_span,
+    pad_by_predicate,
+)
 
 
 def circle_space(m, convention=SHARP_NEGATIVE, channels=1):
@@ -521,3 +531,161 @@ def test_graph_correspondence_validation():
     h = circle_space(3)
     with pytest.raises(DimensionMismatch):
         graph_correspondence(h, np.eye(h.dim + 1))
+
+
+# -- structured composition ------------------------------------------------
+
+def _plain(l):
+    """The same subspace with no structure record: the general route."""
+    return Correspondence(source=l.source, target=l.target,
+                          subspace=l.subspace)
+
+
+def _intersection_route(l1, l2):
+    """The general route of compose, spelled out: (L1 + H3) meet
+    (H1 + L2), projected onto H1 + H3 and cut at COMPOSE_DROP_TOL."""
+    n1, n2, n3 = l1.source.dim, l1.target.dim, l2.target.dim
+    inter = intersection(direct_sum(l1.subspace, Subspace.full(n3)),
+                         direct_sum(Subspace.full(n1), l2.subspace))
+    keep = np.r_[np.ones(n1, bool), np.zeros(n2, bool), np.ones(n3, bool)]
+    projected = inter.frame[keep]
+    if projected.shape[1] == 0:
+        return Subspace.zero(n1 + n3)
+    u, s, _ = np.linalg.svd(projected, full_matrices=False)
+    return Subspace(u[:, :np.count_nonzero(s > COMPOSE_DROP_TOL)])
+
+
+def _count_intersections(monkeypatch):
+    calls = []
+    real = morphisms.intersection
+    monkeypatch.setattr(morphisms, "intersection",
+                        lambda a, b: calls.append(1) or real(a, b))
+    return calls
+
+
+def _structured_pairs(m, q):
+    outer, mid, inner = (chain_circle(m, r) for r in (1.0, q, q * q))
+    h = outer.space()
+    rng = np.random.default_rng(m)
+    mask = lambda: rng.random(h.dim) < 0.5
+    span = Correspondence._span(h, h, mask(), mask())
+    a1 = annulus_correspondence(outer, mid)
+    a2 = annulus_correspondence(mid, inner)
+    cap = twisted_cap(mid, LaurentSymbol.monomial(1, coefficient=0.7))
+    return [
+        ("span", span, Correspondence._span(h, h, mask(), mask())),
+        ("span", span, disk_correspondence(outer, "outgoing")),
+        ("span", disk_correspondence(outer, "incoming"), a1),
+        ("span", span, a1),
+        ("span", a1, cap),
+        ("span", a1, Correspondence._span(h, h, mask(), mask())),
+        ("diag", a1, a2),
+        ("diag", weighted_diagonal(outer, q), a1),
+        ("span", disk_correspondence(outer, "incoming"), cap),
+        ("span", disk_correspondence(outer, "incoming"),
+         disk_correspondence(outer, "outgoing")),
+    ]
+
+
+@pytest.mark.parametrize("m", [2, 4, 6])
+@pytest.mark.parametrize("q", [0.5, 0.8])
+def test_structured_compose_matches_the_intersection_route(monkeypatch, m, q):
+    # no mode of q^n, n <= 6, q >= 0.5 nears the drop cutoff, so the
+    # general route keeps every mode too
+    calls = _count_intersections(monkeypatch)
+    for kind, l1, l2 in _structured_pairs(m, q):
+        fast = compose(l1, l2)
+        assert fast._structure[0] == kind and not calls
+        slow = _intersection_route(l1, l2)
+        assert fast.subspace.dim == slow.dim
+        assert subspaces_equal(fast.subspace, slow)
+
+
+def test_composite_between_zero_spaces_runs_no_intersection(monkeypatch):
+    calls = _count_intersections(monkeypatch)
+    h = circle_space(4)
+    rng = np.random.default_rng(3)
+    l1 = Correspondence(source=ModelSpace.zero_space(), target=h,
+                        subspace=random_subspace(h.dim, 4, rng))
+    l2 = Correspondence(source=h, target=ModelSpace.zero_space(),
+                        subspace=random_subspace(h.dim, 5, rng))
+    closed = compose(l1, l2)
+    assert closed.subspace.ambient_dim == closed.subspace.dim == 0
+    assert not calls and delta(l1, l2) == index(l1) + index(l2)
+
+
+def test_unrecorded_pairs_still_intersect(monkeypatch):
+    calls = _count_intersections(monkeypatch)
+    outer, inner = chain_circle(4, 2.0), chain_circle(4, 1.0)
+    a = annulus_correspondence(outer, inner)
+    compose(_plain(a), disk_correspondence(inner, "outgoing"))
+    assert len(calls) == 1
+    # a link re-based onto a moved splitting records nothing
+    s = perturb_splitting(a.target.splitting, 1, seed=5)
+    r1, r2 = _rebased(a, disk_correspondence(inner, "outgoing"), s)
+    assert r1._structure is None and r2._structure is None
+    compose(r1, r2)
+    assert len(calls) == 2
+
+
+def test_sphere_ledger_runs_no_intersection(monkeypatch):
+    calls = _count_intersections(monkeypatch)
+    circles = [chain_circle(16, r) for r in (2.0, 1.6, 1.1, 0.7)]
+    chain = Chain(links=(
+        disk_correspondence(circles[0], "incoming"),
+        *[annulus_correspondence(a, b) for a, b in zip(circles, circles[1:])],
+        twisted_cap(circles[-1], LaurentSymbol.monomial(-2, coefficient=1.5))))
+    for order in itertools.permutations(range(len(chain) - 1)):
+        assert reduce_chain_ledger(chain, order).total == -1
+    assert not calls
+
+
+@pytest.mark.parametrize("m", [4, 8, 16, 32])
+@pytest.mark.parametrize("k", range(-4, 5))
+def test_monomial_cap_equals_the_operator_route(m, k):
+    circle = chain_circle(m)
+    sym = LaurentSymbol.monomial(k, coefficient=0.6 - 0.3j)
+    cap = twisted_cap(circle, sym)
+    assert cap._structure[0] == "span"
+    op = multiplication_operator(sym, circle.window)
+    padded = pad_by_predicate(mode_span(circle.window, lambda n: n <= 0),
+                              circle.window, abs(k), lambda n: n <= 0)
+    routed = op.apply_within_window(padded)
+    assert cap.subspace.dim == routed.dim
+    assert subspaces_equal(cap.subspace, routed)
+
+
+def test_generic_cap_records_no_structure():
+    sym = LaurentSymbol.scalar([1.0, 0.3], d_min=1)
+    assert twisted_cap(chain_circle(5), sym)._structure is None
+
+
+def test_small_ratio_keeps_every_mode_at_a_wide_window():
+    # 0.01^256 underflows to 0; the recorded ratio keeps Q invertible
+    outer, inner = chain_circle(256, 1.0), chain_circle(256, 0.01)
+    a = annulus_correspondence(outer, inner)
+    into = compose(disk_correspondence(outer, "incoming"), a)
+    assert into.subspace.dim == 257
+    assert np.array_equal(into._structure[2], inner.window.mode_labels() >= 0)
+    out = compose(a, disk_correspondence(inner, "outgoing"))
+    assert out.subspace.dim == 257
+    kind, q = compose(a, annulus_correspondence(inner, chain_circle(256, 1e-4))
+                      )._structure
+    assert kind == "diag" and q == pytest.approx(1e-4)
+
+
+@pytest.mark.parametrize("channels", [1, 2])
+@pytest.mark.parametrize("q", [0.5, 1 / 1.5, 0.9, 0.01, 1 / 1.05])
+def test_diagonal_frame_equals_the_per_mode_loop(channels, q):
+    for m in (1, 6, 40):
+        outer = chain_circle(m, 1.0, channels)
+        a = annulus_correspondence(outer, chain_circle(m, q, channels))
+        assert np.array_equal(a.subspace.frame,
+                              diag_link(outer.space(), q).subspace.frame)
+        assert not a.subspace.frame.flags.writeable
+
+
+@pytest.mark.parametrize("q", [0.0, -0.5, float("nan"), float("inf")])
+def test_weighted_diagonal_refuses_a_singular_ratio(q):
+    with pytest.raises(InvalidInput):
+        weighted_diagonal(chain_circle(3), q)

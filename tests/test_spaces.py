@@ -4,6 +4,7 @@ polarization defect."""
 import numpy as np
 import pytest
 
+from fredcorr import spaces
 from fredcorr.errors import DimensionMismatch, InvalidInput
 from fredcorr.spaces import (
     SHARP_NEGATIVE,
@@ -266,6 +267,24 @@ def test_flat_padded_companion():
     pw = h.window.pad(2)
     assert padded.contains(np.eye(pw.dim)[pw.index_of(0, 5)])
     assert not padded.contains(np.eye(pw.dim)[pw.index_of(0, -5)])
+
+
+def test_padded_halves_are_built_once_per_margin(monkeypatch):
+    calls = []
+    real = spaces.pad_by_predicate
+    monkeypatch.setattr(spaces, "pad_by_predicate",
+                        lambda *a: calls.append(a[2]) or real(*a))
+    h = hardy_space(4)
+    first = h.flat_padded(2)
+    assert h.flat_padded(2) is first
+    assert not first.frame.flags.writeable
+    assert h.sharp_padded(2) is not first
+    assert h.flat_padded(3).dim == first.dim + 1
+    assert calls == [2, 2, 3]
+    # a re-based space starts with no padded halves of its own
+    moved = h.with_splitting(perturb_splitting(h.splitting, 1, seed=3))
+    assert moved.flat_padded(2) is not first
+    assert calls == [2, 2, 3, 2]
 
 
 def test_sharp_padded_companion_after_perturbation():
