@@ -170,13 +170,14 @@ class LaurentSymbol:
         return LaurentSymbol(coeffs=out, d_min=self.d_min + other.d_min)
 
 
-def symbol_inverse(sym, tol=1e-9):
+def symbol_inverse(sym):
     """Pointwise inverse of a symbol, when it is again a Laurent polynomial.
 
     That happens exactly when the determinant is a single monomial c z^m
     (then the adjugate divided by the determinant has finitely many
     powers).  Coefficients are recovered by trigonometric interpolation
-    on the unit circle and validated by multiplying back.
+    on the unit circle and validated by multiplying back; every cutoff
+    is relative to the largest coefficient, so ``sym``'s scale is moot.
     """
     c = sym.channels
     span = (sym.coeffs.shape[0] - 1) * c
@@ -186,7 +187,8 @@ def symbol_inverse(sym, tol=1e-9):
     # det powers live in [c*d_min, c*d_min + span]
     powers = c * sym.d_min + np.arange(span + 1)
     coeffs = np.array([np.mean(dets * zs ** (-p)) for p in powers])
-    big = np.flatnonzero(np.abs(coeffs) > tol)
+    big = np.flatnonzero(np.abs(coeffs)
+                         > current_tolerance() * np.abs(coeffs).max())
     if len(big) != 1:
         raise SymbolSingular("determinant is not a monomial; the inverse "
                              "is not a Laurent polynomial")
@@ -199,7 +201,7 @@ def symbol_inverse(sym, tol=1e-9):
     out = np.zeros((span_inv + 1, c, c), dtype=np.complex128)
     for j in range(span_inv + 1):
         out[j] = np.mean(vals * (zs2 ** (-(lo + j)))[:, None, None], axis=0)
-    out[np.abs(out) < 1e-12] = 0.0
+    out[np.abs(out) < 1e-12 * np.abs(out).max()] = 0.0
     inv = LaurentSymbol(coeffs=out, d_min=lo)
     check = sym.product(inv)
     ident = np.zeros_like(check.coeffs)

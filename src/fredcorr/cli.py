@@ -139,9 +139,12 @@ def _coeff(value):
 
 def symbol_from_json(obj):
     if isinstance(obj, dict) and "power" in obj:
-        return LaurentSymbol.monomial(
-            _int(obj["power"], "symbol power"),
-            channels=_int(obj.get("channels", 1), "symbol channels"))
+        channels = _int(obj.get("channels", 1), "symbol channels")
+        if channels < 1:
+            raise UsageError(f"symbol channels must be positive, "
+                             f"got {channels}")
+        return LaurentSymbol.monomial(_int(obj["power"], "symbol power"),
+                                      channels=channels)
     if not isinstance(obj, dict) or "entries" not in obj:
         raise UsageError("symbol needs either {'power': k} or "
                          "{'d_min': int, 'entries': [[...]]}")
@@ -286,6 +289,8 @@ def run_fan(params, window, seed, budget):
         f = random_fan(rng, half_width=m)
     else:
         powers = _list(powers, "powers", _int)
+        if not powers:
+            raise UsageError("powers must list at least one part")
         space = twist_circle(m).space()
         k = len(powers)
         cuts = [int(round(-m + (i + 1) * (2 * m + 1) / k))

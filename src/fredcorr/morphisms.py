@@ -9,7 +9,8 @@ pair computations.
 
 A pair index is counted from dimensions (``dimension_index``): the rank
 decisions that build the correspondence, the twisted image and the
-composite are the ones the integer depends on.  ``index_report`` runs
+composite are the ones the integer depends on; an unrecorded composite
+is one window intersection of its fiber product.  ``index_report`` runs
 the intersection-and-sum audit (``pair_index``) for the same pair.
 """
 
@@ -34,7 +35,6 @@ from .subspaces import (
 from .windows import restricted_image, windowed_graph
 
 __all__ = [
-    "COMPOSE_DROP_TOL",
     "Correspondence",
     "Twist",
     "Chain",
@@ -50,12 +50,6 @@ __all__ = [
     "twist_graph",
     "graph_correspondence",
 ]
-
-# Projected directions below this absolute singular value are dropped
-# when composing a pair that records no structure: they are the
-# collapsed middle components that the defect ledger accounts for, not
-# noise.
-COMPOSE_DROP_TOL = 1e-6
 
 _NO_MODES = np.zeros(0, dtype=bool)
 _NO_MODES.setflags(write=False)
@@ -162,10 +156,14 @@ def compose(l1, l2):
     two diagonals give the diagonal of q1 * q2.  A composite between two
     zero spaces is the zero subspace.
 
-    Any other pair intersects (L1 + H3) with (H1 + L2) inside
-    H1 + H2 + H3, projects onto H1 + H3, and drops directions whose
-    projection collapses below ``COMPOSE_DROP_TOL`` (the lost middle
-    components counted by the defect ledger).
+    Any other pair is one window intersection of its fiber product.
+    With L1 framed by [A1; B1] over H1 + H2 and L2 by [A2; B2] over
+    H2 + H3, the columns of [[A1, 0], [B1, -A2], [0, B2]] whose H2 rows
+    vanish are the pairs (u, v) with B1 u = A2 v, and their H1 + H3 rows
+    span the composite (``restricted_image``).  A direction with
+    A1 u = 0 and B2 v = 0 is a collapsed middle component, the kernel
+    part the defect ledger counts; it comes out as a zero column, which
+    the relative tolerance drops.
     """
     if not spaces_match(l1.target, l2.source):
         raise CompositionMismatch("target of first does not match source of second")
@@ -179,23 +177,17 @@ def compose(l1, l2):
         source_mask = s1[1] if s1[0] == "span" else s2[1]
         target_mask = s2[2] if s2[0] == "span" else s1[2]
         return Correspondence._span(source, target, source_mask, target_mask)
-    n1, n2, n3 = source.dim, l1.target.dim, target.dim
-    a = direct_sum(l1.subspace, Subspace.full(n3))
-    b = direct_sum(Subspace.full(n1), l2.subspace)
-    inter = intersection(a, b)
-    keep = np.concatenate([
-        np.ones(n1, dtype=bool),
-        np.zeros(n2, dtype=bool),
-        np.ones(n3, dtype=bool),
-    ])
-    projected = inter.frame[keep, :]
-    if projected.shape[1] == 0:
-        sub = Subspace.zero(n1 + n3)
-    else:
-        u, s, _ = np.linalg.svd(projected, full_matrices=False)
-        r = int(np.count_nonzero(s > COMPOSE_DROP_TOL))
-        sub = Subspace._trusted(u[:, :r])
-    return Correspondence(source=source, target=target, subspace=sub)
+    n1, n2 = source.dim, l1.target.dim
+    f1, f2 = l1.subspace.frame, l2.subspace.frame
+    k1 = f1.shape[1]
+    fiber = np.zeros((n1 + f2.shape[0], k1 + f2.shape[1]), dtype=np.complex128)
+    fiber[:n1 + n2, :k1] = f1
+    fiber[n1:n1 + n2, k1:] = -f2[:n2]
+    fiber[n1 + n2:, k1:] = f2[n2:]
+    keep = np.ones(fiber.shape[0], dtype=bool)
+    keep[n1:n1 + n2] = False
+    return Correspondence(source=source, target=target,
+                          subspace=restricted_image(fiber, keep))
 
 
 @dataclass(frozen=True, eq=False)

@@ -144,12 +144,12 @@ class Subspace:
     ``Subspace(frame)`` checks the Gram matrix, for frames from outside.
     Frames that are orthonormal by construction skip it via
     :meth:`_trusted`: SVD factors (``from_span``, ``intersection``,
-    ``complement``, ``restricted_image``, ``compose``), coordinate spans
-    (``from_indices``, ``_from_mask``, ``zero``, ``full``), the per-mode
-    normalized graphs of ``morphisms.Correspondence._diagonal``, and
-    valid frames placed on disjoint rows (``direct_sum``, which also
-    stacks graph assemblies and ``mv_pairing``'s n-fold half, and
-    ``windows.pad_by_predicate``).
+    ``complement``, ``restricted_image`` and so unrecorded composites),
+    coordinate spans (``from_indices``, ``_from_mask``, ``zero``,
+    ``full``), the per-mode normalized graphs of
+    ``morphisms.Correspondence._diagonal``, and valid frames placed on
+    disjoint rows (``direct_sum``, which also stacks graph assemblies
+    and ``mv_pairing``'s n-fold half, and ``windows.pad_by_predicate``).
     """
 
     frame: np.ndarray

@@ -293,14 +293,22 @@ def test_criterion_14_ledger_events_match_closed_form():
     # untwisted and with z^2 and z^-1 caps, and the four-circle chain of
     # the ledger benchmark.  A diagonal transfer q^n that falls under a
     # cutoff would move events between windows and off the closed form.
+    # Four generic caps (no zero inside the disk), on the first two
+    # pairs in turn, record no structure: their chains compose through
+    # the fiber product.
     sign = load_conventions()["delta_cokernel_sign"]
     windows = (8, 16, 32, 64, 128)
     closed_form_windows = (8, 32)
     rng = np.random.default_rng(14)
-    cases = [(tuple(_draw_radii(rng)["radii"]), sym)
-             for _ in range(3)
+    pairs = [tuple(_draw_radii(rng)["radii"]) for _ in range(3)]
+    cases = [(pair, sym) for pair in pairs
              for sym in (None, LaurentSymbol.monomial(2),
                          LaurentSymbol.monomial(-1))]
+    generic_caps = (LaurentSymbol.scalar([1.0, 0.3], 0),
+                    LaurentSymbol.scalar([1.0, 0.4j], 1),
+                    LaurentSymbol.scalar([1.0, 0.3, 0.02], -1),
+                    LaurentSymbol.scalar([2.0, -0.5], -2))
+    cases += [(pairs[i % 2], sym) for i, sym in enumerate(generic_caps)]
     radii = [2.0]
     for _ in range(3):
         radii.append(radii[-1] * rng.uniform(0.5, 0.85))

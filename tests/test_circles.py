@@ -18,6 +18,7 @@ from fredcorr.circles import (
     sphere_hardy_pair,
     stabilization_m0,
     symbol_band_matrix,
+    symbol_inverse,
     symbol_twist,
     twist_circle,
     winding_number,
@@ -103,6 +104,16 @@ def test_matrix_symbol_eval_grid():
     z = np.exp(0.4j)
     m = s.eval_grid([z])[0]
     assert np.allclose(m, [[1.0, 0.5 * z], [0.0, 1.0 / z]])
+
+
+@pytest.mark.parametrize("k", [-2, 1, 3])
+@pytest.mark.parametrize("c", [1e-12, 1e-10, 1e-3, 1.0, 1e3, 1e10, 1e12])
+def test_monomial_inverse_is_scale_free(c, k):
+    sym = LaurentSymbol.monomial(k, coefficient=c)
+    inv = symbol_inverse(sym)
+    assert inv.d_min == inv.d_max == -k
+    back = sym.product(inv)
+    assert back.d_min == 0 and np.allclose(back.coeffs, [[[1.0]]])
 
 
 @pytest.mark.parametrize("k", range(-3, 4))

@@ -85,6 +85,9 @@ def test_unknown_kind_and_version(tmp_path, capsys):
     # too narrow for the random draws
     {"kind": "graph", "window": 4},
     {"kind": "fan", "window": 1},
+    {"kind": "twist", "symbol": {"power": 1, "channels": -1}},
+    {"kind": "twist", "symbol": {"power": 1, "channels": 0}},
+    {"kind": "fan", "powers": []},
 ])
 def test_bad_parameter_is_usage_error(tmp_path, capsys, scenario):
     path = write_scenario(tmp_path, "bad.json", {"version": 1, **scenario})
@@ -100,6 +103,10 @@ def test_bad_parameter_is_usage_error(tmp_path, capsys, scenario):
     # an empty vertex list is refused, not read as absent
     ({"kind": "graph", "vertices": [],
       "edges": [{"source": "a", "target": "b"}]}, "vertices"),
+    # named for the parameter, not for what it breaks further in
+    ({"kind": "twist", "symbol": {"power": 1, "channels": 0}},
+     "symbol channels"),
+    ({"kind": "fan", "powers": []}, "powers"),
 ])
 def test_values_that_used_to_fall_back_are_refused(tmp_path, capsys,
                                                    scenario, name):
@@ -491,6 +498,19 @@ def test_graph_scenario_honours_its_window_key(tmp_path, capsys):
     # the flag still wins over the key
     assert cli.main(["index", path, "--window", "10", "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["results"]["window"] == 10
+
+
+def test_generic_cap_chain_events_match_the_untwisted_chain(tmp_path, capsys):
+    # 1 + 0.3z has no zero inside the disk: the cap records no structure,
+    # and its junctions compose through the fiber product
+    path = write_scenario(tmp_path, "c.json", {
+        "version": 1, "kind": "chain", "window": 32, "radii": [2, 1],
+        "twists": [{"d_min": 0, "entries": [[[1.0, 0.3]]]}]})
+    assert cli.main(["index", path, "--format", "json"]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results["total"] == 1
+    assert results["delta_events_left"] == [0, 1]
+    assert results["delta_events_right"] == [0, 1]
 
 
 def test_chain_checks_the_ledger_against_the_link_sum(capsys, monkeypatch):

@@ -218,6 +218,13 @@ class TestOrientationFlip:
         assert edge_index(f, "e2") == 2
         assert global_index_additive(f) == 3
 
+    @pytest.mark.parametrize("c", [1e-10, 1e13])
+    def test_flip_keeps_the_index_at_any_twist_scale(self, c):
+        g = sphere_path_graph(6, twist=LaurentSymbol.monomial(1, coefficient=c))
+        for eid in g.edges:
+            assert global_index_additive(flip_edge(g, eid)) \
+                == global_index_additive(g) == 2
+
     def test_double_flip_restores_totals(self):
         rng = np.random.default_rng(1021)
         g = random_graph(rng)

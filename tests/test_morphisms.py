@@ -22,7 +22,6 @@ from fredcorr.circles import (
 )
 from fredcorr.errors import CompositionMismatch, DimensionMismatch, InvalidInput
 from fredcorr.morphisms import (
-    COMPOSE_DROP_TOL,
     Chain,
     Correspondence,
     Twist,
@@ -542,8 +541,8 @@ def _plain(l):
 
 
 def _intersection_route(l1, l2):
-    """The general route of compose, spelled out: (L1 + H3) meet
-    (H1 + L2), projected onto H1 + H3 and cut at COMPOSE_DROP_TOL."""
+    """An independent composite: (L1 + H3) meet (H1 + L2), projected
+    onto H1 + H3 and cut at an absolute 1e-6."""
     n1, n2, n3 = l1.source.dim, l1.target.dim, l2.target.dim
     inter = intersection(direct_sum(l1.subspace, Subspace.full(n3)),
                          direct_sum(Subspace.full(n1), l2.subspace))
@@ -552,13 +551,13 @@ def _intersection_route(l1, l2):
     if projected.shape[1] == 0:
         return Subspace.zero(n1 + n3)
     u, s, _ = np.linalg.svd(projected, full_matrices=False)
-    return Subspace(u[:, :np.count_nonzero(s > COMPOSE_DROP_TOL)])
+    return Subspace(u[:, :np.count_nonzero(s > 1e-6)])
 
 
-def _count_intersections(monkeypatch):
+def _count_calls(monkeypatch, name):
     calls = []
-    real = morphisms.intersection
-    monkeypatch.setattr(morphisms, "intersection",
+    real = getattr(morphisms, name)
+    monkeypatch.setattr(morphisms, name,
                         lambda a, b: calls.append(1) or real(a, b))
     return calls
 
@@ -590,19 +589,23 @@ def _structured_pairs(m, q):
 @pytest.mark.parametrize("m", [2, 4, 6])
 @pytest.mark.parametrize("q", [0.5, 0.8])
 def test_structured_compose_matches_the_intersection_route(monkeypatch, m, q):
-    # no mode of q^n, n <= 6, q >= 0.5 nears the drop cutoff, so the
-    # general route keeps every mode too
-    calls = _count_intersections(monkeypatch)
+    # no mode of q^n, n <= 6, q >= 0.5 nears the reference's cutoff, so
+    # it keeps every mode too, and so does the fiber product of the same
+    # pair with its structure records dropped
+    calls = _count_calls(monkeypatch, "intersection")
     for kind, l1, l2 in _structured_pairs(m, q):
         fast = compose(l1, l2)
         assert fast._structure[0] == kind and not calls
+        plain = compose(_plain(l1), _plain(l2))
+        assert not calls
         slow = _intersection_route(l1, l2)
-        assert fast.subspace.dim == slow.dim
-        assert subspaces_equal(fast.subspace, slow)
+        for sub in (fast.subspace, plain.subspace):
+            assert sub.dim == slow.dim
+            assert subspaces_equal(sub, slow)
 
 
 def test_composite_between_zero_spaces_runs_no_intersection(monkeypatch):
-    calls = _count_intersections(monkeypatch)
+    calls = _count_calls(monkeypatch, "intersection")
     h = circle_space(4)
     rng = np.random.default_rng(3)
     l1 = Correspondence(source=ModelSpace.zero_space(), target=h,
@@ -614,22 +617,23 @@ def test_composite_between_zero_spaces_runs_no_intersection(monkeypatch):
     assert not calls and delta(l1, l2) == index(l1) + index(l2)
 
 
-def test_unrecorded_pairs_still_intersect(monkeypatch):
-    calls = _count_intersections(monkeypatch)
+def test_unrecorded_pairs_take_one_window_intersection(monkeypatch):
+    intersections = _count_calls(monkeypatch, "intersection")
+    images = _count_calls(monkeypatch, "restricted_image")
     outer, inner = chain_circle(4, 2.0), chain_circle(4, 1.0)
     a = annulus_correspondence(outer, inner)
     compose(_plain(a), disk_correspondence(inner, "outgoing"))
-    assert len(calls) == 1
+    assert len(images) == 1
     # a link re-based onto a moved splitting records nothing
     s = perturb_splitting(a.target.splitting, 1, seed=5)
     r1, r2 = _rebased(a, disk_correspondence(inner, "outgoing"), s)
     assert r1._structure is None and r2._structure is None
     compose(r1, r2)
-    assert len(calls) == 2
+    assert len(images) == 2 and not intersections
 
 
 def test_sphere_ledger_runs_no_intersection(monkeypatch):
-    calls = _count_intersections(monkeypatch)
+    calls = _count_calls(monkeypatch, "intersection")
     circles = [chain_circle(16, r) for r in (2.0, 1.6, 1.1, 0.7)]
     chain = Chain(links=(
         disk_correspondence(circles[0], "incoming"),
