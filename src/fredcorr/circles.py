@@ -2,6 +2,10 @@
 them: disk and annulus correspondences, multiplication twists, winding
 numbers, and the sphere/torus scenario builders.
 
+A symbol's determinant is z^(c*d_min) times a polynomial P.  Its
+coefficients (``_det_polynomial``) give the winding number (the zeros of
+P inside the disk) and decide whether the inverse exists (a monomial P).
+
 Mode bases are normalized per mode (the mode-k vector on a circle of
 radius r carries the factor r^k), so circle subspaces are plain
 coordinate spans and every index is radius-independent; radii survive
@@ -53,15 +57,13 @@ __all__ = [
     "stabilization_m0",
 ]
 
-# Grid sizes for circle sampling.
+# Grid of the construction check and of the first certificate bound.
 VALIDATION_GRID = 512
-WINDING_GRID = 1024
-WINDING_GRID_CAP = 2 ** 20
 # Finest grid of the injectivity certificate (two doublings of the
 # validation grid); past it the operator's singular values decide.
 CERTIFICATE_GRID_CAP = 2 ** 11
-# A symbol is singular where |det| on the circle is at most MIN_DET times
-# the largest value its coefficients allow (_det_floor): scale-free.
+# A symbol is singular where |det| at a grid point or a zero's nearest
+# circle point is at most MIN_DET times its largest value (_det_floor).
 MIN_DET = 1e-8
 
 
@@ -154,9 +156,6 @@ class LaurentSymbol:
         vals = np.tensordot(powers, self.coeffs, axes=(1, 0))
         return vals * (zs ** self.d_min)[:, None, None]
 
-    def det_on_grid(self, n):
-        return np.linalg.det(self.eval_grid(_unit_grid(n)))
-
     def product(self, other):
         """Pointwise matrix product self(z) @ other(z)."""
         if self.channels != other.channels:
@@ -170,6 +169,15 @@ class LaurentSymbol:
         return LaurentSymbol(coeffs=out, d_min=self.d_min + other.d_min)
 
 
+def _det_polynomial(sym):
+    """Coefficients of P(z) = det A(z) / z^(c*d_min), lowest power first:
+    the inverse DFT of det A on deg P + 1 = c*(planes - 1) + 1 points."""
+    n = sym.channels * (sym.coeffs.shape[0] - 1) + 1
+    zs = _unit_grid(n)
+    dets = np.linalg.det(sym.eval_grid(zs)) * zs ** (-sym.channels * sym.d_min)
+    return zs ** -np.arange(n)[:, None] @ dets / n
+
+
 def symbol_inverse(sym):
     """Pointwise inverse of a symbol, when it is again a Laurent polynomial.
 
@@ -180,27 +188,18 @@ def symbol_inverse(sym):
     is relative to the largest coefficient, so ``sym``'s scale is moot.
     """
     c = sym.channels
-    span = (sym.coeffs.shape[0] - 1) * c
-    n = max(span + 1, 4)
-    zs = _unit_grid(n)
-    dets = np.linalg.det(sym.eval_grid(zs))
-    # det powers live in [c*d_min, c*d_min + span]
-    powers = c * sym.d_min + np.arange(span + 1)
-    coeffs = np.array([np.mean(dets * zs ** (-p)) for p in powers])
+    coeffs = _det_polynomial(sym)
     big = np.flatnonzero(np.abs(coeffs)
                          > current_tolerance() * np.abs(coeffs).max())
     if len(big) != 1:
         raise SymbolSingular("determinant is not a monomial; the inverse "
                              "is not a Laurent polynomial")
-    m = int(powers[big[0]])
-    lo = (c - 1) * sym.d_min - m
+    lo = (c - 1) * sym.d_min - (c * sym.d_min + int(big[0]))
     span_inv = (c - 1) * (sym.coeffs.shape[0] - 1)
-    n2 = max(span_inv + 1, 4)
-    zs2 = _unit_grid(n2)
-    vals = np.linalg.inv(sym.eval_grid(zs2))
-    out = np.zeros((span_inv + 1, c, c), dtype=np.complex128)
-    for j in range(span_inv + 1):
-        out[j] = np.mean(vals * (zs2 ** (-(lo + j)))[:, None, None], axis=0)
+    zs2 = _unit_grid(max(span_inv + 1, 4))
+    vals = np.linalg.inv(sym.eval_grid(zs2)) * (zs2 ** -lo)[:, None, None]
+    out = np.tensordot(zs2 ** -np.arange(span_inv + 1)[:, None], vals,
+                       axes=(1, 0)) / zs2.size
     out[np.abs(out) < 1e-12 * np.abs(out).max()] = 0.0
     inv = LaurentSymbol(coeffs=out, d_min=lo)
     check = sym.product(inv)
@@ -212,28 +211,20 @@ def symbol_inverse(sym):
     return inv
 
 
-def winding_number(sym, grid=WINDING_GRID):
-    """Winding of the symbol determinant around zero.
+def winding_number(sym):
+    """Winding of the symbol determinant around zero: c*d_min plus the
+    number of zeros of P = det A / z^(c*d_min) inside the unit disk.
 
-    Accumulates argument steps on a uniform circle grid, doubling the
-    grid while any single step exceeds pi/2.  Exact for polynomial
-    symbols of moderate degree; a persistent large step or a near-zero
-    determinant means the symbol is effectively singular.
+    Rounding moves zeros that P lacks towards 0 or infinity, far from
+    the circle.  A zero whose nearest circle point has |det| at most the
+    ``MIN_DET`` floor makes the symbol singular, at any angle.
     """
-    n = grid
-    floor = _det_floor(sym.coeffs)
-    while True:
-        dets = sym.det_on_grid(n)
-        if float(np.abs(dets).min()) <= floor:
-            raise SymbolSingular("determinant too close to zero on the grid")
-        # phase steps around the closed loop, the last one back to the start
-        steps = np.angle(np.roll(dets, -1) * np.conj(dets))
-        if float(np.abs(steps).max()) <= math.pi / 2:
-            w = float(steps.sum()) / (2.0 * math.pi)
-            return int(round(w))
-        n *= 2
-        if n > WINDING_GRID_CAP:
-            raise SymbolSingular("winding did not stabilize under refinement")
+    roots = np.roots(_det_polynomial(sym)[::-1])
+    near = roots[roots != 0]
+    dets = np.linalg.det(sym.eval_grid(near / np.abs(near)))
+    if np.abs(dets).min(initial=np.inf) <= _det_floor(sym.coeffs):
+        raise SymbolSingular("determinant too close to zero on the circle")
+    return sym.channels * sym.d_min + int(np.count_nonzero(np.abs(roots) < 1.0))
 
 
 @dataclass(frozen=True)

@@ -531,9 +531,12 @@ FORMATTERS = {"table": format_table, "csv": format_csv, "json": format_json}
 def _emit(text, out_path):
     if out_path is None or out_path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out_path, "w") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"{out_path}: {exc.strerror}")
 
 
 def _exit_code(report):
@@ -544,10 +547,12 @@ def _exit_code(report):
 
 def _load_scenario(path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise UsageError(f"{path}: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path}: not UTF-8 text (byte {exc.start})")
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -710,6 +715,8 @@ def main(argv=None):
         tol = _resolve_tol(getattr(args, "tol", None))
         if tol is not None:
             subspaces.DEFAULT_TOL = tol
+        if getattr(args, "budget", None) is not None and args.budget < 0:
+            raise UsageError(f"--budget must be nonnegative, got {args.budget}")
         if args.command == "index":
             return _cmd_scenario(args)
         if args.command == "chain":

@@ -224,7 +224,7 @@ class Subspace:
         """The orthogonal projector onto this subspace as a dense matrix."""
         return self.frame @ self.frame.conj().T
 
-    def contains(self, other, tol=1e-8):
+    def contains(self, other):
         """Whether ``other`` (a Subspace or an (n,) vector) lies inside."""
         if isinstance(other, Subspace):
             vecs = other.frame
@@ -239,7 +239,7 @@ class Subspace:
         if vecs.shape[1] == 0:
             return True
         resid = vecs - self.frame @ (self.frame.conj().T @ vecs)
-        return float(np.abs(resid).max()) < tol
+        return float(np.abs(resid).max()) < 1e-8
 
 
 def _check_same_ambient(a, b):
@@ -398,7 +398,7 @@ def direct_sum(*subs):
     return Subspace._trusted(q)
 
 
-def subspaces_equal(a, b, tol=1e-8):
+def subspaces_equal(a, b):
     """Whether two subspaces coincide (same dim, all cosines at 1)."""
     _check_same_ambient(a, b)
     if a.dim != b.dim:
@@ -406,7 +406,7 @@ def subspaces_equal(a, b, tol=1e-8):
     if a.dim == 0:
         return True
     cos = principal_cosines(a, b)
-    return bool(cos.min() > 1.0 - tol)
+    return bool(cos.min() > 1.0 - 1e-8)
 
 
 def random_subspace(ambient_dim, dim, rng):

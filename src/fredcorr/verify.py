@@ -30,6 +30,7 @@ from .circles import (
     mv_pairing,
     random_laurent_symbol,
     sphere_hardy_pair,
+    stabilization_m0,
     symbol_twist,
     twist_circle,
     twisted_cap,
@@ -263,7 +264,7 @@ def _suite_window_stability(seed, count):
     for i in range(count):
         rng = _rng(seed, i)
         sym = random_laurent_symbol(rng, channels=1, degree=2)
-        m0 = 2 * 2 + 2
+        m0 = stabilization_m0(2)
         vals = {tilde_ind(symbol_twist(sym, twist_circle(m))) for m in range(m0, m0 + 7)}
         ok += len(vals) == 1
     return [

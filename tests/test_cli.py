@@ -1,8 +1,13 @@
 """Command line front end: scenario plumbing, exit codes, determinism,
-and serialization round-trips.  Everything drives cli.main in-process."""
+and serialization round-trips.  Everything drives cli.main in-process,
+except one subprocess run that checks stderr for a traceback."""
 
+import cmath
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -165,6 +170,68 @@ def test_non_finite_or_boolean_coefficient_is_refused(tmp_path, capsys, kind,
 def test_missing_file(capsys):
     assert cli.main(["index", "/nonexistent/x.json"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["index", "report"])
+def test_file_that_is_not_utf8_is_usage_error(tmp_path, capsys, command):
+    p = tmp_path / "bytes.json"
+    p.write_bytes(b"\xff\xfe")
+    assert cli.main([command, str(p)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "not UTF-8" in lines[0]
+
+
+def test_unwritable_out_path_is_usage_error(tmp_path, capsys):
+    path = write_scenario(tmp_path, "t.json",
+                          {"version": 1, "kind": "torus", "q": 0.5, "k": 0,
+                           "window": 6})
+    out = str(tmp_path / "no_such_dir" / "x.txt")
+    assert cli.main(["index", path, "--out", out]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == [f"error: {out}: No such file or directory"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["index", "{path}", "--budget", "-1"],
+    ["fan", "--budget", "-1"],
+    ["report", "{path}", "--budget", "-3"],
+])
+def test_negative_budget_is_refused_before_any_twist(tmp_path, capsys, argv):
+    # the message names the flag, not the twist it would have reached
+    path = write_scenario(tmp_path, "t.json",
+                          {"version": 1, "kind": "twist", "window": 8})
+    assert cli.main([a.format(path=path) for a in argv]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: --budget must be nonnegative")
+
+
+def test_boundary_errors_print_no_traceback(tmp_path):
+    p = tmp_path / "bytes.json"
+    p.write_bytes(b"\xff\xfe")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run([sys.executable, "-m", "fredcorr.cli", "index",
+                           str(p)], capture_output=True, text=True, env=env)
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith("error: ")
+
+
+@pytest.mark.parametrize("radius, code, winding", [
+    (1 + 1e-6, 0, 0),
+    # fault (a): the windowed index misses the zero just inside the disk
+    (1 - 1e-6, 1, 1),
+])
+def test_twist_with_a_zero_near_the_circle_is_decided(tmp_path, capsys,
+                                                      radius, code, winding):
+    z = radius * cmath.exp(1.2345j)
+    path = write_scenario(tmp_path, "near.json", {
+        "version": 1, "kind": "twist", "window": 8,
+        "symbol": {"d_min": 0, "entries": [[[[-z.real, -z.imag], 1.0]]]}})
+    assert cli.main(["index", path]) == code
+    out = capsys.readouterr().out
+    assert f"winding: {winding}" in out and "twist_index: 0" in out
 
 
 def test_misspelled_param_is_rejected(tmp_path, capsys):
