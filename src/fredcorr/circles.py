@@ -71,6 +71,11 @@ def _unit_grid(n):
     return np.exp(2j * np.pi * np.arange(n) / n)
 
 
+# the points of the construction check, computed once
+_VALIDATION_POINTS = _unit_grid(VALIDATION_GRID)
+_VALIDATION_POINTS.setflags(write=False)
+
+
 def _det_floor(coeffs):
     # |det A(z)| <= ||A(z)||^c <= (sum_p ||A_p||_F)^c on the unit circle
     scale = float(np.linalg.norm(coeffs, axis=(1, 2)).sum())
@@ -116,7 +121,7 @@ class LaurentSymbol:
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
         object.__setattr__(self, "d_min", int(d_min))
-        vals = self.eval_grid(_unit_grid(VALIDATION_GRID))
+        vals = self.eval_grid(_VALIDATION_POINTS)
         dets = np.linalg.det(vals)
         if float(np.abs(dets).min()) <= _det_floor(c):
             raise SymbolSingular("symbol determinant vanishes on the circle")
@@ -334,9 +339,9 @@ def certified_ratio(sym):
 
 def band_certificate(sym, op):
     """:func:`certified_ratio` of ``sym`` when :func:`multiplication_operator`
-    built ``op`` from that very symbol (its read-only matrix is then the
-    band matrix of the frozen symbol), and 0.0 (nothing certified) for
-    any other operator or symbol."""
+    built ``op`` from that very symbol (its entries and its read-only
+    matrix are then those of the frozen symbol's band matrix), and 0.0
+    (nothing certified) for any other operator or symbol."""
     if sym is None or op._symbol is not sym:
         return 0.0
     return certified_ratio(sym)
@@ -348,16 +353,21 @@ def multiplication_operator(sym, base_window):
     The domain is the base window padded by the symbol degree; the range
     is padded by twice the degree so that no output mode of any padded
     input is truncated.  Only here is ``sym`` recorded on the operator,
-    for :func:`band_certificate`.
+    for :func:`band_certificate`.  The operator reads its entries off the
+    symbol (``WindowedOperator.entries``), and builds the band matrix
+    (:func:`symbol_band_matrix`) once, when something first reads its
+    ``matrix``: ``twist_graph``, ``mv_pairing``, ``twisted_cap``, a twist
+    that the certificate does not cover, and the commutator with a
+    splitting that records no mask.
     """
+    if sym.channels != base_window.channels:
+        raise DimensionMismatch("symbol channels do not match the windows")
     d = sym.degree
     domain = base_window.pad(d)
     rng_w = base_window.pad(2 * d)
-    m = symbol_band_matrix(sym, domain, rng_w)
-    op = WindowedOperator(domain_window=domain, range_window=rng_w,
-                          base_window=base_window, matrix=m)
-    object.__setattr__(op, "_symbol", sym)
-    return op
+    return WindowedOperator._of_symbol(
+        sym, domain, rng_w, base_window,
+        lambda: symbol_band_matrix(sym, domain, rng_w))
 
 
 def symbol_twist(sym, circle):

@@ -736,6 +736,11 @@ def main(argv=None):
     except FredcorrError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except MemoryError as exc:
+        # the dense frames of a wide window did not fit
+        detail = f" ({exc})" if str(exc) else ""
+        sys.stderr.write(f"error: not enough memory for this input{detail}\n")
+        return 2
     finally:
         # the override holds for this one command, not for the process
         subspaces.DEFAULT_TOL = saved_tol

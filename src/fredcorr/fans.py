@@ -381,10 +381,9 @@ def fan_from_twists(space, parts, twists, budget=None):
             members.append(part.base())
             continue
         op, member = _member_of(chain, part, window)
-        b = op.base_square()
         cap = _default_budget(chain, window) if budget is None else budget
         for split in splittings:
-            if commutator_rank(b, split) > cap:
+            if commutator_rank(op, split) > cap:
                 raise NotAFan(
                     "twist does not almost commute with a part projector "
                     f"(budget {cap})"

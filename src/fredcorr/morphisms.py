@@ -20,7 +20,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CompositionMismatch, DimensionMismatch, InvalidInput
-from .spaces import ModelSpace, off_diagonal_singular_values, spaces_match
+from .spaces import (
+    ModelSpace,
+    _block_singular_values,
+    off_diagonal_singular_values,
+    spaces_match,
+)
 from .subspaces import (
     Subspace,
     complement,
@@ -199,14 +204,16 @@ class Twist:
     built from ``symbol`` itself, the symbol certifies that
     (``circles.band_certificate``); otherwise, or when the certificate
     does not reach twice the relative tolerance, the singular values of
-    the operator decide it, as a rank with the relative tolerance.
-    Either way the decided ratio sigma_min / sigma_max (a lower bound,
-    for the certificate) is kept for :func:`tilde_ind`.
+    the operator's matrix decide it, as a rank with the relative
+    tolerance.  Either way the decided ratio sigma_min / sigma_max (a
+    lower bound, for the certificate) is kept for :func:`tilde_ind`.
 
     ``budget`` bounds the rank of the commutator with the sharp
-    projector; pass None to skip that check (useful when re-basing a
-    twist onto a perturbed splitting, which inflates the commutator by
-    the perturbation rank).
+    projector (:func:`commutator_rank`, which reads only the entries that
+    couple the two halves); pass None to skip that check (useful when
+    re-basing a twist onto a perturbed splitting, which inflates the
+    commutator by the perturbation rank).  A certified symbol twist on a
+    coordinate splitting builds no matrix for either check.
     """
 
     base: ModelSpace
@@ -231,8 +238,7 @@ class Twist:
             ratio = s[-1] / s[0]
         object.__setattr__(self, "_injectivity_ratio", float(ratio))
         if self.budget is not None:
-            if commutator_rank(op.base_square(), self.base.splitting) \
-                    > self.budget:
+            if commutator_rank(op, self.base.splitting) > self.budget:
                 raise InvalidInput("twist commutator exceeds its rank budget")
 
     @property
@@ -244,12 +250,51 @@ class Twist:
                      operator=self.operator, symbol=self.symbol, budget=None)
 
 
-def commutator_rank(b, splitting):
-    """Rank of the commutator of a square matrix ``b`` with the sharp
-    projector of ``splitting``: its singular values are those of the two
-    off-diagonal blocks (``spaces.off_diagonal_singular_values``),
-    counted under one relative cutoff."""
-    s = off_diagonal_singular_values(splitting, b, splitting)
+def _cut_block(op, base_rows, base_cols, row_half, col_half):
+    """The block B[row_half, col_half] of the base compression B of
+    ``op`` (masks over the base window, which ``base_rows`` and
+    ``base_cols`` place in the range and the domain), cut to the rows
+    and columns in which the operator can have a nonzero entry across
+    the cut."""
+    rows = np.zeros(base_rows.size, dtype=bool)
+    rows[base_rows] = row_half
+    cols = np.zeros(base_cols.size, dtype=bool)
+    cols[base_cols] = col_half
+    rows &= op.rows_reached(cols)
+    cols &= op.columns_reaching(rows)
+    return op.entries(rows, cols)
+
+
+def commutator_singular_values(op, splitting):
+    """Singular values of the commutator of the base compression B of a
+    windowed operator with the sharp projector of ``splitting``: those of
+    its two off-diagonal blocks, each with its exactly-zero rows and
+    columns dropped.
+
+    A coordinate splitting records its sharp mask m, and the blocks are
+    the entries B[m, ~m] and B[~m, m] (``WindowedOperator.entries``).
+    Only rows and columns that the operator couples across the cut can
+    be nonzero: within the symbol's degree of the cut for a symbol-built
+    operator, which then reads them off its symbol, and every one for
+    any other operator, which reads its matrix.  A splitting without a
+    mask (a perturbed one) takes the frame products of
+    ``spaces.off_diagonal_singular_values`` with B = ``base_square()``.
+    """
+    m = splitting._sharp_mask
+    if m is None:
+        return off_diagonal_singular_values(splitting, op.base_square(),
+                                            splitting)
+    rows, cols = op.base_rows_mask(), op.base_columns_mask()
+    return _block_singular_values([_cut_block(op, rows, cols, m, ~m),
+                                   _cut_block(op, rows, cols, ~m, m)])
+
+
+def commutator_rank(op, splitting):
+    """Rank of the commutator of the base compression of a windowed
+    operator with the sharp projector of ``splitting``: its singular
+    values (:func:`commutator_singular_values`), counted under one
+    relative cutoff."""
+    s = commutator_singular_values(op, splitting)
     if not s.size:
         return 0
     return int(np.count_nonzero(s > current_tolerance() * s.max()))
@@ -267,19 +312,30 @@ def tilde_ind(t):
     |M_base x|^2 >= (sigma_min^2 - tol^2 sigma_max^2) |x|^2, above the
     orthonormalization cutoff, so the image dimension is the nullspace
     dimension, counted as columns minus rank, and no image frame or
-    nullspace basis is built.  Closer to the cutoff the image is built
-    and orthonormalized (``apply_within_window``).
+    nullspace basis is built.  Those outside rows are the block of the
+    operator at the outside rows and the domain columns that reach them
+    (``WindowedOperator.entries``; a symbol-built operator's columns lie
+    within its degree of the window edges, and it builds no matrix) times
+    the same rows of the padded flat frame, whatever the splitting
+    (``ModelSpace.flat_padded_rows``, which builds no other row), with
+    the frame columns that vanish on those rows dropped.
+    Closer to the cutoff the image is built and orthonormalized
+    (``apply_within_window``).
 
     Equals the winding number of the symbol determinant on circle
     models whose sharp half is the nonnegative-mode span.
     """
     op = t.operator
-    flat_pad = t.base.flat_padded(t.margin)
     sharp = t.base.splitting.sharp
     if t._injectivity_ratio > 2.0 * current_tolerance():
-        outside = op.matrix[~op.base_rows_mask(), :] @ flat_pad.frame
-        image_dim = outside.shape[1] - rank(outside)
+        out = ~op.base_rows_mask()
+        cols = op.columns_reaching(out)
+        frame = t.base.flat_padded_rows(t.margin, cols)
+        # a column of the frame that vanishes on these rows adds nothing
+        outside = op.entries(out, cols) @ frame[:, frame.any(axis=0)]
+        image_dim = frame.shape[1] - rank(outside)
         return image_dim + sharp.dim - sharp.ambient_dim
+    flat_pad = t.base.flat_padded(t.margin)
     return dimension_index(op.apply_within_window(flat_pad), sharp)
 
 

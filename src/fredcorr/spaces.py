@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidInput
 from .subspaces import Subspace, singular_values, subspaces_equal
-from .windows import ModeWindow, pad_by_predicate
+from .windows import ModeWindow, pad_by_predicate, padded_rows
 
 __all__ = [
     "SHARP_NONNEG",
@@ -71,7 +71,7 @@ class Splitting:
     sharp^H flat = 0; that small block is what gets checked.
     Complementary coordinate spans skip the check: :meth:`_coordinate`
     builds them from a sharp mask and records it, so that
-    :func:`off_diagonal_singular_values` reads submatrices instead.
+    ``morphisms.commutator_rank`` reads submatrices instead.
     """
 
     sharp: Subspace
@@ -185,20 +185,21 @@ class ModelSpace:
     def is_zero(self):
         return self.dim == 0
 
-    def _half_padded(self, half, margin):
-        cached = self._padded.get((half, margin))
-        if cached is not None:
-            return cached
+    def _half(self, half):
+        # a splitting half and the predicate of the margin modes it takes
         if self.window is None or self.convention is None:
             raise InvalidInput("space has no window/convention for padding")
         pred = convention_predicate(self.convention)
         if half == "flat":
-            base = self.splitting.flat
-            keep = lambda n: not pred(n)
-        else:
-            base = self.splitting.sharp
-            keep = pred
-        padded = pad_by_predicate(base, self.window, margin, keep)
+            return self.splitting.flat, lambda n: not pred(n)
+        return self.splitting.sharp, pred
+
+    def _half_padded(self, half, margin):
+        cached = self._padded.get((half, margin))
+        if cached is not None:
+            return cached
+        sub, keep = self._half(half)
+        padded = pad_by_predicate(sub, self.window, margin, keep)
         self._padded[(half, margin)] = padded
         return padded
 
@@ -210,6 +211,16 @@ class ModelSpace:
         perturbation lives inside the base window.
         """
         return self._half_padded("flat", margin)
+
+    def flat_padded_rows(self, margin, rows):
+        """The rows ``rows`` of the frame of :meth:`flat_padded`: read off
+        that frame once it is built, and otherwise built without its other
+        rows (``windows.padded_rows``)."""
+        cached = self._padded.get(("flat", margin))
+        if cached is not None:
+            return cached.frame[rows]
+        sub, keep = self._half("flat")
+        return padded_rows(sub, self.window, margin, keep, rows)
 
     def sharp_padded(self, margin):
         return self._half_padded("sharp", margin)
@@ -310,7 +321,19 @@ def perturb_splitting(s, rank, seed, support=None, transfer_prob=0.85):
 def _nonzero_block(a):
     # dropping exactly-zero rows and columns keeps every nonzero
     # singular value
-    return a[np.ix_(np.any(a != 0, axis=1), np.any(a != 0, axis=0))]
+    nonzero = a != 0
+    return a[:, nonzero.any(axis=0)][nonzero.any(axis=1)]
+
+
+def _block_singular_values(raw):
+    """Singular values of each block, exactly-zero rows and columns
+    dropped first, concatenated."""
+    # every block is formed before either SVD: interleaving the two kinds
+    # of call made a wide-window operation about 7 % slower
+    blocks = [_nonzero_block(x) for x in raw]
+    # a block left with any entry has a nonzero one
+    s = [singular_values(x) for x in blocks if x.size]
+    return np.concatenate(s) if s else np.zeros(0)
 
 
 def off_diagonal_singular_values(left, b, right):
@@ -324,26 +347,16 @@ def off_diagonal_singular_values(left, b, right):
     values of the projector difference P_L - P_R = P_L (1 - P_R) -
     (1 - P_L) P_R, whose two terms have orthogonal ranges and orthogonal
     row spaces.  Rows and columns of a block that are exactly zero are
-    dropped before its SVD: a coordinate splitting leaves only a corner
-    of each block.  When L is R and records its sharp mask m, the frames
-    are unit columns in coordinate order, so the blocks of B are exactly
-    the submatrices B[m, ~m] and B[~m, m], read without any product.
+    dropped before its SVD.  A splitting that records its sharp mask m
+    has unit-column frames, so ``morphisms.commutator_rank`` reads its
+    blocks as B[m, ~m] and B[~m, m] instead of forming these products.
     """
     if left.ambient_dim != right.ambient_dim:
         raise DimensionMismatch("splittings live in different spaces")
-    m = left._sharp_mask if left is right else None
-    if b is not None and m is not None:
-        raw = [b[np.ix_(m, ~m)], b[np.ix_(~m, m)]]
-    else:
-        raw = [x.frame.conj().T @ y.frame if b is None
-               else x.frame.conj().T @ b @ y.frame
-               for x, y in ((left.sharp, right.flat), (left.flat, right.sharp))]
-    # every block is formed before either SVD: interleaving the two kinds
-    # of call made a wide-window operation about 7 % slower
-    blocks = [_nonzero_block(x) for x in raw]
-    # a block left with any entry has a nonzero one
-    s = [singular_values(x) for x in blocks if x.size]
-    return np.concatenate(s) if s else np.zeros(0)
+    return _block_singular_values(
+        [x.frame.conj().T @ y.frame if b is None
+         else x.frame.conj().T @ b @ y.frame
+         for x, y in ((left.sharp, right.flat), (left.flat, right.sharp))])
 
 
 def polarization_defect(left, right):

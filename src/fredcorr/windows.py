@@ -25,6 +25,7 @@ __all__ = [
     "mode_span",
     "lift_frame",
     "pad_by_predicate",
+    "padded_rows",
     "window_rows_mask",
     "restricted_image",
     "windowed_graph",
@@ -67,8 +68,7 @@ class ModeWindow:
 
     def mode_labels(self):
         """Array of mode numbers, one per coordinate."""
-        per = np.arange(-self.half_width, self.half_width + 1)
-        return np.tile(per, self.channels)
+        return np.arange(self.dim) % self.modes_per_channel - self.half_width
 
     def pad(self, margin):
         """The window enlarged by ``margin`` modes on both sides."""
@@ -107,6 +107,17 @@ def lift_frame(frame, from_window, to_window):
     return out
 
 
+def _margin_columns(window, margin, predicate):
+    """Coordinates of the window padded by ``margin`` whose margin mode
+    satisfies ``predicate``, in coordinate order."""
+    h, per = window.half_width, window.modes_per_channel + 2 * margin
+    # the predicate sees only the mode number: test each margin mode once
+    margin_modes = [*range(-h - margin, -h), *range(h + 1, h + margin + 1)]
+    rows = [n + h + margin for n in margin_modes if predicate(n)]
+    return (per * np.arange(window.channels)[:, None]
+            + np.array(rows, dtype=int)).ravel()
+
+
 def pad_by_predicate(sub, window, margin, predicate):
     """Padded companion of a subspace of ``window``: its frame lifted into
     the window padded by ``margin``, plus every margin mode whose number
@@ -115,20 +126,37 @@ def pad_by_predicate(sub, window, margin, predicate):
 
     The one builder of padded halves: ``ModelSpace.flat_padded`` and
     ``sharp_padded`` (twists, graph assemblies), the twisted cap,
-    ``mv_pairing`` and ``fans.PredicatePart.padded`` all call it.  An arbitrary subspace has no canonical
-    enlargement, so callers keep the base they padded themselves."""
-    padded_window = window.pad(margin)
-    h, per = window.half_width, padded_window.modes_per_channel
-    # the predicate sees only the mode number: test each margin mode once
-    margin_modes = [*range(-h - margin, -h), *range(h + 1, h + margin + 1)]
-    rows = [n + h + margin for n in margin_modes if predicate(n)]
-    extra = (per * np.arange(window.channels)[:, None]
-             + np.array(rows, dtype=int)).ravel()
-    frame = np.zeros((padded_window.dim, sub.dim + len(extra)),
+    ``mv_pairing`` and ``fans.PredicatePart.padded`` all call it;
+    :func:`padded_rows` reads some of its rows without building it.  An
+    arbitrary subspace has no canonical enlargement, so callers keep the
+    base they padded themselves."""
+    extra = _margin_columns(window, margin, predicate)
+    per, per_w = window.modes_per_channel + 2 * margin, window.modes_per_channel
+    frame = np.zeros((window.channels * per, sub.dim + extra.size),
                      dtype=np.complex128)
-    frame[:, :sub.dim] = lift_frame(sub.frame, window, padded_window)
-    frame[extra, sub.dim + np.arange(len(extra))] = 1.0
+    for c in range(window.channels):
+        frame[c * per + margin: c * per + margin + per_w, :sub.dim] = \
+            sub.frame[c * per_w:(c + 1) * per_w]
+    frame[extra, sub.dim + np.arange(extra.size)] = 1.0
     return Subspace._trusted(frame)
+
+
+def padded_rows(sub, window, margin, predicate, rows):
+    """The rows ``rows`` (an index array or a mask over the padded
+    window) of the frame :func:`pad_by_predicate` builds, without its
+    other rows."""
+    extra = _margin_columns(window, margin, predicate)
+    per = window.modes_per_channel + 2 * margin
+    coords = np.arange(window.channels * per)[rows]
+    pos = coords % per
+    lifted = np.flatnonzero((pos >= margin) & (pos < per - margin))
+    out = np.zeros((coords.size, sub.dim + extra.size), dtype=np.complex128)
+    # a lifted row's base coordinate: 2 * margin fewer per earlier channel
+    at = coords[lifted]
+    out[lifted, :sub.dim] = sub.frame[at - margin - 2 * margin * (at // per)]
+    unit = np.flatnonzero(np.isin(coords, extra))
+    out[unit, sub.dim + np.searchsorted(extra, coords[unit])] = 1.0
+    return out
 
 
 def window_rows_mask(range_window, base_window):
@@ -176,49 +204,133 @@ def windowed_graph(matrix, keep_rows):
     return restricted_image(stacked, mask)
 
 
-@dataclass(frozen=True, eq=False)
+def _within(modes, others, lo, hi):
+    """Mask of the ``modes`` n with n - k in [lo, hi] for some k in
+    ``others``."""
+    ks = np.sort(others)
+    # some k lies in [n - hi, n - lo]
+    return np.searchsorted(ks, modes - hi) < np.searchsorted(ks, modes - lo,
+                                                             side="right")
+
+
+def _channels_and_modes(window):
+    """The channel and the mode number of every coordinate."""
+    channel, pos = np.divmod(np.arange(window.dim), window.modes_per_channel)
+    return channel, pos - window.half_width
+
+
 class WindowedOperator:
     """An operator from a padded window into a range window, applied with
     window-intersection semantics.
 
     ``matrix`` has shape (range dim, domain dim) and must be exact: the
     range window has to be large enough that no output of the symbol is
-    truncated.  The base-cropped matrix is derived from it, never
-    stored, because cropping first would destroy the information needed
-    to intersect with the window.
+    truncated.  It is stored read-only.  The base-cropped matrix is
+    derived from it, never stored, because cropping first would destroy
+    the information needed to intersect with the window.
+
+    :meth:`entries` is the one way to read a block of the matrix.  A
+    symbol-built operator (:meth:`_of_symbol`, which only
+    ``circles.multiplication_operator`` calls) answers it from its symbol
+    by mode arithmetic, and builds its matrix on the first read of
+    ``matrix``; any other operator answers from its matrix.
     """
 
-    domain_window: ModeWindow
-    range_window: ModeWindow
-    base_window: ModeWindow
-    matrix: np.ndarray
-    # set by circles.multiplication_operator only: the matrix's symbol
+    # the symbol of a symbol-built operator, recorded for
+    # circles.band_certificate
     _symbol = None
 
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=np.complex128)
-        if m.shape != (self.range_window.dim, self.domain_window.dim):
+    def __init__(self, domain_window, range_window, base_window, matrix):
+        m = np.array(matrix, dtype=np.complex128)
+        if m.shape != (range_window.dim, domain_window.dim):
             raise DimensionMismatch(
                 f"matrix shape {m.shape} does not match windows "
-                f"({self.range_window.dim}, {self.domain_window.dim})"
+                f"({range_window.dim}, {domain_window.dim})"
             )
-        if self.base_window.channels != self.range_window.channels:
-            raise DimensionMismatch("channel counts differ")
-        if self.base_window.half_width > self.range_window.half_width:
-            raise DimensionMismatch("base window exceeds range window")
-        m = m.copy()
+        self._set_windows(domain_window, range_window, base_window)
         m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        self._matrix = m
+
+    @classmethod
+    def _of_symbol(cls, sym, domain_window, range_window, base_window, build):
+        """Operator of multiplication by ``sym``, whose matrix ``build()``
+        returns when something first reads it."""
+        op = object.__new__(cls)
+        op._set_windows(domain_window, range_window, base_window)
+        op._symbol = sym
+        op._build = build
+        op._matrix = None
+        return op
+
+    def _set_windows(self, domain_window, range_window, base_window):
+        if base_window.channels != range_window.channels:
+            raise DimensionMismatch("channel counts differ")
+        if base_window.half_width > range_window.half_width:
+            raise DimensionMismatch("base window exceeds range window")
+        self.domain_window = domain_window
+        self.range_window = range_window
+        self.base_window = base_window
+        # the channel and the mode of every range row and domain column
+        self._row_channels, self._row_modes = _channels_and_modes(range_window)
+        self._col_channels, self._col_modes = _channels_and_modes(domain_window)
+        self._base_rows = np.abs(self._row_modes) <= base_window.half_width
+        self._base_rows.setflags(write=False)
+
+    @property
+    def matrix(self):
+        """The (range dim, domain dim) matrix, read-only."""
+        if self._matrix is None:
+            m = self._build()
+            m.setflags(write=False)
+            self._matrix = m
+        return self._matrix
+
+    def entries(self, rows, cols):
+        """The block of the matrix at range ``rows`` and domain ``cols``
+        (index arrays or boolean masks), as a new array.  A symbol-built
+        operator copies each entry from its symbol's coefficients, as the
+        band matrix does, and reads no matrix."""
+        sym = self._symbol
+        if sym is None:
+            return self.matrix[np.ix_(rows, cols)]
+        power = (self._row_modes[rows][:, None]
+                 - self._col_modes[cols][None, :] - sym.d_min)
+        i, j = np.nonzero((power >= 0) & (power < sym.coeffs.shape[0]))
+        out = np.zeros(power.shape, dtype=np.complex128)
+        out[i, j] = sym.coeffs[power[i, j], self._row_channels[rows][i],
+                               self._col_channels[cols][j]]
+        return out
+
+    def _band(self):
+        # an entry can be nonzero only if its row mode minus its column
+        # mode lies in [lo, hi]: the symbol's powers, or any difference
+        if self._symbol is None:
+            reach = self.range_window.half_width + self.domain_window.half_width
+            return -reach, reach
+        return self._symbol.d_min, self._symbol.d_max
+
+    def rows_reached(self, cols):
+        """Mask of the range rows in which one of the domain columns
+        ``cols`` (an index array or a mask) can have a nonzero entry."""
+        lo, hi = self._band()
+        return _within(self._row_modes, self._col_modes[cols], lo, hi)
+
+    def columns_reaching(self, rows):
+        """Mask of the domain columns that can have a nonzero entry in one
+        of the range rows ``rows`` (an index array or a mask)."""
+        lo, hi = self._band()
+        return _within(self._col_modes, self._row_modes[rows], -hi, -lo)
 
     def base_rows_mask(self):
-        return window_rows_mask(self.range_window, self.base_window)
+        """Mask of range rows whose mode lies in the base, read-only."""
+        return self._base_rows
 
     def base_columns_mask(self):
         """Mask of padded-domain columns whose mode lies in the base."""
         return window_rows_mask(self.domain_window, self.base_window)
 
     def base_square(self):
-        """The base-to-base compression of the operator."""
+        """The base-to-base compression of the operator, from its matrix."""
         return self.matrix[np.ix_(self.base_rows_mask(),
                                   self.base_columns_mask())]
 

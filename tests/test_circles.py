@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fredcorr.circles import (
     LaurentCircle,
@@ -25,6 +27,7 @@ from fredcorr.circles import (
 )
 from fredcorr.errors import DimensionMismatch, InvalidInput, SymbolSingular
 from fredcorr.morphisms import (
+    Twist,
     chain_total_index,
     commutator_rank,
     index,
@@ -32,7 +35,7 @@ from fredcorr.morphisms import (
     tilde_ind,
     twist_graph,
 )
-from fredcorr.spaces import perturb_splitting
+from fredcorr.spaces import off_diagonal_singular_values, perturb_splitting
 from fredcorr.subspaces import (
     current_tolerance,
     dimension_index,
@@ -297,13 +300,104 @@ def test_counted_tilde_ind_on_inner_zero_symbols():
         assert tilde_ind(t) == _image_route(t) == -3
 
 
+def _dense_tilde_ind(t):
+    # the dense reference: every outside row of the band matrix times the
+    # whole padded flat frame, or the image route below the certificate
+    if t._injectivity_ratio <= 2 * current_tolerance():
+        return _image_route(t)
+    op = t.operator
+    outside = op.matrix[~op.base_rows_mask(), :] \
+        @ t.base.flat_padded(t.margin).frame
+    sharp = t.base.splitting.sharp
+    return outside.shape[1] - rank(outside) + sharp.dim - sharp.ambient_dim
+
+
+def _dense_commutator_rank(op, split):
+    # the dense reference: frame products with the whole base square
+    s = off_diagonal_singular_values(split, op.base_square(), split)
+    return int(np.count_nonzero(s > current_tolerance() * s.max(initial=0)))
+
+
+def _assert_block_and_dense_routes_agree(sym, circle, rebase_seed=None):
+    """tilde_ind, commutator_rank and the budget refusal of the symbol
+    twist agree with the dense band-matrix route."""
+    space = circle.space()
+    op = multiplication_operator(sym, circle.window)
+    try:
+        t = Twist(base=space, operator=op, symbol=sym)
+    except InvalidInput:
+        # not injective below the certificate: refused either way
+        with pytest.raises(InvalidInput):
+            symbol_twist(sym, circle)
+        return
+    r = _dense_commutator_rank(op, space.splitting)
+    assert commutator_rank(op, space.splitting) == r
+    for budget in {max(r - 1, 0), r}:
+        if r > budget:
+            with pytest.raises(InvalidInput, match="rank budget"):
+                Twist(base=space, operator=op, symbol=sym, budget=budget)
+        else:
+            Twist(base=space, operator=op, symbol=sym, budget=budget)
+    # the structural budget of symbol_twist bounds every such rank
+    assert r <= 2 * sym.degree * sym.channels
+    assert tilde_ind(symbol_twist(sym, circle)) == _dense_tilde_ind(t)
+    if rebase_seed is not None and min(space.splitting.sharp.dim,
+                                       space.splitting.flat.dim) >= 2:
+        s = perturb_splitting(space.splitting, 2, seed=rebase_seed)
+        tp = t.with_base_splitting(s)
+        assert tilde_ind(tp) == _dense_tilde_ind(tp)
+        assert commutator_rank(op, s) == _dense_commutator_rank(op, s)
+
+
+def _route_symbols(rng, channels, degree):
+    if channels == 1:
+        # random scalar draws are monomials: add zeros on both sides, and
+        # one just outside the circle, which no grid certifies
+        near = [(1 + 1e-7) * np.exp(2j * np.pi * rng.uniform())] \
+            + [2.5] * (degree - 1)
+        return [random_laurent_symbol(rng, channels=1, degree=degree),
+                _scalar_with_zeros(rng, 1, degree - 1, -1),
+                _scalar_with_zeros_on_both_sides(rng),
+                LaurentSymbol.scalar(np.poly(near)[::-1], d_min=0)]
+    syms = [random_laurent_symbol(rng, channels=channels, degree=degree)]
+    if channels == 2 and degree == 3:
+        syms.append(_fault_symbol(rng))
+    return syms
+
+
+@pytest.mark.parametrize("channels", [1, 2, 3])
+@pytest.mark.parametrize("degree", [1, 2, 3])
+@pytest.mark.parametrize("make_circle", [twist_circle, chain_circle])
+def test_block_route_matches_the_dense_route(channels, degree, make_circle):
+    rng = np.random.default_rng([channels, degree])
+    for sym in _route_symbols(rng, channels, degree):
+        for m in (1, 2, sym.degree, 8, 32, 40):
+            _assert_block_and_dense_routes_agree(
+                sym, make_circle(max(m, 1), channels=channels),
+                rebase_seed=m)
+
+
+@settings(deadline=None, max_examples=40)
+@given(seed=st.integers(0, 2 ** 32 - 1), channels=st.integers(1, 3),
+       degree=st.integers(1, 3), window=st.integers(1, 40),
+       make_circle=st.sampled_from([twist_circle, chain_circle]),
+       rebase=st.booleans())
+def test_block_route_matches_the_dense_route_on_draws(
+        seed, channels, degree, window, make_circle, rebase):
+    rng = np.random.default_rng(seed)
+    syms = _route_symbols(rng, channels, degree)
+    sym = syms[int(rng.integers(len(syms)))]
+    _assert_block_and_dense_routes_agree(
+        sym, make_circle(window, channels=channels),
+        rebase_seed=seed if rebase else None)
+
+
 def test_twist_budget_bounds_commutator():
     rng = np.random.default_rng(9)
     for _ in range(6):
         sym = random_laurent_symbol(rng, channels=2, degree=2)
         t = symbol_twist(sym, twist_circle(8, channels=2))
-        assert commutator_rank(t.operator.base_square(),
-                               t.base.splitting) <= t.budget
+        assert commutator_rank(t.operator, t.base.splitting) <= t.budget
 
 
 def test_twist_index_stable_across_windows():

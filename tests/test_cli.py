@@ -207,6 +207,23 @@ def test_negative_budget_is_refused_before_any_twist(tmp_path, capsys, argv):
     assert lines[0].startswith("error: --budget must be nonnegative")
 
 
+@pytest.mark.parametrize("argv", [["index", "{path}"], ["report", "{path}"]])
+def test_memory_error_is_one_error_line(tmp_path, capsys, monkeypatch, argv):
+    # a window too wide for its dense frames: refused, not a traceback
+    # with the exit code of a failed check
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 12.8 GiB for an array")
+
+    monkeypatch.setattr(cli, "symbol_twist", out_of_memory)
+    path = write_scenario(tmp_path, "t.json",
+                          {"version": 1, "kind": "twist", "window": 8,
+                           "channels": 1, "degree": 1})
+    assert cli.main([a.format(path=path) for a in argv]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: not enough memory for this input "
+        "(Unable to allocate 12.8 GiB for an array)"]
+
+
 def test_boundary_errors_print_no_traceback(tmp_path):
     p = tmp_path / "bytes.json"
     p.write_bytes(b"\xff\xfe")

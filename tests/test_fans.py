@@ -248,10 +248,11 @@ def test_part_commutator_count_matches_the_dense_commutator(monkeypatch):
     real = fans.commutator_rank
     compared = []
 
-    def checked(b, split):
+    def checked(op, split):
         Splitting(sharp=split.sharp, flat=split.flat)
         p = split.sharp.projector()
-        got = real(b, split)
+        b = op.base_square()
+        got = real(op, split)
         assert got == rank(b @ p - p @ b)
         compared.append(got)
         return got

@@ -27,6 +27,7 @@ from fredcorr.morphisms import (
     Twist,
     chain_total_index,
     commutator_rank,
+    commutator_singular_values,
     compose,
     delta,
     delta_direct,
@@ -297,7 +298,7 @@ def test_twist_validation():
     with pytest.raises(InvalidInput):
         Twist(base=h, operator=shift_operator(w, 1), budget=0)
     t = Twist(base=h, operator=shift_operator(w, 1), budget=2)
-    assert commutator_rank(t.operator.base_square(), h.splitting) == 1
+    assert commutator_rank(t.operator, h.splitting) == 1
 
 
 def test_twist_with_a_disagreeing_symbol_is_decided_by_its_operator():
@@ -362,12 +363,13 @@ def test_commutator_rank_on_coordinate_splittings():
             t = symbol_twist(sym, twist_circle(9, channels=channels))
             b = t.operator.base_square()
             p = t.base.splitting.sharp.projector()
-            assert commutator_rank(b, t.base.splitting) == rank(p @ b - b @ p)
+            assert commutator_rank(t.operator, t.base.splitting) \
+                == rank(p @ b - b @ p)
     h = circle_space(5, SHARP_NONNEG)
     ident = WindowedOperator(domain_window=h.window, range_window=h.window,
                              base_window=h.window,
                              matrix=np.eye(h.dim, dtype=np.complex128))
-    assert commutator_rank(ident.base_square(), h.splitting) == 0
+    assert commutator_rank(ident, h.splitting) == 0
 
 
 def _frame_route(split, b):
@@ -394,7 +396,7 @@ def test_commutator_rank_matches_dense_commutator():
             tp = t.with_base_splitting(s)
             b = tp.operator.base_square()
             p = s.sharp.projector()
-            assert commutator_rank(b, s) == rank(p @ b - b @ p)
+            assert commutator_rank(tp.operator, s) == rank(p @ b - b @ p)
             # a perturbed splitting has no mask and keeps the frame route
             assert tp.base.splitting._sharp_mask is None
             assert np.array_equal(off_diagonal_singular_values(s, b, s),
@@ -418,17 +420,23 @@ def test_coordinate_blocks_equal_the_frame_products(channels, convention):
             sym = LaurentSymbol.scalar(coeffs, d_min=-1)
         else:
             sym = random_laurent_symbol(rng, channels=channels, degree=2)
-        band = multiplication_operator(sym, w).base_square()
+        band = multiplication_operator(sym, w)
+        by_hand = WindowedOperator(domain_window=band.domain_window,
+                                   range_window=band.range_window,
+                                   base_window=w, matrix=band.matrix)
         dense = rng.standard_normal((w.dim, w.dim)) \
             + 1j * rng.standard_normal((w.dim, w.dim))
         # exactly-zero entries, rows and columns beside the band's zeros
         dense[rng.random(dense.shape) < 0.3] = 0.0
         dense[:, 1] = 0.0
         dense[w.dim - 2, :] = 0.0
-        for b in (band, dense):
-            got = off_diagonal_singular_values(split, b, split)
+        dense = WindowedOperator(domain_window=w, range_window=w,
+                                 base_window=w, matrix=dense)
+        # the symbol's entries, the band matrix's and a dense matrix's
+        for op in (band, by_hand, dense):
+            got = commutator_singular_values(op, split)
             assert got.size
-            assert np.array_equal(got, _frame_route(split, b))
+            assert np.array_equal(got, _frame_route(split, op.base_square()))
 
 
 def test_band_certificate_comes_from_provenance():
@@ -463,6 +471,8 @@ def test_band_certificate_comes_from_provenance():
 
 
 def test_symbol_twist_builds_one_band_matrix(monkeypatch):
+    # the certified twist and its index build no band matrix; the first
+    # read of the operator's matrix builds it once, read-only
     from fredcorr import circles
     calls = []
     real = circles.symbol_band_matrix
@@ -475,8 +485,16 @@ def test_symbol_twist_builds_one_band_matrix(monkeypatch):
     sym = circles.random_laurent_symbol(np.random.default_rng(2), channels=2,
                                         degree=2)
     t = circles.symbol_twist(sym, circles.twist_circle(8, channels=2))
-    assert len(calls) == 1
     assert t._injectivity_ratio == circles.certified_ratio(sym)
+    assert tilde_ind(t) == circles.winding_number(sym)
+    assert calls == []
+    op = t.operator
+    m = op.matrix
+    assert len(calls) == 1
+    assert np.array_equal(m, real(sym, op.domain_window, op.range_window))
+    assert not m.flags.writeable
+    assert op.matrix is m
+    assert len(calls) == 1
 
 
 def test_twist_graph_clips_leaking_mode():
