@@ -39,7 +39,6 @@ from .spaces import (
     SHARP_NONNEG,
     ModelSpace,
     Splitting,
-    make_splitting,
     perturb_splitting,
     splitting_for_window,
 )
@@ -51,9 +50,7 @@ from .morphisms import (
     compose,
     delta,
     delta_direct,
-    graph_correspondence,
     index,
-    index_report,
     reduce_chain_ledger,
     tilde_ind,
     twist_graph,
@@ -71,7 +68,6 @@ from .circles import (
     random_laurent_symbol,
     sphere_hardy_pair,
     stabilization_m0,
-    symbol_inverse,
     symbol_twist,
     twist_circle,
     weighted_diagonal,
@@ -85,22 +81,17 @@ from .fans import (
     fan_index,
     partition_parts,
     random_fan,
-    twist_fan,
 )
 from .graphs import (
     DecompositionGraph,
     GraphEdge,
     edge_index,
-    flip_edge,
     global_index_additive,
     global_index_fan,
     global_index_selfglue,
     has_self_loops,
-    materialize,
-    perturb_edge_splittings,
     random_graph,
     sphere_path_graph,
-    subdivide_edge,
     to_dot,
     torus_graph,
     vertex_index,

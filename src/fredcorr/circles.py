@@ -3,8 +3,8 @@ them: disk and annulus correspondences, multiplication twists, winding
 numbers, and the sphere/torus scenario builders.
 
 A symbol's determinant is z^(c*d_min) times a polynomial P.  Its
-coefficients (``_det_polynomial``) give the winding number (the zeros of
-P inside the disk) and decide whether the inverse exists (a monomial P).
+coefficients (``_det_polynomial``) give the winding number: c*d_min plus
+the zeros of P inside the disk.
 
 Mode bases are normalized per mode (the mode-k vector on a circle of
 radius r carries the factor r^k), so circle subspaces are plain
@@ -43,7 +43,6 @@ __all__ = [
     "certified_ratio",
     "band_certificate",
     "symbol_twist",
-    "symbol_inverse",
     "winding_number",
     "disk_correspondence",
     "annulus_correspondence",
@@ -181,39 +180,6 @@ def _det_polynomial(sym):
     zs = _unit_grid(n)
     dets = np.linalg.det(sym.eval_grid(zs)) * zs ** (-sym.channels * sym.d_min)
     return zs ** -np.arange(n)[:, None] @ dets / n
-
-
-def symbol_inverse(sym):
-    """Pointwise inverse of a symbol, when it is again a Laurent polynomial.
-
-    That happens exactly when the determinant is a single monomial c z^m
-    (then the adjugate divided by the determinant has finitely many
-    powers).  Coefficients are recovered by trigonometric interpolation
-    on the unit circle and validated by multiplying back; every cutoff
-    is relative to the largest coefficient, so ``sym``'s scale is moot.
-    """
-    c = sym.channels
-    coeffs = _det_polynomial(sym)
-    big = np.flatnonzero(np.abs(coeffs)
-                         > current_tolerance() * np.abs(coeffs).max())
-    if len(big) != 1:
-        raise SymbolSingular("determinant is not a monomial; the inverse "
-                             "is not a Laurent polynomial")
-    lo = (c - 1) * sym.d_min - (c * sym.d_min + int(big[0]))
-    span_inv = (c - 1) * (sym.coeffs.shape[0] - 1)
-    zs2 = _unit_grid(max(span_inv + 1, 4))
-    vals = np.linalg.inv(sym.eval_grid(zs2)) * (zs2 ** -lo)[:, None, None]
-    out = np.tensordot(zs2 ** -np.arange(span_inv + 1)[:, None], vals,
-                       axes=(1, 0)) / zs2.size
-    out[np.abs(out) < 1e-12 * np.abs(out).max()] = 0.0
-    inv = LaurentSymbol(coeffs=out, d_min=lo)
-    check = sym.product(inv)
-    ident = np.zeros_like(check.coeffs)
-    if check.d_min <= 0 <= check.d_max:
-        ident[-check.d_min] = np.eye(c)
-    if not np.allclose(check.coeffs, ident, atol=1e-8):
-        raise SymbolSingular("inverse validation failed")
-    return inv
 
 
 def winding_number(sym):
@@ -373,15 +339,15 @@ def multiplication_operator(sym, base_window):
 def symbol_twist(sym, circle):
     """The multiplication twist of a symbol on a circle model.
 
-    The commutator budget defaults to twice the symbol degree per
-    channel, which is the structural bound for the band the commutator
-    occupies around the splitting cut.
+    It carries no commutator budget: each off-diagonal block of the
+    commutator has at most degree * channels nonzero rows (the modes
+    within the symbol degree of the splitting cut), so the structural
+    bound 2 * degree * channels could never refuse.
     """
     if sym.channels != circle.channels:
         raise DimensionMismatch("symbol channels do not match the circle")
     op = multiplication_operator(sym, circle.window)
-    budget = 2 * sym.degree * sym.channels
-    return Twist(base=circle.space(), operator=op, symbol=sym, budget=budget)
+    return Twist(base=circle.space(), operator=op, symbol=sym)
 
 
 def disk_correspondence(circle, side):
@@ -484,7 +450,7 @@ def sphere_hardy_pair(half_width):
     return (mode_span(w, lambda n: n < 0), mode_span(w, lambda n: n >= 0))
 
 
-def mv_pairing(sphere_pair, sym, n, flat_predicate=None):
+def mv_pairing(sphere_pair, sym, n):
     """Boundary pairing of a symbol against a two-disk decomposition.
 
     Applies the symbol to the n-fold negative half (padded, then window
@@ -498,15 +464,13 @@ def mv_pairing(sphere_pair, sym, n, flat_predicate=None):
         raise InvalidInput("pair must live on a symmetric mode window")
     if sym.channels != n:
         raise DimensionMismatch("symbol must have n channels")
-    if flat_predicate is None:
-        flat_predicate = lambda m: m < 0
     half = h_minus.ambient_dim // 2
     window = ModeWindow(half, channels=n)
     stacked_minus = direct_sum(*[h_minus] * n)
     stacked_plus = direct_sum(*[h_plus] * n)
     op = multiplication_operator(sym, window)
     margin = op.domain_window.half_width - half
-    padded = pad_by_predicate(stacked_minus, window, margin, flat_predicate)
+    padded = pad_by_predicate(stacked_minus, window, margin, lambda m: m < 0)
     image = op.apply_within_window(padded)
     twisted = dimension_index(image, stacked_plus)
     base = dimension_index(h_minus, h_plus)

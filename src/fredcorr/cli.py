@@ -257,15 +257,23 @@ def _twists_from_params(params, seed):
     return []
 
 
-def run_chain(params, window, seed, budget):
+def _sphere_chain(params, window, seed):
+    """(window, radii, twists, sphere chain, link indices, expected total)
+    of a chain or sphere scenario; the expected total is the pinned
+    sphere index plus the total winding of the twists."""
     m = _window(params, window, 6)
     radii = _radii(params)
     twists = _twists_from_params(params, seed)
     chain = build_sphere_chain(m, twists, radii=radii)
     links = [index(l) for l in chain.links]
+    expected = (load_conventions()["sphere_total_index"]
+                + sum(winding_number(s) for s in twists))
+    return m, radii, twists, chain, links, expected
+
+
+def run_chain(params, window, seed, budget):
+    m, radii, _, chain, links, expected = _sphere_chain(params, window, seed)
     total = sum(links)
-    base = load_conventions()["sphere_total_index"]
-    expected = base + sum(winding_number(s) for s in twists)
     left = reduce_chain_ledger(chain, tuple(range(len(chain) - 1)))
     right = reduce_chain_ledger(chain, tuple(reversed(range(len(chain) - 1))))
     results = {"window": m, "radii": list(radii),
@@ -375,14 +383,8 @@ def run_graph(params, window, seed, budget):
 
 
 def run_sphere(params, window, seed, budget):
-    m = _window(params, window, 6)
-    radii = _radii(params)
-    twists = _twists_from_params(params, seed)
-    chain = build_sphere_chain(m, twists, radii=radii)
-    links = [index(l) for l in chain.links]
+    m, radii, twists, _, links, expected = _sphere_chain(params, window, seed)
     total = sum(links)
-    base = load_conventions()["sphere_total_index"]
-    expected = base + sum(winding_number(s) for s in twists)
     prod = None
     for s in twists:
         prod = s if prod is None else prod.product(s)

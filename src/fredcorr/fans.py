@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidInput, NotAFan
 from .morphisms import commutator_rank
-from .spaces import ModelSpace, Splitting
+from .spaces import PROJECTOR_ATOL, ModelSpace, Splitting
 from .subspaces import (
     current_tolerance,
     intersection,
@@ -41,7 +41,6 @@ __all__ = [
     "partition_parts",
     "fan_from_twists",
     "fan_index",
-    "twist_fan",
     "random_fan",
     "finite_rank_twist",
 ]
@@ -293,8 +292,8 @@ def check_fan_parts(parts, n):
         raise NotAFan("part dimensions do not add up to the ambient")
     for i, a in enumerate(parts):
         for b in parts[i + 1:]:
-            if a.dim and b.dim and \
-                    np.abs(a.frame.conj().T @ b.frame).max() > 1e-9:
+            if a.dim and b.dim and not \
+                    np.abs(a.frame.conj().T @ b.frame).max() <= PROJECTOR_ATOL:
                 raise NotAFan("parts are not pairwise orthogonal")
 
 
@@ -303,8 +302,7 @@ class Fan:
     """Ordered parts and members over a common ambient space.
 
     ``construction`` optionally records (part, chain) pairs from
-    :func:`fan_from_twists`; it is what makes formula 2 and
-    :func:`twist_fan` possible.
+    :func:`fan_from_twists`; it is what makes formula 2 possible.
     """
 
     ambient: ModelSpace
@@ -445,38 +443,6 @@ def fan_index(f):
                           formula3=formula3, formula4=formula4)
 
 
-def twist_fan(f, edge_twists):
-    """Append a twist factor to each member (None leaves it alone).
-
-    Needs the fan's construction data: the new factor joins the stored
-    chain, which is then realized at full margin with a single final
-    window intersection.  Retwisting an already cropped member would
-    clip the boundary data that carries the winding.
-    """
-    if f.construction is None:
-        raise InvalidInput("fan carries no construction data to retwist")
-    if len(edge_twists) != f.n_parts:
-        raise InvalidInput("one edge twist per part expected")
-    window = f.ambient.window
-    new_members = []
-    new_construction = []
-    for (part, chain), twist in zip(f.construction, edge_twists):
-        extra = _as_chain(twist)
-        if extra is None:
-            new_chain = chain
-        else:
-            new_chain = extra if chain is None else \
-                chain.then(*extra.factors)
-        if new_chain is None:
-            new_members.append(part.base())
-        else:
-            _, member = _member_of(new_chain, part, window)
-            new_members.append(member)
-        new_construction.append((part, new_chain))
-    return Fan(ambient=f.ambient, parts=f.parts, members=tuple(new_members),
-               construction=tuple(new_construction))
-
-
 def finite_rank_twist(window, vecs_out, vecs_in, scale=0.5):
     """Interior factor I + scale * sum u_i v_i^H on the base window.
 
@@ -498,7 +464,7 @@ def _random_unit_interior(rng, window, edge_gap):
     return v / np.linalg.norm(v)
 
 
-def random_fan(rng, half_width=6, channels=1, max_parts=4):
+def random_fan(rng, half_width=6, channels=1):
     """Synthetic fan: random interval partition, each part twisted by a
     mode shift, a finite-rank rotation of the identity, or nothing."""
     from .circles import twist_circle, LaurentSymbol
@@ -506,10 +472,10 @@ def random_fan(rng, half_width=6, channels=1, max_parts=4):
     space = circle.space()
     window = space.window
     lo, hi = -half_width + 1, half_width
-    if hi - lo < max_parts - 1:  # each part needs its own cut mode
-        raise InvalidInput(f"{max_parts} random parts need half_width >= "
-                           f"{(max_parts + 1) // 2}, got {half_width}")
-    n_parts = int(rng.integers(2, max_parts + 1))
+    if hi - lo < 3:  # each of up to 4 parts needs its own cut mode
+        raise InvalidInput(
+            f"4 random parts need half_width >= 2, got {half_width}")
+    n_parts = int(rng.integers(2, 5))
     cuts = sorted(rng.choice(np.arange(lo, hi), size=n_parts - 1,
                              replace=False).tolist())
     parts = partition_parts(window, cuts)

@@ -47,10 +47,6 @@ __all__ = [
     "sphere_path_graph",
     "torus_graph",
     "random_graph",
-    "subdivide_edge",
-    "flip_edge",
-    "perturb_edge_splittings",
-    "materialize",
 ]
 
 
@@ -387,8 +383,7 @@ def _shift_factor(rng, window):
     return ("sym", LaurentSymbol(coeffs=coeffs, d_min=lo))
 
 
-def random_graph(rng, n_vertices=None, n_edges=None, half_width=8,
-                 twist_probability=0.6):
+def random_graph(rng, half_width=8, twist_probability=0.6):
     """Self-loop-free synthetic graph with recipe vertex data.
 
     Vertex recipes are block mode shifts plus a couple of interior
@@ -398,10 +393,8 @@ def random_graph(rng, n_vertices=None, n_edges=None, half_width=8,
     from .circles import LaurentSymbol, random_laurent_symbol, symbol_twist, twist_circle
     if half_width < 5:  # the rotations need modes inside |n| <= half_width - 4
         raise InvalidInput(f"a random graph needs half_width >= 5, got {half_width}")
-    if n_vertices is None:
-        n_vertices = int(rng.integers(2, 5))
-    if n_edges is None:
-        n_edges = int(rng.integers(max(2, n_vertices - 1), 7))
+    n_vertices = int(rng.integers(2, 5))
+    n_edges = int(rng.integers(max(2, n_vertices - 1), 7))
     vertices = tuple(f"v{i}" for i in range(n_vertices))
     circle = twist_circle(half_width)
     edges = {}
@@ -434,163 +427,6 @@ def random_graph(rng, n_vertices=None, n_edges=None, half_width=8,
             factors.append(shift)
         data[v] = TwistChain(factors=tuple(factors))
     return DecompositionGraph(vertices=vertices, edges=edges, vertex_data=data)
-
-
-def materialize(g):
-    """The same graph with every vertex recipe replaced by its subspace."""
-    data = {v: vertex_subspace(g, v) for v in g.vertices}
-    return DecompositionGraph(vertices=g.vertices, edges=dict(g.edges),
-                              vertex_data=data)
-
-
-def _permute_vertex_frame(frame, old_slots, new_slots, slot_map, per):
-    """Reindex a boundary subspace frame from one slot order to another.
-
-    ``slot_map`` sends an old slot to its new identity (edge renames and
-    role flips); unlisted slots carry over unchanged.
-    """
-    renamed = [slot_map.get(s, s) for s in old_slots]
-    out = np.zeros((per * len(new_slots), frame.shape[1]), dtype=np.complex128)
-    for new_pos, slot in enumerate(new_slots):
-        old_pos = renamed.index(slot)
-        out[new_pos * per:(new_pos + 1) * per, :] = \
-            frame[old_pos * per:(old_pos + 1) * per, :]
-    return Subspace(out)
-
-
-def _permute_recipe(chain, perm, per):
-    """Conjugate every chain factor by a channel permutation so the recipe
-    realizes the block-permuted member over the reordered assembly."""
-    n = len(perm)
-    p = np.zeros((n * per, n * per))
-    for c, old in enumerate(perm):
-        p[c * per:(c + 1) * per, old * per:(old + 1) * per] = np.eye(per)
-    factors = []
-    for kind, payload in chain.factors:
-        if kind == "interior":
-            factors.append((kind, p @ payload @ p.T))
-        elif kind == "slot":
-            factors.append((kind, (perm.index(payload[0]), payload[1])))
-        else:
-            coeffs = payload.coeffs[:, perm, :][:, :, perm]
-            factors.append((kind, type(payload)(coeffs=coeffs,
-                                                d_min=payload.d_min)))
-    return TwistChain(factors=tuple(factors))
-
-
-def _carry_data(g, new_graph_edges, new_vertices, slot_map):
-    """Vertex data for a structurally edited graph: vertices whose block
-    positions survive keep their data; the rest are permuted, recipes by
-    factor conjugation and plain subspaces by row blocks."""
-    per = 2 * g.half_width + 1
-    probe = DecompositionGraph(
-        vertices=new_vertices, edges=new_graph_edges,
-        vertex_data={v: TwistChain(factors=()) for v in new_vertices})
-    data = {}
-    for v in g.vertices:
-        old_slots = boundary_slots(g, v)
-        new_slots = boundary_slots(probe, v)
-        renamed = tuple(slot_map.get(s, s) for s in old_slots)
-        if renamed == new_slots:
-            data[v] = g.vertex_data[v]
-        elif isinstance(g.vertex_data[v], TwistChain):
-            perm = [renamed.index(s) for s in new_slots]
-            data[v] = _permute_recipe(g.vertex_data[v], perm, per)
-        else:
-            frame = vertex_subspace(g, v).frame
-            data[v] = _permute_vertex_frame(frame, old_slots, new_slots,
-                                            slot_map, per)
-    return data
-
-
-def subdivide_edge(g, eid, new_vertex, new_ids=None):
-    """Split an edge in two across a fresh identity-annulus vertex.
-
-    The twist of the original edge moves to the second half (the one
-    keeping the original target), so the fan route can still compose it
-    onto recipe data; the new vertex carries the plain diagonal.
-    """
-    if eid not in g.edges:
-        raise InvalidInput(f"no edge {eid!r}")
-    if new_vertex in g.vertices:
-        raise InvalidInput(f"vertex {new_vertex!r} already exists")
-    e = g.edges[eid]
-    ida, idb = new_ids if new_ids is not None else (f"{eid}a", f"{eid}b")
-    edges = {k: v for k, v in g.edges.items() if k != eid}
-    edges[ida] = GraphEdge(e.source, new_vertex, e.space)
-    edges[idb] = GraphEdge(new_vertex, e.target, e.space, twist=e.twist)
-    vertices = g.vertices + (new_vertex,)
-    slot_map = {(eid, "out"): (ida, "out"), (eid, "in"): (idb, "in")}
-    data = _carry_data(g, edges, vertices, slot_map)
-    per = 2 * g.half_width + 1
-    diag = np.zeros((2 * per, per), dtype=np.complex128)
-    root = 1.0 / np.sqrt(2.0)
-    for i in range(per):
-        diag[i, i] = root
-        diag[per + i, i] = root
-    data[new_vertex] = Subspace(diag)
-    return DecompositionGraph(vertices=vertices, edges=edges, vertex_data=data)
-
-
-def _flipped_space(space):
-    from .spaces import SHARP_NEGATIVE, SHARP_NONNEG, ModelSpace, Splitting
-    swapped = Splitting(sharp=space.splitting.flat, flat=space.splitting.sharp)
-    convention = SHARP_NEGATIVE if space.convention == SHARP_NONNEG \
-        else SHARP_NONNEG
-    return ModelSpace(dim=space.dim, basis_labels=space.basis_labels,
-                      splitting=swapped, window=space.window,
-                      convention=convention)
-
-
-def flip_edge(g, eid):
-    """Reverse one edge: swap endpoints, swap the splitting roles (the
-    co-orientation flips with the edge), and invert the twist.
-
-    Every assembled subspace is then literally unchanged, so the total
-    index is invariant; the twist must have a Laurent-polynomial
-    inverse (monomials and unimodular matrix symbols do).
-    """
-    from .circles import multiplication_operator, symbol_inverse
-    from .morphisms import Twist
-    if eid not in g.edges:
-        raise InvalidInput(f"no edge {eid!r}")
-    e = g.edges[eid]
-    space = _flipped_space(e.space)
-    tw = None
-    if e.twist is not None:
-        if e.twist.symbol is None:
-            raise InvalidInput("cannot invert a twist without a symbol")
-        inv = symbol_inverse(e.twist.symbol)
-        op = multiplication_operator(inv, space.window)
-        tw = Twist(base=space, operator=op, symbol=inv, budget=None)
-    edges = dict(g.edges)
-    edges[eid] = GraphEdge(e.target, e.source, space, twist=tw)
-    slot_map = {(eid, "out"): (eid, "in"), (eid, "in"): (eid, "out")}
-    data = _carry_data(g, edges, g.vertices, slot_map)
-    return DecompositionGraph(vertices=g.vertices, edges=edges,
-                              vertex_data=data)
-
-
-def perturb_edge_splittings(g, rank, seed, support_gap=3):
-    """Replace every edge splitting by a random one in its polarization
-    class, rebasing twists and keeping the vertex subspaces themselves.
-
-    Data is materialized first: recipes regenerate against the new
-    assemblies and would describe a different geometry.
-    """
-    from .spaces import perturb_splitting
-    frozen = materialize(g)
-    half = g.half_width
-    edges = {}
-    for i, (eid, e) in enumerate(sorted(frozen.edges.items())):
-        labels = e.space.window.mode_labels()
-        support = [int(j) for j in np.flatnonzero(np.abs(labels) <= half - support_gap)]
-        s = perturb_splitting(e.space.splitting, rank, seed + i, support=support)
-        space = e.space.with_splitting(s)
-        tw = None if e.twist is None else e.twist.with_base_splitting(s)
-        edges[eid] = GraphEdge(e.source, e.target, space, twist=tw)
-    return DecompositionGraph(vertices=frozen.vertices, edges=edges,
-                              vertex_data=dict(frozen.vertex_data))
 
 
 def _twist_label(twist):

@@ -10,8 +10,7 @@ pair computations.
 A pair index is counted from dimensions (``dimension_index``): the rank
 decisions that build the correspondence, the twisted image and the
 composite are the ones the integer depends on; an unrecorded composite
-is one window intersection of its fiber product.  ``index_report`` runs
-the intersection-and-sum audit (``pair_index``) for the same pair.
+is one window intersection of its fiber product.
 """
 
 import math
@@ -31,9 +30,7 @@ from .subspaces import (
     complement,
     current_tolerance,
     dimension_index,
-    direct_sum,
     intersection,
-    pair_index,
     rank,
     singular_values,
 )
@@ -46,14 +43,12 @@ __all__ = [
     "LedgerReport",
     "compose",
     "index",
-    "index_report",
     "tilde_ind",
     "delta",
     "delta_direct",
     "chain_total_index",
     "reduce_chain_ledger",
     "twist_graph",
-    "graph_correspondence",
 ]
 
 _NO_MODES = np.zeros(0, dtype=bool)
@@ -133,19 +128,12 @@ class Correspondence:
         return spaces_match(self.source, self.target)
 
 
-def index_report(l):
-    """Full pair-index report of a correspondence against the
-    flat-source/sharp-target assembly: the audit of :func:`index`."""
-    pairing = direct_sum(l.source.splitting.flat, l.target.splitting.sharp)
-    return pair_index(l.subspace, pairing)
-
-
 def index(l):
     """Index of a correspondence against the flat-source/sharp-target
     assembly, counted as dim L + dim(flat + sharp) - ambient
     (``dimension_index``, with the assembly's dimension read off its two
     blocks instead of building it); equal to the intersection minus the
-    codim of the sum in ``index_report``."""
+    codim of the sum that ``pair_index`` audits."""
     return (l.subspace.dim + l.source.splitting.flat.dim
             + l.target.splitting.sharp.dim - l.subspace.ambient_dim)
 
@@ -346,17 +334,6 @@ def twist_graph(t):
     m = t.operator.matrix[:, cols]
     sub = windowed_graph(m, t.operator.base_rows_mask())
     return Correspondence(source=t.base, target=t.base, subspace=sub)
-
-
-def graph_correspondence(space, matrix, target=None):
-    """Graph of an exact square matrix as a correspondence."""
-    target = target or space
-    m = np.asarray(matrix, dtype=np.complex128)
-    if m.shape != (target.dim, space.dim):
-        raise DimensionMismatch("matrix does not map source to target")
-    stacked = np.vstack([np.eye(space.dim, dtype=np.complex128), m])
-    return Correspondence(source=space, target=target,
-                          subspace=Subspace.from_span(stacked))
 
 
 def delta(l1, l2):

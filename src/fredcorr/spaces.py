@@ -23,7 +23,6 @@ __all__ = [
     "SHARP_NEGATIVE",
     "convention_predicate",
     "Splitting",
-    "make_splitting",
     "splitting_for_window",
     "ModelSpace",
     "spaces_match",
@@ -114,26 +113,6 @@ class Splitting:
 
     def symmetry(self):
         return self.sharp.projector() - self.flat.projector()
-
-
-def make_splitting(space_dim, sharp_mode_predicate, labels=None):
-    """Splitting of a labeled space by a predicate on the labels.
-
-    Without explicit labels, an odd ``space_dim`` gets the symmetric
-    mode labels -M..M and an even one gets 0..dim-1.
-    """
-    if space_dim <= 0:
-        raise InvalidInput("empty ambient space")
-    if labels is None:
-        if space_dim % 2 == 1:
-            m = space_dim // 2
-            labels = list(range(-m, m + 1))
-        else:
-            labels = list(range(space_dim))
-    if len(labels) != space_dim:
-        raise InvalidInput("label count does not match dimension")
-    return Splitting._coordinate(
-        [bool(sharp_mode_predicate(lab)) for lab in labels])
 
 
 def splitting_for_window(window, convention):
@@ -256,14 +235,14 @@ def _support_ok(col, support_mask):
     return float(np.linalg.norm(col[~support_mask])) < 1e-9
 
 
-def perturb_splitting(s, rank, seed, support=None, transfer_prob=0.85):
+def perturb_splitting(s, rank, seed, support=None):
     """A random splitting in the same polarization class.
 
     Performs ``rank`` random moves.  Each move either transfers one
     basis direction between the halves (changing their dimensions) or
     rotates a (sharp, flat) pair of directions by a random angle; the
     projector difference from ``s`` has rank at most ``2 * rank``.
-    Transfers dominate by default because rotations alone can never
+    Transfers take 85 % of the moves because rotations alone can never
     change the dimension of either half, hence never change any index.
 
     ``support`` optionally restricts the moves to directions supported
@@ -293,7 +272,7 @@ def perturb_splitting(s, rank, seed, support=None, transfer_prob=0.85):
     for _ in range(rank):
         cs = candidates(sharp_cols)
         cf = candidates(flat_cols)
-        do_transfer = rng.uniform() < transfer_prob
+        do_transfer = rng.uniform() < 0.85
         if do_transfer and (cs or cf):
             if cs and cf:
                 from_sharp = prefer_sharp

@@ -208,31 +208,6 @@ def test_slot_factor_refuses_a_wrong_channel_or_symbol():
             chain.apply(window, np.eye(window.pad(1).dim))
 
 
-def test_permuted_recipe_moves_the_slot_with_its_channel():
-    rng = np.random.default_rng(11)
-    window = ModeWindow(4, channels=3)
-    chain = TwistChain(factors=(
-        interior_factor(rng, window),
-        ("sym", random_laurent_symbol(rng, channels=3, degree=1)),
-        ("slot", (0, SLOT_SYMBOLS[0]))))
-    perm = [2, 0, 1]
-    moved = graphs._permute_recipe(chain, perm, window.modes_per_channel)
-    assert moved.factors[2][0] == "slot"
-    assert moved.factors[2][1][0] == perm.index(0)
-
-    def permute(frame, w):
-        per = w.modes_per_channel
-        return np.vstack([frame[old * per:(old + 1) * per] for old in perm])
-
-    domain = window.pad(chain.margin)
-    frame = rng.standard_normal((domain.dim, 4)) \
-        + 1j * rng.standard_normal((domain.dim, 4))
-    cur, image = chain.apply(window, frame)
-    _, moved_image = moved.apply(window, permute(frame, domain))
-    np.testing.assert_allclose(moved_image, permute(image, cur),
-                               rtol=0, atol=1e-12)
-
-
 def dense_unitary(rng, n):
     q, _ = np.linalg.qr(rng.standard_normal((n, n))
                         + 1j * rng.standard_normal((n, n)))

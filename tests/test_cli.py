@@ -207,6 +207,21 @@ def test_negative_budget_is_refused_before_any_twist(tmp_path, capsys, argv):
     assert lines[0].startswith("error: --budget must be nonnegative")
 
 
+@pytest.mark.parametrize("budget, code", [(1, 2), (2, 0)])
+def test_budget_below_the_commutator_rank_refuses_the_twist(
+        tmp_path, capsys, budget, code):
+    # this twist's commutator has rank 2
+    path = write_scenario(tmp_path, "t.json",
+                          {"version": 1, "kind": "twist", "window": 16,
+                           "channels": 2, "degree": 3, "seed": 1})
+    assert cli.main(["index", path, "--budget", str(budget)]) == code
+    err = capsys.readouterr().err.splitlines()
+    if code == 2:
+        assert err == ["error: twist commutator exceeds its rank budget"]
+    else:
+        assert err == []
+
+
 @pytest.mark.parametrize("argv", [["index", "{path}"], ["report", "{path}"]])
 def test_memory_error_is_one_error_line(tmp_path, capsys, monkeypatch, argv):
     # a window too wide for its dense frames: refused, not a traceback

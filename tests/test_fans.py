@@ -18,10 +18,21 @@ from fredcorr.fans import (
     interval_part,
     partition_parts,
     random_fan,
-    twist_fan,
 )
 from fredcorr.subspaces import principal_cosines, subspaces_equal
 from fredcorr.windows import mode_span
+
+
+def retwist(f, syms):
+    """The fan rebuilt by ``fan_from_twists`` with each construction
+    chain followed by one more symbol (None leaves the chain alone)."""
+    chains = []
+    for (_, chain), sym in zip(f.construction, syms):
+        if sym is not None:
+            chain = TwistChain(factors=(("sym", sym),)) if chain is None \
+                else chain.then(("sym", sym))
+        chains.append(chain)
+    return fan_from_twists(f.ambient, [p for p, _ in f.construction], chains)
 
 
 def halves(window):
@@ -121,10 +132,10 @@ def test_retwist_sphere_fan():
     zi = LaurentSymbol.monomial(-1)
     f = fan_from_twists(space, halves(w),
                         [None, z])
-    assert fan_index(twist_fan(f, [None, z])).formula1 == 2
-    assert fan_index(twist_fan(f, [None, zi])).formula1 == 0
-    assert fan_index(twist_fan(f, [z, None])).formula1 == 0
-    untouched = twist_fan(f, [None, None])
+    assert fan_index(retwist(f, [None, z])).formula1 == 2
+    assert fan_index(retwist(f, [None, zi])).formula1 == 0
+    assert fan_index(retwist(f, [z, None])).formula1 == 0
+    untouched = retwist(f, [None, None])
     for a, b in zip(untouched.members, f.members):
         assert subspaces_equal(a, b)
 
@@ -134,7 +145,7 @@ def test_opposite_interior_twists_cancel():
     z = LaurentSymbol.monomial(1)
     zi = LaurentSymbol.monomial(-1)
     f = fan_from_twists(space, partition_parts(w, [-3, 0, 3]), [None] * 4)
-    rep = fan_index(twist_fan(f, [None, z, zi, None]))
+    rep = fan_index(retwist(f, [None, z, zi, None]))
     assert all_formulas(rep) == [0, 0, 0]
 
 
@@ -179,7 +190,7 @@ def test_random_retwists_stay_consistent():
         syms = [None if rng.random() < 0.5
                 else LaurentSymbol.monomial(int(rng.choice([-1, 1])))
                 for _ in range(f.n_parts)]
-        rep = fan_index(twist_fan(f, syms))
+        rep = fan_index(retwist(f, syms))
         assert len(set(all_formulas(rep))) == 1
 
 
@@ -199,18 +210,6 @@ def test_overlapping_parts_rejected():
     f = Fan(ambient=space, parts=(nonneg, neg), members=(nonneg, neg))
     assert fan_index(f).formula1 == 0
     assert fan_index(f).formula2 is None
-
-
-def test_twist_fan_needs_construction():
-    space, w = circle_setup()
-    nonneg = mode_span(w, lambda n: n >= 0)
-    neg = mode_span(w, lambda n: n < 0)
-    f = Fan(ambient=space, parts=(nonneg, neg), members=(nonneg, neg))
-    with pytest.raises(InvalidInput):
-        twist_fan(f, [None, None])
-    g = fan_from_twists(space, partition_parts(w, [0]), [None, None])
-    with pytest.raises(InvalidInput):
-        twist_fan(g, [None])
 
 
 def test_chain_validation():

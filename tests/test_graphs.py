@@ -1,5 +1,5 @@
 """Graph decompositions: assemblies, both global index routes, self-gluing,
-and the structural edits that must not move the total."""
+and the splitting perturbation that must not move the total."""
 
 import numpy as np
 import pytest
@@ -18,24 +18,49 @@ from fredcorr.graphs import (
     GraphEdge,
     boundary_slots,
     edge_index,
-    flip_edge,
     global_index_additive,
     global_index_fan,
     global_index_selfglue,
     has_self_loops,
     incoming_assembly,
-    materialize,
     outgoing_assembly,
-    perturb_edge_splittings,
     random_graph,
     sphere_path_graph,
-    subdivide_edge,
     to_dot,
     torus_graph,
     vertex_index,
     vertex_subspace,
 )
+from fredcorr.spaces import perturb_splitting
 from fredcorr.subspaces import Subspace, pair_index, subspaces_equal
+
+
+def materialize(g):
+    """The same graph with every vertex recipe replaced by its subspace."""
+    data = {v: vertex_subspace(g, v) for v in g.vertices}
+    return DecompositionGraph(vertices=g.vertices, edges=dict(g.edges),
+                              vertex_data=data)
+
+
+def perturb_edge_splittings(g, rank, seed, support_gap=3):
+    """Replace every edge splitting by a random one in its polarization
+    class, rebasing twists and keeping the vertex subspaces themselves.
+
+    Data is materialized first: recipes regenerate against the new
+    assemblies and would describe a different geometry.
+    """
+    frozen = materialize(g)
+    half = g.half_width
+    edges = {}
+    for i, (eid, e) in enumerate(sorted(frozen.edges.items())):
+        labels = e.space.window.mode_labels()
+        support = [int(j) for j in np.flatnonzero(np.abs(labels) <= half - support_gap)]
+        s = perturb_splitting(e.space.splitting, rank, seed + i, support=support)
+        space = e.space.with_splitting(s)
+        tw = None if e.twist is None else e.twist.with_base_splitting(s)
+        edges[eid] = GraphEdge(e.source, e.target, space, twist=tw)
+    return DecompositionGraph(vertices=frozen.vertices, edges=edges,
+                              vertex_data=dict(frozen.vertex_data))
 
 
 class TestSpherePath:
@@ -89,7 +114,7 @@ class TestTorus:
         assert global_index_selfglue(l, phi) == (0 if k == 0 else -abs(k))
 
     def test_degenerate_gluing_warns(self):
-        from fredcorr.morphisms import graph_correspondence, twist_graph
+        from fredcorr.morphisms import twist_graph
         from fredcorr.circles import multiplication_operator
         circle = twist_circle(6)
         op = multiplication_operator(LaurentSymbol.identity(1), circle.window)
@@ -147,103 +172,6 @@ class TestSplittingInvariance:
             if after != before:
                 moved += 1
         assert moved >= 10
-
-
-class TestSubdivision:
-    @pytest.mark.parametrize("k", [0, 2, -1])
-    def test_sphere_path_invariant(self, k):
-        tw = None if k == 0 else LaurentSymbol.monomial(k)
-        g = sphere_path_graph(8, twist=tw)
-        h = subdivide_edge(g, "e1", "mid2")
-        assert set(h.edges) == {"e1a", "e1b", "e2"}
-        assert global_index_additive(h) == 1 + k
-        assert global_index_fan(h) == 1 + k
-
-    def test_twist_moves_to_second_half(self):
-        g = sphere_path_graph(8, twist=LaurentSymbol.monomial(1))
-        h = subdivide_edge(g, "e2", "u")
-        assert h.edges["e2a"].twist is None
-        assert h.edges["e2b"].twist is not None
-        assert vertex_index(h, "u") == 0
-        assert global_index_additive(h) == 2
-        assert global_index_fan(h) == 2
-
-    def test_random_graph_invariant(self):
-        for seed in (0, 13):
-            rng = np.random.default_rng(1000 + seed)
-            g = random_graph(rng)
-            eid = sorted(g.edges)[0]
-            h = subdivide_edge(g, eid, "u")
-            assert global_index_additive(h) == global_index_additive(g)
-            assert global_index_fan(h) == global_index_fan(g)
-
-    def test_bad_arguments(self):
-        g = sphere_path_graph(6)
-        with pytest.raises(InvalidInput):
-            subdivide_edge(g, "nope", "u")
-        with pytest.raises(InvalidInput):
-            subdivide_edge(g, "e1", "mid")
-
-
-class TestOrientationFlip:
-    def test_random_graph_invariant_both_routes(self):
-        for seed in (0, 7, 13, 21):
-            rng = np.random.default_rng(1000 + seed)
-            g = random_graph(rng)
-            eid = sorted(g.edges)[int(rng.integers(len(g.edges)))]
-            f = flip_edge(g, eid)
-            assert f.edges[eid].source == g.edges[eid].target
-            assert f.edges[eid].target == g.edges[eid].source
-            assert global_index_additive(f) == global_index_additive(g)
-            assert global_index_fan(f) == global_index_fan(g)
-
-    def test_vertex_indices_unchanged(self):
-        # endpoints reorder their blocks, so subspaces match only up to
-        # that permutation; every per-vertex index is on the nose
-        rng = np.random.default_rng(1005)
-        g = random_graph(rng)
-        eid = sorted(g.edges)[0]
-        f = flip_edge(g, eid)
-        touched = {g.edges[eid].source, g.edges[eid].target}
-        for v in g.vertices:
-            assert vertex_index(f, v) == vertex_index(g, v)
-            if v not in touched:
-                assert subspaces_equal(vertex_subspace(g, v),
-                                       vertex_subspace(f, v))
-
-    def test_edge_contribution_invariant(self):
-        g = sphere_path_graph(8, twist=LaurentSymbol.monomial(2))
-        f = flip_edge(g, "e2")
-        assert edge_index(g, "e2") == 2
-        assert edge_index(f, "e2") == 2
-        assert global_index_additive(f) == 3
-
-    @pytest.mark.parametrize("c", [1e-10, 1e13])
-    def test_flip_keeps_the_index_at_any_twist_scale(self, c):
-        g = sphere_path_graph(6, twist=LaurentSymbol.monomial(1, coefficient=c))
-        for eid in g.edges:
-            assert global_index_additive(flip_edge(g, eid)) \
-                == global_index_additive(g) == 2
-
-    def test_double_flip_restores_totals(self):
-        rng = np.random.default_rng(1021)
-        g = random_graph(rng)
-        eid = sorted(g.edges)[-1]
-        ff = flip_edge(flip_edge(g, eid), eid)
-        assert global_index_additive(ff) == global_index_additive(g)
-
-    def test_symbolless_twist_refused(self):
-        from fredcorr.morphisms import Twist
-        circle = twist_circle(6)
-        tw = symbol_twist(LaurentSymbol.monomial(1), circle)
-        bare = Twist(base=tw.base, operator=tw.operator, symbol=None,
-                     budget=tw.budget)
-        edges = {"e": GraphEdge("a", "b", circle.space(), twist=bare)}
-        data = {"a": TwistChain(factors=()), "b": TwistChain(factors=())}
-        g = DecompositionGraph(vertices=("a", "b"), edges=edges,
-                               vertex_data=data)
-        with pytest.raises(InvalidInput):
-            flip_edge(g, "e")
 
 
 class TestValidation:

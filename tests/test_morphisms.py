@@ -31,9 +31,7 @@ from fredcorr.morphisms import (
     compose,
     delta,
     delta_direct,
-    graph_correspondence,
     index,
-    index_report,
     reduce_chain_ledger,
     tilde_ind,
     twist_graph,
@@ -53,6 +51,7 @@ from fredcorr.subspaces import (
     complement,
     direct_sum,
     intersection,
+    pair_index,
     random_subspace,
     subspaces_equal,
 )
@@ -63,6 +62,24 @@ from fredcorr.windows import (
     mode_span,
     pad_by_predicate,
 )
+
+
+def index_report(l):
+    """Full pair-index report of a correspondence against the
+    flat-source/sharp-target assembly: the audit of :func:`index`."""
+    pairing = direct_sum(l.source.splitting.flat, l.target.splitting.sharp)
+    return pair_index(l.subspace, pairing)
+
+
+def graph_correspondence(space, matrix, target=None):
+    """Graph of an exact square matrix as a correspondence."""
+    target = target or space
+    m = np.asarray(matrix, dtype=np.complex128)
+    if m.shape != (target.dim, space.dim):
+        raise DimensionMismatch("matrix does not map source to target")
+    stacked = np.vstack([np.eye(space.dim, dtype=np.complex128), m])
+    return Correspondence(source=space, target=target,
+                          subspace=Subspace.from_span(stacked))
 
 
 def circle_space(m, convention=SHARP_NEGATIVE, channels=1):

@@ -11,7 +11,6 @@ from fredcorr.spaces import (
     SHARP_NONNEG,
     ModelSpace,
     Splitting,
-    make_splitting,
     off_diagonal_singular_values,
     perturb_splitting,
     polarization_defect,
@@ -37,6 +36,26 @@ def hardy_space(m, convention=SHARP_NONNEG, channels=1):
         window=w,
         convention=convention,
     )
+
+
+def make_splitting(space_dim, sharp_mode_predicate, labels=None):
+    """Splitting of a labeled space by a predicate on the labels.
+
+    Without explicit labels, an odd ``space_dim`` gets the symmetric
+    mode labels -M..M and an even one gets 0..dim-1.
+    """
+    if space_dim <= 0:
+        raise InvalidInput("empty ambient space")
+    if labels is None:
+        if space_dim % 2 == 1:
+            m = space_dim // 2
+            labels = list(range(-m, m + 1))
+        else:
+            labels = list(range(space_dim))
+    if len(labels) != space_dim:
+        raise InvalidInput("label count does not match dimension")
+    return Splitting._coordinate(
+        [bool(sharp_mode_predicate(lab)) for lab in labels])
 
 
 def test_make_splitting_window_counts():
