@@ -185,6 +185,14 @@ def _apply_budget(t, budget):
                  budget=int(budget))
 
 
+def _apply_edge_budgets(g, budget):
+    """Refuse a graph whose edge twists exceed the budget, as
+    :func:`_apply_budget` refuses one twist."""
+    for eid in sorted(g.edges):
+        if g.edges[eid].twist is not None:
+            _apply_budget(g.edges[eid].twist, budget)
+
+
 # -- scenario runners ----------------------------------------------------
 
 def run_pair(params, window, seed, budget):
@@ -294,7 +302,7 @@ def run_fan(params, window, seed, budget):
     powers = params.get("powers")
     if powers is None:
         rng = np.random.default_rng(seed)
-        f = random_fan(rng, half_width=m)
+        f = random_fan(rng, half_width=m, budget=budget)
     else:
         powers = _list(powers, "powers", _int)
         if not powers:
@@ -362,6 +370,7 @@ def _graph_from_params(params, window, seed):
 
 def run_graph(params, window, seed, budget):
     g = _graph_from_params(params, window, seed)
+    _apply_edge_budgets(g, budget)
     per_vertex = {v: vertex_index(g, v) for v in sorted(g.vertices, key=str)}
     per_edge = {e: edge_index(g, e) for e in sorted(g.edges)}
     additive = sum(per_vertex.values()) + sum(per_edge.values())
@@ -389,6 +398,7 @@ def run_sphere(params, window, seed, budget):
     for s in twists:
         prod = s if prod is None else prod.product(s)
     g = sphere_path_graph(m, twist=prod, radii=radii)
+    _apply_edge_budgets(g, budget)
     additive = global_index_additive(g)
     fan = global_index_fan(g)
     results = {"window": m, "radii": list(radii), "link_indices": links,

@@ -112,7 +112,9 @@ class TwistChain:
     :meth:`realize` is :meth:`apply` on the identity frame, and
     :meth:`certified_ratio` bounds the conditioning of the composite
     from its factors, so a caller can count the window intersection of
-    an image instead of building it.
+    an image instead of building it; :meth:`columns_reaching` names the
+    domain columns that can reach a set of range rows, so that count
+    needs only those columns.
     """
 
     factors: tuple
@@ -142,6 +144,31 @@ class TwistChain:
             self._supports[i] = _interior_support(self.factors[i][1])
         return self._supports[i]
 
+    def _steps(self, window):
+        """(kind, data, symbol or None, window it acts on) of each factor,
+        first first, and the range window; a factor that does not fit its
+        window is refused."""
+        cur = window.pad(self.margin)
+        steps = []
+        for kind, data in self.factors:
+            if kind == "interior":
+                if data.shape != (window.dim, window.dim):
+                    raise DimensionMismatch(
+                        "interior factor is not square on the base window")
+                steps.append((kind, data, None, cur))
+                continue
+            sym = _symbol_of(kind, data)
+            if kind == "sym" and sym.channels != cur.channels:
+                raise DimensionMismatch(
+                    "symbol channels do not match the windows")
+            if kind == "slot" and (sym.channels != 1
+                                   or not 0 <= data[0] < cur.channels):
+                raise DimensionMismatch(
+                    "slot factor does not act on one channel")
+            steps.append((kind, data, sym, cur))
+            cur = cur.pad(sym.degree)
+        return steps, cur
+
     def apply(self, window, frame):
         """(range window, image) of a frame over ``window.pad(margin)``.
 
@@ -149,42 +176,57 @@ class TwistChain:
         so nothing is truncated until the final crop by the caller; an
         interior factor acts on the coordinates of the base window.
         """
-        cur = window.pad(self.margin)
         out = np.array(frame, dtype=np.complex128)
-        if out.shape[0] != cur.dim:
+        if out.shape[0] != window.pad(self.margin).dim:
             raise DimensionMismatch("frame does not match the padded window")
-        for i, (kind, data) in enumerate(self.factors):
-            if kind == "interior":
-                if data.shape != (window.dim, window.dim):
-                    raise DimensionMismatch(
-                        "interior factor is not square on the base window")
+        steps, end = self._steps(window)
+        for i, (kind, data, sym, cur) in enumerate(steps):
+            if sym is None:
                 idx, block = self._support(i)
-                # base coordinate c * per + r sits at row c * per' + r + shift
-                shift = cur.half_width - window.half_width
-                rows = idx + 2 * shift * (idx // window.modes_per_channel) \
-                    + shift
+                rows = _interior_rows(idx, window, cur)
                 out[rows] = block @ out[rows]
                 continue
-            sym = _symbol_of(kind, data)
             nxt = cur.pad(sym.degree)
             if kind == "sym":
-                if sym.channels != cur.channels:
-                    raise DimensionMismatch(
-                        "symbol channels do not match the windows")
                 out = _band_apply(sym, cur, nxt, out)
             else:
                 ch = data[0]
-                if sym.channels != 1 or not 0 <= ch < cur.channels:
-                    raise DimensionMismatch(
-                        "slot factor does not act on one channel")
                 per, per_nxt = cur.modes_per_channel, nxt.modes_per_channel
                 src = out[ch * per:(ch + 1) * per]
                 out = lift_frame(out, cur, nxt)
                 out[ch * per_nxt:(ch + 1) * per_nxt] = _band_apply(
                     sym, ModeWindow(cur.half_width),
                     ModeWindow(nxt.half_width), src)
-            cur = nxt
-        return cur, out
+        return end, out
+
+    def columns_reaching(self, window, rows):
+        """Mask of the padded-domain columns of :meth:`apply` whose image
+        can be nonzero on the range rows ``rows`` (a mask over the range
+        window): the rows pulled back through the factors, last first, by
+        mode arithmetic.  A symbol factor moves them by the powers of its
+        nonzero coefficient planes, between the channels each plane
+        couples; a slot factor does so on its own channel and keeps the
+        others in place; an interior factor adds its whole support when
+        they meet it.  The mask may hold extra columns, whose images
+        vanish on those rows."""
+        steps, _ = self._steps(window)
+        # reach[c, j] stands for coordinate c * per + j of the window
+        reach = np.array(rows, dtype=bool).reshape(window.channels, -1)
+        for i in reversed(range(len(steps))):
+            kind, data, sym, cur = steps[i]
+            if sym is None:
+                on = _interior_rows(self._support(i)[0], window, cur)
+                flat = reach.reshape(-1)
+                if flat[on].any():
+                    flat[on] = True
+            elif kind == "sym":
+                reach = _pull_back(sym, cur, reach)
+            else:
+                ch, d = data[0], sym.degree
+                lifted = reach[:, d:d + cur.modes_per_channel].copy()
+                lifted[ch] = _pull_back(sym, cur, reach[ch:ch + 1])[0]
+                reach = lifted
+        return reach.reshape(-1)
 
     def realize(self, window):
         """Windowed operator of the whole chain over ``window``: the
@@ -228,6 +270,28 @@ class TwistChain:
 
 def _symbol_of(kind, data):
     return data[1] if kind == "slot" else data
+
+
+def _interior_rows(idx, window, cur):
+    """Rows of ``cur``, a padding of ``window``, that hold the base
+    coordinates ``idx``: base coordinate c * per + r sits at row
+    c * per' + r + shift."""
+    shift = cur.half_width - window.half_width
+    return idx + 2 * shift * (idx // window.modes_per_channel) + shift
+
+
+def _pull_back(sym, window, reach):
+    """The (channel, position) mask over ``window`` of the inputs of
+    multiplication by ``sym`` that can reach the (channel, position) mask
+    ``reach`` over ``window.pad(sym.degree)``.  Position j of mode n
+    reaches position j + degree + p through the plane of power p."""
+    per = window.modes_per_channel
+    out = np.zeros((reach.shape[0], per), dtype=bool)
+    for k, plane in enumerate(sym.coeffs):
+        if plane.any():
+            at = sym.d_min + sym.degree + k
+            out |= (plane != 0).T @ reach[:, at:at + per]
+    return out
 
 
 def _band_apply(sym, from_window, to_window, frame):
@@ -464,9 +528,10 @@ def _random_unit_interior(rng, window, edge_gap):
     return v / np.linalg.norm(v)
 
 
-def random_fan(rng, half_width=6, channels=1):
+def random_fan(rng, half_width=6, channels=1, budget=None):
     """Synthetic fan: random interval partition, each part twisted by a
-    mode shift, a finite-rank rotation of the identity, or nothing."""
+    mode shift, a finite-rank rotation of the identity, or nothing.
+    ``budget`` is :func:`fan_from_twists`'s."""
     from .circles import twist_circle, LaurentSymbol
     circle = twist_circle(half_width, channels=channels)
     space = circle.space()
@@ -493,4 +558,4 @@ def random_fan(rng, half_width=6, channels=1):
             ins = [_random_unit_interior(rng, window, 1) for _ in range(nvec)]
             twists.append(finite_rank_twist(window, outs, ins,
                                             scale=0.4 / nvec))
-    return fan_from_twists(space, parts, twists)
+    return fan_from_twists(space, parts, twists, budget=budget)

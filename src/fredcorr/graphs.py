@@ -195,19 +195,48 @@ def _member_dim(g, v, extra_factors=()):
     sigma_max exceeds twice the tolerance every nullspace direction of
     the image rows outside the window keeps an inside image above the
     orthonormalization cutoff, and the member dimension is that
-    nullspace dimension, counted as columns minus rank.  Closer to the
-    cutoff the member is built by ``restricted_image``.
+    nullspace dimension, counted as columns minus rank.  Those outside
+    rows are a small block: only the padded-domain columns that reach
+    them (``TwistChain.columns_reaching``) are pushed through the chain,
+    as identity columns, and multiplied by the same rows of each slot's
+    padded half (``ModelSpace.sharp_padded_rows``/``flat_padded_rows``,
+    which build no other row), with the frame columns that vanish on
+    those rows dropped.  Closer to the cutoff the member is built by
+    ``restricted_image``.
     """
     data = g.vertex_data[v]
     if isinstance(data, Subspace):
         return data.dim
-    if _vertex_window(g, v) is None:
+    window = _vertex_window(g, v)
+    if window is None:
         return 0
-    chain, window, image, keep = _pushed_assembly(g, v, extra_factors)
-    if chain.certified_ratio(window) > 2.0 * current_tolerance():
-        outside = image[~keep]
-        return outside.shape[1] - rank(outside)
-    return restricted_image(image, keep).dim
+    chain = data.then(*extra_factors)
+    if not chain.certified_ratio(window) > 2.0 * current_tolerance():
+        _, _, image, keep = _pushed_assembly(g, v, extra_factors)
+        return restricted_image(image, keep).dim
+    m = chain.margin
+    # every factor widens the padded domain by its degree: the range is
+    # the window padded by twice the margin
+    outside = ~window_rows_mask(window.pad(2 * m), window)
+    cols = chain.columns_reaching(window, outside)
+    at = np.flatnonzero(cols)
+    unit = np.zeros((cols.size, at.size), dtype=np.complex128)
+    unit[at, np.arange(at.size)] = 1.0
+    image = chain.apply(window, unit)[1][outside]
+    per = window.pad(m).modes_per_channel
+    total, start, blocks = 0, 0, []
+    for c, (eid, role) in enumerate(boundary_slots(g, v)):
+        sp = g.edges[eid].space
+        local = cols[c * per:(c + 1) * per]
+        # the incoming assembly's half, as in _assembly
+        rows = (sp.sharp_padded_rows if role == "out"
+                else sp.flat_padded_rows)(m, local)
+        total += rows.shape[1]
+        stop = start + rows.shape[0]
+        # a column of the frame that vanishes on these rows adds nothing
+        blocks.append(image[:, start:stop] @ rows[:, rows.any(axis=0)])
+        start = stop
+    return total - rank(np.hstack(blocks))
 
 
 def vertex_subspace(g, v):
@@ -273,8 +302,11 @@ def global_index_fan(g):
 
     The index is formula 1 of ``fan_index``, the sum of the member
     dimensions minus the ambient dimension, so each member is counted
-    by :func:`_member_dim` and never built.  The parts need no
-    ``check_fan_parts`` pass: they are the sharp half of each edge at
+    by :func:`_member_dim` and never built: the vertex chain followed by
+    the slot factors is pushed only on the padded-domain columns that
+    reach the rows outside the window, and the count is the rank of that
+    small block times the same rows of the padded halves.  The parts
+    need no ``check_fan_parts`` pass: they are the sharp half of each edge at
     its source and the flat half at its target, so their dimensions fill
     each edge block, and every ``Splitting`` keeps its halves orthogonal
     to ``PROJECTOR_ATOL``.  Twisted members need recipe vertex data; a

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidInput
 from .subspaces import Subspace, singular_values, subspaces_equal
-from .windows import ModeWindow, pad_by_predicate, padded_rows
+from .windows import ModeWindow, pad_by_predicate, padded_layout, padded_rows
 
 __all__ = [
     "SHARP_NONNEG",
@@ -132,7 +132,10 @@ class ModelSpace:
     they return the padded ``Subspace``, whose base is the half itself.
     Each padded half is built on the first call for its half and margin
     and then shared: the space and its splitting are frozen, and the
-    frame is read-only.
+    frame is read-only.  :meth:`flat_padded_rows` and
+    :meth:`sharp_padded_rows` read rows of a padded half without
+    building it, through its ``windows.padded_layout``, which is kept
+    per half and margin in the same way.
     """
 
     dim: int
@@ -154,6 +157,7 @@ class ModelSpace:
         if self.convention is not None:
             convention_predicate(self.convention)
         object.__setattr__(self, "_padded", {})
+        object.__setattr__(self, "_layouts", {})
 
     @classmethod
     def zero_space(cls):
@@ -191,18 +195,30 @@ class ModelSpace:
         """
         return self._half_padded("flat", margin)
 
+    def _half_padded_rows(self, half, margin, rows):
+        cached = self._padded.get((half, margin))
+        if cached is not None:
+            return cached.frame[rows]
+        sub, keep = self._half(half)
+        layout = self._layouts.get((half, margin))
+        if layout is None:
+            layout = padded_layout(self.window, margin, keep)
+            self._layouts[(half, margin)] = layout
+        return padded_rows(sub, layout, rows)
+
     def flat_padded_rows(self, margin, rows):
         """The rows ``rows`` of the frame of :meth:`flat_padded`: read off
         that frame once it is built, and otherwise built without its other
-        rows (``windows.padded_rows``)."""
-        cached = self._padded.get(("flat", margin))
-        if cached is not None:
-            return cached.frame[rows]
-        sub, keep = self._half("flat")
-        return padded_rows(sub, self.window, margin, keep, rows)
+        rows (``windows.padded_rows``) from a layout kept per margin."""
+        return self._half_padded_rows("flat", margin, rows)
 
     def sharp_padded(self, margin):
         return self._half_padded("sharp", margin)
+
+    def sharp_padded_rows(self, margin, rows):
+        """The rows ``rows`` of the frame of :meth:`sharp_padded`, read as
+        :meth:`flat_padded_rows` reads the flat half's."""
+        return self._half_padded_rows("sharp", margin, rows)
 
     def with_splitting(self, splitting):
         return ModelSpace(dim=self.dim, basis_labels=self.basis_labels,

@@ -222,6 +222,35 @@ def test_budget_below_the_commutator_rank_refuses_the_twist(
         assert err == []
 
 
+@pytest.mark.parametrize("payload", [
+    {"version": 1, "kind": "graph", "seed": 0},
+    {"version": 1, "kind": "sphere", "twist_powers": [2]},
+])
+def test_budget_reaches_the_graph_edge_twists(tmp_path, capsys, payload):
+    # each scenario's edge twist has commutator rank 2
+    path = write_scenario(tmp_path, "g.json", payload)
+    assert cli.main(["index", path]) == 0
+    plain = capsys.readouterr().out
+    assert cli.main(["index", path, "--budget", "1"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: twist commutator exceeds its rank budget"]
+    assert cli.main(["index", path, "--budget", "2"]) == 0
+    assert capsys.readouterr().out == plain
+
+
+def test_budget_reaches_a_random_fan(tmp_path, capsys):
+    path = write_scenario(tmp_path, "f.json",
+                          {"version": 1, "kind": "fan", "seed": 0})
+    assert cli.main(["index", path]) == 0
+    plain = capsys.readouterr().out
+    assert cli.main(["index", path, "--budget", "3"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: twist does not almost commute with a part projector"
+        " (budget 3)"]
+    assert cli.main(["index", path, "--budget", "4"]) == 0
+    assert capsys.readouterr().out == plain
+
+
 @pytest.mark.parametrize("argv", [["index", "{path}"], ["report", "{path}"]])
 def test_memory_error_is_one_error_line(tmp_path, capsys, monkeypatch, argv):
     # a window too wide for its dense frames: refused, not a traceback

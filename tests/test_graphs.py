@@ -11,6 +11,7 @@ from fredcorr.circles import (
     twist_circle,
     winding_number,
 )
+from fredcorr import graphs
 from fredcorr.errors import DimensionMismatch, InvalidInput, SelfLoopUnsupported
 from fredcorr.fans import TwistChain, check_fan_parts
 from fredcorr.graphs import (
@@ -32,7 +33,13 @@ from fredcorr.graphs import (
     vertex_subspace,
 )
 from fredcorr.spaces import perturb_splitting
-from fredcorr.subspaces import Subspace, pair_index, subspaces_equal
+from fredcorr.subspaces import (
+    Subspace,
+    current_tolerance,
+    pair_index,
+    rank,
+    subspaces_equal,
+)
 
 
 def materialize(g):
@@ -337,3 +344,48 @@ def test_fan_parts_of_perturbed_splittings_pass_the_check(seed):
     assert any(e.space.splitting._sharp_mask is None
                for e in p.edges.values())
     assert_fan_parts_pass_the_check(p, global_index_fan(g))
+
+
+def dense_member_dim(g, v, extras=()):
+    """The member dimension from the whole padded incoming assembly pushed
+    through the chain: columns minus the rank of its rows outside the
+    window."""
+    chain, window, image, keep = graphs._pushed_assembly(g, v, extras)
+    assert chain.certified_ratio(window) > 2.0 * current_tolerance()
+    outside = image[~keep]
+    return outside.shape[1] - rank(outside)
+
+
+def near_edge_graph():
+    """A sphere path whose outgoing disk rotates its window's edge mode
+    with flat mode -3 before its shift: a twist chain whose interior
+    support lies within the chain margin of the window edge."""
+    base = sphere_path_graph(6, twist=LaurentSymbol.scalar((1.0, 0.3), 0))
+    window = graphs._vertex_window(base, "out")
+    i, j = window.index_of(0, 6), window.index_of(0, -3)
+    rot = np.eye(window.dim, dtype=np.complex128)
+    rot[i, i] = rot[j, j] = np.cos(0.7)
+    rot[i, j], rot[j, i] = -np.sin(0.7), np.sin(0.7)
+    chain = TwistChain(factors=(("interior", rot),
+                                ("sym", LaurentSymbol.monomial(1))))
+    return DecompositionGraph(vertices=base.vertices, edges=dict(base.edges),
+                              vertex_data={**base.vertex_data, "out": chain})
+
+
+def test_block_member_count_matches_the_dense_count():
+    cases = [random_graph(np.random.default_rng(seed), half_width=hw)
+             for hw in (5, 8, 16, 64) for seed in range(6)]
+    cases += [sphere_path_graph(6, twist=t) for t in (
+        None, LaurentSymbol.monomial(2), LaurentSymbol.scalar((1.0, 0.3), 0),
+        LaurentSymbol.scalar((0.5, 1.0, 0.2), -1))]
+    cases.append(near_edge_graph())
+    for g in cases:
+        for v in g.vertices:
+            if isinstance(g.vertex_data[v], Subspace):
+                continue
+            count = graphs._member_dim(g, v)
+            assert count == dense_member_dim(g, v) \
+                == vertex_subspace(g, v).dim
+            extras = graphs._fan_extras(g, v)
+            assert graphs._member_dim(g, v, extras) \
+                == dense_member_dim(g, v, extras)
