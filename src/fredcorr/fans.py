@@ -29,6 +29,7 @@ from .windows import (
     lift_frame,
     mode_span,
     pad_by_predicate,
+    window_rows_mask,
 )
 
 __all__ = [
@@ -112,9 +113,9 @@ class TwistChain:
     :meth:`realize` is :meth:`apply` on the identity frame, and
     :meth:`certified_ratio` bounds the conditioning of the composite
     from its factors, so a caller can count the window intersection of
-    an image instead of building it; :meth:`columns_reaching` names the
-    domain columns that can reach a set of range rows, so that count
-    needs only those columns.
+    an image instead of building it; :meth:`outside_reach` names the
+    domain columns that can reach the range rows outside the window, so
+    that count needs only those columns.
     """
 
     factors: tuple
@@ -199,19 +200,21 @@ class TwistChain:
                     ModeWindow(nxt.half_width), src)
         return end, out
 
-    def columns_reaching(self, window, rows):
-        """Mask of the padded-domain columns of :meth:`apply` whose image
-        can be nonzero on the range rows ``rows`` (a mask over the range
-        window): the rows pulled back through the factors, last first, by
-        mode arithmetic.  A symbol factor moves them by the powers of its
+    def outside_reach(self, window):
+        """(outside, columns): the mask of the rows of :meth:`apply`'s
+        range window that lie outside ``window``, and the mask of the
+        padded-domain columns whose image can be nonzero on them.  The
+        rows are pulled back through the factors, last first, by mode
+        arithmetic.  A symbol factor moves them by the powers of its
         nonzero coefficient planes, between the channels each plane
         couples; a slot factor does so on its own channel and keeps the
         others in place; an interior factor adds its whole support when
-        they meet it.  The mask may hold extra columns, whose images
-        vanish on those rows."""
-        steps, _ = self._steps(window)
+        they meet it.  The column mask may hold extra columns, whose
+        images vanish on those rows."""
+        steps, end = self._steps(window)
+        outside = ~window_rows_mask(end, window)
         # reach[c, j] stands for coordinate c * per + j of the window
-        reach = np.array(rows, dtype=bool).reshape(window.channels, -1)
+        reach = outside.reshape(window.channels, -1).copy()
         for i in reversed(range(len(steps))):
             kind, data, sym, cur = steps[i]
             if sym is None:
@@ -226,7 +229,7 @@ class TwistChain:
                 lifted = reach[:, d:d + cur.modes_per_channel].copy()
                 lifted[ch] = _pull_back(sym, cur, reach[ch:ch + 1])[0]
                 reach = lifted
-        return reach.reshape(-1)
+        return outside, reach.reshape(-1)
 
     def realize(self, window):
         """Windowed operator of the whole chain over ``window``: the

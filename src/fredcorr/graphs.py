@@ -197,7 +197,7 @@ def _member_dim(g, v, extra_factors=()):
     orthonormalization cutoff, and the member dimension is that
     nullspace dimension, counted as columns minus rank.  Those outside
     rows are a small block: only the padded-domain columns that reach
-    them (``TwistChain.columns_reaching``) are pushed through the chain,
+    them (``TwistChain.outside_reach``) are pushed through the chain,
     as identity columns, and multiplied by the same rows of each slot's
     padded half (``ModelSpace.sharp_padded_rows``/``flat_padded_rows``,
     which build no other row), with the frame columns that vanish on
@@ -214,15 +214,12 @@ def _member_dim(g, v, extra_factors=()):
     if not chain.certified_ratio(window) > 2.0 * current_tolerance():
         _, _, image, keep = _pushed_assembly(g, v, extra_factors)
         return restricted_image(image, keep).dim
-    m = chain.margin
-    # every factor widens the padded domain by its degree: the range is
-    # the window padded by twice the margin
-    outside = ~window_rows_mask(window.pad(2 * m), window)
-    cols = chain.columns_reaching(window, outside)
+    outside, cols = chain.outside_reach(window)
     at = np.flatnonzero(cols)
     unit = np.zeros((cols.size, at.size), dtype=np.complex128)
     unit[at, np.arange(at.size)] = 1.0
     image = chain.apply(window, unit)[1][outside]
+    m = chain.margin
     per = window.pad(m).modes_per_channel
     total, start, blocks = 0, 0, []
     for c, (eid, role) in enumerate(boundary_slots(g, v)):

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidInput
 from .subspaces import Subspace, singular_values, subspaces_equal
-from .windows import ModeWindow, pad_by_predicate, padded_layout, padded_rows
+from .windows import ModeWindow, pad_by_predicate, padded_rows
 
 __all__ = [
     "SHARP_NONNEG",
@@ -134,8 +134,7 @@ class ModelSpace:
     and then shared: the space and its splitting are frozen, and the
     frame is read-only.  :meth:`flat_padded_rows` and
     :meth:`sharp_padded_rows` read rows of a padded half without
-    building it, through its ``windows.padded_layout``, which is kept
-    per half and margin in the same way.
+    building it.
     """
 
     dim: int
@@ -157,7 +156,6 @@ class ModelSpace:
         if self.convention is not None:
             convention_predicate(self.convention)
         object.__setattr__(self, "_padded", {})
-        object.__setattr__(self, "_layouts", {})
 
     @classmethod
     def zero_space(cls):
@@ -200,16 +198,12 @@ class ModelSpace:
         if cached is not None:
             return cached.frame[rows]
         sub, keep = self._half(half)
-        layout = self._layouts.get((half, margin))
-        if layout is None:
-            layout = padded_layout(self.window, margin, keep)
-            self._layouts[(half, margin)] = layout
-        return padded_rows(sub, layout, rows)
+        return padded_rows(sub, self.window, margin, keep, rows)
 
     def flat_padded_rows(self, margin, rows):
         """The rows ``rows`` of the frame of :meth:`flat_padded`: read off
         that frame once it is built, and otherwise built without its other
-        rows (``windows.padded_rows``) from a layout kept per margin."""
+        rows (``windows.padded_rows``)."""
         return self._half_padded_rows("flat", margin, rows)
 
     def sharp_padded(self, margin):

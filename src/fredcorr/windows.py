@@ -25,7 +25,6 @@ __all__ = [
     "mode_span",
     "lift_frame",
     "pad_by_predicate",
-    "padded_layout",
     "padded_rows",
     "window_rows_mask",
     "restricted_image",
@@ -142,37 +141,24 @@ def pad_by_predicate(sub, window, margin, predicate):
     return Subspace._trusted(frame)
 
 
-def padded_layout(window, margin, predicate):
-    """Where :func:`pad_by_predicate` puts each coordinate p of the window
-    padded by ``margin``: (base, unit, n_unit), with base[p] the row of
-    the base frame lifted into p or -1, and unit[p] the index of p among
-    the n_unit margin unit vectors or -1.  It holds two integers per
-    coordinate, so a caller can keep it where the frame would be too
-    large to keep."""
+def padded_rows(sub, window, margin, predicate, rows):
+    """The rows ``rows`` (an index array or a mask over the padded
+    window) of the frame :func:`pad_by_predicate` builds, without its
+    other rows."""
     extra = _margin_columns(window, margin, predicate)
     per = window.modes_per_channel + 2 * margin
-    coords = np.arange(window.channels * per)
-    channel, pos = np.divmod(coords, per)
+    coords = np.arange(window.channels * per)[rows]
+    pos = coords % per
+    lifted = np.flatnonzero((pos >= margin) & (pos < per - margin))
+    out = np.zeros((coords.size, sub.dim + extra.size), dtype=np.complex128)
     # a lifted row's base coordinate: 2 * margin fewer per earlier channel
-    base = np.where((pos >= margin) & (pos < per - margin),
-                    coords - margin * (2 * channel + 1), -1)
-    unit = np.full(coords.size, -1)
-    unit[extra] = np.arange(extra.size)
-    return base, unit, extra.size
-
-
-def padded_rows(sub, layout, rows):
-    """The rows ``rows`` (an index array or a mask over the padded
-    window) of the frame :func:`pad_by_predicate` builds from ``sub``,
-    read through its :func:`padded_layout` ``layout`` without the other
-    rows: the lifted base rows, then one unit column per margin mode."""
-    base, unit, n_unit = layout
-    base, unit = base[rows], unit[rows]
-    out = np.zeros((base.size, sub.dim + n_unit), dtype=np.complex128)
-    lifted = base >= 0
-    out[lifted, :sub.dim] = sub.frame[base[lifted]]
-    at = np.flatnonzero(unit >= 0)
-    out[at, sub.dim + unit[at]] = 1.0
+    at = coords[lifted]
+    out[lifted, :sub.dim] = sub.frame[at - margin - 2 * margin * (at // per)]
+    # row p holds margin unit column col exactly when extra[col] == p;
+    # the -1 stands past the end of extra
+    col = np.searchsorted(extra, coords)
+    unit = np.flatnonzero(np.append(extra, -1)[col] == coords)
+    out[unit, sub.dim + col[unit]] = 1.0
     return out
 
 

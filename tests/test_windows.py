@@ -11,7 +11,6 @@ from fredcorr.windows import (
     lift_frame,
     mode_span,
     pad_by_predicate,
-    padded_layout,
     padded_rows,
     restricted_image,
     window_rows_mask,
@@ -193,5 +192,5 @@ def test_pad_by_predicate_tests_only_the_margin(channels, half_width, margin,
     for rows in (rng.permutation(dim)[:dim // 2], rng.random(dim) < 0.4,
                  np.arange(dim)):
         np.testing.assert_array_equal(
-            padded_rows(sub, padded_layout(window, margin, predicate), rows),
+            padded_rows(sub, window, margin, predicate, rows),
             padded.frame[rows])
