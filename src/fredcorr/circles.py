@@ -2,9 +2,12 @@
 them: disk and annulus correspondences, multiplication twists, winding
 numbers, and the sphere/torus scenario builders.
 
-A symbol's determinant is z^(c*d_min) times a polynomial P.  Its
-coefficients (``_det_polynomial``) give the winding number: c*d_min plus
-the zeros of P inside the disk.
+A symbol's determinant is z^(c*d_min) times a polynomial P.  A symbol
+computes P's coefficients once, when it is built (``_det_polynomial``),
+and every reader of its determinant reads them: on the unit circle
+|det A(z)| = |P(z)|, which gives the construction check and the grid
+floor of sigma_min that the twist certificate starts from, and the
+winding number is c*d_min plus the zeros of P inside the disk.
 
 Mode bases are normalized per mode (the mode-k vector on a circle of
 radius r carries the factor r^k), so circle subspaces are plain
@@ -18,7 +21,7 @@ take sharp = nonnegative modes (twist index = winding number).
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -75,18 +78,58 @@ _VALIDATION_POINTS = _unit_grid(VALIDATION_GRID)
 _VALIDATION_POINTS.setflags(write=False)
 
 
-def _det_floor(coeffs):
+def _horner(coeffs, zs):
+    """sum_k coeffs[k] * z**k at each point of ``zs``, lowest power first."""
+    acc = np.full(zs.shape, coeffs[-1], dtype=np.complex128)
+    for a in coeffs[-2::-1]:
+        acc *= zs
+        acc += a
+    return acc
+
+
+def _det_floor(sym):
     # |det A(z)| <= ||A(z)||^c <= (sum_p ||A_p||_F)^c on the unit circle
-    scale = float(np.linalg.norm(coeffs, axis=(1, 2)).sum())
-    return MIN_DET * scale ** coeffs.shape[1]
+    return MIN_DET * sym.norm_sum ** sym.channels
 
 
-def _sigma_min_floor(vals, dets):
-    # sigma_min(A) = |det A| / (product of the other c - 1 singular
-    # values) >= |det A| / ||A||_F^(c-1), at every grid point
-    c = vals.shape[-1]
-    norms = np.linalg.norm(vals, axis=(1, 2))
-    return float((np.abs(dets) / norms ** (c - 1)).min())
+def _det_polynomial(coeffs):
+    """Coefficients of P(z) = det A(z) / z^(c*d_min) = det sum_p A_p z^p,
+    lowest power first: the inverse DFT of that determinant on the
+    deg P + 1 = c*(planes - 1) + 1 roots of unity."""
+    planes, c = coeffs.shape[:2]
+    if planes == 1:
+        return np.linalg.det(coeffs)
+    n = c * (planes - 1) + 1
+    # w[j, k] = exp(2 pi i j k / n), read off the grid by index
+    w = _unit_grid(n)[np.outer(np.arange(n), np.arange(n)) % n]
+    vals = (w[:, :planes] @ coeffs.reshape(planes, c * c)).reshape(n, c, c)
+    return w.conj() @ np.linalg.det(vals) / n
+
+
+def _grid_floor(sym, n):
+    """(min |det A(z)|, min |det A(z)| / ||A(z)||_F^(c-1)) over the n-th
+    roots of unity.  The second is a floor of sigma_min(A(z)) there:
+    sigma_min is |det| over the product of the other c - 1 singular
+    values, each at most ||A||_F.  |det A| is |P|, and ||A||_F^2 is the
+    Laurent polynomial sum_{p,q} tr(A_p^H A_q) z^(q-p) of the
+    coefficients' Gram traces."""
+    zs = _VALIDATION_POINTS if n == VALIDATION_GRID else _unit_grid(n)
+    dets = np.abs(_horner(sym._det_coeffs, zs))
+    low = float(dets.min())
+    c = sym.channels
+    if c == 1:
+        return low, low
+    planes = sym.coeffs.shape[0]
+    flat = sym.coeffs.reshape(planes, c * c)
+    gram = flat.conj() @ flat.T
+    # sum_k G_k z^k over k >= 0 with G_k = sum_p tr(A_p^H A_(p+k)); the
+    # terms k < 0 are its conjugate, and G_0 is counted once
+    half = _horner(np.array([gram.trace(k) for k in range(planes)]), zs)
+    norms2 = 2.0 * half.real - gram.trace().real
+    if not norms2.min() > 0.0:
+        # A(z) vanishes at a grid point, and so does sigma_min
+        return low, 0.0
+    return low, float((dets / norms2 ** ((c - 1) / 2)).min())
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,14 +137,21 @@ class LaurentSymbol:
     """A matrix of Laurent polynomials: coeffs[p] is the coefficient
     matrix of z**(d_min + p).
 
-    Construction validates invertibility on the unit circle by sampling
-    the determinant on a fixed grid, relative to the largest value the
-    coefficients allow it.  The same samples give the grid floor of
-    sigma_min(A(z)) that :func:`certified_ratio` starts from.
+    Construction strips zero planes at both ends and computes, once, what
+    every reader of the symbol's determinant needs: the coefficients of
+    P = det A / z^(c*d_min) (``_det_polynomial``, one batch of deg P + 1
+    determinants), the norm sum S = sum_p ||A_p||_F and the grid floor of
+    sigma_min(A(z)).  It validates invertibility on the unit circle by
+    evaluating |P| on ``VALIDATION_GRID`` points, relative to the largest
+    value S^c that the coefficients allow |det| there.
     """
 
     coeffs: np.ndarray
     d_min: int
+    # stored by __post_init__ from the stripped coefficients
+    d_max: int = field(init=False, repr=False)
+    degree: int = field(init=False, repr=False)
+    norm_sum: float = field(init=False, repr=False)
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=np.complex128)
@@ -111,32 +161,32 @@ class LaurentSymbol:
         if not np.isfinite(c).all():
             raise InvalidInput("symbol coefficients must be finite")
         # canonicalize: strip zero planes at both ends
-        nz = [p for p in range(c.shape[0]) if np.any(np.abs(c[p]) > 0)]
-        if not nz:
+        nz = np.flatnonzero((c != 0).any(axis=(1, 2)))
+        if not nz.size:
             raise SymbolSingular("symbol is identically zero")
-        lo, hi = nz[0], nz[-1]
-        d_min = self.d_min + lo
+        lo, hi = int(nz[0]), int(nz[-1])
+        d_min = int(self.d_min + lo)
+        d_max = d_min + hi - lo
         c = c[lo: hi + 1].copy()
         c.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
-        object.__setattr__(self, "d_min", int(d_min))
-        vals = self.eval_grid(_VALIDATION_POINTS)
-        dets = np.linalg.det(vals)
-        if float(np.abs(dets).min()) <= _det_floor(c):
+        norms = np.linalg.norm(c, axis=(1, 2))
+        # sum_p |d_min + p| ||A_p||_F bounds |dA/dtheta| on the circle
+        slope = float(np.abs(d_min + np.arange(norms.size)) @ norms)
+        det_coeffs = _det_polynomial(c)
+        det_coeffs.setflags(write=False)
+        for name, value in (("coeffs", c), ("d_min", d_min), ("d_max", d_max),
+                            ("degree", max(abs(d_min), abs(d_max))),
+                            ("norm_sum", float(norms.sum())),
+                            ("_slope", slope), ("_det_coeffs", det_coeffs)):
+            object.__setattr__(self, name, value)
+        low, floor = _grid_floor(self, VALIDATION_GRID)
+        if low <= _det_floor(self):
             raise SymbolSingular("symbol determinant vanishes on the circle")
-        object.__setattr__(self, "_grid_floor", _sigma_min_floor(vals, dets))
+        object.__setattr__(self, "_sigma_floor", floor)
 
     @property
     def channels(self):
         return self.coeffs.shape[1]
-
-    @property
-    def d_max(self):
-        return self.d_min + self.coeffs.shape[0] - 1
-
-    @property
-    def degree(self):
-        return max(abs(self.d_min), abs(self.d_max))
 
     @classmethod
     def identity(cls, channels=1):
@@ -173,27 +223,20 @@ class LaurentSymbol:
         return LaurentSymbol(coeffs=out, d_min=self.d_min + other.d_min)
 
 
-def _det_polynomial(sym):
-    """Coefficients of P(z) = det A(z) / z^(c*d_min), lowest power first:
-    the inverse DFT of det A on deg P + 1 = c*(planes - 1) + 1 points."""
-    n = sym.channels * (sym.coeffs.shape[0] - 1) + 1
-    zs = _unit_grid(n)
-    dets = np.linalg.det(sym.eval_grid(zs)) * zs ** (-sym.channels * sym.d_min)
-    return zs ** -np.arange(n)[:, None] @ dets / n
-
-
 def winding_number(sym):
     """Winding of the symbol determinant around zero: c*d_min plus the
-    number of zeros of P = det A / z^(c*d_min) inside the unit disk.
+    number of zeros inside the unit disk of the symbol's stored
+    P = det A / z^(c*d_min).
 
     Rounding moves zeros that P lacks towards 0 or infinity, far from
-    the circle.  A zero whose nearest circle point has |det| at most the
-    ``MIN_DET`` floor makes the symbol singular, at any angle.
+    the circle.  A zero whose nearest circle point r/|r| has |P| at most
+    the ``MIN_DET`` floor makes the symbol singular, at any angle.
     """
-    roots = np.roots(_det_polynomial(sym)[::-1])
+    p = sym._det_coeffs
+    roots = np.roots(p[::-1])
     near = roots[roots != 0]
-    dets = np.linalg.det(sym.eval_grid(near / np.abs(near)))
-    if np.abs(dets).min(initial=np.inf) <= _det_floor(sym.coeffs):
+    dets = _horner(p, near / np.abs(near))
+    if np.abs(dets).min(initial=np.inf) <= _det_floor(sym):
         raise SymbolSingular("determinant too close to zero on the circle")
     return sym.channels * sym.d_min + int(np.count_nonzero(np.abs(roots) < 1.0))
 
@@ -288,19 +331,16 @@ def certified_ratio(sym):
     the grid is doubled, from the validation grid, until that bound
     exceeds 2 * tol * S or reaches ``CERTIFICATE_GRID_CAP``.
     """
-    norms = np.linalg.norm(sym.coeffs, axis=(1, 2))
-    scale = float(norms.sum())
-    slope = float(np.abs(sym.d_min + np.arange(norms.size)) @ norms)
-    n, floor = VALIDATION_GRID, sym._grid_floor
+    scale = sym.norm_sum
+    n, floor = VALIDATION_GRID, sym._sigma_floor
     while True:
-        bound = floor - math.pi / n * slope
+        bound = floor - math.pi / n * sym._slope
         if bound > 2.0 * current_tolerance() * scale:
             return bound / scale
         n *= 2
         if n > CERTIFICATE_GRID_CAP:
             return 0.0
-        vals = sym.eval_grid(_unit_grid(n))
-        floor = _sigma_min_floor(vals, np.linalg.det(vals))
+        _, floor = _grid_floor(sym, n)
 
 
 def band_certificate(sym, op):

@@ -246,7 +246,7 @@ class TwistChain:
 
         A symbol factor contributes ``circles.certified_ratio``.  A slot
         factor with symbol a is block diagonal, isometries beside a's band
-        matrix, so it gives min(1, lo) / max(1, S) where S = sum_p |a_p|
+        matrix, so it gives min(1, lo) / max(1, S) where S = ``a.norm_sum``
         and lo = ``certified_ratio(a)`` * S.  An interior factor is the
         identity outside its support S, so its singular values are its
         block's together with 1 whenever S is not the whole window.
@@ -261,8 +261,7 @@ class TwistChain:
                 sym = _symbol_of(kind, data)
                 sym_ratio = certified_ratio(sym)
                 if kind == "slot":
-                    scale = float(
-                        np.linalg.norm(sym.coeffs, axis=(1, 2)).sum())
+                    scale = sym.norm_sum
                     sym_ratio = min(1.0, sym_ratio * scale) / max(1.0, scale)
                 ratio *= sym_ratio
                 cur = cur.pad(sym.degree)

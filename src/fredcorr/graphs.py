@@ -134,27 +134,31 @@ def _vertex_window(g, v):
     return ModeWindow(g.half_width, channels=len(slots))
 
 
-def _assembly(g, v, which, margin=0):
-    """Block stack of splitting halves over the boundary slots.
+def _assembly_halves(g, v, which, margin=0):
+    """The splitting halves of the boundary slots, in slot order.
 
     ``which`` is "in" (sharp on outgoing, flat on incoming) or "out"
     (the blockwise complement).  With a margin each edge's half is padded
     by ``ModelSpace.sharp_padded``/``flat_padded`` first, for feeding a
-    twist chain; the blocks are stacked by ``subspaces.direct_sum``.
+    twist chain.
     """
-    slots = boundary_slots(g, v)
-    if not slots:
-        return Subspace.zero(0)
-    blocks = []
-    for eid, role in slots:
+    halves = []
+    for eid, role in boundary_slots(g, v):
         sp = g.edges[eid].space
         take_sharp = (role == "out") == (which == "in")
         if margin == 0:
-            blocks.append(sp.splitting.sharp if take_sharp else sp.splitting.flat)
+            halves.append(sp.splitting.sharp if take_sharp else sp.splitting.flat)
         else:
-            blocks.append(sp.sharp_padded(margin) if take_sharp
+            halves.append(sp.sharp_padded(margin) if take_sharp
                           else sp.flat_padded(margin))
-    return direct_sum(*blocks)
+    return halves
+
+
+def _assembly(g, v, which, margin=0):
+    """Block stack of the slots' halves (:func:`_assembly_halves`) by
+    ``subspaces.direct_sum``."""
+    halves = _assembly_halves(g, v, which, margin)
+    return direct_sum(*halves) if halves else Subspace.zero(0)
 
 
 def incoming_assembly(g, v):
@@ -225,7 +229,7 @@ def _member_dim(g, v, extra_factors=()):
     for c, (eid, role) in enumerate(boundary_slots(g, v)):
         sp = g.edges[eid].space
         local = cols[c * per:(c + 1) * per]
-        # the incoming assembly's half, as in _assembly
+        # the incoming assembly's half, as in _assembly_halves
         rows = (sp.sharp_padded_rows if role == "out"
                 else sp.flat_padded_rows)(m, local)
         total += rows.shape[1]
@@ -252,8 +256,9 @@ def vertex_index(g, v):
     the member dimension of a recipe counted by :func:`_member_dim`."""
     if v not in g.vertex_data:
         raise InvalidInput(f"vertex {v!r} has no boundary data")
-    out = outgoing_assembly(g, v)
-    return _member_dim(g, v) + out.dim - out.ambient_dim
+    # the outgoing assembly's dim - ambient dim, summed over its blocks
+    return _member_dim(g, v) + sum(h.dim - h.ambient_dim
+                                   for h in _assembly_halves(g, v, "out"))
 
 
 def edge_index(g, e):

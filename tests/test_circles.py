@@ -1,11 +1,16 @@
 """Circle model layer: symbols, windings, disks, annuli, spheres, tori."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fredcorr.circles import (
+    CERTIFICATE_GRID_CAP,
+    MIN_DET,
+    VALIDATION_GRID,
     LaurentCircle,
     LaurentSymbol,
     annulus_correspondence,
@@ -23,6 +28,7 @@ from fredcorr.circles import (
     symbol_twist,
     twist_circle,
     winding_number,
+    _grid_floor,
 )
 from fredcorr.errors import DimensionMismatch, InvalidInput, SymbolSingular
 from fredcorr.morphisms import (
@@ -58,6 +64,11 @@ def test_symbol_rejects_zero_and_singular():
         LaurentSymbol.scalar([-1.0, 1.0], d_min=0)
     with pytest.raises(InvalidInput):
         LaurentSymbol(coeffs=np.zeros((1, 2, 3)), d_min=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SymbolSingular):
+            # (z - 1) I vanishes as a whole matrix at z = 1, a grid point
+            matrix_symbol(0, -np.eye(2), np.eye(2))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(1, np.nan)])
@@ -654,6 +665,94 @@ def test_zero_near_the_circle_is_counted_at_any_angle(angle):
         sym = LaurentSymbol.scalar([-radius * np.exp(1j * angle), 1.0], 0)
         with pytest.raises(SymbolSingular, match="close to zero"):
             winding_number(sym)
+
+
+# Dense references for the stored-polynomial route: det A and ||A||_F of
+# the evaluated symbol at every grid point.
+
+def _dense_floor(sym, n):
+    vals = sym.eval_grid(np.exp(2j * np.pi * np.arange(n) / n))
+    norms = np.linalg.norm(vals, axis=(1, 2))
+    return float((np.abs(_dets(sym, n)) / norms ** (sym.channels - 1)).min())
+
+
+def _dense_certified_ratio(sym):
+    norms = np.linalg.norm(sym.coeffs, axis=(1, 2))
+    scale = norms.sum()
+    slope = np.abs(sym.d_min + np.arange(norms.size)) @ norms
+    n = VALIDATION_GRID
+    while n <= CERTIFICATE_GRID_CAP:
+        bound = _dense_floor(sym, n) - np.pi / n * slope
+        if bound > 2.0 * current_tolerance() * scale:
+            return bound / scale
+        n *= 2
+    return 0.0
+
+
+def _random_symbol(rng):
+    c, planes = int(rng.integers(1, 4)), int(rng.integers(1, 5))
+    coeffs = rng.standard_normal((planes, c, c)) \
+        + 1j * rng.standard_normal((planes, c, c))
+    return LaurentSymbol(coeffs=coeffs, d_min=int(rng.integers(-2, 3)))
+
+
+def test_stored_polynomial_matches_the_dense_determinant_route():
+    rng = np.random.default_rng(17)
+    for _ in range(60):
+        sym = _random_symbol(rng)
+        assert sym._sigma_floor == pytest.approx(
+            _dense_floor(sym, VALIDATION_GRID), rel=1e-12)
+        for n in (2 * VALIDATION_GRID, CERTIFICATE_GRID_CAP):
+            assert _grid_floor(sym, n)[1] == pytest.approx(
+                _dense_floor(sym, n), rel=1e-12)
+        assert (certified_ratio(sym) > 0) == (_dense_certified_ratio(sym) > 0)
+        total, max_step = _phase_scan_by_loop(_dets(sym, CERTIFICATE_GRID_CAP))
+        assert max_step <= np.pi / 2
+        assert winding_number(sym) == round(total / (2 * np.pi))
+
+
+@pytest.mark.parametrize("angle", [0.0, np.pi / 512, 1.2345])
+def test_singular_verdicts_match_the_dense_route(angle):
+    # z - (1 + delta) e^(i angle); MIN_DET * S is about 2e-8 here, and
+    # every |delta| stays a factor of 5 or more away from it
+    grid = np.exp(2j * np.pi * np.arange(VALIDATION_GRID) / VALIDATION_GRID)
+    for delta in (-1e-6, -1e-7, -4e-9, -1e-10, 0.0, 1e-10, 4e-9, 1e-7, 1e-6):
+        a = (1 + delta) * np.exp(1j * angle)
+        coeffs = np.array([-a, 1.0]).reshape(2, 1, 1)
+        floor = MIN_DET * (abs(a) + 1.0)
+        on_grid = np.abs(_horner_by_loop(coeffs, 0, grid)).min() <= floor
+        at_zero = abs(_horner_by_loop(coeffs, 0, [a / abs(a)])[0, 0, 0]) <= floor
+        if on_grid:
+            with pytest.raises(SymbolSingular, match="vanishes"):
+                LaurentSymbol(coeffs=coeffs, d_min=0)
+            continue
+        sym = LaurentSymbol(coeffs=coeffs, d_min=0)
+        if at_zero:
+            with pytest.raises(SymbolSingular, match="close to zero"):
+                winding_number(sym)
+        else:
+            assert winding_number(sym) == int(delta < 0)
+
+
+@pytest.mark.parametrize("planes, channels", [(4, 2), (3, 3), (1, 2)])
+def test_symbol_determinant_is_computed_once(monkeypatch, planes, channels):
+    rng = np.random.default_rng(planes * channels)
+    coeffs = rng.standard_normal((planes, channels, channels)) \
+        + 1j * rng.standard_normal((planes, channels, channels))
+    shapes = []
+    det = np.linalg.det
+
+    def counted(a):
+        shapes.append(np.shape(a))
+        return det(a)
+
+    monkeypatch.setattr(np.linalg, "det", counted)
+    sym = LaurentSymbol(coeffs=coeffs, d_min=-1)
+    # one batch on the deg P + 1 = c * (planes - 1) + 1 points
+    assert shapes == [(channels * (planes - 1) + 1, channels, channels)]
+    winding_number(sym)
+    certified_ratio(sym)
+    assert len(shapes) == 1
 
 
 def test_circle_space_is_built_once():
