@@ -203,9 +203,9 @@ def _member_dim(g, v, extra_factors=()):
     rows are a small block: only the padded-domain columns that reach
     them (``TwistChain.outside_reach``) are pushed through the chain,
     as identity columns, and multiplied by the same rows of each slot's
-    padded half (``ModelSpace.sharp_padded_rows``/``flat_padded_rows``,
-    which build no other row), with the frame columns that vanish on
-    those rows dropped.  Closer to the cutoff the member is built by
+    padded half (``Subspace.rows``, which builds no frame for a
+    coordinate half), with the frame columns that vanish on those rows
+    dropped.  Closer to the cutoff the member is built by
     ``restricted_image``.
     """
     data = g.vertex_data[v]
@@ -219,9 +219,7 @@ def _member_dim(g, v, extra_factors=()):
         _, _, image, keep = _pushed_assembly(g, v, extra_factors)
         return restricted_image(image, keep).dim
     outside, cols = chain.outside_reach(window)
-    at = np.flatnonzero(cols)
-    unit = np.zeros((cols.size, at.size), dtype=np.complex128)
-    unit[at, np.arange(at.size)] = 1.0
+    unit = Subspace._from_mask(cols).frame
     image = chain.apply(window, unit)[1][outside]
     m = chain.margin
     per = window.pad(m).modes_per_channel
@@ -230,8 +228,8 @@ def _member_dim(g, v, extra_factors=()):
         sp = g.edges[eid].space
         local = cols[c * per:(c + 1) * per]
         # the incoming assembly's half, as in _assembly_halves
-        rows = (sp.sharp_padded_rows if role == "out"
-                else sp.flat_padded_rows)(m, local)
+        rows = (sp.sharp_padded(m) if role == "out"
+                else sp.flat_padded(m)).rows(local)
         total += rows.shape[1]
         stop = start + rows.shape[0]
         # a column of the frame that vanishes on these rows adds nothing
@@ -367,7 +365,7 @@ def sphere_path_graph(half_width, twist=None, radii=(2.0, 1.0)):
     ann = annulus_correspondence(outer, inner).subspace
     d = ann.ambient_dim // 2
     # mid slots are (e2, out) then (e1, in): swap the correspondence halves
-    mid = Subspace(np.vstack([ann.frame[d:], ann.frame[:d]]))
+    mid = Subspace._trusted(np.vstack([ann.frame[d:], ann.frame[:d]]))
     data = {
         "in": TwistChain(factors=()),
         "mid": mid,

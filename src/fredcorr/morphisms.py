@@ -52,7 +52,6 @@ __all__ = [
 ]
 
 _NO_MODES = np.zeros(0, dtype=bool)
-_NO_MODES.setflags(write=False)
 
 
 def _diagonal_graph_frame(labels, q):
@@ -81,17 +80,17 @@ def _diagonal_graph_frame(labels, q):
 class Correspondence:
     """A subspace of source + target, viewed as a morphism.
 
-    Links whose shape is known where they are built record it, for
-    :func:`compose`: :meth:`_span` records ``("span", source_mask,
-    target_mask)`` for a coordinate span, and :meth:`_diagonal` records
-    ``("diag", q)`` for the graph of Q = diag(q^mode).  Every other
-    correspondence, a re-based one included, records None.
+    :func:`compose` reads two shapes off a link: the mask of a subspace
+    that is a coordinate span (:meth:`_span` builds one), and the ratio
+    q of the graph of Q = diag(q^mode), which :meth:`_diagonal` records
+    as ``_ratio``.  ``_ratio`` is None on every other correspondence, a
+    re-based one included.
     """
 
     source: ModelSpace
     target: ModelSpace
     subspace: Subspace
-    _structure = None
+    _ratio = None
 
     def __post_init__(self):
         if self.subspace.ambient_dim != self.source.dim + self.target.dim:
@@ -100,15 +99,9 @@ class Correspondence:
 
     @classmethod
     def _span(cls, source, target, source_mask, target_mask):
-        """Span of the masked source and target coordinates; the masks
-        are recorded read-only."""
-        source_mask.setflags(write=False)
-        target_mask.setflags(write=False)
+        """Span of the masked source and target coordinates."""
         sub = Subspace._from_mask(np.concatenate([source_mask, target_mask]))
-        link = cls(source=source, target=target, subspace=sub)
-        object.__setattr__(link, "_structure",
-                           ("span", source_mask, target_mask))
-        return link
+        return cls(source=source, target=target, subspace=sub)
 
     @classmethod
     def _diagonal(cls, source, target, q):
@@ -120,7 +113,7 @@ class Correspondence:
         frame = _diagonal_graph_frame(source.window.mode_labels(), q)
         link = cls(source=source, target=target,
                    subspace=Subspace._trusted(frame))
-        object.__setattr__(link, "_structure", ("diag", q))
+        object.__setattr__(link, "_ratio", q)
         return link
 
     @property
@@ -141,13 +134,13 @@ def index(l):
 def compose(l1, l2):
     """Relational composition of correspondences.
 
-    Two links that record their structure compose by mode arithmetic,
-    with no SVD and no cutoff.  Q = diag(q^mode) is invertible, so a
-    diagonal graph carries a coordinate span's mask across unchanged:
-    span after span keeps the first source mask and the second target
-    mask, span and diagonal in either order keep the span's masks, and
-    two diagonals give the diagonal of q1 * q2.  A composite between two
-    zero spaces is the zero subspace.
+    Two links that are each a coordinate span or a diagonal graph
+    compose by mode arithmetic, with no SVD and no cutoff.  Q =
+    diag(q^mode) is invertible, so a diagonal graph carries a coordinate
+    span's mask across unchanged: span after span keeps the first source
+    mask and the second target mask, span and diagonal in either order
+    keep the span's masks, and two diagonals give the diagonal of
+    q1 * q2.  A composite between two zero spaces is the zero subspace.
 
     Any other pair is one window intersection of its fiber product.
     With L1 framed by [A1; B1] over H1 + H2 and L2 by [A2; B2] over
@@ -163,14 +156,15 @@ def compose(l1, l2):
     source, target = l1.source, l2.target
     if source.is_zero and target.is_zero:
         return Correspondence._span(source, target, _NO_MODES, _NO_MODES)
-    s1, s2 = l1._structure, l2._structure
-    if s1 is not None and s2 is not None:
-        if s1[0] == s2[0] == "diag":
-            return Correspondence._diagonal(source, target, s1[1] * s2[1])
-        source_mask = s1[1] if s1[0] == "span" else s2[1]
-        target_mask = s2[2] if s2[0] == "span" else s1[2]
-        return Correspondence._span(source, target, source_mask, target_mask)
     n1, n2 = source.dim, l1.target.dim
+    m1, m2 = l1.subspace._mask, l2.subspace._mask
+    q1, q2 = l1._ratio, l2._ratio
+    if q1 is not None and q2 is not None:
+        return Correspondence._diagonal(source, target, q1 * q2)
+    if (m1 is not None or q1 is not None) and (m2 is not None or q2 is not None):
+        source_mask = m2[:n2] if m1 is None else m1[:n1]
+        target_mask = m1[n1:] if m2 is None else m2[n2:]
+        return Correspondence._span(source, target, source_mask, target_mask)
     f1, f2 = l1.subspace.frame, l2.subspace.frame
     k1 = f1.shape[1]
     fiber = np.zeros((n1 + f2.shape[0], k1 + f2.shape[1]), dtype=np.complex128)
@@ -259,7 +253,7 @@ def commutator_singular_values(op, splitting):
     its two off-diagonal blocks, each with its exactly-zero rows and
     columns dropped.
 
-    A coordinate splitting records its sharp mask m, and the blocks are
+    When the sharp half is a coordinate span of mask m, the blocks are
     the entries B[m, ~m] and B[~m, m] (``WindowedOperator.entries``).
     Only rows and columns that the operator couples across the cut can
     be nonzero: within the symbol's degree of the cut for a symbol-built
@@ -268,7 +262,7 @@ def commutator_singular_values(op, splitting):
     mask (a perturbed one) takes the frame products of
     ``spaces.off_diagonal_singular_values`` with B = ``base_square()``.
     """
-    m = splitting._sharp_mask
+    m = splitting.sharp._mask
     if m is None:
         return off_diagonal_singular_values(splitting, op.base_square(),
                                             splitting)
@@ -304,9 +298,9 @@ def tilde_ind(t):
     operator at the outside rows and the domain columns that reach them
     (``WindowedOperator.entries``; a symbol-built operator's columns lie
     within its degree of the window edges, and it builds no matrix) times
-    the same rows of the padded flat frame, whatever the splitting
-    (``ModelSpace.flat_padded_rows``, which builds no other row), with
-    the frame columns that vanish on those rows dropped.
+    the same rows of the padded flat half, whatever the splitting
+    (``Subspace.rows``, which builds no frame for a coordinate half),
+    with the frame columns that vanish on those rows dropped.
     Closer to the cutoff the image is built and orthonormalized
     (``apply_within_window``).
 
@@ -318,7 +312,7 @@ def tilde_ind(t):
     if t._injectivity_ratio > 2.0 * current_tolerance():
         out = ~op.base_rows_mask()
         cols = op.columns_reaching(out)
-        frame = t.base.flat_padded_rows(t.margin, cols)
+        frame = t.base.flat_padded(t.margin).rows(cols)
         # a column of the frame that vanishes on these rows adds nothing
         outside = op.entries(out, cols) @ frame[:, frame.any(axis=0)]
         image_dim = frame.shape[1] - rank(outside)

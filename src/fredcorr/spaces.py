@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidInput
 from .subspaces import Subspace, singular_values, subspaces_equal
-from .windows import ModeWindow, pad_by_predicate, padded_rows
+from .windows import ModeWindow, pad_by_predicate
 
 __all__ = [
     "SHARP_NONNEG",
@@ -69,13 +69,12 @@ class Splitting:
     tr(S^2) = n - 2 |sharp^H flat|_F^2, and S^2 = I holds exactly when
     sharp^H flat = 0; that small block is what gets checked.
     Complementary coordinate spans skip the check: :meth:`_coordinate`
-    builds them from a sharp mask and records it, so that
-    ``morphisms.commutator_rank`` reads submatrices instead.
+    builds them from a sharp mask, whose halves keep their masks, so
+    that ``morphisms.commutator_rank`` reads submatrices instead.
     """
 
     sharp: Subspace
     flat: Subspace
-    _sharp_mask = None
 
     def __post_init__(self):
         if self.sharp.ambient_dim != self.flat.ambient_dim:
@@ -99,13 +98,11 @@ class Splitting:
 
     @classmethod
     def _coordinate(cls, sharp_mask):
-        """Trusted coordinate splitting that records its sharp mask."""
-        mask = np.array(sharp_mask, dtype=bool)
-        mask.setflags(write=False)
-        split = cls._trusted(Subspace._from_mask(mask),
-                             Subspace._from_mask(~mask))
-        object.__setattr__(split, "_sharp_mask", mask)
-        return split
+        """Trusted splitting into the coordinate span of a sharp mask and
+        that of its complement."""
+        mask = np.asarray(sharp_mask, dtype=bool)
+        return cls._trusted(Subspace._from_mask(mask),
+                            Subspace._from_mask(~mask))
 
     @property
     def ambient_dim(self):
@@ -132,9 +129,8 @@ class ModelSpace:
     they return the padded ``Subspace``, whose base is the half itself.
     Each padded half is built on the first call for its half and margin
     and then shared: the space and its splitting are frozen, and the
-    frame is read-only.  :meth:`flat_padded_rows` and
-    :meth:`sharp_padded_rows` read rows of a padded half without
-    building it.
+    frame is read-only.  A padded coordinate half is a mask, whose rows
+    ``Subspace.rows`` reads without building its frame.
     """
 
     dim: int
@@ -193,26 +189,8 @@ class ModelSpace:
         """
         return self._half_padded("flat", margin)
 
-    def _half_padded_rows(self, half, margin, rows):
-        cached = self._padded.get((half, margin))
-        if cached is not None:
-            return cached.frame[rows]
-        sub, keep = self._half(half)
-        return padded_rows(sub, self.window, margin, keep, rows)
-
-    def flat_padded_rows(self, margin, rows):
-        """The rows ``rows`` of the frame of :meth:`flat_padded`: read off
-        that frame once it is built, and otherwise built without its other
-        rows (``windows.padded_rows``)."""
-        return self._half_padded_rows("flat", margin, rows)
-
     def sharp_padded(self, margin):
         return self._half_padded("sharp", margin)
-
-    def sharp_padded_rows(self, margin, rows):
-        """The rows ``rows`` of the frame of :meth:`sharp_padded`, read as
-        :meth:`flat_padded_rows` reads the flat half's."""
-        return self._half_padded_rows("sharp", margin, rows)
 
     def with_splitting(self, splitting):
         return ModelSpace(dim=self.dim, basis_labels=self.basis_labels,
@@ -223,20 +201,17 @@ class ModelSpace:
 def spaces_match(a, b):
     """Whether two model spaces can be glued (same labels and splitting).
 
-    Equal frames span equal subspaces, so the splitting halves are
-    compared array for array first and by principal angles only when
-    that fails.
+    The splitting halves are compared by ``subspaces_equal``: by mask
+    for two coordinate spans, and otherwise array for array first and by
+    principal angles only when that fails.
     """
     if a.dim != b.dim or a.basis_labels != b.basis_labels:
         return False
     if a.convention != b.convention:
         return False
     sa, sb = a.splitting, b.splitting
-    if sa is sb or (np.array_equal(sa.sharp.frame, sb.sharp.frame)
-                    and np.array_equal(sa.flat.frame, sb.flat.frame)):
-        return True
-    return (subspaces_equal(a.splitting.sharp, b.splitting.sharp)
-            and subspaces_equal(a.splitting.flat, b.splitting.flat))
+    return sa is sb or (subspaces_equal(sa.sharp, sb.sharp)
+                        and subspaces_equal(sa.flat, sb.flat))
 
 
 def _support_ok(col, support_mask):
@@ -336,9 +311,10 @@ def off_diagonal_singular_values(left, b, right):
     values of the projector difference P_L - P_R = P_L (1 - P_R) -
     (1 - P_L) P_R, whose two terms have orthogonal ranges and orthogonal
     row spaces.  Rows and columns of a block that are exactly zero are
-    dropped before its SVD.  A splitting that records its sharp mask m
-    has unit-column frames, so ``morphisms.commutator_rank`` reads its
-    blocks as B[m, ~m] and B[~m, m] instead of forming these products.
+    dropped before its SVD.  A splitting whose sharp half is a
+    coordinate span of mask m has unit-column frames, so
+    ``morphisms.commutator_rank`` reads its blocks as B[m, ~m] and
+    B[~m, m] instead of forming these products.
     """
     if left.ambient_dim != right.ambient_dim:
         raise DimensionMismatch("splittings live in different spaces")

@@ -137,7 +137,8 @@ def nullspace(matrix, absolute_tol=None):
 
 @dataclass(frozen=True, eq=False)
 class Subspace:
-    """A subspace of C^n, stored as an orthonormal frame of shape (n, k).
+    """A subspace of C^n: an orthonormal frame of shape (n, k), or the
+    mask of a coordinate span.
 
     ``k = 0`` frames are legal and represent the zero subspace.
 
@@ -145,14 +146,22 @@ class Subspace:
     Frames that are orthonormal by construction skip it via
     :meth:`_trusted`: SVD factors (``from_span``, ``intersection``,
     ``complement``, ``restricted_image`` and so unrecorded composites),
-    coordinate spans (``from_indices``, ``_from_mask``, ``zero``,
-    ``full``), the per-mode normalized graphs of
-    ``morphisms.Correspondence._diagonal``, and valid frames placed on
-    disjoint rows (``direct_sum``, which also stacks graph assemblies
-    and ``mv_pairing``'s n-fold half, and ``windows.pad_by_predicate``).
+    the per-mode normalized graphs of
+    ``morphisms.Correspondence._diagonal`` and their row swap in
+    ``graphs.sphere_path_graph``, and valid frames placed on disjoint
+    rows (``direct_sum`` and ``windows.pad_by_predicate`` of dense
+    blocks).
+
+    A coordinate span (``from_indices``, ``zero``, ``full``,
+    :meth:`_from_mask`) is kept as its read-only boolean mask ``_mask``,
+    which is None on every other subspace.  Its frame, one unit column
+    per selected direction in coordinate order, is built on the first
+    read of ``frame`` and then kept; ``dim``, ``ambient_dim``,
+    :meth:`rows` and the routes that meet coordinate spans read the mask.
     """
 
     frame: np.ndarray
+    _mask = None
 
     def __post_init__(self):
         q = np.asarray(self.frame, dtype=np.complex128)
@@ -178,13 +187,36 @@ class Subspace:
         object.__setattr__(sub, "frame", q)
         return sub
 
+    def __getattr__(self, name):
+        # only a coordinate span reaches here for its frame, on first read
+        if name != "frame" or self._mask is None:
+            raise AttributeError(name)
+        q = self.rows(slice(None))
+        q.setflags(write=False)
+        object.__setattr__(self, "frame", q)
+        return q
+
     @property
     def ambient_dim(self):
-        return self.frame.shape[0]
+        return self.frame.shape[0] if self._mask is None else self._mask.size
 
     @property
     def dim(self):
-        return self.frame.shape[1]
+        return self.frame.shape[1] if self._mask is None else self._dim
+
+    def rows(self, rows):
+        """The rows ``rows`` (an index array, a mask or a slice) of the
+        frame; a coordinate span builds them from its mask alone."""
+        mask = self._mask
+        if mask is None:
+            return self.frame[rows]
+        coords = np.arange(mask.size)[rows]
+        hit = mask[coords]
+        # the frame column of a selected coordinate counts the ones before it
+        cols = np.cumsum(mask)[coords[hit]] - 1
+        out = np.zeros((coords.size, self._dim), dtype=np.complex128)
+        out[np.flatnonzero(hit), cols] = 1.0
+        return out
 
     @classmethod
     def from_span(cls, matrix):
@@ -193,11 +225,11 @@ class Subspace:
 
     @classmethod
     def zero(cls, ambient_dim):
-        return cls._trusted(np.zeros((ambient_dim, 0), dtype=np.complex128))
+        return cls._from_mask(np.zeros(ambient_dim, dtype=bool))
 
     @classmethod
     def full(cls, ambient_dim):
-        return cls._trusted(np.eye(ambient_dim, dtype=np.complex128))
+        return cls._from_mask(np.ones(ambient_dim, dtype=bool))
 
     @classmethod
     def from_indices(cls, ambient_dim, indices):
@@ -213,12 +245,14 @@ class Subspace:
 
     @classmethod
     def _from_mask(cls, mask):
-        """Coordinate subspace of the directions a boolean mask selects,
-        one unit column per direction in coordinate order."""
-        idx = np.flatnonzero(mask)
-        q = np.zeros((mask.size, idx.size), dtype=np.complex128)
-        q[idx, np.arange(idx.size)] = 1.0
-        return cls._trusted(q)
+        """Coordinate subspace of the directions a boolean mask selects:
+        a read-only copy of the mask and its count, and no frame yet."""
+        mask = np.array(mask, dtype=bool)
+        mask.setflags(write=False)
+        sub = object.__new__(cls)
+        object.__setattr__(sub, "_mask", mask)
+        object.__setattr__(sub, "_dim", int(np.count_nonzero(mask)))
+        return sub
 
     def projector(self):
         """The orthogonal projector onto this subspace as a dense matrix."""
@@ -381,7 +415,11 @@ def restricted_projection_index(a, target):
 
 def direct_sum(*subs):
     """Block diagonal subspace of the concatenated ambient space: the
-    frames in order, each on its own rows and columns."""
+    frames in order, each on its own rows and columns.  Coordinate spans
+    stack as their concatenated mask."""
+    masks = [s._mask for s in subs]
+    if masks and all(m is not None for m in masks):
+        return Subspace._from_mask(np.concatenate(masks))
     # plain loops: compose and index call this on small frames, where
     # generator sums and the dim properties cost a measurable share
     n = k = 0
@@ -399,11 +437,15 @@ def direct_sum(*subs):
 
 
 def subspaces_equal(a, b):
-    """Whether two subspaces coincide (same dim, all cosines at 1)."""
+    """Whether two subspaces coincide (same dim, all cosines at 1).  Two
+    coordinate spans coincide exactly when their masks are equal, and
+    two equal frames need no cosines."""
     _check_same_ambient(a, b)
+    if a._mask is not None and b._mask is not None:
+        return bool(np.array_equal(a._mask, b._mask))
     if a.dim != b.dim:
         return False
-    if a.dim == 0:
+    if a.dim == 0 or np.array_equal(a.frame, b.frame):
         return True
     cos = principal_cosines(a, b)
     return bool(cos.min() > 1.0 - 1e-8)

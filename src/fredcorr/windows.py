@@ -25,7 +25,6 @@ __all__ = [
     "mode_span",
     "lift_frame",
     "pad_by_predicate",
-    "padded_rows",
     "window_rows_mask",
     "restricted_image",
     "windowed_graph",
@@ -83,9 +82,8 @@ def mode_span(window, predicate):
     The predicate sees only the mode number, so the same channels are
     selected in every channel.
     """
-    labels = window.mode_labels()
-    idx = [i for i in range(window.dim) if predicate(int(labels[i]))]
-    return Subspace.from_indices(window.dim, idx)
+    return Subspace._from_mask([predicate(int(n))
+                                for n in window.mode_labels()])
 
 
 def lift_frame(frame, from_window, to_window):
@@ -122,16 +120,23 @@ def pad_by_predicate(sub, window, margin, predicate):
     """Padded companion of a subspace of ``window``: its frame lifted into
     the window padded by ``margin``, plus every margin mode whose number
     satisfies ``predicate``.  The margin modes lie outside the lifted
-    rows, so the frame stays orthonormal.
+    rows, so the frame stays orthonormal.  A coordinate span pads to the
+    coordinate span of its lifted mask and those margin modes, whose
+    columns then run in coordinate order.
 
     The one builder of padded halves: ``ModelSpace.flat_padded`` and
     ``sharp_padded`` (twists, graph assemblies), the twisted cap,
-    ``mv_pairing`` and ``fans.PredicatePart.padded`` all call it;
-    :func:`padded_rows` reads some of its rows without building it.  An
+    ``mv_pairing`` and ``fans.PredicatePart.padded`` all call it.  An
     arbitrary subspace has no canonical enlargement, so callers keep the
     base they padded themselves."""
     extra = _margin_columns(window, margin, predicate)
     per, per_w = window.modes_per_channel + 2 * margin, window.modes_per_channel
+    if sub._mask is not None:
+        mask = np.zeros((window.channels, per), dtype=bool)
+        mask[:, margin:margin + per_w] = sub._mask.reshape(-1, per_w)
+        mask = mask.ravel()
+        mask[extra] = True
+        return Subspace._from_mask(mask)
     frame = np.zeros((window.channels * per, sub.dim + extra.size),
                      dtype=np.complex128)
     for c in range(window.channels):
@@ -139,27 +144,6 @@ def pad_by_predicate(sub, window, margin, predicate):
             sub.frame[c * per_w:(c + 1) * per_w]
     frame[extra, sub.dim + np.arange(extra.size)] = 1.0
     return Subspace._trusted(frame)
-
-
-def padded_rows(sub, window, margin, predicate, rows):
-    """The rows ``rows`` (an index array or a mask over the padded
-    window) of the frame :func:`pad_by_predicate` builds, without its
-    other rows."""
-    extra = _margin_columns(window, margin, predicate)
-    per = window.modes_per_channel + 2 * margin
-    coords = np.arange(window.channels * per)[rows]
-    pos = coords % per
-    lifted = np.flatnonzero((pos >= margin) & (pos < per - margin))
-    out = np.zeros((coords.size, sub.dim + extra.size), dtype=np.complex128)
-    # a lifted row's base coordinate: 2 * margin fewer per earlier channel
-    at = coords[lifted]
-    out[lifted, :sub.dim] = sub.frame[at - margin - 2 * margin * (at // per)]
-    # row p holds margin unit column col exactly when extra[col] == p;
-    # the -1 stands past the end of extra
-    col = np.searchsorted(extra, coords)
-    unit = np.flatnonzero(np.append(extra, -1)[col] == coords)
-    out[unit, sub.dim + col[unit]] = 1.0
-    return out
 
 
 def window_rows_mask(range_window, base_window):

@@ -341,7 +341,7 @@ def test_fan_parts_of_perturbed_splittings_pass_the_check(seed):
     if seed == 0:
         g = sphere_path_graph(8)
     p = perturb_edge_splittings(g, rank=2, seed=seed)
-    assert any(e.space.splitting._sharp_mask is None
+    assert any(e.space.splitting.sharp._mask is None
                for e in p.edges.values())
     assert_fan_parts_pass_the_check(p, global_index_fan(g))
 

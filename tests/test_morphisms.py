@@ -415,7 +415,7 @@ def test_commutator_rank_matches_dense_commutator():
             p = s.sharp.projector()
             assert commutator_rank(tp.operator, s) == rank(p @ b - b @ p)
             # a perturbed splitting has no mask and keeps the frame route
-            assert tp.base.splitting._sharp_mask is None
+            assert tp.base.splitting.sharp._mask is None
             assert np.array_equal(off_diagonal_singular_values(s, b, s),
                                   _frame_route(s, b))
 
@@ -428,7 +428,7 @@ def test_coordinate_blocks_equal_the_frame_products(channels, convention):
     for m in (4, 8, 24, 48):
         w = ModeWindow(m, channels)
         split = splitting_for_window(w, convention)
-        assert split._sharp_mask is not None
+        assert split.sharp._mask is not None
         if channels == 1:
             # random scalar draws are monomials; this one has three planes
             coeffs = 0.3 * (rng.standard_normal(3)
@@ -570,9 +570,17 @@ def test_graph_correspondence_validation():
 # -- structured composition ------------------------------------------------
 
 def _plain(l):
-    """The same subspace with no structure record: the general route."""
+    """The same subspace as a plain frame, with no mask and no ratio:
+    the general route."""
     return Correspondence(source=l.source, target=l.target,
-                          subspace=l.subspace)
+                          subspace=Subspace(l.subspace.frame))
+
+
+def _shape(link):
+    """What compose reads off a link: a mask or a diagonal's ratio."""
+    if link.subspace._mask is not None:
+        return "span"
+    return None if link._ratio is None else "diag"
 
 
 def _intersection_route(l1, l2):
@@ -630,7 +638,7 @@ def test_structured_compose_matches_the_intersection_route(monkeypatch, m, q):
     calls = _count_calls(monkeypatch, "intersection")
     for kind, l1, l2 in _structured_pairs(m, q):
         fast = compose(l1, l2)
-        assert fast._structure[0] == kind and not calls
+        assert _shape(fast) == kind and not calls
         plain = compose(_plain(l1), _plain(l2))
         assert not calls
         slow = _intersection_route(l1, l2)
@@ -659,10 +667,11 @@ def test_unrecorded_pairs_take_one_window_intersection(monkeypatch):
     a = annulus_correspondence(outer, inner)
     compose(_plain(a), disk_correspondence(inner, "outgoing"))
     assert len(images) == 1
-    # a link re-based onto a moved splitting records nothing
+    # a diagonal re-based onto a moved splitting keeps no ratio, so it
+    # meets the span after it in the fiber product
     s = perturb_splitting(a.target.splitting, 1, seed=5)
     r1, r2 = _rebased(a, disk_correspondence(inner, "outgoing"), s)
-    assert r1._structure is None and r2._structure is None
+    assert _shape(r1) is None and _shape(r2) == "span"
     compose(r1, r2)
     assert len(images) == 2 and not intersections
 
@@ -685,7 +694,7 @@ def test_monomial_cap_equals_the_operator_route(m, k):
     circle = chain_circle(m)
     sym = LaurentSymbol.monomial(k, coefficient=0.6 - 0.3j)
     cap = twisted_cap(circle, sym)
-    assert cap._structure[0] == "span"
+    assert _shape(cap) == "span"
     op = multiplication_operator(sym, circle.window)
     padded = pad_by_predicate(mode_span(circle.window, lambda n: n <= 0),
                               circle.window, abs(k), lambda n: n <= 0)
@@ -696,7 +705,7 @@ def test_monomial_cap_equals_the_operator_route(m, k):
 
 def test_generic_cap_records_no_structure():
     sym = LaurentSymbol.scalar([1.0, 0.3], d_min=1)
-    assert twisted_cap(chain_circle(5), sym)._structure is None
+    assert _shape(twisted_cap(chain_circle(5), sym)) is None
 
 
 def test_small_ratio_keeps_every_mode_at_a_wide_window():
@@ -705,12 +714,12 @@ def test_small_ratio_keeps_every_mode_at_a_wide_window():
     a = annulus_correspondence(outer, inner)
     into = compose(disk_correspondence(outer, "incoming"), a)
     assert into.subspace.dim == 257
-    assert np.array_equal(into._structure[2], inner.window.mode_labels() >= 0)
+    assert np.array_equal(into.subspace._mask, inner.window.mode_labels() >= 0)
     out = compose(a, disk_correspondence(inner, "outgoing"))
     assert out.subspace.dim == 257
-    kind, q = compose(a, annulus_correspondence(inner, chain_circle(256, 1e-4))
-                      )._structure
-    assert kind == "diag" and q == pytest.approx(1e-4)
+    q = compose(a, annulus_correspondence(inner, chain_circle(256, 1e-4))
+                )._ratio
+    assert q == pytest.approx(1e-4)
 
 
 @pytest.mark.parametrize("channels", [1, 2])

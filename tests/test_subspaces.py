@@ -73,6 +73,7 @@ def _run_every_route():
         global_index_additive,
         global_index_fan,
         random_graph,
+        sphere_path_graph,
     )
     from fredcorr.morphisms import (
         chain_total_index,
@@ -93,13 +94,31 @@ def _run_every_route():
     g = random_graph(np.random.default_rng([9, 0]))
     assert global_index_fan(g) == global_index_additive(g)
 
+    g = sphere_path_graph(6, twist=LaurentSymbol.monomial(2))
+    assert global_index_fan(g) == global_index_additive(g) == 3
+
     rep = fan_index(random_fan(np.random.default_rng([8, 0])))
     assert rep.formula1 == rep.formula3 == rep.formula4
 
 
+def _spy_on_mask_frames(monkeypatch):
+    """The frames that coordinate spans build on a read of ``frame``."""
+    built = []
+    real = Subspace.__getattr__
+
+    def spy(self, name):
+        frame = real(self, name)
+        built.append(frame)
+        return frame
+
+    monkeypatch.setattr(Subspace, "__getattr__", spy)
+    return built
+
+
 def test_trusted_frames_pass_the_public_check(monkeypatch):
     # Route every frame the package builds for itself through the Gram
-    # check of the public constructor, along one example of each route.
+    # check of the public constructor, along one example of each route,
+    # and check every frame a coordinate span builds from its mask.
     checked = []
 
     def public(cls, frame):
@@ -107,8 +126,59 @@ def test_trusted_frames_pass_the_public_check(monkeypatch):
         return cls(frame)
 
     monkeypatch.setattr(Subspace, "_trusted", classmethod(public))
+    built = _spy_on_mask_frames(monkeypatch)
     _run_every_route()
-    assert checked
+    assert checked and built
+    for frame in built:
+        Subspace(frame)
+
+
+def test_counting_routes_build_no_coordinate_frame(monkeypatch):
+    # a twist circle's space, a sphere ledger and a certified twist index
+    # read each coordinate span off its mask
+    import itertools
+
+    from fredcorr.circles import (
+        LaurentSymbol,
+        annulus_correspondence,
+        chain_circle,
+        disk_correspondence,
+        random_laurent_symbol,
+        symbol_twist,
+        twist_circle,
+        twisted_cap,
+        winding_number,
+    )
+    from fredcorr.morphisms import (
+        Chain,
+        chain_total_index,
+        reduce_chain_ledger,
+        tilde_ind,
+    )
+    from fredcorr.subspaces import current_tolerance
+
+    built = _spy_on_mask_frames(monkeypatch)
+    assert twist_circle(1024, channels=2).space().dim == 2 * 2049
+
+    circles = [chain_circle(8, r) for r in (2.0, 1.5, 1.1, 0.8)]
+    cap = LaurentSymbol.monomial(2, coefficient=0.7)
+    chain = Chain(links=(
+        disk_correspondence(circles[0], "incoming"),
+        *[annulus_correspondence(a, b) for a, b in zip(circles, circles[1:])],
+        twisted_cap(circles[-1], cap)))
+    assert chain_total_index(chain) == 3
+    for order in itertools.permutations(range(len(chain) - 1)):
+        assert reduce_chain_ledger(chain, order).total == 3
+
+    sym = random_laurent_symbol(np.random.default_rng(3), channels=2, degree=2)
+    t = symbol_twist(sym, twist_circle(48, channels=2))
+    assert t._injectivity_ratio > 2.0 * current_tolerance()
+    assert tilde_ind(t) == winding_number(sym)
+    assert not built
+
+    # the spy sees a frame once something reads it
+    assert twist_circle(4).space().splitting.sharp.frame.shape == (9, 5)
+    assert len(built) == 1
 
 
 def test_trusted_splittings_and_companions_pass_the_public_checks(monkeypatch):

@@ -11,7 +11,6 @@ from fredcorr.windows import (
     lift_frame,
     mode_span,
     pad_by_predicate,
-    padded_rows,
     restricted_image,
     window_rows_mask,
     windowed_graph,
@@ -187,10 +186,15 @@ def test_pad_by_predicate_tests_only_the_margin(channels, half_width, margin,
     assert sorted(seen) == [n for n in range(-half_width - margin,
                                              half_width + margin + 1)
                             if abs(n) > half_width]
-    # any rows of that frame, as an index array or a mask, without it
+    # a coordinate span pads to the mask of the same span
+    coords = mode_span(window, lambda n: n % 3 == 0)
+    masked = pad_by_predicate(coords, window, margin, predicate)
+    np.testing.assert_array_equal(
+        masked._mask, padded_by_loop(coords, window, margin,
+                                     predicate).any(axis=1))
+    # any rows of either frame, as an index array or a mask
     dim = window.pad(margin).dim
     for rows in (rng.permutation(dim)[:dim // 2], rng.random(dim) < 0.4,
                  np.arange(dim)):
-        np.testing.assert_array_equal(
-            padded_rows(sub, window, margin, predicate, rows),
-            padded.frame[rows])
+        for half in (masked, padded):
+            np.testing.assert_array_equal(half.rows(rows), half.frame[rows])
