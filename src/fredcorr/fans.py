@@ -10,6 +10,7 @@ than assuming it.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -95,6 +96,16 @@ def partition_parts(window, cuts):
     return parts
 
 
+class Interior(NamedTuple):
+    """An interior factor on a base window of dimension ``dim``: the
+    identity except on the sorted coordinates ``support``, where its
+    rows and columns are the square ``block``."""
+
+    dim: int
+    support: np.ndarray
+    block: np.ndarray
+
+
 @dataclass(frozen=True, eq=False)
 class TwistChain:
     """Composable twist: an ordered tuple of factors, first acting first.
@@ -102,29 +113,35 @@ class TwistChain:
     A factor is ("sym", LaurentSymbol), ("slot", (channel, scalar
     symbol)) acting on one channel only, or ("interior", square matrix
     on the base window whose difference from the identity is supported
-    away from the window edge).  Keeping the factors instead of a fixed
-    matrix lets the chain be realized at full margin after further
-    composition; a fixed matrix could not grow its own domain.
+    away from the window edge), kept as its :class:`Interior` record; a
+    dense matrix is scanned for it once, when the chain is built.
+    Keeping the factors instead of a fixed matrix lets the chain be
+    realized at full margin after further composition; a fixed matrix
+    could not grow its own domain.
 
     :meth:`apply` pushes a frame through the factors one at a time and
     never forms the chain matrix: a symbol or slot factor is
     shift-and-add over its coefficient planes, an interior factor one
-    block update on its support (found once, kept by :meth:`then`).
-    :meth:`realize` is :meth:`apply` on the identity frame, and
-    :meth:`certified_ratio` bounds the conditioning of the composite
-    from its factors, so a caller can count the window intersection of
-    an image instead of building it; :meth:`outside_reach` names the
-    domain columns that can reach the range rows outside the window, so
-    that count needs only those columns.
+    block update on its support.  :meth:`realize` is :meth:`apply` on
+    the identity frame, and :meth:`certified_ratio` bounds the
+    conditioning of the composite from its factors, so a caller can
+    count the window intersection of an image instead of building it;
+    :meth:`outside_reach` names the domain columns that can reach the
+    range rows outside the window, so that count needs only those
+    columns.
     """
 
     factors: tuple
 
     def __post_init__(self):
-        for kind, _ in self.factors:
+        factors = []
+        for kind, data in self.factors:
             if kind not in ("sym", "slot", "interior"):
                 raise InvalidInput(f"unknown twist factor kind {kind!r}")
-        object.__setattr__(self, "_supports", [None] * len(self.factors))
+            if kind == "interior" and not isinstance(data, Interior):
+                data = _interior_support(data)
+            factors.append((kind, data))
+        object.__setattr__(self, "factors", tuple(factors))
 
     @property
     def margin(self):
@@ -132,18 +149,8 @@ class TwistChain:
                    for kind, data in self.factors if kind != "interior")
 
     def then(self, *factors):
-        """The chain followed by ``factors``, keeping found supports."""
-        chain = TwistChain(factors=self.factors + factors)
-        for i, (kind, _) in enumerate(self.factors):
-            if kind == "interior":
-                chain._supports[i] = self._support(i)
-        return chain
-
-    def _support(self, i):
-        """(support S, block on S) of interior factor ``i``."""
-        if self._supports[i] is None:
-            self._supports[i] = _interior_support(self.factors[i][1])
-        return self._supports[i]
+        """The chain followed by ``factors``."""
+        return TwistChain(factors=self.factors + factors)
 
     def _steps(self, window):
         """(kind, data, symbol or None, window it acts on) of each factor,
@@ -153,7 +160,7 @@ class TwistChain:
         steps = []
         for kind, data in self.factors:
             if kind == "interior":
-                if data.shape != (window.dim, window.dim):
+                if data.dim != window.dim:
                     raise DimensionMismatch(
                         "interior factor is not square on the base window")
                 steps.append((kind, data, None, cur))
@@ -181,11 +188,10 @@ class TwistChain:
         if out.shape[0] != window.pad(self.margin).dim:
             raise DimensionMismatch("frame does not match the padded window")
         steps, end = self._steps(window)
-        for i, (kind, data, sym, cur) in enumerate(steps):
+        for kind, data, sym, cur in steps:
             if sym is None:
-                idx, block = self._support(i)
-                rows = _interior_rows(idx, window, cur)
-                out[rows] = block @ out[rows]
+                rows = _interior_rows(data.support, window, cur)
+                out[rows] = data.block @ out[rows]
                 continue
             nxt = cur.pad(sym.degree)
             if kind == "sym":
@@ -215,10 +221,9 @@ class TwistChain:
         outside = ~window_rows_mask(end, window)
         # reach[c, j] stands for coordinate c * per + j of the window
         reach = outside.reshape(window.channels, -1).copy()
-        for i in reversed(range(len(steps))):
-            kind, data, sym, cur = steps[i]
+        for kind, data, sym, cur in reversed(steps):
             if sym is None:
-                on = _interior_rows(self._support(i)[0], window, cur)
+                on = _interior_rows(data.support, window, cur)
                 flat = reach.reshape(-1)
                 if flat[on].any():
                     flat[on] = True
@@ -254,9 +259,9 @@ class TwistChain:
         from .circles import certified_ratio
         ratio = 1.0
         cur = window.pad(self.margin)
-        for i, (kind, data) in enumerate(self.factors):
+        for kind, data in self.factors:
             if kind == "interior":
-                ratio *= _interior_ratio(*self._support(i), cur.dim)
+                ratio *= _interior_ratio(data, cur.dim)
             else:
                 sym = _symbol_of(kind, data)
                 sym_ratio = certified_ratio(sym)
@@ -316,22 +321,24 @@ def _band_apply(sym, from_window, to_window, frame):
 
 
 def _interior_support(data):
-    """The coordinates S where an interior factor differs from the
-    identity, and its block on S; its rows and columns through S vanish
-    off the block."""
+    """The :class:`Interior` record of a square matrix: the coordinates
+    where it differs from the identity, and its block on them."""
+    data = np.asarray(data)
+    if data.ndim != 2 or data.shape[0] != data.shape[1]:
+        raise DimensionMismatch("interior factor is not a square matrix")
     diff = data != np.eye(data.shape[0])
     idx = np.flatnonzero(diff.any(axis=0) | diff.any(axis=1))
-    return idx, data[np.ix_(idx, idx)]
+    return Interior(data.shape[0], idx, data[np.ix_(idx, idx)])
 
 
-def _interior_ratio(idx, block, dim):
-    """sigma_min / sigma_max of an interior factor, given by its support
-    and block, embedded into a window of dimension ``dim``."""
-    if not idx.size:
+def _interior_ratio(factor, dim):
+    """sigma_min / sigma_max of an :class:`Interior` factor embedded
+    into a window of dimension ``dim``."""
+    if not factor.support.size:
         return 1.0
-    s = np.linalg.svd(block, compute_uv=False)
+    s = np.linalg.svd(factor.block, compute_uv=False)
     lo, hi = s[-1], s[0]
-    if idx.size < dim:
+    if factor.support.size < dim:
         lo, hi = min(lo, 1.0), max(hi, 1.0)
     return float(lo / hi) if hi > 0.0 else 0.0
 

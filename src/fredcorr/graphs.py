@@ -25,10 +25,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInput, DimensionMismatch, SelfLoopUnsupported
-from .fans import TwistChain
+from .fans import Interior, TwistChain
 from .morphisms import tilde_ind, twist_graph
-from .subspaces import Subspace, current_tolerance, direct_sum, pair_index, rank
-from .windows import ModeWindow, restricted_image, window_rows_mask
+from .subspaces import Subspace, current_tolerance, direct_sum, pair_index
+from .windows import (ModeWindow, restricted_image, restricted_image_dim,
+                      window_rows_mask)
 
 __all__ = [
     "GraphEdge",
@@ -194,19 +195,15 @@ def _realized_member(g, v):
 def _member_dim(g, v, extra_factors=()):
     """Dimension of the vertex member, counted without building it.
 
-    The rule is ``morphisms.tilde_ind``'s.  The padded assembly frame is
-    orthonormal, so when the chain's certified ratio sigma_min /
-    sigma_max exceeds twice the tolerance every nullspace direction of
-    the image rows outside the window keeps an inside image above the
-    orthonormalization cutoff, and the member dimension is that
-    nullspace dimension, counted as columns minus rank.  Those outside
-    rows are a small block: only the padded-domain columns that reach
-    them (``TwistChain.outside_reach``) are pushed through the chain,
-    as identity columns, and multiplied by the same rows of each slot's
-    padded half (``Subspace.rows``, which builds no frame for a
-    coordinate half), with the frame columns that vanish on those rows
-    dropped.  Closer to the cutoff the member is built by
-    ``restricted_image``.
+    The rule is ``morphisms.tilde_ind``'s.  When the chain's certified
+    ratio sigma_min / sigma_max exceeds twice the tolerance, the member
+    dimension is counted by ``windows.restricted_image_dim``: only the
+    padded-domain columns that reach the image rows outside the window
+    (``TwistChain.outside_reach``) are pushed through the chain, as
+    identity columns, and their outside rows are multiplied by the same
+    rows of the padded incoming assembly (``Subspace.rows``, which
+    builds no frame for an assembly of coordinate halves).  Closer to
+    the cutoff the member is built by ``restricted_image``.
     """
     data = g.vertex_data[v]
     if isinstance(data, Subspace):
@@ -221,21 +218,8 @@ def _member_dim(g, v, extra_factors=()):
     outside, cols = chain.outside_reach(window)
     unit = Subspace._from_mask(cols).frame
     image = chain.apply(window, unit)[1][outside]
-    m = chain.margin
-    per = window.pad(m).modes_per_channel
-    total, start, blocks = 0, 0, []
-    for c, (eid, role) in enumerate(boundary_slots(g, v)):
-        sp = g.edges[eid].space
-        local = cols[c * per:(c + 1) * per]
-        # the incoming assembly's half, as in _assembly_halves
-        rows = (sp.sharp_padded(m) if role == "out"
-                else sp.flat_padded(m)).rows(local)
-        total += rows.shape[1]
-        stop = start + rows.shape[0]
-        # a column of the frame that vanishes on these rows adds nothing
-        blocks.append(image[:, start:stop] @ rows[:, rows.any(axis=0)])
-        start = stop
-    return total - rank(np.hstack(blocks))
+    return restricted_image_dim(
+        image, _assembly(g, v, "in", chain.margin).rows(cols))
 
 
 def vertex_subspace(g, v):
@@ -395,11 +379,11 @@ def _rotation_factor(rng, window, band):
     i, j = rng.choice(pool, size=2, replace=False)
     theta = rng.uniform(0.3, 1.2)
     phase = np.exp(2j * np.pi * rng.uniform())
-    m = np.eye(window.dim, dtype=np.complex128)
-    m[i, i] = m[j, j] = np.cos(theta)
-    m[i, j] = -np.conj(phase) * np.sin(theta)
-    m[j, i] = phase * np.sin(theta)
-    return ("interior", m)
+    c, s = np.cos(theta), np.sin(theta)
+    block = np.array([[c, -np.conj(phase) * s], [phase * s, c]])
+    if i > j:  # the support is sorted, as flatnonzero sorts it
+        i, j, block = j, i, block[::-1, ::-1]
+    return ("interior", Interior(window.dim, np.array([i, j]), block))
 
 
 def _shift_factor(rng, window):

@@ -31,10 +31,9 @@ from .subspaces import (
     current_tolerance,
     dimension_index,
     intersection,
-    rank,
     singular_values,
 )
-from .windows import restricted_image, windowed_graph
+from .windows import restricted_image, restricted_image_dim, windowed_graph
 
 __all__ = [
     "Correspondence",
@@ -290,19 +289,15 @@ def tilde_ind(t):
     the nullspace of the image rows outside the base window, under the
     relative tolerance.  The pair index is then counted from dimensions.
     When the twist's injectivity ratio sigma_min / sigma_max exceeds
-    twice the tolerance, every nullspace direction x keeps
-    |M_base x|^2 >= (sigma_min^2 - tol^2 sigma_max^2) |x|^2, above the
-    orthonormalization cutoff, so the image dimension is the nullspace
-    dimension, counted as columns minus rank, and no image frame or
-    nullspace basis is built.  Those outside rows are the block of the
-    operator at the outside rows and the domain columns that reach them
-    (``WindowedOperator.entries``; a symbol-built operator's columns lie
-    within its degree of the window edges, and it builds no matrix) times
-    the same rows of the padded flat half, whatever the splitting
-    (``Subspace.rows``, which builds no frame for a coordinate half),
-    with the frame columns that vanish on those rows dropped.
-    Closer to the cutoff the image is built and orthonormalized
-    (``apply_within_window``).
+    twice the tolerance, the image dimension is counted by
+    ``windows.restricted_image_dim`` and no image frame or nullspace
+    basis is built: from the block of the operator at the outside rows
+    and the domain columns that reach them (``WindowedOperator.entries``;
+    a symbol-built operator's columns lie within its degree of the
+    window edges, and it builds no matrix) and the same rows of the
+    padded flat half, whatever the splitting (``Subspace.rows``, which
+    builds no frame for a coordinate half).  Closer to the cutoff the
+    image is built and orthonormalized (``apply_within_window``).
 
     Equals the winding number of the symbol determinant on circle
     models whose sharp half is the nonnegative-mode span.
@@ -312,10 +307,8 @@ def tilde_ind(t):
     if t._injectivity_ratio > 2.0 * current_tolerance():
         out = ~op.base_rows_mask()
         cols = op.columns_reaching(out)
-        frame = t.base.flat_padded(t.margin).rows(cols)
-        # a column of the frame that vanishes on these rows adds nothing
-        outside = op.entries(out, cols) @ frame[:, frame.any(axis=0)]
-        image_dim = frame.shape[1] - rank(outside)
+        image_dim = restricted_image_dim(
+            op.entries(out, cols), t.base.flat_padded(t.margin).rows(cols))
         return image_dim + sharp.dim - sharp.ambient_dim
     flat_pad = t.base.flat_padded(t.margin)
     return dimension_index(op.apply_within_window(flat_pad), sharp)

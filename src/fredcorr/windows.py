@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidInput
-from .subspaces import Subspace, nullspace
+from .subspaces import Subspace, nullspace, rank
 
 __all__ = [
     "ModeWindow",
@@ -27,6 +27,7 @@ __all__ = [
     "pad_by_predicate",
     "window_rows_mask",
     "restricted_image",
+    "restricted_image_dim",
     "windowed_graph",
 ]
 
@@ -172,6 +173,19 @@ def restricted_image(matrix, keep_rows):
     killed = m[~keep, :]
     inside = nullspace(killed)
     return Subspace.from_span(m[keep, :] @ inside)
+
+
+def restricted_image_dim(outside, rows):
+    """Dimension of :func:`restricted_image` of an operator applied to an
+    orthonormal frame, from ``outside``, the operator's block at the
+    range rows outside the window and the domain columns that reach
+    them, and ``rows``, the frame's rows at those columns.  It holds when
+    sigma_min / sigma_max of the operator exceeds twice the tolerance:
+    then every nullspace direction x of ``outside @ rows`` keeps
+    |M_base x|^2 >= (sigma_min^2 - tol^2 sigma_max^2) |x|^2, above the
+    orthonormalization cutoff, so the dimension is the columns minus
+    that rank (frame columns that vanish on these rows are dropped)."""
+    return rows.shape[1] - rank(outside @ rows[:, rows.any(axis=0)])
 
 
 def windowed_graph(matrix, keep_rows):

@@ -35,16 +35,18 @@ def embedded_scalar_symbol(sym, channel, n_channels):
 
 def dense_realize(chain, window):
     """Reference chain matrix: every factor embedded as a dense matrix
-    over the current window and multiplied into the identity; a slot
-    factor as the band matrix of its embedded diagonal symbol."""
+    over the current window and multiplied into the identity; an
+    interior factor as the identity with its block on its support, a
+    slot factor as the band matrix of its embedded diagonal symbol."""
     cur = window.pad(chain.margin)
     mat = np.eye(cur.dim, dtype=np.complex128)
     for kind, data in chain.factors:
         if kind == "interior":
             pos = np.flatnonzero(
                 np.abs(cur.mode_labels().astype(int)) <= window.half_width)
+            pos = pos[data.support]
             big = np.eye(cur.dim, dtype=np.complex128)
-            big[np.ix_(pos, pos)] = data
+            big[np.ix_(pos, pos)] = data.block
             mat = big @ mat
         else:
             if kind == "slot":
@@ -232,10 +234,15 @@ def test_interior_factor_by_its_support(channels, support):
     m = {"empty": lambda: np.eye(window.dim, dtype=np.complex128),
          "full": lambda: dense_unitary(rng, window.dim),
          "edge": lambda: edge_factor(rng, window)}[support]()
-    idx, block = fans._interior_support(m)
-    assert idx.size == {"empty": 0, "full": window.dim,
-                        "edge": 2 * channels}[support]
-    np.testing.assert_array_equal(block, m[np.ix_(idx, idx)])
+    rec = TwistChain(factors=(("interior", m),)).factors[0][1]
+    assert isinstance(rec, fans.Interior) and rec.dim == window.dim
+    assert rec.support.size == {"empty": 0, "full": window.dim,
+                                "edge": 2 * channels}[support]
+    np.testing.assert_array_equal(rec.block, m[np.ix_(rec.support, rec.support)])
+    # the record holds every entry of the matrix
+    rebuilt = np.eye(window.dim, dtype=np.complex128)
+    rebuilt[np.ix_(rec.support, rec.support)] = rec.block
+    np.testing.assert_array_equal(rebuilt, m)
     shift = ("sym", LaurentSymbol.monomial(-1, channels=channels))
     for factors in ((("interior", m),),
                     (shift, ("interior", m), ("slot", (0, SLOT_SYMBOLS[0])))):
@@ -252,7 +259,7 @@ def test_interior_factor_by_its_support(channels, support):
             == 1.0
 
 
-def test_then_carries_the_supports_over():
+def test_then_keeps_the_interior_records():
     rng = np.random.default_rng(3)
     window = ModeWindow(5, 2)
     chain = TwistChain(factors=(interior_factor(rng, window),
@@ -261,8 +268,8 @@ def test_then_carries_the_supports_over():
     longer = chain.then(("slot", (1, SLOT_SYMBOLS[1])),
                         interior_factor(rng, window))
     for i in (0, 2):
-        assert longer._support(i) is chain._support(i)
-    assert longer._supports[4] is None
+        assert longer.factors[i][1] is chain.factors[i][1]
+    assert isinstance(longer.factors[4][1], fans.Interior)
 
 
 def count_support_scans(monkeypatch):
@@ -270,7 +277,7 @@ def count_support_scans(monkeypatch):
     calls = []
 
     def spy(data):
-        calls.append(data.shape)
+        calls.append(np.shape(data))
         return real(data)
 
     monkeypatch.setattr(fans, "_interior_support", spy)
@@ -286,19 +293,63 @@ def interior_count(g):
     (graphs.global_index_additive, graphs.global_index_fan),
     (graphs.global_index_fan, graphs.global_index_additive),
 ])
-def test_supports_are_found_once_per_recipe(monkeypatch, first, second):
+def test_routes_scan_no_dense_interior(monkeypatch, first, second):
+    # random_graph builds its rotations as records, so neither the
+    # construction nor either route scans a dense matrix
     calls = count_support_scans(monkeypatch)
     found = 0
     for seed in range(10):
         g = random_graph(np.random.default_rng(seed))
-        n = interior_count(g)
-        found += n
-        calls.clear()
+        found += interior_count(g)
         first(g)
-        assert len(calls) == n
         second(g)
-        assert len(calls) == n
     assert found
+    assert calls == []
+
+
+def test_dense_interior_is_scanned_once_at_construction(monkeypatch):
+    calls = count_support_scans(monkeypatch)
+    rng = np.random.default_rng(4)
+    window = ModeWindow(5, 2)
+    chain = TwistChain(factors=(interior_factor(rng, window),
+                                ("sym", LaurentSymbol.monomial(1, channels=2))))
+    assert calls == [(window.dim, window.dim)]
+    longer = chain.then(("slot", (1, SLOT_SYMBOLS[1])))
+    longer.realize(window)
+    longer.outside_reach(window)
+    longer.certified_ratio(window)
+    assert len(calls) == 1
+
+
+def dense_rotation(rng, window, band):
+    """The rotation of ``graphs._rotation_factor`` as a dense matrix over
+    the window, from the same draws."""
+    pool = np.flatnonzero(np.abs(window.mode_labels()) <= band)
+    i, j = rng.choice(pool, size=2, replace=False)
+    theta = rng.uniform(0.3, 1.2)
+    phase = np.exp(2j * np.pi * rng.uniform())
+    m = np.eye(window.dim, dtype=np.complex128)
+    m[i, i] = m[j, j] = np.cos(theta)
+    m[i, j] = -np.conj(phase) * np.sin(theta)
+    m[j, i] = phase * np.sin(theta)
+    return i < j, m
+
+
+def test_rotation_factor_record_matches_the_dense_rotation():
+    window = ModeWindow(8, channels=3)
+    orders = set()
+    for seed in range(12):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        kind, rec = graphs._rotation_factor(rng, window, 4)
+        ascending, m = dense_rotation(ref_rng, window, 4)
+        orders.add(ascending)
+        assert kind == "interior" and rec.dim == window.dim
+        support = np.flatnonzero((m != np.eye(window.dim)).any(axis=0))
+        np.testing.assert_array_equal(rec.support, support)
+        np.testing.assert_array_equal(rec.block, m[np.ix_(support, support)])
+        # the same draws leave both generators in the same state
+        assert rng.uniform() == ref_rng.uniform()
+    assert orders == {True, False}
 
 
 def built_member(g, v, extras=()):

@@ -220,6 +220,10 @@ def test_chain_validation():
     chain = TwistChain(factors=(("interior", bad),))
     with pytest.raises(DimensionMismatch):
         chain.realize(w)
+    # an interior matrix that is not square is refused at construction
+    for shape in ((w.dim,), (w.dim, w.dim - 1), (2, w.dim, w.dim)):
+        with pytest.raises(DimensionMismatch):
+            TwistChain(factors=(("interior", np.ones(shape)),))
 
 
 @settings(deadline=None, max_examples=25)
