@@ -95,7 +95,6 @@ from .graphs import (
     to_dot,
     torus_graph,
     vertex_index,
-    vertex_subspace,
 )
 from .verify import available_suites, load_conventions, run_suite
 

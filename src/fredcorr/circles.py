@@ -33,7 +33,13 @@ from .spaces import (
     ModelSpace,
     splitting_for_window,
 )
-from .subspaces import Subspace, current_tolerance, dimension_index, direct_sum
+from .subspaces import (
+    MIN_DET,
+    Subspace,
+    current_tolerance,
+    dimension_index,
+    direct_sum,
+)
 from .windows import ModeWindow, WindowedOperator, mode_span, pad_by_predicate
 
 __all__ = [
@@ -64,9 +70,6 @@ VALIDATION_GRID = 512
 # Finest grid of the injectivity certificate (two doublings of the
 # validation grid); past it the operator's singular values decide.
 CERTIFICATE_GRID_CAP = 2 ** 11
-# A symbol is singular where |det| at a grid point or a zero's nearest
-# circle point is at most MIN_DET times its largest value (_det_floor).
-MIN_DET = 1e-8
 
 
 def _unit_grid(n):

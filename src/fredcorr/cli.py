@@ -49,20 +49,6 @@ from .subspaces import complement, pair_index, random_subspace, rank, restricted
 from .verify import available_suites, load_conventions, run_suite
 
 SCENARIO_VERSION = 1
-KINDS = ("pair", "twist", "chain", "fan", "graph", "sphere", "torus",
-         "rh_transmission")
-
-# params each kind accepts; "seed" is valid everywhere
-PARAM_KEYS = {
-    "pair": ("ambient", "dims"),
-    "twist": ("window", "symbol", "channels", "degree"),
-    "chain": ("window", "radii", "twists", "twist_powers"),
-    "fan": ("window", "powers"),
-    "graph": ("window", "edges", "vertices"),
-    "sphere": ("window", "radii", "twists", "twist_powers"),
-    "torus": ("window", "q", "k"),
-    "rh_transmission": ("window", "symbol", "channels", "degree"),
-}
 
 
 class UsageError(Exception):
@@ -226,7 +212,7 @@ def run_pair(params, window, seed, budget):
         _check("restriction route agrees", rep.index, restriction),
     ]
     return _report("pair", {"ambient": n, "dims": [da, db], "seed": seed},
-                   results, checks)
+                   results, checks), None
 
 
 def _symbol_from_params(params, seed):
@@ -252,7 +238,7 @@ def run_twist(params, window, seed, budget):
     results = {"window": m, "winding": w, "twist_index": ti,
                "symbol": symbol_to_json(sym)}
     checks = [_check("windowed index equals winding", w, ti)]
-    return _report("twist", {"window": m, "seed": seed}, results, checks)
+    return _report("twist", {"window": m, "seed": seed}, results, checks), None
 
 
 def _twists_from_params(params, seed):
@@ -294,7 +280,7 @@ def run_chain(params, window, seed, budget):
         _check("reduction orders agree", left.total, right.total),
     ]
     return _report("chain", {"window": m, "radii": list(radii), "seed": seed},
-                   results, checks)
+                   results, checks), None
 
 
 def run_fan(params, window, seed, budget):
@@ -329,7 +315,7 @@ def run_fan(params, window, seed, budget):
         checks.append(_check("twist-sum formula agrees", rep.formula1,
                              rep.formula2))
     return _report("fan", {"window": m, "powers": powers, "seed": seed},
-                   results, checks)
+                   results, checks), None
 
 
 def _graph_from_params(params, window, seed):
@@ -449,21 +435,22 @@ def run_rh_transmission(params, window, seed, budget):
         checks.append(_check("twisted sphere total is one plus winding",
                              manifest["sphere_total_index"] + w, total))
     return _report("rh_transmission", {"window": m, "seed": seed},
-                   results, checks)
+                   results, checks), None
 
 
-RUNNERS = {
-    "pair": run_pair,
-    "twist": run_twist,
-    "chain": run_chain,
-    "fan": run_fan,
-    "graph": run_graph,
-    "sphere": run_sphere,
-    "torus": run_torus,
-    "rh_transmission": run_rh_transmission,
+# each kind in order: its runner and the params it accepts ("seed" is
+# valid everywhere); a runner returns (report, graph or None)
+KINDS = {
+    "pair": (run_pair, ("ambient", "dims")),
+    "twist": (run_twist, ("window", "symbol", "channels", "degree")),
+    "chain": (run_chain, ("window", "radii", "twists", "twist_powers")),
+    "fan": (run_fan, ("window", "powers")),
+    "graph": (run_graph, ("window", "edges", "vertices")),
+    "sphere": (run_sphere, ("window", "radii", "twists", "twist_powers")),
+    "torus": (run_torus, ("window", "q", "k")),
+    "rh_transmission": (run_rh_transmission,
+                        ("window", "symbol", "channels", "degree")),
 }
-
-GRAPH_KINDS = ("graph", "sphere", "torus")
 
 
 def run_scenario(scenario, window=None, seed=None, budget=None):
@@ -476,8 +463,9 @@ def run_scenario(scenario, window=None, seed=None, budget=None):
     if kind not in KINDS:
         raise UsageError(f"unknown scenario kind {kind!r}; "
                          f"one of: {', '.join(KINDS)}")
+    run, keys = KINDS[kind]
     params = {k: v for k, v in scenario.items() if k not in ("version", "kind")}
-    unknown = sorted(set(params) - set(PARAM_KEYS[kind]) - {"seed"})
+    unknown = sorted(set(params) - set(keys) - {"seed"})
     if unknown:
         raise UsageError(f"unknown parameter(s) for kind {kind!r}: "
                          f"{', '.join(unknown)}")
@@ -485,10 +473,7 @@ def run_scenario(scenario, window=None, seed=None, budget=None):
         seed = _int(params.get("seed", 0), "seed")
     if seed < 0:
         raise UsageError(f"seed must be nonnegative, got {seed}")
-    out = RUNNERS[kind](params, window, seed, budget)
-    if kind in GRAPH_KINDS:
-        return out
-    return out, None
+    return run(params, window, seed, budget)
 
 
 # -- output formatting ---------------------------------------------------
@@ -592,13 +577,16 @@ def _resolve_tol(flag_value):
     return None
 
 
+_TOL_HELP = ("relative rank cutoff (overrides FREDCORR_TOL); the angle "
+            "and other thresholds are fixed")
+
+
 def _add_common(p, scenario_arg=True):
     if scenario_arg:
         p.add_argument("scenario", nargs="?", help="scenario JSON file")
     p.add_argument("--window", type=int, help="override the mode window half width")
     p.add_argument("--seed", type=int, help="override the scenario seed")
-    p.add_argument("--tol", type=float, help="rank/angle tolerance "
-                   "(overrides FREDCORR_TOL)")
+    p.add_argument("--tol", type=float, help=_TOL_HELP)
     p.add_argument("--budget", type=int, help="override twist commutator budgets")
     p.add_argument("--format", choices=sorted(FORMATTERS), default="table")
     p.add_argument("--emit", choices=["dot"], help="emit a DOT rendering "
@@ -634,13 +622,13 @@ def build_parser():
                           help="suite name, or omit to list suites")
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--count", type=int, default=None)
-    p_verify.add_argument("--tol", type=float)
+    p_verify.add_argument("--tol", type=float, help=_TOL_HELP)
 
     p_report = sub.add_parser("report", help="run several scenarios")
     p_report.add_argument("scenarios", nargs="+", help="scenario JSON files")
     p_report.add_argument("--window", type=int)
     p_report.add_argument("--seed", type=int)
-    p_report.add_argument("--tol", type=float)
+    p_report.add_argument("--tol", type=float, help=_TOL_HELP)
     p_report.add_argument("--budget", type=int)
     p_report.add_argument("--format", choices=sorted(FORMATTERS),
                           default="table")
@@ -742,10 +730,7 @@ def main(argv=None):
         if args.command == "report":
             return _cmd_report(args)
         raise UsageError(f"unknown command {args.command!r}")
-    except UsageError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except FredcorrError as exc:
+    except (UsageError, FredcorrError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except MemoryError as exc:

@@ -16,8 +16,9 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidInput, NotAFan
 from .morphisms import commutator_rank
-from .spaces import PROJECTOR_ATOL, ModelSpace, Splitting
+from .spaces import ModelSpace, Splitting
 from .subspaces import (
+    PROJECTOR_ATOL,
     current_tolerance,
     intersection,
     rank,
@@ -467,12 +468,12 @@ def fan_from_twists(space, parts, twists, budget=None):
 
 def _invertible_on_window(op):
     """Whether the twist maps the base window bijectively onto itself:
-    no leakage out of the base rows, and an invertible square part."""
+    no leakage out of the base rows, and an invertible square part.
+    Both are decided relative to the operator's scale."""
     tol = current_tolerance()
-    rows = op.base_rows_mask()
-    cols = op.base_columns_mask()
-    leak = op.matrix[np.ix_(~rows, cols)]
-    if leak.size and np.abs(leak).max() > tol:
+    m = op.matrix
+    leak = m[np.ix_(~op.base_rows_mask(), op.base_columns_mask())]
+    if leak.size and np.abs(leak).max() > tol * np.abs(m).max():
         return False
     s = np.linalg.svd(op.base_square(), compute_uv=False)
     return s[-1] > tol * s[0]

@@ -35,9 +35,6 @@ __all__ = [
     "GraphEdge",
     "DecompositionGraph",
     "boundary_slots",
-    "incoming_assembly",
-    "outgoing_assembly",
-    "vertex_subspace",
     "vertex_index",
     "edge_index",
     "global_index_additive",
@@ -162,36 +159,6 @@ def _assembly(g, v, which, margin=0):
     return direct_sum(*halves) if halves else Subspace.zero(0)
 
 
-def incoming_assembly(g, v):
-    return _assembly(g, v, "in")
-
-
-def outgoing_assembly(g, v):
-    return _assembly(g, v, "out")
-
-
-def _pushed_assembly(g, v, extra_factors):
-    """The padded incoming assembly pushed through the vertex recipe
-    followed by the extra factors: (chain, base window, image, mask of
-    the image rows inside the base window)."""
-    chain = g.vertex_data[v].then(*extra_factors)
-    window = _vertex_window(g, v)
-    frame = _assembly(g, v, "in", margin=chain.margin).frame
-    cur, image = chain.apply(window, frame)
-    return chain, window, image, window_rows_mask(cur, window)
-
-
-def _realized_member(g, v):
-    """Window intersection of the vertex recipe applied to the padded
-    incoming assembly."""
-    if _vertex_window(g, v) is None:
-        return Subspace.zero(0)
-    if not g.vertex_data[v].factors:
-        return incoming_assembly(g, v)
-    _, _, image, keep = _pushed_assembly(g, v, ())
-    return restricted_image(image, keep)
-
-
 def _member_dim(g, v, extra_factors=()):
     """Dimension of the vertex member, counted without building it.
 
@@ -213,23 +180,14 @@ def _member_dim(g, v, extra_factors=()):
         return 0
     chain = data.then(*extra_factors)
     if not chain.certified_ratio(window) > 2.0 * current_tolerance():
-        _, _, image, keep = _pushed_assembly(g, v, extra_factors)
-        return restricted_image(image, keep).dim
+        frame = _assembly(g, v, "in", margin=chain.margin).frame
+        cur, image = chain.apply(window, frame)
+        return restricted_image(image, window_rows_mask(cur, window)).dim
     outside, cols = chain.outside_reach(window)
     unit = Subspace._from_mask(cols).frame
     image = chain.apply(window, unit)[1][outside]
     return restricted_image_dim(
         image, _assembly(g, v, "in", chain.margin).rows(cols))
-
-
-def vertex_subspace(g, v):
-    """The boundary-value subspace of a vertex, materializing a recipe."""
-    if v not in g.vertex_data:
-        raise InvalidInput(f"vertex {v!r} has no boundary data")
-    data = g.vertex_data[v]
-    if isinstance(data, Subspace):
-        return data
-    return _realized_member(g, v)
 
 
 def vertex_index(g, v):
@@ -453,8 +411,8 @@ def _twist_label(twist):
         return "op"
     if sym.coeffs.shape == (1, 1, 1):
         c = sym.coeffs[0, 0, 0]
-        coef = "" if abs(c - 1.0) < 1e-12 else \
-            (f"{c.real:.3g}" if abs(c.imag) < 1e-12 else f"({c:.3g})")
+        coef = "" if c == 1.0 else \
+            (f"{c.real:.3g}" if c.imag == 0.0 else f"({c:.3g})")
         power = "" if sym.d_min == 0 else f"z^{sym.d_min}"
         return (coef + (" " if coef and power else "") + power) or "1"
     return f"sym[{sym.d_min}..{sym.d_max}]"

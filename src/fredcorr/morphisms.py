@@ -226,10 +226,6 @@ class Twist:
     def margin(self):
         return self.operator.domain_window.half_width - self.base.window.half_width
 
-    def with_base_splitting(self, splitting):
-        return Twist(base=self.base.with_splitting(splitting),
-                     operator=self.operator, symbol=self.symbol, budget=None)
-
 
 def _cut_block(op, base_rows, base_cols, row_half, col_half):
     """The block B[row_half, col_half] of the base compression B of

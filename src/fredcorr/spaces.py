@@ -15,7 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidInput
-from .subspaces import Subspace, singular_values, subspaces_equal
+from .subspaces import (
+    POLARIZATION_CUTOFF,
+    PROJECTOR_ATOL,
+    Subspace,
+    singular_values,
+    subspaces_equal,
+)
 from .windows import ModeWindow, pad_by_predicate
 
 __all__ = [
@@ -31,13 +37,6 @@ __all__ = [
     "off_diagonal_singular_values",
     "polarization_defect",
 ]
-
-# Slack of the splitting check.
-PROJECTOR_ATOL = 1e-10
-# Singular values of a projector difference lie in [0, 1], so a relative
-# cutoff would count every slightly tilted mode; a direction counts
-# toward the polarization defect only when tilted past 30 degrees.
-POLARIZATION_CUTOFF = 0.5
 
 # The two mode-sign conventions used by circle models.  Which half is
 # sharp depends on the geometric role of the circle (which side of it
@@ -107,9 +106,6 @@ class Splitting:
     @property
     def ambient_dim(self):
         return self.sharp.ambient_dim
-
-    def symmetry(self):
-        return self.sharp.projector() - self.flat.projector()
 
 
 def splitting_for_window(window, convention):
@@ -214,12 +210,6 @@ def spaces_match(a, b):
                         and subspaces_equal(sa.flat, sb.flat))
 
 
-def _support_ok(col, support_mask):
-    if support_mask is None:
-        return True
-    return float(np.linalg.norm(col[~support_mask])) < 1e-9
-
-
 def perturb_splitting(s, rank, seed, support=None):
     """A random splitting in the same polarization class.
 
@@ -230,9 +220,9 @@ def perturb_splitting(s, rank, seed, support=None):
     Transfers take 85 % of the moves because rotations alone can never
     change the dimension of either half, hence never change any index.
 
-    ``support`` optionally restricts the moves to directions supported
-    on the given coordinate indices (used to stay clear of window
-    boundaries when twists are in play).
+    ``support`` optionally restricts the moves to directions that are
+    exactly zero off the given coordinate indices (used to stay clear of
+    window boundaries when twists are in play).
     """
     if rank < 0 or rank > min(s.sharp.dim, s.flat.dim):
         raise InvalidInput("perturbation rank out of range")
@@ -248,7 +238,10 @@ def perturb_splitting(s, rank, seed, support=None):
     flat_cols = [s.flat.frame[:, j].copy() for j in range(s.flat.dim)]
 
     def candidates(cols):
-        return [j for j, c in enumerate(cols) if _support_ok(c, support_mask)]
+        # moves only swap and rotate columns, so the zeros of a column
+        # outside the support stay exact
+        return [j for j, c in enumerate(cols)
+                if support_mask is None or not c[~support_mask].any()]
 
     # one preferred transfer direction per perturbation, so that several
     # transfer moves push the dimensions the same way instead of

@@ -22,6 +22,9 @@ __all__ = [
     "ANGLE_TOL",
     "AMBIGUITY_BAND",
     "FRAME_ATOL",
+    "PROJECTOR_ATOL",
+    "POLARIZATION_CUTOFF",
+    "MIN_DET",
     "current_tolerance",
     "Subspace",
     "PairIndexReport",
@@ -42,15 +45,27 @@ __all__ = [
     "random_subspace",
 ]
 
+# Every decision threshold of the package, each with its reason.  Only
+# DEFAULT_TOL moves (``--tol``, ``FREDCORR_TOL``); the rest are fixed.
 # Relative singular value cutoff for ranks and orthonormalization.
 DEFAULT_TOL = 1e-9
-# A principal cosine above 1 - ANGLE_TOL counts as an intersection direction.
+# A principal cosine above 1 - ANGLE_TOL is an intersection direction.
 ANGLE_TOL = 1e-9
-# Cosines with 1 - sigma inside (FRAME_ATOL, AMBIGUITY_BAND) trigger the
-# nullspace fallback instead of a silent threshold decision.
+# A cosine gap 1 - sigma in (FRAME_ATOL, AMBIGUITY_BAND) sends the
+# intersection to its nullspace route instead of a silent decision.
 AMBIGUITY_BAND = 1e-6
-# Orthonormality slack accepted when validating a frame.
+# Gram defect a checked frame may carry per ten ambient coordinates (at
+# least once), and the cosine gap below which a direction is exact.
 FRAME_ATOL = 1e-12
+# Overlap sharp^H flat a checked splitting, or two fan parts, may carry.
+PROJECTOR_ATOL = 1e-10
+# Singular values of a projector difference lie in [0, 1], so a relative
+# cutoff would count every slightly tilted mode; a direction counts
+# toward the polarization defect only when tilted past 30 degrees.
+POLARIZATION_CUTOFF = 0.5
+# A symbol is singular where |det| at a grid point or a zero's nearest
+# circle point is at most MIN_DET times the largest value |det| can take.
+MIN_DET = 1e-8
 
 
 def current_tolerance():
@@ -172,7 +187,7 @@ class Subspace:
         if q.shape[1] > 0:
             defect = np.abs(q.conj().T @ q - np.eye(q.shape[1])).max()
             # negated so that a NaN defect is refused too
-            if not defect <= max(FRAME_ATOL, 1e-13 * q.shape[0]):
+            if not defect <= FRAME_ATOL * max(1.0, q.shape[0] / 10):
                 raise InvalidInput("frame columns are not orthonormal")
         q = q.copy()
         q.setflags(write=False)
@@ -257,23 +272,6 @@ class Subspace:
     def projector(self):
         """The orthogonal projector onto this subspace as a dense matrix."""
         return self.frame @ self.frame.conj().T
-
-    def contains(self, other):
-        """Whether ``other`` (a Subspace or an (n,) vector) lies inside."""
-        if isinstance(other, Subspace):
-            vecs = other.frame
-        else:
-            v = np.asarray(other, dtype=np.complex128).reshape(-1, 1)
-            nrm = np.linalg.norm(v)
-            if nrm == 0:
-                return True
-            vecs = v / nrm
-        if vecs.shape[0] != self.ambient_dim:
-            raise DimensionMismatch("ambient dimensions differ")
-        if vecs.shape[1] == 0:
-            return True
-        resid = vecs - self.frame @ (self.frame.conj().T @ vecs)
-        return float(np.abs(resid).max()) < 1e-8
 
 
 def _check_same_ambient(a, b):
@@ -448,7 +446,7 @@ def subspaces_equal(a, b):
     if a.dim == 0 or np.array_equal(a.frame, b.frame):
         return True
     cos = principal_cosines(a, b)
-    return bool(cos.min() > 1.0 - 1e-8)
+    return bool(cos.min() > 1.0 - ANGLE_TOL)
 
 
 def random_subspace(ambient_dim, dim, rng):

@@ -48,15 +48,9 @@ from .morphisms import (
     reduce_chain_ledger,
     tilde_ind,
 )
-from .spaces import (
-    SHARP_NEGATIVE,
-    ModelSpace,
-    perturb_splitting,
-    polarization_defect,
-    splitting_for_window,
-)
+from .spaces import ModelSpace, perturb_splitting, polarization_defect
 from .subspaces import random_subspace
-from .windows import ModeWindow, mode_span
+from .windows import mode_span
 
 __all__ = [
     "CheckLine",
@@ -160,13 +154,8 @@ def _suite_twist_additivity(seed, count):
 
 
 def _random_composable_pair(rng, half=5):
-    w = ModeWindow(half)
-    labels = tuple(range(-half, half + 1))
-    mk = lambda: ModelSpace(dim=w.dim, basis_labels=labels,
-                            splitting=splitting_for_window(w, SHARP_NEGATIVE),
-                            window=w, convention=SHARP_NEGATIVE)
-    sa, sb, sc = mk(), mk(), mk()
-    n = w.dim
+    sa, sb, sc = (chain_circle(half).space() for _ in range(3))
+    n = sa.dim
     l1 = Correspondence(source=sa, target=sb,
                         subspace=random_subspace(2 * n, int(rng.integers(n - 2, n + 3)), rng))
     l2 = Correspondence(source=sb, target=sc,
@@ -287,15 +276,11 @@ def _recompute_conventions():
 
     # strict halves: the defect sits in the cokernel slot and must enter
     # with the minus sign
-    w = ModeWindow(5)
-    labels = tuple(range(-5, 6))
-    h = ModelSpace(dim=w.dim, basis_labels=labels,
-                   splitting=splitting_for_window(w, SHARP_NEGATIVE),
-                   window=w, convention=SHARP_NEGATIVE)
+    h = chain_circle(5).space()
     l1 = Correspondence(source=ModelSpace.zero_space(), target=h,
-                        subspace=mode_span(w, lambda n: n > 0))
+                        subspace=mode_span(h.window, lambda n: n > 0))
     l2 = Correspondence(source=h, target=ModelSpace.zero_space(),
-                        subspace=mode_span(w, lambda n: n < 0))
+                        subspace=mode_span(h.window, lambda n: n < 0))
     kp, cp = delta_direct(l1, l2)
     if (kp, cp) == (0, 1) and delta(l1, l2) == -1:
         delta_sign = -1

@@ -53,19 +53,6 @@ class ModeWindow:
     def dim(self):
         return self.channels * self.modes_per_channel
 
-    def index_of(self, channel, n):
-        if not (-self.half_width <= n <= self.half_width):
-            raise InvalidInput(f"mode {n} outside window +-{self.half_width}")
-        if not (0 <= channel < self.channels):
-            raise InvalidInput(f"channel {channel} out of range")
-        return channel * self.modes_per_channel + (n + self.half_width)
-
-    def mode_of_index(self, i):
-        if not (0 <= i < self.dim):
-            raise InvalidInput("coordinate index out of range")
-        c, r = divmod(i, self.modes_per_channel)
-        return c, r - self.half_width
-
     def mode_labels(self):
         """Array of mode numbers, one per coordinate."""
         return np.arange(self.dim) % self.modes_per_channel - self.half_width

@@ -13,10 +13,11 @@ from fredcorr.graphs import (
     DecompositionGraph,
     random_graph,
     sphere_path_graph,
-    vertex_subspace,
 )
 from fredcorr.subspaces import Subspace, current_tolerance
 from fredcorr.windows import ModeWindow, WindowedOperator
+
+from reference import coord, vertex_subspace
 
 
 def embedded_scalar_symbol(sym, channel, n_channels):
@@ -220,8 +221,8 @@ def edge_factor(rng, window):
     """Interior factor whose support holds the window's edge modes."""
     m = np.eye(window.dim, dtype=np.complex128)
     for c in range(window.channels):
-        i = window.index_of(c, -window.half_width)
-        j = window.index_of(c, window.half_width)
+        i = coord(window, c, -window.half_width)
+        j = coord(window, c, window.half_width)
         m[np.ix_([i, j], [i, j])] = dense_unitary(rng, 2) * 1.5
     return m
 
@@ -399,7 +400,7 @@ def test_member_count_builds_the_image_near_the_cutoff(monkeypatch):
     # mode -3 lies in the flat half that the incoming assembly holds
     for scale, builds in ((1.5 * tol, True), (3.0 * tol, False)):
         m = np.eye(window.dim, dtype=np.complex128)
-        m[window.index_of(0, -3), window.index_of(0, -3)] = scale
+        m[coord(window, 0, -3), coord(window, 0, -3)] = scale
         chain = TwistChain(factors=(("interior", m),))
         assert chain.certified_ratio(window) == pytest.approx(scale)
         g = DecompositionGraph(vertices=base.vertices, edges=dict(base.edges),

@@ -50,6 +50,8 @@ from fredcorr.subspaces import (
 )
 from fredcorr.windows import ModeWindow
 
+from reference import contains, coord, mode_at, rebased
+
 
 def matrix_symbol(d_min, *planes):
     """A matrix symbol from its coefficient planes for powers d_min..."""
@@ -154,8 +156,8 @@ def test_multiplication_operator_entries():
     assert op.domain_window.half_width == 4
     assert op.range_window.half_width == 5
     # z sends mode n to mode n+1 with coefficient 1
-    col = op.matrix[:, op.domain_window.index_of(0, 2)]
-    assert col[op.range_window.index_of(0, 3)] == 1.0
+    col = op.matrix[:, coord(op.domain_window, 0, 2)]
+    assert col[coord(op.range_window, 0, 3)] == 1.0
     assert np.count_nonzero(col) == 1
     with pytest.raises(DimensionMismatch):
         multiplication_operator(LaurentSymbol.identity(2), w)
@@ -283,7 +285,7 @@ def test_counted_tilde_ind_matches_the_image_route(channels):
         for seed in range(3):
             s = perturb_splitting(t.base.splitting, 2, seed=seed,
                                   support=interior)
-            tp = t.with_base_splitting(s)
+            tp = rebased(t, s)
             assert tp._injectivity_ratio > 2 * tol
             assert tilde_ind(tp) == _image_route(tp)
 
@@ -344,7 +346,7 @@ def _assert_block_and_dense_routes_agree(sym, circle, rebase_seed=None):
     if rebase_seed is not None and min(space.splitting.sharp.dim,
                                        space.splitting.flat.dim) >= 2:
         s = perturb_splitting(space.splitting, 2, seed=rebase_seed)
-        tp = t.with_base_splitting(s)
+        tp = rebased(t, s)
         assert tilde_ind(tp) == _dense_tilde_ind(tp)
         assert commutator_rank(op, s) == _dense_commutator_rank(op, s)
 
@@ -438,9 +440,9 @@ def test_annulus_is_the_graph_of_the_transfer_factors():
     q = inner.radius / outer.radius
     for n in w.mode_labels():
         v = np.zeros(2 * w.dim)
-        v[w.index_of(0, int(n))] = 1.0
-        v[w.dim + w.index_of(0, int(n))] = q ** float(n)
-        assert sub.contains(v / np.linalg.norm(v))
+        v[coord(w, 0, int(n))] = 1.0
+        v[w.dim + coord(w, 0, int(n))] = q ** float(n)
+        assert contains(sub, v / np.linalg.norm(v))
 
 
 @pytest.mark.parametrize("m", [4, 6, 8, 10])
@@ -524,8 +526,8 @@ def _band_matrix_by_loop(sym, from_window, to_window):
                     continue
                 for n in range(-from_window.half_width,
                                from_window.half_width + 1):
-                    m[to_window.index_of(cout, n + shift),
-                      from_window.index_of(cin, n)] += v
+                    m[coord(to_window, cout, n + shift),
+                      coord(from_window, cin, n)] += v
     return m
 
 
@@ -549,7 +551,7 @@ def test_circle_labels_match_loop(channels):
     if channels == 1:
         expected = tuple(int(n) for n in w.mode_labels())
     else:
-        expected = tuple((w.mode_of_index(i)[1], w.mode_of_index(i)[0])
+        expected = tuple((mode_at(w, i)[1], mode_at(w, i)[0])
                          for i in range(w.dim))
     assert circle.labels() == expected
 

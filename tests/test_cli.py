@@ -2,6 +2,7 @@
 and serialization round-trips.  Everything drives cli.main in-process,
 except one subprocess run that checks stderr for a traceback."""
 
+import argparse
 import cmath
 import dataclasses
 import json
@@ -470,6 +471,18 @@ def test_tol_env_and_flag(tmp_path, capsys, monkeypatch):
     assert seen == [1e-8, 1e-7]
     assert subspaces.DEFAULT_TOL == saved
     capsys.readouterr()
+
+
+def test_tol_help_names_the_relative_rank_cutoff():
+    # --tol moves only DEFAULT_TOL; ANGLE_TOL and the rest stay fixed
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    for name, sub in commands.items():
+        tol = [a for a in sub._actions if "--tol" in a.option_strings]
+        assert len(tol) == 1, name
+        assert tol[0].help.startswith("relative rank cutoff"), name
+        assert "angle tolerance" not in tol[0].help
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "2", "1", "0", "-1"])

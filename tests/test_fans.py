@@ -22,6 +22,8 @@ from fredcorr.fans import (
 from fredcorr.subspaces import principal_cosines, subspaces_equal
 from fredcorr.windows import mode_span
 
+from reference import coord
+
 
 def retwist(f, syms):
     """The fan rebuilt by ``fan_from_twists`` with each construction
@@ -73,6 +75,19 @@ def test_sphere_fan_index_one():
     assert subspaces_equal(f.members[1], mode_span(w, lambda n: n <= 0))
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-6, 1e-10, 1e-12])
+def test_leaking_twist_has_no_formula_2_at_any_scale(scale):
+    # c (1 + z/2) on the nonnegative part pushes its top mode out of the
+    # window at every c, so formula 2 does not apply; the leak is decided
+    # relative to the operator, not against the bare cutoff
+    space, w = circle_setup()
+    sym = LaurentSymbol.scalar([scale, 0.5 * scale], 0)
+    f = fan_from_twists(space, partition_parts(w, [0]), [None, sym])
+    rep = fan_index(f)
+    assert rep.formula2 is None
+    assert (rep.formula1, rep.formula3, rep.formula4) == (-1, -1, -1)
+
+
 def test_identity_twists_keep_parts():
     space, w = circle_setup(5)
     parts = partition_parts(w, [0])
@@ -102,8 +117,8 @@ def test_finite_rank_twist_stays_close():
     parts = partition_parts(w, [0])
     u = np.zeros(w.dim, dtype=np.complex128)
     v = np.zeros(w.dim, dtype=np.complex128)
-    u[w.index_of(0, 1)] = 1.0
-    v[w.index_of(0, -1)] = 1.0
+    u[coord(w, 0, 1)] = 1.0
+    v[coord(w, 0, -1)] = 1.0
     f = fan_from_twists(space, parts, [finite_rank_twist(w, [u], [v], 0.3), None])
     rep = fan_index(f)
     assert all_formulas(rep) == [0, 0, 0, 0]

@@ -23,14 +23,11 @@ from fredcorr.graphs import (
     global_index_fan,
     global_index_selfglue,
     has_self_loops,
-    incoming_assembly,
-    outgoing_assembly,
     random_graph,
     sphere_path_graph,
     to_dot,
     torus_graph,
     vertex_index,
-    vertex_subspace,
 )
 from fredcorr.spaces import perturb_splitting
 from fredcorr.subspaces import (
@@ -40,6 +37,8 @@ from fredcorr.subspaces import (
     rank,
     subspaces_equal,
 )
+
+from reference import coord, pushed_assembly, rebased, vertex_subspace
 
 
 def materialize(g):
@@ -64,7 +63,7 @@ def perturb_edge_splittings(g, rank, seed, support_gap=3):
         support = [int(j) for j in np.flatnonzero(np.abs(labels) <= half - support_gap)]
         s = perturb_splitting(e.space.splitting, rank, seed + i, support=support)
         space = e.space.with_splitting(s)
-        tw = None if e.twist is None else e.twist.with_base_splitting(s)
+        tw = None if e.twist is None else rebased(e.twist, s)
         edges[eid] = GraphEdge(e.source, e.target, space, twist=tw)
     return DecompositionGraph(vertices=frozen.vertices, edges=edges,
                               vertex_data=dict(frozen.vertex_data))
@@ -92,8 +91,8 @@ class TestSpherePath:
     def test_assemblies_fill_ambient(self):
         g = sphere_path_graph(6)
         for v in g.vertices:
-            inc = incoming_assembly(g, v)
-            out = outgoing_assembly(g, v)
+            inc = graphs._assembly(g, v, "in")
+            out = graphs._assembly(g, v, "out")
             assert inc.dim + out.dim == inc.ambient_dim
 
     def test_radii_do_not_matter(self):
@@ -219,13 +218,13 @@ class TestValidation:
         circle = twist_circle(6)
         tw = symbol_twist(LaurentSymbol.monomial(1), circle)
         edges = {"e": GraphEdge("a", "b", circle.space(), twist=tw)}
-        plain = outgoing_assembly  # build b's data as a plain subspace
+        # build b's data as a plain subspace
         g0 = DecompositionGraph(
             vertices=("a", "b"), edges=edges,
             vertex_data={"a": TwistChain(factors=()),
                          "b": TwistChain(factors=())})
         data = {"a": TwistChain(factors=()),
-                "b": incoming_assembly(g0, "b")}
+                "b": graphs._assembly(g0, "b", "in")}
         g = DecompositionGraph(vertices=("a", "b"), edges=edges,
                                vertex_data=data)
         with pytest.raises(InvalidInput, match="recipe"):
@@ -289,7 +288,8 @@ def test_vertex_index_matches_pair_index_audit():
     for _ in range(3):
         g = random_graph(rng)
         for v in g.vertices:
-            rep = pair_index(vertex_subspace(g, v), outgoing_assembly(g, v))
+            rep = pair_index(vertex_subspace(g, v),
+                             graphs._assembly(g, v, "out"))
             assert vertex_index(g, v) == rep.index
 
 
@@ -309,7 +309,7 @@ def embedded_incoming_assemblies(g):
     for v in g.vertices:
         rows = [order.index(eid) * per + r
                 for eid, _ in boundary_slots(g, v) for r in range(per)]
-        frame = incoming_assembly(g, v).frame
+        frame = graphs._assembly(g, v, "in").frame
         big = np.zeros((total, frame.shape[1]), dtype=np.complex128)
         big[rows] = frame
         parts.append(Subspace(big))
@@ -350,7 +350,7 @@ def dense_member_dim(g, v, extras=()):
     """The member dimension from the whole padded incoming assembly pushed
     through the chain: columns minus the rank of its rows outside the
     window."""
-    chain, window, image, keep = graphs._pushed_assembly(g, v, extras)
+    chain, window, image, keep = pushed_assembly(g, v, extras)
     assert chain.certified_ratio(window) > 2.0 * current_tolerance()
     outside = image[~keep]
     return outside.shape[1] - rank(outside)
@@ -362,7 +362,7 @@ def near_edge_graph():
     support lies within the chain margin of the window edge."""
     base = sphere_path_graph(6, twist=LaurentSymbol.scalar((1.0, 0.3), 0))
     window = graphs._vertex_window(base, "out")
-    i, j = window.index_of(0, 6), window.index_of(0, -3)
+    i, j = coord(window, 0, 6), coord(window, 0, -3)
     rot = np.eye(window.dim, dtype=np.complex128)
     rot[i, i] = rot[j, j] = np.cos(0.7)
     rot[i, j], rot[j, i] = -np.sin(0.7), np.sin(0.7)

