@@ -37,10 +37,10 @@ from .subspaces import (
     MIN_DET,
     Subspace,
     current_tolerance,
-    dimension_index,
     direct_sum,
 )
-from .windows import ModeWindow, WindowedOperator, mode_span, pad_by_predicate
+from .windows import (ModeWindow, WindowedOperator, image_dim, mode_span,
+                      pad_by_predicate)
 
 __all__ = [
     "LaurentSymbol",
@@ -50,7 +50,6 @@ __all__ = [
     "multiplication_operator",
     "symbol_band_matrix",
     "certified_ratio",
-    "band_certificate",
     "symbol_twist",
     "winding_number",
     "disk_correspondence",
@@ -92,7 +91,7 @@ def _horner(coeffs, zs):
 
 def _det_floor(sym):
     # |det A(z)| <= ||A(z)||^c <= (sum_p ||A_p||_F)^c on the unit circle
-    return MIN_DET * sym.norm_sum ** sym.channels
+    return MIN_DET * sym._scaled_norm_sum ** sym.channels
 
 
 def _det_polynomial(coeffs):
@@ -123,7 +122,7 @@ def _grid_floor(sym, n):
     if c == 1:
         return low, low
     planes = sym.coeffs.shape[0]
-    flat = sym.coeffs.reshape(planes, c * c)
+    flat = sym._scaled_coeffs.reshape(planes, c * c)
     gram = flat.conj() @ flat.T
     # sum_k G_k z^k over k >= 0 with G_k = sum_p tr(A_p^H A_(p+k)); the
     # terms k < 0 are its conjugate, and G_0 is counted once
@@ -146,7 +145,12 @@ class LaurentSymbol:
     determinants), the norm sum S = sum_p ||A_p||_F and the grid floor of
     sigma_min(A(z)).  It validates invertibility on the unit circle by
     evaluating |P| on ``VALIDATION_GRID`` points, relative to the largest
-    value S^c that the coefficients allow |det| there.
+    value S^c that the coefficients allow |det| there.  All but
+    ``norm_sum`` are taken on ``_scaled_coeffs``, the coefficients over
+    the power of two of their largest real or imaginary part: exact, and
+    free of the squares that overflow above 1e154 and underflow below
+    1e-162.  Each reader compares quantities of one degree, so the
+    scale cancels.
     """
 
     coeffs: np.ndarray
@@ -160,9 +164,6 @@ class LaurentSymbol:
         c = np.asarray(self.coeffs, dtype=np.complex128)
         if c.ndim != 3 or c.shape[1] != c.shape[2] or c.shape[0] == 0:
             raise InvalidInput("coefficients must have shape (powers, c, c)")
-        # before the zero planes are stripped: NaN is not > 0
-        if not np.isfinite(c).all():
-            raise InvalidInput("symbol coefficients must be finite")
         # canonicalize: strip zero planes at both ends
         nz = np.flatnonzero((c != 0).any(axis=(1, 2)))
         if not nz.size:
@@ -172,14 +173,26 @@ class LaurentSymbol:
         d_max = d_min + hi - lo
         c = c[lo: hi + 1].copy()
         c.setflags(write=False)
-        norms = np.linalg.norm(c, axis=(1, 2))
+        parts = c.view(np.float64)
+        # NaN != 0 and infinity kept their planes, and the peak shows them
+        peak = np.abs(parts).max()
+        if not math.isfinite(peak):
+            raise InvalidInput("symbol coefficients must be finite")
+        # 2**exponent <= peak < 2**(exponent + 1), and 2.0**exponent is finite
+        exponent = math.frexp(peak)[1] - 1
+        scaled = np.ldexp(parts, -exponent).view(np.complex128)
+        scaled.setflags(write=False)
+        norms = np.linalg.norm(scaled, axis=(1, 2))
         # sum_p |d_min + p| ||A_p||_F bounds |dA/dtheta| on the circle
         slope = float(np.abs(d_min + np.arange(norms.size)) @ norms)
-        det_coeffs = _det_polynomial(c)
+        det_coeffs = _det_polynomial(scaled)
         det_coeffs.setflags(write=False)
+        total = float(norms.sum())
         for name, value in (("coeffs", c), ("d_min", d_min), ("d_max", d_max),
                             ("degree", max(abs(d_min), abs(d_max))),
-                            ("norm_sum", float(norms.sum())),
+                            ("norm_sum", total * 2.0 ** exponent),
+                            ("_scaled_coeffs", scaled),
+                            ("_scaled_norm_sum", total),
                             ("_slope", slope), ("_det_coeffs", det_coeffs)):
             object.__setattr__(self, name, value)
         low, floor = _grid_floor(self, VALIDATION_GRID)
@@ -334,7 +347,7 @@ def certified_ratio(sym):
     the grid is doubled, from the validation grid, until that bound
     exceeds 2 * tol * S or reaches ``CERTIFICATE_GRID_CAP``.
     """
-    scale = sym.norm_sum
+    scale = sym._scaled_norm_sum
     n, floor = VALIDATION_GRID, sym._sigma_floor
     while True:
         bound = floor - math.pi / n * sym._slope
@@ -346,27 +359,17 @@ def certified_ratio(sym):
         _, floor = _grid_floor(sym, n)
 
 
-def band_certificate(sym, op):
-    """:func:`certified_ratio` of ``sym`` when :func:`multiplication_operator`
-    built ``op`` from that very symbol (its entries and its read-only
-    matrix are then those of the frozen symbol's band matrix), and 0.0
-    (nothing certified) for any other operator or symbol."""
-    if sym is None or op._symbol is not sym:
-        return 0.0
-    return certified_ratio(sym)
-
-
 def multiplication_operator(sym, base_window):
     """Windowed operator of multiplication by a Laurent symbol.
 
     The domain is the base window padded by the symbol degree; the range
     is padded by twice the degree so that no output mode of any padded
     input is truncated.  Only here is ``sym`` recorded on the operator,
-    for :func:`band_certificate`.  The operator reads its entries off the
+    for ``Twist.symbol``.  The operator reads its entries off the
     symbol (``WindowedOperator.entries``), and builds the band matrix
     (:func:`symbol_band_matrix`) once, when something first reads its
-    ``matrix``: ``twist_graph``, ``mv_pairing``, ``twisted_cap``, a twist
-    that the certificate does not cover, and the commutator with a
+    ``matrix``: ``twist_graph``, ``twisted_cap``, an image closer to the
+    cutoff than the certificate covers, and the commutator with a
     splitting that records no mask.
     """
     if sym.channels != base_window.channels:
@@ -374,9 +377,9 @@ def multiplication_operator(sym, base_window):
     d = sym.degree
     domain = base_window.pad(d)
     rng_w = base_window.pad(2 * d)
-    return WindowedOperator._of_symbol(
-        sym, domain, rng_w, base_window,
-        lambda: symbol_band_matrix(sym, domain, rng_w))
+    return WindowedOperator._lazy(
+        domain, rng_w, base_window,
+        lambda: symbol_band_matrix(sym, domain, rng_w), symbol=sym)
 
 
 def symbol_twist(sym, circle):
@@ -390,7 +393,7 @@ def symbol_twist(sym, circle):
     if sym.channels != circle.channels:
         raise DimensionMismatch("symbol channels do not match the circle")
     op = multiplication_operator(sym, circle.window)
-    return Twist(base=circle.space(), operator=op, symbol=sym)
+    return Twist(base=circle.space(), operator=op)
 
 
 def disk_correspondence(circle, side):
@@ -440,8 +443,7 @@ def twisted_cap(circle, sym):
                                     _NO_MODES)
     cap = Subspace._from_mask(labels <= 0)
     op = multiplication_operator(sym, circle.window)
-    margin = op.domain_window.half_width - circle.half_width
-    padded = pad_by_predicate(cap, circle.window, margin, lambda n: n <= 0)
+    padded = pad_by_predicate(cap, circle.window, sym.degree, lambda n: n <= 0)
     sub = op.apply_within_window(padded)
     return Correspondence(source=space, target=zero, subspace=sub)
 
@@ -498,7 +500,9 @@ def mv_pairing(sphere_pair, sym, n):
 
     Applies the symbol to the n-fold negative half (padded, then window
     intersected) and compares the resulting pair index with n copies of
-    the untwisted one.
+    the untwisted one.  The positive half cancels, so this is the
+    dimension of the twisted image (``windows.image_dim``) minus n times
+    that of the negative half.
     """
     h_minus, h_plus = sphere_pair
     if h_minus.ambient_dim != h_plus.ambient_dim:
@@ -507,17 +511,11 @@ def mv_pairing(sphere_pair, sym, n):
         raise InvalidInput("pair must live on a symmetric mode window")
     if sym.channels != n:
         raise DimensionMismatch("symbol must have n channels")
-    half = h_minus.ambient_dim // 2
-    window = ModeWindow(half, channels=n)
-    stacked_minus = direct_sum(*[h_minus] * n)
-    stacked_plus = direct_sum(*[h_plus] * n)
-    op = multiplication_operator(sym, window)
-    margin = op.domain_window.half_width - half
-    padded = pad_by_predicate(stacked_minus, window, margin, lambda m: m < 0)
-    image = op.apply_within_window(padded)
-    twisted = dimension_index(image, stacked_plus)
-    base = dimension_index(h_minus, h_plus)
-    return twisted - n * base
+    window = ModeWindow(h_minus.ambient_dim // 2, channels=n)
+    padded = pad_by_predicate(direct_sum(*[h_minus] * n), window, sym.degree,
+                              lambda m: m < 0)
+    return (image_dim(multiplication_operator(sym, window), padded,
+                      certified_ratio(sym)) - n * h_minus.dim)
 
 
 def _unipotent_factor(rng, channels, degree, upper):

@@ -167,8 +167,7 @@ def _report(kind, inputs, results, checks):
 def _apply_budget(t, budget):
     if budget is None:
         return t
-    return Twist(base=t.base, operator=t.operator, symbol=t.symbol,
-                 budget=int(budget))
+    return Twist(base=t.base, operator=t.operator, budget=int(budget))
 
 
 def _apply_edge_budgets(g, budget):

@@ -31,7 +31,6 @@ from .windows import (
     lift_frame,
     mode_span,
     pad_by_predicate,
-    window_rows_mask,
 )
 
 __all__ = [
@@ -123,13 +122,12 @@ class TwistChain:
     :meth:`apply` pushes a frame through the factors one at a time and
     never forms the chain matrix: a symbol or slot factor is
     shift-and-add over its coefficient planes, an interior factor one
-    block update on its support.  :meth:`realize` is :meth:`apply` on
-    the identity frame, and :meth:`certified_ratio` bounds the
-    conditioning of the composite from its factors, so a caller can
-    count the window intersection of an image instead of building it;
-    :meth:`outside_reach` names the domain columns that can reach the
-    range rows outside the window, so that count needs only those
-    columns.
+    block update on its support.  :meth:`realize` is the chain's
+    windowed operator, which answers block reads with :meth:`apply` on
+    unit columns and :meth:`_pull_back_rows`, and :meth:`certified_ratio`
+    bounds the conditioning of the composite from its factors, so
+    ``windows.image_dim`` can count the window intersection of an image
+    instead of building it.
     """
 
     factors: tuple
@@ -207,21 +205,20 @@ class TwistChain:
                     ModeWindow(nxt.half_width), src)
         return end, out
 
-    def outside_reach(self, window):
-        """(outside, columns): the mask of the rows of :meth:`apply`'s
-        range window that lie outside ``window``, and the mask of the
-        padded-domain columns whose image can be nonzero on them.  The
-        rows are pulled back through the factors, last first, by mode
-        arithmetic.  A symbol factor moves them by the powers of its
-        nonzero coefficient planes, between the channels each plane
-        couples; a slot factor does so on its own channel and keeps the
-        others in place; an interior factor adds its whole support when
-        they meet it.  The column mask may hold extra columns, whose
-        images vanish on those rows."""
+    def _pull_back_rows(self, window, rows):
+        """The mask of the padded-domain columns whose image can be
+        nonzero on ``rows`` (an index array or a mask over the rows of
+        :meth:`apply`'s range window).  The rows are pulled back through
+        the factors, last first, by mode arithmetic.  A symbol factor
+        moves them by the powers of its nonzero coefficient planes,
+        between the channels each plane couples; a slot factor does so on
+        its own channel and keeps the others in place; an interior factor
+        adds its whole support when they meet it.  The column mask may
+        hold extra columns, whose images vanish on those rows."""
         steps, end = self._steps(window)
-        outside = ~window_rows_mask(end, window)
         # reach[c, j] stands for coordinate c * per + j of the window
-        reach = outside.reshape(window.channels, -1).copy()
+        reach = np.zeros((end.channels, end.modes_per_channel), dtype=bool)
+        reach.reshape(-1)[rows] = True
         for kind, data, sym, cur in reversed(steps):
             if sym is None:
                 on = _interior_rows(data.support, window, cur)
@@ -235,15 +232,16 @@ class TwistChain:
                 lifted = reach[:, d:d + cur.modes_per_channel].copy()
                 lifted[ch] = _pull_back(sym, cur, reach[ch:ch + 1])[0]
                 reach = lifted
-        return outside, reach.reshape(-1)
+        return reach.reshape(-1)
 
     def realize(self, window):
-        """Windowed operator of the whole chain over ``window``: the
-        image of the identity frame of the padded domain."""
+        """Windowed operator of the whole chain over ``window``, which
+        answers block reads from the chain and builds its matrix, the
+        image of the identity frame, on first read."""
         domain = window.pad(self.margin)
-        cur, mat = self.apply(window, np.eye(domain.dim, dtype=np.complex128))
-        return WindowedOperator(domain_window=domain, range_window=cur,
-                                base_window=window, matrix=mat)
+        _, end = self._steps(window)
+        return WindowedOperator._lazy(domain, end, window, lambda: self.apply(
+            window, np.eye(domain.dim, dtype=np.complex128))[1], chain=self)
 
     def certified_ratio(self, window):
         """A lower bound on sigma_min / sigma_max of :meth:`realize`'s
@@ -375,8 +373,8 @@ def check_fan_parts(parts, n):
 class Fan:
     """Ordered parts and members over a common ambient space.
 
-    ``construction`` optionally records (part, chain) pairs from
-    :func:`fan_from_twists`; it is what makes formula 2 possible.
+    ``construction`` optionally records (part, operator or None) pairs
+    from :func:`fan_from_twists`; it is what makes formula 2 possible.
     """
 
     ambient: ModelSpace
@@ -419,11 +417,6 @@ def _default_budget(chain, window):
     return 2 * chain.margin * window.channels + 4
 
 
-def _member_of(chain, part, window):
-    op = chain.realize(window)
-    return op, op.apply_within_window(part.padded(chain.margin))
-
-
 def fan_from_twists(space, parts, twists, budget=None):
     """Fan with members[i] = window intersection of twist_i(part_i padded).
 
@@ -446,13 +439,16 @@ def fan_from_twists(space, parts, twists, budget=None):
         labels = part.window.mode_labels()
         splittings.append(Splitting._coordinate(
             [bool(part.predicate(int(n))) for n in labels]))
-    chains = [_as_chain(t) for t in twists]
-    members = []
-    for part, chain in zip(parts, chains):
-        if chain is None:
+    members, construction = [], []
+    for part, twist in zip(parts, twists):
+        chain = _as_chain(twist)
+        op = None if chain is None else chain.realize(window)
+        construction.append((part, op))
+        if op is None:
             members.append(part.base())
             continue
-        op, member = _member_of(chain, part, window)
+        # the member builds the matrix, which the commutator then reads
+        members.append(op.apply_within_window(part.padded(chain.margin)))
         cap = _default_budget(chain, window) if budget is None else budget
         for split in splittings:
             if commutator_rank(op, split) > cap:
@@ -460,10 +456,8 @@ def fan_from_twists(space, parts, twists, budget=None):
                     "twist does not almost commute with a part projector "
                     f"(budget {cap})"
                 )
-        members.append(member)
     return Fan(ambient=space, parts=tuple(p.base() for p in parts),
-               members=tuple(members),
-               construction=tuple(zip(parts, chains)))
+               members=tuple(members), construction=tuple(construction))
 
 
 def _invertible_on_window(op):
@@ -488,18 +482,16 @@ def fan_index(f):
     formula1 = sum(m.dim for m in f.members) - n
 
     formula2 = None
-    if f.construction is not None:
-        window = f.ambient.window
-        ops = [None if chain is None else chain.realize(window)
-               for _, chain in f.construction]
-        if all(op is None or _invertible_on_window(op) for op in ops):
-            acc = np.zeros((n, n), dtype=np.complex128)
-            for (part, _), op in zip(f.construction, ops):
-                p = part.base().projector()
-                acc += p if op is None else op.base_square() @ p
-            ker = n - rank(acc)
-            coker = n - rank(acc.conj().T)
-            formula2 = ker - coker
+    if f.construction is not None and all(
+            op is None or _invertible_on_window(op)
+            for _, op in f.construction):
+        acc = np.zeros((n, n), dtype=np.complex128)
+        for part, op in f.construction:
+            p = part.base().projector()
+            acc += p if op is None else op.base_square() @ p
+        ker = n - rank(acc)
+        coker = n - rank(acc.conj().T)
+        formula2 = ker - coker
 
     formula3 = sum(
         restricted_projection_index(m, p).index

@@ -27,9 +27,8 @@ import numpy as np
 from .errors import InvalidInput, DimensionMismatch, SelfLoopUnsupported
 from .fans import Interior, TwistChain
 from .morphisms import tilde_ind, twist_graph
-from .subspaces import Subspace, current_tolerance, direct_sum, pair_index
-from .windows import (ModeWindow, restricted_image, restricted_image_dim,
-                      window_rows_mask)
+from .subspaces import Subspace, direct_sum, pair_index
+from .windows import ModeWindow, image_dim
 
 __all__ = [
     "GraphEdge",
@@ -160,18 +159,11 @@ def _assembly(g, v, which, margin=0):
 
 
 def _member_dim(g, v, extra_factors=()):
-    """Dimension of the vertex member, counted without building it.
-
-    The rule is ``morphisms.tilde_ind``'s.  When the chain's certified
-    ratio sigma_min / sigma_max exceeds twice the tolerance, the member
-    dimension is counted by ``windows.restricted_image_dim``: only the
-    padded-domain columns that reach the image rows outside the window
-    (``TwistChain.outside_reach``) are pushed through the chain, as
-    identity columns, and their outside rows are multiplied by the same
-    rows of the padded incoming assembly (``Subspace.rows``, which
-    builds no frame for an assembly of coordinate halves).  Closer to
-    the cutoff the member is built by ``restricted_image``.
-    """
+    """Dimension of the vertex member: ``windows.image_dim`` of the
+    vertex chain followed by ``extra_factors``, on the padded incoming
+    assembly, with the chain's certified ratio.  Above the cutoff only
+    the identity columns that the chain pulls back from the rows outside
+    the window are pushed, and no member is built."""
     data = g.vertex_data[v]
     if isinstance(data, Subspace):
         return data.dim
@@ -179,15 +171,9 @@ def _member_dim(g, v, extra_factors=()):
     if window is None:
         return 0
     chain = data.then(*extra_factors)
-    if not chain.certified_ratio(window) > 2.0 * current_tolerance():
-        frame = _assembly(g, v, "in", margin=chain.margin).frame
-        cur, image = chain.apply(window, frame)
-        return restricted_image(image, window_rows_mask(cur, window)).dim
-    outside, cols = chain.outside_reach(window)
-    unit = Subspace._from_mask(cols).frame
-    image = chain.apply(window, unit)[1][outside]
-    return restricted_image_dim(
-        image, _assembly(g, v, "in", chain.margin).rows(cols))
+    return image_dim(chain.realize(window),
+                     _assembly(g, v, "in", chain.margin),
+                     chain.certified_ratio(window))
 
 
 def vertex_index(g, v):

@@ -29,11 +29,10 @@ from .subspaces import (
     Subspace,
     complement,
     current_tolerance,
-    dimension_index,
     intersection,
     singular_values,
 )
-from .windows import restricted_image, restricted_image_dim, windowed_graph
+from .windows import image_dim, restricted_image, windowed_graph
 
 __all__ = [
     "Correspondence",
@@ -181,13 +180,14 @@ class Twist:
     """An invertible windowed operator on one model space, almost
     commuting with its polarization.
 
-    The operator must be injective on its padded domain.  When it was
-    built from ``symbol`` itself, the symbol certifies that
-    (``circles.band_certificate``); otherwise, or when the certificate
-    does not reach twice the relative tolerance, the singular values of
-    the operator's matrix decide it, as a rank with the relative
-    tolerance.  Either way the decided ratio sigma_min / sigma_max (a
-    lower bound, for the certificate) is kept for :func:`tilde_ind`.
+    The operator must be injective on its padded domain.  When
+    ``circles.multiplication_operator`` built it, its symbol
+    (:attr:`symbol`) certifies that (``circles.certified_ratio``);
+    otherwise, or when the certificate does not reach twice the relative
+    tolerance, the singular values of the operator's matrix decide it,
+    as a rank with the relative tolerance.  Either way the decided ratio
+    sigma_min / sigma_max (a lower bound, for the certificate) is kept
+    for :func:`tilde_ind`.
 
     ``budget`` bounds the rank of the commutator with the sharp
     projector (:func:`commutator_rank`, which reads only the entries that
@@ -199,18 +199,17 @@ class Twist:
 
     base: ModelSpace
     operator: object
-    symbol: object = None
     budget: int = None
 
     def __post_init__(self):
         # circles builds twists, so it can only be imported at call time
-        from .circles import band_certificate
+        from .circles import certified_ratio
         op = self.operator
         if self.base.window is None:
             raise InvalidInput("twist base must carry a mode window")
         if op.base_window != self.base.window:
             raise DimensionMismatch("operator base window does not match space")
-        ratio = band_certificate(self.symbol, op)
+        ratio = 0.0 if self.symbol is None else certified_ratio(self.symbol)
         if not ratio:
             s = singular_values(op.matrix)
             full = s.size == op.domain_window.dim and s[0] > 0.0
@@ -221,6 +220,11 @@ class Twist:
         if self.budget is not None:
             if commutator_rank(op, self.base.splitting) > self.budget:
                 raise InvalidInput("twist commutator exceeds its rank budget")
+
+    @property
+    def symbol(self):
+        """The symbol that built the operator, or None."""
+        return self.operator._symbol
 
     @property
     def margin(self):
@@ -281,33 +285,20 @@ def tilde_ind(t):
     """Twist index: the padded flat half is pushed through the operator,
     intersected with the window, and paired against the sharp half.
 
-    The rank decision is the window intersection that builds the image:
-    the nullspace of the image rows outside the base window, under the
-    relative tolerance.  The pair index is then counted from dimensions.
-    When the twist's injectivity ratio sigma_min / sigma_max exceeds
-    twice the tolerance, the image dimension is counted by
-    ``windows.restricted_image_dim`` and no image frame or nullspace
-    basis is built: from the block of the operator at the outside rows
-    and the domain columns that reach them (``WindowedOperator.entries``;
-    a symbol-built operator's columns lie within its degree of the
-    window edges, and it builds no matrix) and the same rows of the
-    padded flat half, whatever the splitting (``Subspace.rows``, which
-    builds no frame for a coordinate half).  Closer to the cutoff the
-    image is built and orthonormalized (``apply_within_window``).
+    The rank decision is the window intersection of the image, decided
+    by ``windows.image_dim`` with the twist's injectivity ratio: counted
+    from the operator's block at the rows outside the window and the
+    same rows of the padded flat half (a symbol-built operator builds no
+    matrix for it), or built closer to the cutoff.  The pair index is
+    then counted from dimensions.
 
     Equals the winding number of the symbol determinant on circle
     models whose sharp half is the nonnegative-mode span.
     """
-    op = t.operator
     sharp = t.base.splitting.sharp
-    if t._injectivity_ratio > 2.0 * current_tolerance():
-        out = ~op.base_rows_mask()
-        cols = op.columns_reaching(out)
-        image_dim = restricted_image_dim(
-            op.entries(out, cols), t.base.flat_padded(t.margin).rows(cols))
-        return image_dim + sharp.dim - sharp.ambient_dim
-    flat_pad = t.base.flat_padded(t.margin)
-    return dimension_index(op.apply_within_window(flat_pad), sharp)
+    return (image_dim(t.operator, t.base.flat_padded(t.margin),
+                      t._injectivity_ratio)
+            + sharp.dim - sharp.ambient_dim)
 
 
 def twist_graph(t):

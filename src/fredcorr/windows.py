@@ -10,14 +10,17 @@ cropped to it.  This equals the window intersection of the true image
 and is what every windowed index in the package is built from; plain
 projection-cropping (take the image, chop the outside rows) is not used
 anywhere because it inflates dimensions for non-monomial symbols.
+Only :func:`image_dim` decides the dimension of an operator's windowed
+image (``WindowedOperator.apply_within_window``).
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidInput
-from .subspaces import Subspace, nullspace, rank
+from .subspaces import Subspace, current_tolerance, nullspace, rank
 
 __all__ = [
     "ModeWindow",
@@ -27,7 +30,7 @@ __all__ = [
     "pad_by_predicate",
     "window_rows_mask",
     "restricted_image",
-    "restricted_image_dim",
+    "image_dim",
     "windowed_graph",
 ]
 
@@ -162,17 +165,25 @@ def restricted_image(matrix, keep_rows):
     return Subspace.from_span(m[keep, :] @ inside)
 
 
-def restricted_image_dim(outside, rows):
-    """Dimension of :func:`restricted_image` of an operator applied to an
-    orthonormal frame, from ``outside``, the operator's block at the
-    range rows outside the window and the domain columns that reach
-    them, and ``rows``, the frame's rows at those columns.  It holds when
-    sigma_min / sigma_max of the operator exceeds twice the tolerance:
-    then every nullspace direction x of ``outside @ rows`` keeps
-    |M_base x|^2 >= (sigma_min^2 - tol^2 sigma_max^2) |x|^2, above the
-    orthonormalization cutoff, so the dimension is the columns minus
-    that rank (frame columns that vanish on these rows are dropped)."""
-    return rows.shape[1] - rank(outside @ rows[:, rows.any(axis=0)])
+def image_dim(op, sub, ratio):
+    """Dimension of ``op.apply_within_window(sub)``, for a windowed
+    operator whose sigma_min / sigma_max is at least ``ratio``.
+
+    Above twice the current tolerance it is counted, with no image frame
+    or nullspace basis: the columns of ``sub`` minus the rank of the
+    operator's block at the range rows outside the window and the domain
+    columns that reach them, times the same rows of ``sub`` (frame
+    columns that vanish on them are dropped).  The count is exact there:
+    every nullspace direction x of that product keeps |M_base x|^2 >=
+    (sigma_min^2 - tol^2 sigma_max^2) |x|^2, above the orthonormalization
+    cutoff.  Closer to the cutoff the image is built."""
+    if not ratio > 2.0 * current_tolerance():
+        return op.apply_within_window(sub).dim
+    out = ~op.base_rows_mask()
+    cols = op.columns_reaching(out)
+    rows = sub.rows(cols)
+    return rows.shape[1] - rank(op.entries(out, cols)
+                                @ rows[:, rows.any(axis=0)])
 
 
 def windowed_graph(matrix, keep_rows):
@@ -201,10 +212,15 @@ def _within(modes, others, lo, hi):
                                                              side="right")
 
 
+@functools.lru_cache(maxsize=64)
 def _channels_and_modes(window):
-    """The channel and the mode number of every coordinate."""
+    """The channel and the mode number of every coordinate, read-only:
+    operators on equal windows share one pair."""
     channel, pos = np.divmod(np.arange(window.dim), window.modes_per_channel)
-    return channel, pos - window.half_width
+    pos -= window.half_width
+    channel.setflags(write=False)
+    pos.setflags(write=False)
+    return channel, pos
 
 
 class WindowedOperator:
@@ -217,16 +233,16 @@ class WindowedOperator:
     derived from it, never stored, because cropping first would destroy
     the information needed to intersect with the window.
 
-    :meth:`entries` is the one way to read a block of the matrix.  A
-    symbol-built operator (:meth:`_of_symbol`, which only
-    ``circles.multiplication_operator`` calls) answers it from its symbol
-    by mode arithmetic, and builds its matrix on the first read of
-    ``matrix``; any other operator answers from its matrix.
+    :meth:`entries` is the one way to read a block of the matrix, and
+    :meth:`columns_reaching` names the columns a block needs.  An
+    operator answers both from what built it (:meth:`_lazy`): its symbol,
+    by mode arithmetic; its chain, until its matrix is built; or its
+    matrix.
     """
 
-    # the symbol of a symbol-built operator, recorded for
-    # circles.band_certificate
+    # what built a lazy operator (:meth:`_lazy`), None otherwise
     _symbol = None
+    _chain = None
 
     def __init__(self, domain_window, range_window, base_window, matrix):
         m = np.array(matrix, dtype=np.complex128)
@@ -240,14 +256,14 @@ class WindowedOperator:
         self._matrix = m
 
     @classmethod
-    def _of_symbol(cls, sym, domain_window, range_window, base_window, build):
-        """Operator of multiplication by ``sym``, whose matrix ``build()``
-        returns when something first reads it."""
+    def _lazy(cls, domain_window, range_window, base_window, build,
+              symbol=None, chain=None):
+        """Operator built from ``symbol`` or ``chain``, whose matrix
+        ``build()`` returns when something first reads it."""
         op = object.__new__(cls)
         op._set_windows(domain_window, range_window, base_window)
-        op._symbol = sym
-        op._build = build
-        op._matrix = None
+        op._symbol, op._chain = symbol, chain
+        op._build, op._matrix = build, None
         return op
 
     def _set_windows(self, domain_window, range_window, base_window):
@@ -277,17 +293,24 @@ class WindowedOperator:
         """The block of the matrix at range ``rows`` and domain ``cols``
         (index arrays or boolean masks), as a new array.  A symbol-built
         operator copies each entry from its symbol's coefficients, as the
-        band matrix does, and reads no matrix."""
+        band matrix does, and a chain-built one pushes the unit columns
+        ``cols`` through its chain; neither reads a matrix."""
         sym = self._symbol
-        if sym is None:
-            return self.matrix[np.ix_(rows, cols)]
-        power = (self._row_modes[rows][:, None]
-                 - self._col_modes[cols][None, :] - sym.d_min)
-        i, j = np.nonzero((power >= 0) & (power < sym.coeffs.shape[0]))
-        out = np.zeros(power.shape, dtype=np.complex128)
-        out[i, j] = sym.coeffs[power[i, j], self._row_channels[rows][i],
-                               self._col_channels[cols][j]]
-        return out
+        if sym is not None:
+            power = (self._row_modes[rows][:, None]
+                     - self._col_modes[cols][None, :] - sym.d_min)
+            i, j = np.nonzero((power >= 0) & (power < sym.coeffs.shape[0]))
+            out = np.zeros(power.shape, dtype=np.complex128)
+            out[i, j] = sym.coeffs[power[i, j], self._row_channels[rows][i],
+                                   self._col_channels[cols][j]]
+            return out
+        if self._matrix is None and self._chain is not None:
+            n = self.domain_window.dim
+            idx = np.arange(n)[cols]
+            unit = np.zeros((n, idx.size), dtype=np.complex128)
+            unit[idx, np.arange(idx.size)] = 1.0
+            return self._chain.apply(self.base_window, unit)[1][rows]
+        return self.matrix[np.ix_(rows, cols)]
 
     def _band(self):
         # an entry can be nonzero only if its row mode minus its column
@@ -305,7 +328,11 @@ class WindowedOperator:
 
     def columns_reaching(self, rows):
         """Mask of the domain columns that can have a nonzero entry in one
-        of the range rows ``rows`` (an index array or a mask)."""
+        of the range rows ``rows`` (an index array or a mask).  A
+        chain-built operator whose matrix is not built pulls the rows back
+        through its chain (``fans.TwistChain._pull_back_rows``)."""
+        if self._matrix is None and self._chain is not None:
+            return self._chain._pull_back_rows(self.base_window, rows)
         lo, hi = self._band()
         return _within(self._col_modes, self._row_modes[rows], -hi, -lo)
 

@@ -1,14 +1,18 @@
 """Small readers and dense references shared by the test files: the
 coordinate of a window mode, membership of a vector in a subspace, a
-twist re-based onto another splitting, and a graph vertex's member built
-as a frame (what ``graphs._member_dim`` counts without building)."""
+twist re-based onto another splitting, a graph vertex's member built
+as a frame (what ``graphs._member_dim`` counts without building), and
+the boundary pairing with its twisted image built (what
+``circles.mv_pairing`` counts)."""
 
 import numpy as np
 
 from fredcorr import graphs
+from fredcorr.circles import multiplication_operator
 from fredcorr.morphisms import Twist
-from fredcorr.subspaces import Subspace
-from fredcorr.windows import restricted_image, window_rows_mask
+from fredcorr.subspaces import Subspace, dimension_index, direct_sum
+from fredcorr.windows import (ModeWindow, pad_by_predicate, restricted_image,
+                              window_rows_mask)
 
 
 def coord(window, channel, n):
@@ -42,8 +46,7 @@ def contains(sub, other):
 def rebased(t, splitting):
     """The twist ``t`` over its base space with another splitting, with
     no commutator budget (a perturbation inflates the commutator)."""
-    return Twist(base=t.base.with_splitting(splitting), operator=t.operator,
-                 symbol=t.symbol)
+    return Twist(base=t.base.with_splitting(splitting), operator=t.operator)
 
 
 def pushed_assembly(g, v, extras=()):
@@ -69,3 +72,18 @@ def vertex_subspace(g, v):
         return graphs._assembly(g, v, "in")
     _, _, image, keep = pushed_assembly(g, v)
     return restricted_image(image, keep)
+
+
+def built_mv_pairing(sphere_pair, sym, n):
+    """``circles.mv_pairing`` with the twisted image of the padded n-fold
+    negative half built and orthonormalized (``apply_within_window``)."""
+    h_minus, h_plus = sphere_pair
+    half = h_minus.ambient_dim // 2
+    window = ModeWindow(half, channels=n)
+    op = multiplication_operator(sym, window)
+    padded = pad_by_predicate(direct_sum(*[h_minus] * n), window,
+                              op.domain_window.half_width - half,
+                              lambda m: m < 0)
+    twisted = dimension_index(op.apply_within_window(padded),
+                              direct_sum(*[h_plus] * n))
+    return twisted - n * dimension_index(h_minus, h_plus)

@@ -9,12 +9,8 @@ from fredcorr import fans, graphs
 from fredcorr.circles import LaurentSymbol, random_laurent_symbol, symbol_band_matrix
 from fredcorr.errors import DimensionMismatch
 from fredcorr.fans import TwistChain, finite_rank_twist
-from fredcorr.graphs import (
-    DecompositionGraph,
-    random_graph,
-    sphere_path_graph,
-)
-from fredcorr.subspaces import Subspace, current_tolerance
+from fredcorr.graphs import random_graph, sphere_path_graph
+from fredcorr.subspaces import Subspace
 from fredcorr.windows import ModeWindow, WindowedOperator
 
 from reference import coord, vertex_subspace
@@ -316,8 +312,8 @@ def test_dense_interior_is_scanned_once_at_construction(monkeypatch):
                                 ("sym", LaurentSymbol.monomial(1, channels=2))))
     assert calls == [(window.dim, window.dim)]
     longer = chain.then(("slot", (1, SLOT_SYMBOLS[1])))
-    longer.realize(window)
-    longer.outside_reach(window)
+    op = longer.realize(window)
+    op.columns_reaching(~op.base_rows_mask())
     longer.certified_ratio(window)
     assert len(calls) == 1
 
@@ -383,30 +379,3 @@ def test_member_count_equals_built_member_random(seed):
 def test_member_count_equals_built_member_sphere_path(k):
     twist = LaurentSymbol.monomial(k) if k else None
     assert_counts_equal_built_members(sphere_path_graph(6, twist=twist))
-
-
-def test_member_count_builds_the_image_near_the_cutoff(monkeypatch):
-    base = sphere_path_graph(6)
-    window = graphs._vertex_window(base, "out")
-    real = graphs.restricted_image
-    calls = []
-
-    def spy(image, keep):
-        calls.append(image.shape)
-        return real(image, keep)
-
-    monkeypatch.setattr(graphs, "restricted_image", spy)
-    tol = current_tolerance()
-    # mode -3 lies in the flat half that the incoming assembly holds
-    for scale, builds in ((1.5 * tol, True), (3.0 * tol, False)):
-        m = np.eye(window.dim, dtype=np.complex128)
-        m[coord(window, 0, -3), coord(window, 0, -3)] = scale
-        chain = TwistChain(factors=(("interior", m),))
-        assert chain.certified_ratio(window) == pytest.approx(scale)
-        g = DecompositionGraph(vertices=base.vertices, edges=dict(base.edges),
-                               vertex_data={**base.vertex_data, "out": chain})
-        calls.clear()
-        got = graphs._member_dim(g, "out")
-        assert bool(calls) == builds
-        assert got == vertex_subspace(g, "out").dim \
-            == built_member(g, "out").dim == 6

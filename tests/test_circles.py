@@ -50,7 +50,7 @@ from fredcorr.subspaces import (
 )
 from fredcorr.windows import ModeWindow
 
-from reference import contains, coord, mode_at, rebased
+from reference import built_mv_pairing, contains, coord, mode_at, rebased
 
 
 def matrix_symbol(d_min, *planes):
@@ -326,7 +326,7 @@ def _assert_block_and_dense_routes_agree(sym, circle, rebase_seed=None):
     space = circle.space()
     op = multiplication_operator(sym, circle.window)
     try:
-        t = Twist(base=space, operator=op, symbol=sym)
+        t = Twist(base=space, operator=op)
     except InvalidInput:
         # not injective below the certificate: refused either way
         with pytest.raises(InvalidInput):
@@ -337,9 +337,9 @@ def _assert_block_and_dense_routes_agree(sym, circle, rebase_seed=None):
     for budget in {max(r - 1, 0), r}:
         if r > budget:
             with pytest.raises(InvalidInput, match="rank budget"):
-                Twist(base=space, operator=op, symbol=sym, budget=budget)
+                Twist(base=space, operator=op, budget=budget)
         else:
-            Twist(base=space, operator=op, symbol=sym, budget=budget)
+            Twist(base=space, operator=op, budget=budget)
     # the structural bound that lets symbol_twist set no budget
     assert r <= 2 * sym.degree * sym.channels
     assert tilde_ind(symbol_twist(sym, circle)) == _dense_tilde_ind(t)
@@ -503,6 +503,20 @@ def test_mv_pairing_two_channel():
     assert mv_pairing(pair, sym, 2) == 1
     with pytest.raises(DimensionMismatch):
         mv_pairing(pair, sym, 1)
+
+
+@pytest.mark.parametrize("channels", [1, 2, 3])
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_mv_pairing_matches_the_built_route(channels, degree):
+    # the counted image against the built one, fault symbols and a zero
+    # just outside the circle (built on both routes) included
+    rng = np.random.default_rng([channels, degree, 12])
+    syms = _route_symbols(rng, channels, degree) + _symbols(rng, channels)
+    for sym in syms:
+        for m in (8, 32):
+            pair = sphere_hardy_pair(m)
+            assert mv_pairing(pair, sym, channels) \
+                == built_mv_pairing(pair, sym, channels)
 
 
 def test_random_symbol_shape():
@@ -702,10 +716,13 @@ def test_stored_polynomial_matches_the_dense_determinant_route():
     rng = np.random.default_rng(17)
     for _ in range(60):
         sym = _random_symbol(rng)
-        assert sym._sigma_floor == pytest.approx(
+        # the stored floors are in the scaled units, a power of two
+        unit = sym.norm_sum / sym._scaled_norm_sum
+        assert unit == 2.0 ** round(np.log2(unit))
+        assert sym._sigma_floor * unit == pytest.approx(
             _dense_floor(sym, VALIDATION_GRID), rel=1e-12)
         for n in (2 * VALIDATION_GRID, CERTIFICATE_GRID_CAP):
-            assert _grid_floor(sym, n)[1] == pytest.approx(
+            assert _grid_floor(sym, n)[1] * unit == pytest.approx(
                 _dense_floor(sym, n), rel=1e-12)
         assert (certified_ratio(sym) > 0) == (_dense_certified_ratio(sym) > 0)
         total, max_step = _phase_scan_by_loop(_dets(sym, CERTIFICATE_GRID_CAP))

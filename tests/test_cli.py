@@ -4,14 +4,19 @@ except one subprocess run that checks stderr for a traceback."""
 
 import argparse
 import cmath
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fredcorr import cli, graphs, subspaces
 from fredcorr.circles import LaurentSymbol, random_laurent_symbol
@@ -666,3 +671,52 @@ def test_chain_checks_the_ledger_against_the_link_sum(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert "[FAIL] ledger total equals chain total: expected 1, got 2" in out
     assert "[PASS] reduction orders agree" in out
+
+
+def _run_scenario_json(scenario):
+    """(exit code, results without the symbol, check statuses) of
+    ``cli.main`` on a scenario; any exception escapes."""
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "s.json")
+        with open(path, "w") as fh:
+            json.dump(scenario, fh)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(["index", path, "--format", "json"])
+    if code == 2:
+        return code, None, None
+    report = json.loads(out.getvalue())
+    report["results"].pop("symbol")
+    return code, report["results"], [c["status"] for c in report["checks"]]
+
+
+# magnitudes 1/8 .. 4 or zero: 2**k times each stays a normal float for
+# |k| <= 1000, so the scaled symbol is exactly 2**k A
+_COEFFICIENT = st.one_of(st.just(0.0), st.floats(0.125, 4.0),
+                         st.floats(-4.0, -0.125))
+
+
+@settings(deadline=None, max_examples=50)
+@given(data=st.data(), channels=st.integers(1, 2), planes=st.integers(1, 3),
+       d_min=st.integers(-2, 2), window=st.integers(2, 8),
+       k=st.integers(-1000, 1000),
+       kind=st.sampled_from(["twist", "rh_transmission"]))
+def test_integers_do_not_depend_on_the_symbol_scale(data, channels, planes,
+                                                    d_min, window, k, kind):
+    # the index of c A is the index of A; a power of two scales exactly
+    entries = data.draw(st.lists(
+        st.lists(st.lists(st.tuples(_COEFFICIENT, _COEFFICIENT),
+                          min_size=planes, max_size=planes),
+                 min_size=channels, max_size=channels),
+        min_size=channels, max_size=channels))
+    runs = []
+    for scale in (1.0, 2.0 ** k):
+        table = [[[[scale * re, scale * im] for re, im in cell]
+                  for cell in row] for row in entries]
+        runs.append(_run_scenario_json(
+            {"version": 1, "kind": kind, "window": window,
+             "symbol": {"d_min": d_min, "entries": table}}))
+    assert runs[0][0] in (0, 1, 2)
+    assert runs[0] == runs[1]
+

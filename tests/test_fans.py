@@ -29,7 +29,8 @@ def retwist(f, syms):
     """The fan rebuilt by ``fan_from_twists`` with each construction
     chain followed by one more symbol (None leaves the chain alone)."""
     chains = []
-    for (_, chain), sym in zip(f.construction, syms):
+    for (_, op), sym in zip(f.construction, syms):
+        chain = None if op is None else op._chain
         if sym is not None:
             chain = TwistChain(factors=(("sym", sym),)) if chain is None \
                 else chain.then(("sym", sym))
@@ -282,3 +283,32 @@ def test_part_commutator_count_matches_the_dense_commutator(monkeypatch):
     space, w = circle_setup()
     z = LaurentSymbol.monomial(1)
     fan_from_twists(space, partition_parts(w, [0]), [z, None], budget=1)
+
+
+def test_fan_index_reads_the_realized_operators(monkeypatch):
+    # each chain is realized once, by fan_from_twists; formula 2 reads
+    # the kept operators and stops at the first one that leaks
+    from fredcorr import fans
+    realized, checked = [], []
+    realize, invertible = TwistChain.realize, fans._invertible_on_window
+
+    def realize_spy(chain, window):
+        realized.append(chain)
+        return realize(chain, window)
+
+    def invertible_spy(op):
+        checked.append(op)
+        return invertible(op)
+
+    monkeypatch.setattr(TwistChain, "realize", realize_spy)
+    monkeypatch.setattr(fans, "_invertible_on_window", invertible_spy)
+    space, w = circle_setup()
+    f = fan_from_twists(space, partition_parts(w, [-2, 3]),
+                        [LaurentSymbol.monomial(1), None,
+                         LaurentSymbol.monomial(-1)])
+    ops = [op for _, op in f.construction]
+    assert ops[1] is None and len(realized) == 2
+    # z carries mode M out of the window, so formula 2 gives up at once
+    assert fan_index(f).formula2 is None
+    assert len(realized) == 2 and checked == [ops[0]]
+

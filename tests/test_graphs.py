@@ -125,8 +125,7 @@ class TestTorus:
         circle = twist_circle(6)
         op = multiplication_operator(LaurentSymbol.identity(1), circle.window)
         from fredcorr.morphisms import Twist
-        phi = Twist(base=circle.space(), operator=op,
-                    symbol=LaurentSymbol.identity(1))
+        phi = Twist(base=circle.space(), operator=op)
         l = twist_graph(phi)
         with pytest.warns(RuntimeWarning, match="degenerate"):
             assert global_index_selfglue(l, phi) == 0

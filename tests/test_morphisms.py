@@ -49,6 +49,7 @@ from fredcorr.spaces import (
 from fredcorr.subspaces import (
     Subspace,
     complement,
+    dimension_index,
     direct_sum,
     intersection,
     pair_index,
@@ -63,7 +64,8 @@ from fredcorr.windows import (
     pad_by_predicate,
 )
 
-from reference import contains, coord, mode_at, rebased
+from reference import (built_mv_pairing, contains, coord, mode_at, rebased,
+                       vertex_subspace)
 
 
 def index_report(l):
@@ -320,33 +322,64 @@ def test_twist_validation():
     assert commutator_rank(t.operator, h.splitting) == 1
 
 
-def test_twist_with_a_disagreeing_symbol_is_decided_by_its_operator():
-    from fredcorr.circles import band_certificate, multiplication_operator
-    h = circle_space(6, SHARP_NONNEG)
-    sym = LaurentSymbol.monomial(1)
-    good = multiplication_operator(sym, h.window)
-    assert band_certificate(sym, good) > 0
-    m = good.matrix.copy()
-    m[:, 3] = 0.0
-    bad = WindowedOperator(domain_window=good.domain_window,
-                           range_window=good.range_window,
-                           base_window=h.window, matrix=m)
-    assert band_certificate(sym, bad) == 0.0
-    with pytest.raises(InvalidInput):
-        Twist(base=h, operator=bad, symbol=sym)
-    # injective operators of other symbols: same windows, and wider ones
-    for other in (LaurentSymbol.monomial(1, coefficient=2.0),
-                  LaurentSymbol.monomial(-2)):
-        op = multiplication_operator(other, h.window)
-        assert band_certificate(sym, op) == 0.0
-        t = Twist(base=h, operator=op, symbol=sym)
-        assert t._injectivity_ratio == pytest.approx(1.0)
-
-
-def test_tilde_ind_builds_the_image_near_the_cutoff(monkeypatch):
-    from fredcorr.subspaces import current_tolerance, dimension_index
+def _near_cutoff_twist(scale):
+    # the shift z with column 4 (mode -3, inside the padded flat half)
+    # scaled down: sigma_min / sigma_max is ``scale``
     h = circle_space(6, SHARP_NONNEG)
     shift = shift_operator(h.window, 1)
+    m = shift.matrix.copy()
+    m[:, 4] *= scale
+    t = Twist(base=h, operator=WindowedOperator(
+        domain_window=shift.domain_window, range_window=shift.range_window,
+        base_window=h.window, matrix=m))
+    assert t._injectivity_ratio == pytest.approx(scale)
+    built = dimension_index(
+        t.operator.apply_within_window(t.base.flat_padded(t.margin)),
+        t.base.splitting.sharp)
+    return lambda: tilde_ind(t), built, 1
+
+
+def _near_cutoff_member(scale):
+    # an interior factor that scales mode -3, which lies in the flat half
+    # that the incoming assembly of vertex "out" holds
+    from fredcorr import graphs
+    from fredcorr.fans import TwistChain
+    from fredcorr.graphs import DecompositionGraph, sphere_path_graph
+    base = sphere_path_graph(6)
+    window = graphs._vertex_window(base, "out")
+    m = np.eye(window.dim, dtype=np.complex128)
+    m[coord(window, 0, -3), coord(window, 0, -3)] = scale
+    chain = TwistChain(factors=(("interior", m),))
+    assert chain.certified_ratio(window) == pytest.approx(scale)
+    g = DecompositionGraph(vertices=base.vertices, edges=dict(base.edges),
+                           vertex_data={**base.vertex_data, "out": chain})
+    return lambda: graphs._member_dim(g, "out"), vertex_subspace(g, "out").dim, 6
+
+
+def _near_cutoff_mv_pairing(scale, monkeypatch):
+    # z (1 + 0.3 z), winding 1, with its certified ratio set to ``scale``
+    from fredcorr import circles
+    monkeypatch.setattr(circles, "certified_ratio", lambda sym: scale)
+    sym = LaurentSymbol.scalar([1.0, 0.3], d_min=1)
+    pair = circles.sphere_hardy_pair(6)
+    return (lambda: circles.mv_pairing(pair, sym, 1),
+            built_mv_pairing(pair, sym, 1), 1)
+
+
+@pytest.mark.parametrize("case", ["twist", "member", "mv_pairing"])
+@pytest.mark.parametrize("factor, builds", [(1.5, True), (3.0, False)])
+def test_image_dim_builds_the_image_near_the_cutoff(monkeypatch, case,
+                                                    factor, builds):
+    # windows.image_dim counts above twice the tolerance and builds the
+    # image below it, for each of its callers
+    from fredcorr.subspaces import current_tolerance
+    scale = factor * current_tolerance()
+    if case == "twist":
+        compute, built, expected = _near_cutoff_twist(scale)
+    elif case == "member":
+        compute, built, expected = _near_cutoff_member(scale)
+    else:
+        compute, built, expected = _near_cutoff_mv_pairing(scale, monkeypatch)
     original = WindowedOperator.apply_within_window
     calls = []
 
@@ -355,21 +388,8 @@ def test_tilde_ind_builds_the_image_near_the_cutoff(monkeypatch):
         return original(op, sub)
 
     monkeypatch.setattr(WindowedOperator, "apply_within_window", spy)
-    tol = current_tolerance()
-    # column 4 is mode -3, inside the padded flat half
-    for scale, builds in ((1.5 * tol, True), (3.0 * tol, False)):
-        m = shift.matrix.copy()
-        m[:, 4] *= scale
-        t = Twist(base=h, operator=WindowedOperator(
-            domain_window=shift.domain_window, range_window=shift.range_window,
-            base_window=h.window, matrix=m))
-        assert t._injectivity_ratio == pytest.approx(scale)
-        calls.clear()
-        got = tilde_ind(t)
-        assert bool(calls) == builds
-        flat_pad = t.base.flat_padded(t.margin)
-        assert got == dimension_index(original(t.operator, flat_pad),
-                                      t.base.splitting.sharp) == 1
+    assert compute() == built == expected
+    assert bool(calls) == builds
 
 
 def test_commutator_rank_on_coordinate_splittings():
@@ -458,35 +478,61 @@ def test_coordinate_blocks_equal_the_frame_products(channels, convention):
             assert np.array_equal(got, _frame_route(split, op.base_square()))
 
 
-def test_band_certificate_comes_from_provenance():
-    from fredcorr.circles import (band_certificate, certified_ratio,
-                                  random_laurent_symbol, symbol_twist,
-                                  twist_circle)
+def test_twist_symbol_is_read_off_its_operator():
+    from fredcorr.circles import (certified_ratio, random_laurent_symbol,
+                                  symbol_twist, twist_circle)
+    from fredcorr.fans import TwistChain
+    from fredcorr.graphs import (DecompositionGraph, GraphEdge,
+                                 global_index_additive, global_index_fan)
     circle = twist_circle(8, channels=2)
     sym = random_laurent_symbol(np.random.default_rng(11), channels=2,
                                 degree=2)
-    op = multiplication_operator(sym, circle.window)
-    assert band_certificate(sym, op) == certified_ratio(sym) > 0
-    # the same matrix, built by hand: nothing recorded, nothing certified
+    t = symbol_twist(sym, circle)
+    assert t.symbol is t.operator._symbol is sym
+    assert t._injectivity_ratio == certified_ratio(sym) > 0
+    # the same matrix, built by hand: no symbol, so its singular values
+    # decide, and the index is the same
+    op = t.operator
     hand = WindowedOperator(domain_window=op.domain_window,
                             range_window=op.range_window,
                             base_window=op.base_window, matrix=op.matrix)
-    assert np.array_equal(hand.matrix, op.matrix)
-    assert band_certificate(sym, hand) == 0.0
-    # an equal symbol that is not the recorded one is not certified either
-    twin = LaurentSymbol(coeffs=sym.coeffs, d_min=sym.d_min)
-    assert band_certificate(twin, op) == 0.0
-    assert band_certificate(None, op) == 0.0
-    t = symbol_twist(sym, circle)
-    assert t._injectivity_ratio == certified_ratio(sym)
-    by_hand = Twist(base=circle.space(), operator=hand, symbol=sym,
-                    budget=t.budget)
+    by_hand = Twist(base=circle.space(), operator=hand)
+    assert by_hand.symbol is hand._symbol is None
     s = np.linalg.svd(op.matrix, compute_uv=False)
     assert by_hand._injectivity_ratio == pytest.approx(s[-1] / s[0])
     assert tilde_ind(by_hand) == tilde_ind(t)
     turned = perturb_splitting(t.base.splitting, 1, seed=3)
-    assert rebased(t, turned)._injectivity_ratio \
-        == t._injectivity_ratio
+    assert rebased(t, turned)._injectivity_ratio == t._injectivity_ratio
+    # a bare matrix that is not injective is refused
+    h = circle_space(6, SHARP_NONNEG)
+    good = multiplication_operator(LaurentSymbol.monomial(1), h.window)
+    m = good.matrix.copy()
+    m[:, 3] = 0.0
+    with pytest.raises(InvalidInput, match="not injective"):
+        Twist(base=h, operator=WindowedOperator(
+            domain_window=good.domain_window, range_window=good.range_window,
+            base_window=h.window, matrix=m))
+    # a graph edge twisted by a bare matrix: the additive route reads the
+    # operator, and the fan route, which composes the edge's symbol onto
+    # the target vertex, refuses it instead of disagreeing
+    scalar = twist_circle(6)
+    z = multiplication_operator(LaurentSymbol.monomial(1), scalar.window)
+    bare = Twist(base=scalar.space(), operator=WindowedOperator(
+        domain_window=z.domain_window, range_window=z.range_window,
+        base_window=z.base_window, matrix=z.matrix))
+    recipes = {"a": TwistChain(factors=()), "b": TwistChain(factors=())}
+    plain = DecompositionGraph(
+        vertices=("a", "b"),
+        edges={"e": GraphEdge("a", "b", scalar.space())},
+        vertex_data=recipes)
+    g = DecompositionGraph(
+        vertices=("a", "b"),
+        edges={"e": GraphEdge("a", "b", scalar.space(), twist=bare)},
+        vertex_data=recipes)
+    assert tilde_ind(bare) == 1
+    assert global_index_additive(g) == global_index_additive(plain) + 1
+    with pytest.raises(InvalidInput, match="edge twist carries no symbol"):
+        global_index_fan(g)
 
 
 def test_symbol_twist_builds_one_band_matrix(monkeypatch):
