@@ -478,12 +478,11 @@ def test_coordinate_blocks_equal_the_frame_products(channels, convention):
             assert np.array_equal(got, _frame_route(split, op.base_square()))
 
 
-def test_twist_symbol_is_read_off_its_operator():
+def test_band_certificate_comes_from_provenance():
+    # a twist's symbol is the one its operator was built from, and its
+    # certificate comes from that record, not from the matrix
     from fredcorr.circles import (certified_ratio, random_laurent_symbol,
                                   symbol_twist, twist_circle)
-    from fredcorr.fans import TwistChain
-    from fredcorr.graphs import (DecompositionGraph, GraphEdge,
-                                 global_index_additive, global_index_fan)
     circle = twist_circle(8, channels=2)
     sym = random_laurent_symbol(np.random.default_rng(11), channels=2,
                                 degree=2)
@@ -503,6 +502,15 @@ def test_twist_symbol_is_read_off_its_operator():
     assert tilde_ind(by_hand) == tilde_ind(t)
     turned = perturb_splitting(t.base.splitting, 1, seed=3)
     assert rebased(t, turned)._injectivity_ratio == t._injectivity_ratio
+
+
+def test_twist_with_a_disagreeing_symbol_is_decided_by_its_operator():
+    # a twist carries no symbol apart from its operator's, so nothing can
+    # disagree with the operator: a bare matrix is decided by itself
+    from fredcorr.circles import twist_circle
+    from fredcorr.fans import TwistChain
+    from fredcorr.graphs import (DecompositionGraph, GraphEdge,
+                                 global_index_additive, global_index_fan)
     # a bare matrix that is not injective is refused
     h = circle_space(6, SHARP_NONNEG)
     good = multiplication_operator(LaurentSymbol.monomial(1), h.window)
