@@ -368,9 +368,10 @@ def multiplication_operator(sym, base_window):
     for ``Twist.symbol``.  The operator reads its entries off the
     symbol (``WindowedOperator.entries``), and builds the band matrix
     (:func:`symbol_band_matrix`) once, when something first reads its
-    ``matrix``: ``twist_graph``, ``twisted_cap``, an image closer to the
-    cutoff than the certificate covers, and the commutator with a
-    splitting that records no mask.
+    ``matrix``: ``twist_graph``, the frame of a generic ``twisted_cap``
+    when something reads it, an image closer to the cutoff than the
+    certificate covers, and the commutator with a splitting that records
+    no mask.
     """
     if sym.channels != base_window.channels:
         raise DimensionMismatch("symbol channels do not match the windows")
@@ -432,6 +433,12 @@ def twisted_cap(circle, sym):
     index moves by exactly the winding number.  A scalar monomial c z^k
     maps the nonpositive modes onto the modes n <= k, so its cap is that
     coordinate span of the window, built with no operator.
+
+    Any other cap is a record (``Subspace._recorded``) of the dimension
+    that ``windows.image_dim`` counts.  Its frame is the operator's
+    window intersection of the padded half, built only when read.  Both
+    run on the symbol's power-of-two-scaled coefficients, so no band
+    matrix entry or singular value overflows.
     """
     space = circle.space()
     zero = ModelSpace.zero_space()
@@ -442,9 +449,12 @@ def twisted_cap(circle, sym):
         return Correspondence._span(space, zero, labels <= sym.d_min,
                                     _NO_MODES)
     cap = Subspace._from_mask(labels <= 0)
-    op = multiplication_operator(sym, circle.window)
+    scaled = LaurentSymbol(coeffs=sym._scaled_coeffs, d_min=sym.d_min)
+    op = multiplication_operator(scaled, circle.window)
     padded = pad_by_predicate(cap, circle.window, sym.degree, lambda n: n <= 0)
-    sub = op.apply_within_window(padded)
+    sub = Subspace._recorded(
+        space.dim, image_dim(op, padded, certified_ratio(sym)),
+        lambda: op.apply_within_window(padded).frame)
     return Correspondence(source=space, target=zero, subspace=sub)
 
 

@@ -9,8 +9,9 @@ pair computations.
 
 A pair index is counted from dimensions (``dimension_index``): the rank
 decisions that build the correspondence, the twisted image and the
-composite are the ones the integer depends on; an unrecorded composite
-is one window intersection of its fiber product.
+composite are the ones the integer depends on; a composite that is not
+a coordinate span, a diagonal graph or a diagonal's pull-back is one
+window intersection of its fiber product.
 """
 
 import math
@@ -82,7 +83,8 @@ class Correspondence:
     that is a coordinate span (:meth:`_span` builds one), and the ratio
     q of the graph of Q = diag(q^mode), which :meth:`_diagonal` records
     as ``_ratio``.  ``_ratio`` is None on every other correspondence, a
-    re-based one included.
+    re-based one included.  A diagonal's subspace is a record
+    (``Subspace._recorded``): its frame is built only when read.
     """
 
     source: ModelSpace
@@ -108,9 +110,10 @@ class Correspondence:
         at wide windows, where Q is still invertible."""
         if not 0.0 < q < math.inf:
             raise InvalidInput("diagonal ratio must be positive and finite")
-        frame = _diagonal_graph_frame(source.window.mode_labels(), q)
-        link = cls(source=source, target=target,
-                   subspace=Subspace._trusted(frame))
+        n = source.dim
+        sub = Subspace._recorded(2 * n, n, lambda: _diagonal_graph_frame(
+            source.window.mode_labels(), q))
+        link = cls(source=source, target=target, subspace=sub)
         object.__setattr__(link, "_ratio", q)
         return link
 
@@ -139,15 +142,12 @@ def compose(l1, l2):
     mask and the second target mask, span and diagonal in either order
     keep the span's masks, and two diagonals give the diagonal of
     q1 * q2.  A composite between two zero spaces is the zero subspace.
+    A diagonal and any other link L, in either order, compose to L
+    pulled back by Q, a record of dimension dim L.
 
-    Any other pair is one window intersection of its fiber product.
-    With L1 framed by [A1; B1] over H1 + H2 and L2 by [A2; B2] over
-    H2 + H3, the columns of [[A1, 0], [B1, -A2], [0, B2]] whose H2 rows
-    vanish are the pairs (u, v) with B1 u = A2 v, and their H1 + H3 rows
-    span the composite (``restricted_image``).  A direction with
-    A1 u = 0 and B2 v = 0 is a collapsed middle component, the kernel
-    part the defect ledger counts; it comes out as a zero column, which
-    the relative tolerance drops.
+    Any other pair, and a pull-back's frame when something reads it, is
+    one window intersection of the pair's fiber product
+    (:func:`_fiber_product`).
     """
     if not spaces_match(l1.target, l2.source):
         raise CompositionMismatch("target of first does not match source of second")
@@ -163,6 +163,28 @@ def compose(l1, l2):
         source_mask = m2[:n2] if m1 is None else m1[:n1]
         target_mask = m1[n1:] if m2 is None else m2[n2:]
         return Correspondence._span(source, target, source_mask, target_mask)
+    if q1 is None and q2 is None:
+        sub = _fiber_product(l1, l2)
+    else:
+        # Q is invertible, so the pull-back keeps the other link's dim
+        other = l2 if q2 is None else l1
+        sub = Subspace._recorded(n1 + target.dim, other.subspace.dim,
+                                 lambda: _fiber_product(l1, l2).frame)
+    return Correspondence(source=source, target=target, subspace=sub)
+
+
+def _fiber_product(l1, l2):
+    """The composite of two links as one window intersection.
+
+    With L1 framed by [A1; B1] over H1 + H2 and L2 by [A2; B2] over
+    H2 + H3, the columns of [[A1, 0], [B1, -A2], [0, B2]] whose H2 rows
+    vanish are the pairs (u, v) with B1 u = A2 v, and their H1 + H3 rows
+    span the composite (``restricted_image``).  A direction with
+    A1 u = 0 and B2 v = 0 is a collapsed middle component, the kernel
+    part the defect ledger counts; it comes out as a zero column, which
+    the relative tolerance drops.
+    """
+    n1, n2 = l1.source.dim, l1.target.dim
     f1, f2 = l1.subspace.frame, l2.subspace.frame
     k1 = f1.shape[1]
     fiber = np.zeros((n1 + f2.shape[0], k1 + f2.shape[1]), dtype=np.complex128)
@@ -171,8 +193,7 @@ def compose(l1, l2):
     fiber[n1 + n2:, k1:] = f2[n2:]
     keep = np.ones(fiber.shape[0], dtype=bool)
     keep[n1:n1 + n2] = False
-    return Correspondence(source=source, target=target,
-                          subspace=restricted_image(fiber, keep))
+    return restricted_image(fiber, keep)
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,6 +221,8 @@ class Twist:
     base: ModelSpace
     operator: object
     budget: int = None
+    # (tolerance, index) that tilde_ind last decided
+    _decided = None
 
     def __post_init__(self):
         # circles builds twists, so it can only be imported at call time
@@ -293,12 +316,19 @@ def tilde_ind(t):
     then counted from dimensions.
 
     Equals the winding number of the symbol determinant on circle
-    models whose sharp half is the nonnegative-mode span.
+    models whose sharp half is the nonnegative-mode span.  A twist keeps
+    its index with the tolerance that decided it, and returns it while
+    that tolerance is in force.
     """
+    tol = current_tolerance()
+    if t._decided is not None and t._decided[0] == tol:
+        return t._decided[1]
     sharp = t.base.splitting.sharp
-    return (image_dim(t.operator, t.base.flat_padded(t.margin),
-                      t._injectivity_ratio)
-            + sharp.dim - sharp.ambient_dim)
+    value = (image_dim(t.operator, t.base.flat_padded(t.margin),
+                       t._injectivity_ratio)
+             + sharp.dim - sharp.ambient_dim)
+    object.__setattr__(t, "_decided", (tol, value))
+    return value
 
 
 def twist_graph(t):

@@ -152,20 +152,19 @@ def nullspace(matrix, absolute_tol=None):
 
 @dataclass(frozen=True, eq=False)
 class Subspace:
-    """A subspace of C^n: an orthonormal frame of shape (n, k), or the
-    mask of a coordinate span.
+    """A subspace of C^n: an orthonormal frame of shape (n, k), the mask
+    of a coordinate span, or a record of its shape.
 
     ``k = 0`` frames are legal and represent the zero subspace.
 
     ``Subspace(frame)`` checks the Gram matrix, for frames from outside.
     Frames that are orthonormal by construction skip it via
     :meth:`_trusted`: SVD factors (``from_span``, ``intersection``,
-    ``complement``, ``restricted_image`` and so unrecorded composites),
-    the per-mode normalized graphs of
-    ``morphisms.Correspondence._diagonal`` and their row swap in
+    ``complement``, ``restricted_image`` and so fiber products), the
+    row swap of a diagonal's per-mode normalized graph in
     ``graphs.sphere_path_graph``, and valid frames placed on disjoint
     rows (``direct_sum`` and ``windows.pad_by_predicate`` of dense
-    blocks).
+    blocks).  So do the frames that records build.
 
     A coordinate span (``from_indices``, ``zero``, ``full``,
     :meth:`_from_mask`) is kept as its read-only boolean mask ``_mask``,
@@ -173,10 +172,22 @@ class Subspace:
     per selected direction in coordinate order, is built on the first
     read of ``frame`` and then kept; ``dim``, ``ambient_dim``,
     :meth:`rows` and the routes that meet coordinate spans read the mask.
+
+    A record (:meth:`_recorded`) keeps a counted ``(ambient_dim, dim)``
+    and the builder of its frame: the graph of Q = diag(q^mode) of
+    ``morphisms.Correspondence._diagonal``, a link pulled back by such a
+    diagonal in ``morphisms.compose``, and the generic
+    ``circles.twisted_cap``.  Its frame is built on the first read of
+    ``frame``, which raises when the built frame's shape is not the
+    recorded one, and then kept.
     """
 
     frame: np.ndarray
     _mask = None
+    # (ambient_dim, dim) of a coordinate span or a record, else None
+    _shape = None
+    # a record's frame builder, until it has run
+    _build = None
 
     def __post_init__(self):
         q = np.asarray(self.frame, dtype=np.complex128)
@@ -202,22 +213,40 @@ class Subspace:
         object.__setattr__(sub, "frame", q)
         return sub
 
+    @classmethod
+    def _recorded(cls, ambient_dim, dim, build):
+        """Subspace of the counted dimension ``dim`` in C^ambient_dim,
+        whose orthonormal frame ``build()`` returns on the first read."""
+        sub = object.__new__(cls)
+        object.__setattr__(sub, "_shape", (ambient_dim, dim))
+        object.__setattr__(sub, "_build", build)
+        return sub
+
     def __getattr__(self, name):
-        # only a coordinate span reaches here for its frame, on first read
-        if name != "frame" or self._mask is None:
+        # only a coordinate span or a record reaches here for its frame,
+        # on first read
+        if name != "frame" or self._shape is None:
             raise AttributeError(name)
-        q = self.rows(slice(None))
+        if self._mask is not None:
+            q = self.rows(slice(None))
+        else:
+            q = np.ascontiguousarray(self._build(), dtype=np.complex128)
+            if q.shape != self._shape:
+                raise DimensionMismatch(
+                    f"built frame has shape {q.shape}, the record "
+                    f"counts {self._shape}")
+            object.__setattr__(self, "_build", None)
         q.setflags(write=False)
         object.__setattr__(self, "frame", q)
         return q
 
     @property
     def ambient_dim(self):
-        return self.frame.shape[0] if self._mask is None else self._mask.size
+        return self.frame.shape[0] if self._shape is None else self._shape[0]
 
     @property
     def dim(self):
-        return self.frame.shape[1] if self._mask is None else self._dim
+        return self.frame.shape[1] if self._shape is None else self._shape[1]
 
     def rows(self, rows):
         """The rows ``rows`` (an index array, a mask or a slice) of the
@@ -229,7 +258,7 @@ class Subspace:
         hit = mask[coords]
         # the frame column of a selected coordinate counts the ones before it
         cols = np.cumsum(mask)[coords[hit]] - 1
-        out = np.zeros((coords.size, self._dim), dtype=np.complex128)
+        out = np.zeros((coords.size, self._shape[1]), dtype=np.complex128)
         out[np.flatnonzero(hit), cols] = 1.0
         return out
 
@@ -266,7 +295,8 @@ class Subspace:
         mask.setflags(write=False)
         sub = object.__new__(cls)
         object.__setattr__(sub, "_mask", mask)
-        object.__setattr__(sub, "_dim", int(np.count_nonzero(mask)))
+        object.__setattr__(sub, "_shape",
+                           (mask.size, int(np.count_nonzero(mask))))
         return sub
 
     def projector(self):

@@ -687,7 +687,7 @@ def _run_scenario_json(scenario):
     if code == 2:
         return code, None, None
     report = json.loads(out.getvalue())
-    report["results"].pop("symbol")
+    report["results"].pop("symbol", None)
     return code, report["results"], [c["status"] for c in report["checks"]]
 
 
@@ -697,14 +697,17 @@ _COEFFICIENT = st.one_of(st.just(0.0), st.floats(0.125, 4.0),
                          st.floats(-4.0, -0.125))
 
 
-@settings(deadline=None, max_examples=50)
-@given(data=st.data(), channels=st.integers(1, 2), planes=st.integers(1, 3),
+@settings(deadline=None, max_examples=100)
+@given(data=st.data(), planes=st.integers(1, 3),
        d_min=st.integers(-2, 2), window=st.integers(2, 8),
        k=st.integers(-1000, 1000),
-       kind=st.sampled_from(["twist", "rh_transmission"]))
-def test_integers_do_not_depend_on_the_symbol_scale(data, channels, planes,
-                                                    d_min, window, k, kind):
-    # the index of c A is the index of A; a power of two scales exactly
+       kind=st.sampled_from(["twist", "rh_transmission", "chain", "sphere"]))
+def test_integers_do_not_depend_on_the_symbol_scale(data, planes, d_min,
+                                                    window, k, kind):
+    # the index of c A is the index of A; a power of two scales exactly.
+    # chain and sphere scenarios carry the symbol as their scalar cap twist
+    capped = kind in ("chain", "sphere")
+    channels = 1 if capped else data.draw(st.integers(1, 2))
     entries = data.draw(st.lists(
         st.lists(st.lists(st.tuples(_COEFFICIENT, _COEFFICIENT),
                           min_size=planes, max_size=planes),
@@ -714,9 +717,24 @@ def test_integers_do_not_depend_on_the_symbol_scale(data, channels, planes,
     for scale in (1.0, 2.0 ** k):
         table = [[[[scale * re, scale * im] for re, im in cell]
                   for cell in row] for row in entries]
+        sym = {"d_min": d_min, "entries": table}
         runs.append(_run_scenario_json(
             {"version": 1, "kind": kind, "window": window,
-             "symbol": {"d_min": d_min, "entries": table}}))
+             **({"twists": [sym]} if capped else {"symbol": sym})}))
     assert runs[0][0] in (0, 1, 2)
     assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("kind, total", [("rh_transmission", "sphere_total"),
+                                         ("chain", "total")])
+def test_a_cap_with_the_largest_coefficients_keeps_the_sphere_total(kind,
+                                                                    total):
+    # 1.7e308 + 0.5e308 z: the band matrix's largest singular value,
+    # 2.2e308, is not a float, so the cap counts on scaled coefficients
+    sym = {"d_min": 0, "entries": [[[1.7e308, 0.5e308]]]}
+    key = "twists" if kind == "chain" else "symbol"
+    code, results, checks = _run_scenario_json(
+        {"version": 1, "kind": kind, key: [sym] if kind == "chain" else sym})
+    assert code == 0 and set(checks) == {"PASS"}
+    assert results[total] == 1
 

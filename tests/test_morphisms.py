@@ -10,15 +10,18 @@ import itertools
 import numpy as np
 import pytest
 
-from fredcorr import morphisms
+from fredcorr import morphisms, subspaces
 from fredcorr.circles import (
     LaurentSymbol,
     annulus_correspondence,
     chain_circle,
     disk_correspondence,
     multiplication_operator,
+    symbol_twist,
+    twist_circle,
     twisted_cap,
     weighted_diagonal,
+    winding_number,
 )
 from fredcorr.errors import CompositionMismatch, DimensionMismatch, InvalidInput
 from fredcorr.morphisms import (
@@ -56,7 +59,7 @@ from fredcorr.subspaces import (
     random_subspace,
     subspaces_equal,
 )
-from fredcorr.verify import _rebased
+from fredcorr.verify import _random_chain, _random_composable_pair, _rebased
 from fredcorr.windows import (
     ModeWindow,
     WindowedOperator,
@@ -793,3 +796,127 @@ def test_diagonal_frame_equals_the_per_mode_loop(channels, q):
 def test_weighted_diagonal_refuses_a_singular_ratio(q):
     with pytest.raises(InvalidInput):
         weighted_diagonal(chain_circle(3), q)
+
+
+def _spy(monkeypatch, owner, name, calls):
+    real = getattr(owner, name)
+    monkeypatch.setattr(owner, name,
+                        lambda *a: calls.append(name) or real(*a))
+
+
+@pytest.mark.parametrize("cap", [LaurentSymbol.monomial(-2, coefficient=1.5),
+                                 LaurentSymbol.scalar([1.0, 0.3], d_min=0)],
+                         ids=["monomial", "generic"])
+def test_ledger_builds_no_frame_of_a_record(monkeypatch, cap):
+    # the annuli, their pull-backs and the generic cap are records: the
+    # chain total and the ledger read their dimensions in every order
+    built = []
+    for owner, name in ((morphisms, "_diagonal_graph_frame"),
+                        (morphisms, "_fiber_product"),
+                        (WindowedOperator, "apply_within_window")):
+        _spy(monkeypatch, owner, name, built)
+    circles = [chain_circle(8, r) for r in (2.0, 1.6, 1.1, 0.7)]
+    annuli = [annulus_correspondence(a, b) for a, b in zip(circles, circles[1:])]
+    chain = Chain(links=(disk_correspondence(circles[0], "incoming"), *annuli,
+                         twisted_cap(circles[-1], cap)))
+    total = chain_total_index(chain)
+    assert total == 1 + winding_number(cap)
+    for order in itertools.permutations(range(len(chain) - 1)):
+        assert reduce_chain_ledger(chain, order).total == total
+    assert built == []
+    # a frame read afterwards is the one the diagonal builds
+    labels = circles[0].window.mode_labels()
+    for a in (*annuli, compose(annuli[0], annuli[1])):
+        frame = a.subspace.frame
+        assert np.array_equal(frame,
+                              morphisms._diagonal_graph_frame(labels, a._ratio))
+        assert not frame.flags.writeable and a.subspace.frame is frame
+        Subspace(frame)
+
+
+def _three_plane_draw(seed=2026):
+    """c z (z - r1)(z - r2) with seeded |r| in [1.5, 4) and |c| in
+    [0.5, 1.5): three planes, both zeros outside the disk."""
+    rng = np.random.default_rng(seed)
+    roots = (1.5 + 2.5 * rng.random(2)) * np.exp(2j * np.pi * rng.random(2))
+    c = (0.5 + rng.random()) * np.exp(2j * np.pi * rng.random())
+    return LaurentSymbol.scalar(c * np.poly(roots)[::-1], d_min=1)
+
+
+# (z - 3)(z + 2.5) / 8 has a scaled copy that differs by a power of two
+_CAP_SYMBOLS = {
+    "1+0.3z": LaurentSymbol.scalar([1.0, 0.3], d_min=0),
+    "(z-3)(z+2.5)/8": LaurentSymbol.scalar([-0.9375, -0.0625, 0.125], d_min=0),
+    "draw": _three_plane_draw(),
+}
+
+
+@pytest.mark.parametrize("m", [8, 32, 64, 128])
+@pytest.mark.parametrize("name", list(_CAP_SYMBOLS))
+def test_cap_and_pullback_records_match_the_built_routes(m, name):
+    sym = _CAP_SYMBOLS[name]
+    outer, inner = chain_circle(m, 2.0), chain_circle(m, 1.0)
+    cap = twisted_cap(inner, sym)
+    a = annulus_correspondence(outer, inner)
+    pulled = compose(a, cap)
+    # read both recorded dims before any frame is built
+    dims = (cap.subspace.dim, pulled.subspace.dim)
+    window = inner.window
+    padded = pad_by_predicate(mode_span(window, lambda n: n <= 0), window,
+                              sym.degree, lambda n: n <= 0)
+    built = multiplication_operator(sym, window).apply_within_window(padded)
+    fiber = morphisms._fiber_product(a, cap)
+    assert dims == (built.dim, fiber.dim) == (built.dim, built.dim)
+    for sub in (cap.subspace, pulled.subspace):
+        Subspace(sub.frame)
+    assert subspaces_equal(cap.subspace, built)
+
+
+def _diagonal_pairs():
+    """The criteria 05-06 pairs, each link composed with a diagonal on
+    either side (a pull-back), then the adjacent links of criterion 07's
+    chains (a diagonal next to a disk, an annulus or a monomial cap)."""
+    for i in range(50):
+        l1, l2 = _random_composable_pair(np.random.default_rng([5, i]))
+        yield Correspondence._diagonal(l1.source, l1.source, 0.7), l1
+        yield l1, Correspondence._diagonal(l1.target, l1.target, 1.3)
+        yield l2, Correspondence._diagonal(l2.target, l2.target, 0.4)
+    for i in range(20):
+        chain, _ = _random_chain(np.random.default_rng([7, i]))
+        yield from zip(chain.links, chain.links[1:])
+
+
+def test_diagonal_composites_of_the_criteria_links_match_the_fiber_route():
+    pulled = 0
+    for l1, l2 in _diagonal_pairs():
+        c = compose(l1, l2)
+        # a mask or a record: no frame is built to compose
+        assert c.subspace._shape is not None
+        if c._ratio is None and c.subspace._mask is None:
+            pulled += 1
+            other = l2 if l1._ratio is not None else l1
+            assert c.subspace.dim == other.subspace.dim
+        assert c.subspace.dim == morphisms._fiber_product(l1, l2).dim
+        Subspace(c.subspace.frame)
+    assert pulled == 150
+
+
+def test_a_record_refuses_a_frame_of_another_dimension():
+    sub = Subspace._recorded(4, 2, lambda: np.eye(4)[:, :1])
+    assert (sub.ambient_dim, sub.dim) == (4, 2)
+    with pytest.raises(DimensionMismatch, match="record"):
+        sub.frame
+
+
+def test_a_twist_decides_its_index_once(monkeypatch):
+    calls = []
+    _spy(monkeypatch, morphisms, "image_dim", calls)
+    # z^2 (1 + 0.3 z) winds twice
+    t = symbol_twist(LaurentSymbol.scalar([1.0, 0.3], d_min=2),
+                     twist_circle(8))
+    assert tilde_ind(t) == tilde_ind(t) == 2
+    assert len(calls) == 1
+    # a rebound tolerance decides it again, and then keeps that
+    monkeypatch.setattr(subspaces, "DEFAULT_TOL", 1e-7)
+    assert tilde_ind(t) == tilde_ind(t) == 2
+    assert len(calls) == 2
