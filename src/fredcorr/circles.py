@@ -36,6 +36,7 @@ from .spaces import (
 from .subspaces import (
     MIN_DET,
     Subspace,
+    _power_of_two_scaled,
     current_tolerance,
     direct_sum,
 )
@@ -147,9 +148,9 @@ class LaurentSymbol:
     evaluating |P| on ``VALIDATION_GRID`` points, relative to the largest
     value S^c that the coefficients allow |det| there.  All but
     ``norm_sum`` are taken on ``_scaled_coeffs``, the coefficients over
-    the power of two of their largest real or imaginary part: exact, and
-    free of the squares that overflow above 1e154 and underflow below
-    1e-162.  Each reader compares quantities of one degree, so the
+    the power of two of their largest real or imaginary part
+    (``subspaces._power_of_two_scaled``, which the relative rank cutoffs
+    share).  Each reader compares quantities of one degree, so the
     scale cancels.
     """
 
@@ -173,14 +174,10 @@ class LaurentSymbol:
         d_max = d_min + hi - lo
         c = c[lo: hi + 1].copy()
         c.setflags(write=False)
-        parts = c.view(np.float64)
-        # NaN != 0 and infinity kept their planes, and the peak shows them
-        peak = np.abs(parts).max()
-        if not math.isfinite(peak):
+        # NaN != 0 and infinity kept their planes
+        if not np.isfinite(c).all():
             raise InvalidInput("symbol coefficients must be finite")
-        # 2**exponent <= peak < 2**(exponent + 1), and 2.0**exponent is finite
-        exponent = math.frexp(peak)[1] - 1
-        scaled = np.ldexp(parts, -exponent).view(np.complex128)
+        scaled, exponent = _power_of_two_scaled(c)
         scaled.setflags(write=False)
         norms = np.linalg.norm(scaled, axis=(1, 2))
         # sum_p |d_min + p| ||A_p||_F bounds |dA/dtheta| on the circle
@@ -203,6 +200,11 @@ class LaurentSymbol:
     @property
     def channels(self):
         return self.coeffs.shape[1]
+
+    @property
+    def reach(self):
+        """Modes by which a symbol action pads its domain: the degree."""
+        return self.degree
 
     @classmethod
     def identity(cls, channels=1):
@@ -230,13 +232,17 @@ class LaurentSymbol:
         """Pointwise matrix product self(z) @ other(z)."""
         if self.channels != other.channels:
             raise DimensionMismatch("channel counts differ")
-        pa, pb = self.coeffs.shape[0], other.coeffs.shape[0]
-        out = np.zeros((pa + pb - 1, self.channels, self.channels),
-                       dtype=np.complex128)
-        for a in range(pa):
-            for b in range(pb):
-                out[a + b] += self.coeffs[a] @ other.coeffs[b]
-        return LaurentSymbol(coeffs=out, d_min=self.d_min + other.d_min)
+        return LaurentSymbol(coeffs=_plane_product(self.coeffs, other.coeffs),
+                             d_min=self.d_min + other.d_min)
+
+
+def _plane_product(a, b):
+    """Coefficient planes of the product of two matrix polynomials."""
+    out = np.zeros((len(a) + len(b) - 1,) + a.shape[1:], dtype=np.complex128)
+    for i, pa in enumerate(a):
+        for j, pb in enumerate(b):
+            out[i + j] += pa @ pb
+    return out
 
 
 def winding_number(sym):
@@ -362,9 +368,10 @@ def certified_ratio(sym):
 def multiplication_operator(sym, base_window):
     """Windowed operator of multiplication by a Laurent symbol.
 
-    The domain is the base window padded by the symbol degree; the range
-    is padded by twice the degree so that no output mode of any padded
-    input is truncated.  Only here is ``sym`` recorded on the operator,
+    The domain is the base window padded by the symbol's reach, which the
+    callers read back as the operator's ``margin``; the range pads the
+    domain by the degree, so no output mode of any padded input is
+    truncated.  Only here is ``sym`` recorded on the operator,
     for ``Twist.symbol``.  The operator reads its entries off the
     symbol (``WindowedOperator.entries``), and builds the band matrix
     (:func:`symbol_band_matrix`) once, when something first reads its
@@ -375,9 +382,8 @@ def multiplication_operator(sym, base_window):
     """
     if sym.channels != base_window.channels:
         raise DimensionMismatch("symbol channels do not match the windows")
-    d = sym.degree
-    domain = base_window.pad(d)
-    rng_w = base_window.pad(2 * d)
+    domain = base_window.pad(sym.reach)
+    rng_w = domain.pad(sym.degree)
     return WindowedOperator._lazy(
         domain, rng_w, base_window,
         lambda: symbol_band_matrix(sym, domain, rng_w), symbol=sym)
@@ -391,8 +397,6 @@ def symbol_twist(sym, circle):
     within the symbol degree of the splitting cut), so the structural
     bound 2 * degree * channels could never refuse.
     """
-    if sym.channels != circle.channels:
-        raise DimensionMismatch("symbol channels do not match the circle")
     op = multiplication_operator(sym, circle.window)
     return Twist(base=circle.space(), operator=op)
 
@@ -435,23 +439,20 @@ def twisted_cap(circle, sym):
     coordinate span of the window, built with no operator.
 
     Any other cap is a record (``Subspace._recorded``) of the dimension
-    that ``windows.image_dim`` counts.  Its frame is the operator's
-    window intersection of the padded half, built only when read.  Both
-    run on the symbol's power-of-two-scaled coefficients, so no band
-    matrix entry or singular value overflows.
+    that ``windows.image_dim`` counts on the half padded by the
+    operator's margin.  Its frame is the operator's window intersection
+    of that half, built only when read.  Their relative cutoffs scale
+    each block by a power of two, so no singular value overflows.
     """
     space = circle.space()
     zero = ModelSpace.zero_space()
     labels = circle.window.mode_labels()
-    if sym is None:
-        return Correspondence._span(space, zero, labels <= 0, _NO_MODES)
-    if sym.coeffs.shape == (1, 1, 1) and circle.channels == 1:
-        return Correspondence._span(space, zero, labels <= sym.d_min,
-                                    _NO_MODES)
-    cap = Subspace._from_mask(labels <= 0)
-    scaled = LaurentSymbol(coeffs=sym._scaled_coeffs, d_min=sym.d_min)
-    op = multiplication_operator(scaled, circle.window)
-    padded = pad_by_predicate(cap, circle.window, sym.degree, lambda n: n <= 0)
+    if sym is None or sym.coeffs.shape == (1, 1, 1) and circle.channels == 1:
+        k = 0 if sym is None else sym.d_min
+        return Correspondence._span(space, zero, labels <= k, _NO_MODES)
+    op = multiplication_operator(sym, circle.window)
+    padded = pad_by_predicate(Subspace._from_mask(labels <= 0), circle.window,
+                              op.margin, lambda n: n <= 0)
     sub = Subspace._recorded(
         space.dim, image_dim(op, padded, certified_ratio(sym)),
         lambda: op.apply_within_window(padded).frame)
@@ -519,16 +520,14 @@ def mv_pairing(sphere_pair, sym, n):
         raise DimensionMismatch("pair halves live in different spaces")
     if h_minus.ambient_dim % 2 != 1:
         raise InvalidInput("pair must live on a symmetric mode window")
-    if sym.channels != n:
-        raise DimensionMismatch("symbol must have n channels")
     window = ModeWindow(h_minus.ambient_dim // 2, channels=n)
-    padded = pad_by_predicate(direct_sum(*[h_minus] * n), window, sym.degree,
+    op = multiplication_operator(sym, window)
+    padded = pad_by_predicate(direct_sum(*[h_minus] * n), window, op.margin,
                               lambda m: m < 0)
-    return (image_dim(multiplication_operator(sym, window), padded,
-                      certified_ratio(sym)) - n * h_minus.dim)
+    return image_dim(op, padded, certified_ratio(sym)) - n * h_minus.dim
 
 
-def _unipotent_factor(rng, channels, degree, upper):
+def _unipotent(rng, channels, degree, upper):
     # det == 1 identically: triangular nilpotent part, nonnegative powers only
     coeffs = np.zeros((degree + 1, channels, channels), dtype=np.complex128)
     coeffs[0] = np.eye(channels)
@@ -536,7 +535,7 @@ def _unipotent_factor(rng, channels, degree, upper):
         block = rng.standard_normal((channels, channels)) \
             + 1j * rng.standard_normal((channels, channels))
         coeffs[p] += 0.6 * (np.triu(block, k=1) if upper else np.tril(block, k=-1))
-    return LaurentSymbol(coeffs=coeffs, d_min=0)
+    return coeffs
 
 
 def random_laurent_symbol(rng, channels=1, degree=2):
@@ -555,24 +554,21 @@ def random_laurent_symbol(rng, channels=1, degree=2):
     ks = rng.integers(-1, 2, size=channels)
     pbud = max(degree - 1, 0)
     up_deg = int(rng.integers(0, pbud + 1))
-    d = np.zeros((3, channels, channels), dtype=np.complex128)
+    diag = np.zeros((3, channels, channels), dtype=np.complex128)
     for i, k in enumerate(ks):
         c = 0.5 + rng.uniform(0.0, 1.5) * np.exp(2j * np.pi * rng.uniform())
-        d[int(k) + 1, i, i] = c
-    diag = LaurentSymbol(coeffs=d, d_min=-1)
-    mix = _unipotent_factor(rng, channels, up_deg, upper=True).product(
-        _unipotent_factor(rng, channels, pbud - up_deg, upper=False))
-    sym = diag.product(mix) if rng.random() < 0.5 else mix.product(diag)
+        diag[int(k) + 1, i, i] = c
+    mix = _plane_product(_unipotent(rng, channels, up_deg, True),
+                         _unipotent(rng, channels, pbud - up_deg, False))
+    coeffs = (_plane_product(diag, mix) if rng.random() < 0.5
+              else _plane_product(mix, diag))
     if channels > 1:
-        u, _ = np.linalg.qr(rng.standard_normal((channels, channels))
-                            + 1j * rng.standard_normal((channels, channels)))
-        v, _ = np.linalg.qr(rng.standard_normal((channels, channels))
-                            + 1j * rng.standard_normal((channels, channels)))
-        c = sym.coeffs.copy()
-        for p in range(c.shape[0]):
-            c[p] = u @ c[p] @ v
-        sym = LaurentSymbol(coeffs=c, d_min=sym.d_min)
-    return sym
+        # the real and imaginary parts of U, then of V
+        g = rng.standard_normal((2, 2, channels, channels))
+        u, v = (np.linalg.qr(re + 1j * im)[0] for re, im in g)
+        for p in range(coeffs.shape[0]):
+            coeffs[p] = u @ coeffs[p] @ v
+    return LaurentSymbol(coeffs=coeffs, d_min=-1)
 
 
 def stabilization_m0(degree, k=0):

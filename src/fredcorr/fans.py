@@ -144,7 +144,8 @@ class TwistChain:
 
     @property
     def margin(self):
-        return sum(_symbol_of(kind, data).degree
+        """Modes by which the chain pads its domain: its symbols' reaches."""
+        return sum(_symbol_of(kind, data).reach
                    for kind, data in self.factors if kind != "interior")
 
     def then(self, *factors):
@@ -152,19 +153,17 @@ class TwistChain:
         return TwistChain(factors=self.factors + factors)
 
     def _steps(self, window):
-        """(kind, data, symbol or None, window it acts on) of each factor,
-        first first, and the range window; a factor that does not fit its
-        window is refused."""
+        """(kind, data, symbol or None, source window, target window) of
+        each factor, first first, and the range window; a symbol or slot
+        factor widens its source by its degree, and a factor that does
+        not fit its window is refused."""
         cur = window.pad(self.margin)
         steps = []
         for kind, data in self.factors:
-            if kind == "interior":
-                if data.dim != window.dim:
-                    raise DimensionMismatch(
-                        "interior factor is not square on the base window")
-                steps.append((kind, data, None, cur))
-                continue
-            sym = _symbol_of(kind, data)
+            sym = None if kind == "interior" else _symbol_of(kind, data)
+            if sym is None and data.dim != window.dim:
+                raise DimensionMismatch(
+                    "interior factor is not square on the base window")
             if kind == "sym" and sym.channels != cur.channels:
                 raise DimensionMismatch(
                     "symbol channels do not match the windows")
@@ -172,8 +171,9 @@ class TwistChain:
                                    or not 0 <= data[0] < cur.channels):
                 raise DimensionMismatch(
                     "slot factor does not act on one channel")
-            steps.append((kind, data, sym, cur))
-            cur = cur.pad(sym.degree)
+            nxt = cur if sym is None else cur.pad(sym.degree)
+            steps.append((kind, data, sym, cur, nxt))
+            cur = nxt
         return steps, cur
 
     def apply(self, window, frame):
@@ -187,13 +187,11 @@ class TwistChain:
         if out.shape[0] != window.pad(self.margin).dim:
             raise DimensionMismatch("frame does not match the padded window")
         steps, end = self._steps(window)
-        for kind, data, sym, cur in steps:
+        for kind, data, sym, cur, nxt in steps:
             if sym is None:
                 rows = _interior_rows(data.support, window, cur)
                 out[rows] = data.block @ out[rows]
-                continue
-            nxt = cur.pad(sym.degree)
-            if kind == "sym":
+            elif kind == "sym":
                 out = _band_apply(sym, cur, nxt, out)
             else:
                 ch = data[0]
@@ -216,23 +214,23 @@ class TwistChain:
         adds its whole support when they meet it.  The column mask may
         hold extra columns, whose images vanish on those rows."""
         steps, end = self._steps(window)
-        # reach[c, j] stands for coordinate c * per + j of the window
-        reach = np.zeros((end.channels, end.modes_per_channel), dtype=bool)
-        reach.reshape(-1)[rows] = True
-        for kind, data, sym, cur in reversed(steps):
+        # mask[c, j] stands for coordinate c * per + j of the window
+        mask = np.zeros((end.channels, end.modes_per_channel), dtype=bool)
+        mask.reshape(-1)[rows] = True
+        for kind, data, sym, cur, nxt in reversed(steps):
             if sym is None:
                 on = _interior_rows(data.support, window, cur)
-                flat = reach.reshape(-1)
+                flat = mask.reshape(-1)
                 if flat[on].any():
                     flat[on] = True
             elif kind == "sym":
-                reach = _pull_back(sym, cur, reach)
+                mask = _pull_back(sym, cur, nxt, mask)
             else:
-                ch, d = data[0], sym.degree
-                lifted = reach[:, d:d + cur.modes_per_channel].copy()
-                lifted[ch] = _pull_back(sym, cur, reach[ch:ch + 1])[0]
-                reach = lifted
-        return reach.reshape(-1)
+                ch, d = data[0], nxt.half_width - cur.half_width
+                lifted = mask[:, d:d + cur.modes_per_channel].copy()
+                lifted[ch] = _pull_back(sym, cur, nxt, mask[ch:ch + 1])[0]
+                mask = lifted
+        return mask.reshape(-1)
 
     def realize(self, window):
         """Windowed operator of the whole chain over ``window``, which
@@ -257,18 +255,15 @@ class TwistChain:
         """
         from .circles import certified_ratio
         ratio = 1.0
-        cur = window.pad(self.margin)
-        for kind, data in self.factors:
-            if kind == "interior":
+        for kind, data, sym, cur, _ in self._steps(window)[0]:
+            if sym is None:
                 ratio *= _interior_ratio(data, cur.dim)
             else:
-                sym = _symbol_of(kind, data)
                 sym_ratio = certified_ratio(sym)
                 if kind == "slot":
                     scale = sym.norm_sum
                     sym_ratio = min(1.0, sym_ratio * scale) / max(1.0, scale)
                 ratio *= sym_ratio
-                cur = cur.pad(sym.degree)
             if not ratio:
                 return 0.0
         return ratio
@@ -286,17 +281,19 @@ def _interior_rows(idx, window, cur):
     return idx + 2 * shift * (idx // window.modes_per_channel) + shift
 
 
-def _pull_back(sym, window, reach):
-    """The (channel, position) mask over ``window`` of the inputs of
+def _pull_back(sym, source, target, mask):
+    """The (channel, position) mask over ``source`` of the inputs of
     multiplication by ``sym`` that can reach the (channel, position) mask
-    ``reach`` over ``window.pad(sym.degree)``.  Position j of mode n
-    reaches position j + degree + p through the plane of power p."""
-    per = window.modes_per_channel
-    out = np.zeros((reach.shape[0], per), dtype=bool)
+    ``mask`` over ``target``, a padding of ``source`` by s modes.
+    Position j of mode n reaches position j + s + p through the plane of
+    power p."""
+    per = source.modes_per_channel
+    shift = target.half_width - source.half_width
+    out = np.zeros((mask.shape[0], per), dtype=bool)
     for k, plane in enumerate(sym.coeffs):
         if plane.any():
-            at = sym.d_min + sym.degree + k
-            out |= (plane != 0).T @ reach[:, at:at + per]
+            at = sym.d_min + shift + k
+            out |= (plane != 0).T @ mask[:, at:at + per]
     return out
 
 
@@ -411,12 +408,6 @@ class FanIndexReport:
     formula4: int
 
 
-def _default_budget(chain, window):
-    # margin modes crossing a part boundary, plus slack for small-rank
-    # perturbations riding on top of a shift
-    return 2 * chain.margin * window.channels + 4
-
-
 def fan_from_twists(space, parts, twists, budget=None):
     """Fan with members[i] = window intersection of twist_i(part_i padded).
 
@@ -448,8 +439,10 @@ def fan_from_twists(space, parts, twists, budget=None):
             members.append(part.base())
             continue
         # the member builds the matrix, which the commutator then reads
-        members.append(op.apply_within_window(part.padded(chain.margin)))
-        cap = _default_budget(chain, window) if budget is None else budget
+        members.append(op.apply_within_window(part.padded(op.margin)))
+        # by default the margin modes crossing a part boundary, plus slack
+        # for small-rank perturbations riding on top of a shift
+        cap = 2 * op.margin * window.channels + 4 if budget is None else budget
         for split in splittings:
             if commutator_rank(op, split) > cap:
                 raise NotAFan(

@@ -135,19 +135,15 @@ def _assembly_halves(g, v, which, margin=0):
     """The splitting halves of the boundary slots, in slot order.
 
     ``which`` is "in" (sharp on outgoing, flat on incoming) or "out"
-    (the blockwise complement).  With a margin each edge's half is padded
-    by ``ModelSpace.sharp_padded``/``flat_padded`` first, for feeding a
-    twist chain.
+    (the blockwise complement), each padded by ``margin``
+    (``ModelSpace.sharp_padded``/``flat_padded``).
     """
     halves = []
     for eid, role in boundary_slots(g, v):
         sp = g.edges[eid].space
         take_sharp = (role == "out") == (which == "in")
-        if margin == 0:
-            halves.append(sp.splitting.sharp if take_sharp else sp.splitting.flat)
-        else:
-            halves.append(sp.sharp_padded(margin) if take_sharp
-                          else sp.flat_padded(margin))
+        halves.append(sp.sharp_padded(margin) if take_sharp
+                      else sp.flat_padded(margin))
     return halves
 
 
@@ -160,10 +156,11 @@ def _assembly(g, v, which, margin=0):
 
 def _member_dim(g, v, extra_factors=()):
     """Dimension of the vertex member: ``windows.image_dim`` of the
-    vertex chain followed by ``extra_factors``, on the padded incoming
-    assembly, with the chain's certified ratio.  Above the cutoff only
-    the identity columns that the chain pulls back from the rows outside
-    the window are pushed, and no member is built."""
+    vertex chain followed by ``extra_factors``, on the incoming assembly
+    padded by the realized operator's margin, with the chain's certified
+    ratio.  Above the cutoff only the identity columns that the chain
+    pulls back from the rows outside the window are pushed, and no
+    member is built."""
     data = g.vertex_data[v]
     if isinstance(data, Subspace):
         return data.dim
@@ -171,8 +168,8 @@ def _member_dim(g, v, extra_factors=()):
     if window is None:
         return 0
     chain = data.then(*extra_factors)
-    return image_dim(chain.realize(window),
-                     _assembly(g, v, "in", chain.margin),
+    op = chain.realize(window)
+    return image_dim(op, _assembly(g, v, "in", op.margin),
                      chain.certified_ratio(window))
 
 

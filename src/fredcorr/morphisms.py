@@ -251,7 +251,7 @@ class Twist:
 
     @property
     def margin(self):
-        return self.operator.domain_window.half_width - self.base.window.half_width
+        return self.operator.margin
 
 
 def _cut_block(op, base_rows, base_cols, row_half, col_half):

@@ -158,20 +158,16 @@ class ModelSpace:
     def is_zero(self):
         return self.dim == 0
 
-    def _half(self, half):
-        # a splitting half and the predicate of the margin modes it takes
+    def _half_padded(self, half, margin):
+        padded = self._padded.get((half, margin))
+        if padded is not None:
+            return padded
         if self.window is None or self.convention is None:
             raise InvalidInput("space has no window/convention for padding")
+        # the half and the predicate of the margin modes it takes
         pred = convention_predicate(self.convention)
-        if half == "flat":
-            return self.splitting.flat, lambda n: not pred(n)
-        return self.splitting.sharp, pred
-
-    def _half_padded(self, half, margin):
-        cached = self._padded.get((half, margin))
-        if cached is not None:
-            return cached
-        sub, keep = self._half(half)
+        sub, keep = ((self.splitting.flat, lambda n: not pred(n))
+                     if half == "flat" else (self.splitting.sharp, pred))
         padded = pad_by_predicate(sub, self.window, margin, keep)
         self._padded[(half, margin)] = padded
         return padded

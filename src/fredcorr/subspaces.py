@@ -11,6 +11,7 @@ nullspace route with an absolute threshold, which resolves moderately
 small angles correctly.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +48,7 @@ __all__ = [
 
 # Every decision threshold of the package, each with its reason.  Only
 # DEFAULT_TOL moves (``--tol``, ``FREDCORR_TOL``); the rest are fixed.
-# Relative singular value cutoff for ranks and orthonormalization.
+# Relative singular value cutoff, on the matrix over a power of two.
 DEFAULT_TOL = 1e-9
 # A principal cosine above 1 - ANGLE_TOL is an intersection direction.
 ANGLE_TOL = 1e-9
@@ -84,6 +85,16 @@ def _svd(a, full_matrices=False):
         return vh2.conj().T, s2, u2.conj().T
 
 
+def _power_of_two_scaled(a):
+    """(a / 2**e, e), 2**e the largest power of two not above the largest
+    |real or imaginary part| of ``a`` (e = 0 if that is 0 or not finite):
+    exact, with no square overflowing or underflowing in an SVD."""
+    parts = np.ascontiguousarray(a, dtype=np.complex128).view(np.float64)
+    peak = np.abs(parts).max(initial=0.0)
+    e = math.frexp(peak)[1] - 1 if 0.0 < peak < np.inf else 0
+    return np.ldexp(parts, -e).view(np.complex128), e
+
+
 def singular_values(a):
     try:
         return np.linalg.svd(a, compute_uv=False)
@@ -103,7 +114,7 @@ def orthonormalize(matrix):
         raise InvalidInput("expected a 2d array of column vectors")
     if a.shape[1] == 0:
         return np.zeros((a.shape[0], 0), dtype=np.complex128)
-    u, s, _ = _svd(a)
+    u, s, _ = _svd(_power_of_two_scaled(a)[0])
     if s.size == 0 or s[0] == 0.0:
         return np.zeros((a.shape[0], 0), dtype=np.complex128)
     r = int(np.count_nonzero(s > DEFAULT_TOL * s[0]))
@@ -119,6 +130,8 @@ def rank(matrix, absolute_tol=None):
     a = np.asarray(matrix, dtype=np.complex128)
     if a.size == 0:
         return 0
+    if absolute_tol is None:
+        a = _power_of_two_scaled(a)[0]
     s = singular_values(a)
     if s.size == 0 or s[0] == 0.0:
         return 0
@@ -141,11 +154,12 @@ def nullspace(matrix, absolute_tol=None):
         return np.zeros((0, 0), dtype=np.complex128)
     if a.shape[0] == 0:
         return np.eye(n, dtype=np.complex128)
+    cut = absolute_tol
+    if cut is None:
+        a = _power_of_two_scaled(a)[0]
     _, s, vh = _svd(a, full_matrices=True)
-    if absolute_tol is None:
+    if cut is None:
         cut = DEFAULT_TOL * s[0] if s.size and s[0] > 0 else np.inf
-    else:
-        cut = absolute_tol
     r = int(np.count_nonzero(s > cut))
     return vh[r:].conj().T
 

@@ -117,9 +117,10 @@ def pad_by_predicate(sub, window, margin, predicate):
 
     The one builder of padded halves: ``ModelSpace.flat_padded`` and
     ``sharp_padded`` (twists, graph assemblies), the twisted cap,
-    ``mv_pairing`` and ``fans.PredicatePart.padded`` all call it.  An
-    arbitrary subspace has no canonical enlargement, so callers keep the
-    base they padded themselves."""
+    ``mv_pairing`` and ``fans.PredicatePart.padded`` all call it, by the
+    ``margin`` of the operator they feed.  An arbitrary subspace has no
+    canonical enlargement, so callers keep the base they padded
+    themselves."""
     extra = _margin_columns(window, margin, predicate)
     per, per_w = window.modes_per_channel + 2 * margin, window.modes_per_channel
     if sub._mask is not None:
@@ -128,11 +129,8 @@ def pad_by_predicate(sub, window, margin, predicate):
         mask = mask.ravel()
         mask[extra] = True
         return Subspace._from_mask(mask)
-    frame = np.zeros((window.channels * per, sub.dim + extra.size),
-                     dtype=np.complex128)
-    for c in range(window.channels):
-        frame[c * per + margin: c * per + margin + per_w, :sub.dim] = \
-            sub.frame[c * per_w:(c + 1) * per_w]
+    frame = np.hstack([lift_frame(sub.frame, window, window.pad(margin)),
+                       np.zeros((window.channels * per, extra.size))])
     frame[extra, sub.dim + np.arange(extra.size)] = 1.0
     return Subspace._trusted(frame)
 
@@ -279,6 +277,11 @@ class WindowedOperator:
         self._col_channels, self._col_modes = _channels_and_modes(domain_window)
         self._base_rows = np.abs(self._row_modes) <= base_window.half_width
         self._base_rows.setflags(write=False)
+
+    @property
+    def margin(self):
+        """Modes by which the domain window pads the base window."""
+        return self.domain_window.half_width - self.base_window.half_width
 
     @property
     def matrix(self):

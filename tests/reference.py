@@ -3,12 +3,14 @@ coordinate of a window mode, membership of a vector in a subspace, a
 twist re-based onto another splitting, a graph vertex's member built
 as a frame (what ``graphs._member_dim`` counts without building), and
 the boundary pairing with its twisted image built (what
-``circles.mv_pairing`` counts)."""
+``circles.mv_pairing`` counts), and the random symbol composed of
+validated symbols (what ``circles.random_laurent_symbol`` multiplies as
+coefficient planes)."""
 
 import numpy as np
 
 from fredcorr import graphs
-from fredcorr.circles import multiplication_operator
+from fredcorr.circles import LaurentSymbol, multiplication_operator
 from fredcorr.morphisms import Twist
 from fredcorr.subspaces import Subspace, dimension_index, direct_sum
 from fredcorr.windows import (ModeWindow, pad_by_predicate, restricted_image,
@@ -81,9 +83,58 @@ def built_mv_pairing(sphere_pair, sym, n):
     half = h_minus.ambient_dim // 2
     window = ModeWindow(half, channels=n)
     op = multiplication_operator(sym, window)
-    padded = pad_by_predicate(direct_sum(*[h_minus] * n), window,
-                              op.domain_window.half_width - half,
+    padded = pad_by_predicate(direct_sum(*[h_minus] * n), window, op.margin,
                               lambda m: m < 0)
     twisted = dimension_index(op.apply_within_window(padded),
                               direct_sum(*[h_plus] * n))
     return twisted - n * dimension_index(h_minus, h_plus)
+
+
+def _unipotent_factor(rng, channels, degree, upper):
+    coeffs = np.zeros((degree + 1, channels, channels), dtype=np.complex128)
+    coeffs[0] = np.eye(channels)
+    for p in range(degree + 1):
+        block = rng.standard_normal((channels, channels)) \
+            + 1j * rng.standard_normal((channels, channels))
+        coeffs[p] += 0.6 * (np.triu(block, k=1) if upper
+                            else np.tril(block, k=-1))
+    return LaurentSymbol(coeffs=coeffs, d_min=0)
+
+
+def _product(a, b):
+    """The symbol a(z) @ b(z), one coefficient plane pair at a time."""
+    out = np.zeros((a.coeffs.shape[0] + b.coeffs.shape[0] - 1,)
+                   + a.coeffs.shape[1:], dtype=np.complex128)
+    for i in range(a.coeffs.shape[0]):
+        for j in range(b.coeffs.shape[0]):
+            out[i + j] += a.coeffs[i] @ b.coeffs[j]
+    return LaurentSymbol(coeffs=out, d_min=a.d_min + b.d_min)
+
+
+def composed_random_laurent_symbol(rng, channels=1, degree=2):
+    """``circles.random_laurent_symbol`` as a composition of symbols: the
+    diagonal, the two unipotent factors, their product, the mixed product
+    and the conjugated result are each built as a ``LaurentSymbol``, from
+    the same draws of ``rng`` in the same order (the real and imaginary
+    parts of U drawn apart, then those of V)."""
+    ks = rng.integers(-1, 2, size=channels)
+    pbud = max(degree - 1, 0)
+    up_deg = int(rng.integers(0, pbud + 1))
+    d = np.zeros((3, channels, channels), dtype=np.complex128)
+    for i, k in enumerate(ks):
+        c = 0.5 + rng.uniform(0.0, 1.5) * np.exp(2j * np.pi * rng.uniform())
+        d[int(k) + 1, i, i] = c
+    diag = LaurentSymbol(coeffs=d, d_min=-1)
+    mix = _product(_unipotent_factor(rng, channels, up_deg, upper=True),
+                   _unipotent_factor(rng, channels, pbud - up_deg, upper=False))
+    sym = _product(diag, mix) if rng.random() < 0.5 else _product(mix, diag)
+    if channels > 1:
+        u, _ = np.linalg.qr(rng.standard_normal((channels, channels))
+                            + 1j * rng.standard_normal((channels, channels)))
+        v, _ = np.linalg.qr(rng.standard_normal((channels, channels))
+                            + 1j * rng.standard_normal((channels, channels)))
+        c = sym.coeffs.copy()
+        for p in range(c.shape[0]):
+            c[p] = u @ c[p] @ v
+        sym = LaurentSymbol(coeffs=c, d_min=sym.d_min)
+    return sym

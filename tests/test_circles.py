@@ -50,7 +50,8 @@ from fredcorr.subspaces import (
 )
 from fredcorr.windows import ModeWindow
 
-from reference import built_mv_pairing, contains, coord, mode_at, rebased
+from reference import (built_mv_pairing, composed_random_laurent_symbol,
+                       contains, coord, mode_at, rebased)
 
 
 def matrix_symbol(d_min, *planes):
@@ -525,6 +526,20 @@ def test_random_symbol_shape():
         sym = random_laurent_symbol(rng, channels=3, degree=3)
         assert sym.channels == 3
         assert sym.degree <= 3
+
+
+@pytest.mark.parametrize("channels", [1, 2, 3])
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_random_symbol_matches_the_composed_draw(channels, degree):
+    # one symbol per draw, from the same draws, with the same bits
+    for seed in range(50):
+        got = random_laurent_symbol(np.random.default_rng(seed), channels,
+                                    degree)
+        want = composed_random_laurent_symbol(np.random.default_rng(seed),
+                                              channels, degree)
+        assert got.d_min == want.d_min
+        assert got.coeffs.shape == want.coeffs.shape
+        assert got.coeffs.tobytes() == want.coeffs.tobytes()
 
 
 def _band_matrix_by_loop(sym, from_window, to_window):

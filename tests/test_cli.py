@@ -726,15 +726,17 @@ def test_integers_do_not_depend_on_the_symbol_scale(data, planes, d_min,
 
 
 @pytest.mark.parametrize("kind, total", [("rh_transmission", "sphere_total"),
-                                         ("chain", "total")])
+                                         ("chain", "total"),
+                                         ("sphere", "graph_fan")])
 def test_a_cap_with_the_largest_coefficients_keeps_the_sphere_total(kind,
                                                                     total):
     # 1.7e308 + 0.5e308 z: the band matrix's largest singular value,
-    # 2.2e308, is not a float, so the cap counts on scaled coefficients
+    # 2.2e308, is not a float, so the rank decisions scale the blocks
     sym = {"d_min": 0, "entries": [[[1.7e308, 0.5e308]]]}
-    key = "twists" if kind == "chain" else "symbol"
+    capped = kind in ("chain", "sphere")
     code, results, checks = _run_scenario_json(
-        {"version": 1, "kind": kind, key: [sym] if kind == "chain" else sym})
+        {"version": 1, "kind": kind,
+         **({"twists": [sym]} if capped else {"symbol": sym})})
     assert code == 0 and set(checks) == {"PASS"}
     assert results[total] == 1
 
