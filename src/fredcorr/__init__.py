@@ -53,7 +53,6 @@ from .morphisms import (
     index,
     reduce_chain_ledger,
     tilde_ind,
-    twist_graph,
 )
 from .circles import (
     LaurentCircle,

@@ -221,12 +221,14 @@ class LaurentSymbol:
         c = np.asarray(coefficients, dtype=np.complex128).reshape(-1, 1, 1)
         return cls(coeffs=c, d_min=d_min)
 
-    def eval_grid(self, zs):
-        """The symbol at each point of ``zs``, as an (N, c, c) stack."""
-        zs = np.asarray(zs, dtype=np.complex128)
-        powers = zs[:, None] ** np.arange(self.coeffs.shape[0])
-        vals = np.tensordot(powers, self.coeffs, axes=(1, 0))
-        return vals * (zs ** self.d_min)[:, None, None]
+    def _over_power_of_two(self):
+        """The symbol with the coefficients ``_scaled_coeffs``, with no
+        second validation: every stored reading but ``norm_sum`` already
+        belongs to them, and ``norm_sum`` becomes ``_scaled_norm_sum``."""
+        sym = object.__new__(LaurentSymbol)
+        sym.__dict__.update(self.__dict__, coeffs=self._scaled_coeffs,
+                            norm_sum=self._scaled_norm_sum)
+        return sym
 
     def product(self, other):
         """Pointwise matrix product self(z) @ other(z)."""
@@ -375,10 +377,9 @@ def multiplication_operator(sym, base_window):
     for ``Twist.symbol``.  The operator reads its entries off the
     symbol (``WindowedOperator.entries``), and builds the band matrix
     (:func:`symbol_band_matrix`) once, when something first reads its
-    ``matrix``: ``twist_graph``, the frame of a generic ``twisted_cap``
-    when something reads it, an image closer to the cutoff than the
-    certificate covers, and the commutator with a splitting that records
-    no mask.
+    ``matrix``: the frame of a generic ``twisted_cap`` when something
+    reads it, an image closer to the cutoff than the certificate covers,
+    and the commutator with a splitting that records no mask.
     """
     if sym.channels != base_window.channels:
         raise DimensionMismatch("symbol channels do not match the windows")

@@ -26,8 +26,9 @@ import numpy as np
 
 from .errors import InvalidInput, DimensionMismatch, SelfLoopUnsupported
 from .fans import Interior, TwistChain
-from .morphisms import tilde_ind, twist_graph
-from .subspaces import Subspace, direct_sum, pair_index
+from .morphisms import tilde_ind
+from .subspaces import (Subspace, _power_of_two_scaled, current_tolerance,
+                         direct_sum, rank)
 from .windows import ModeWindow, image_dim
 
 __all__ = [
@@ -203,8 +204,10 @@ def global_index_additive(g):
 
 def _fan_extras(g, v):
     """The twists of the incoming edges of ``v`` as slot factors, each
-    acting by the edge's own symbol on its slot of the vertex's boundary
-    space."""
+    acting by the edge's own symbol over a power of two on its slot: a
+    constant moves no windowed image's dimension, and a slot far from
+    the identity slots beside it would take the chain's certified ratio
+    under the cutoff."""
     slots = boundary_slots(g, v)
     twisted = [(c, g.edges[eid].twist) for c, (eid, role) in enumerate(slots)
                if role == "in" and g.edges[eid].twist is not None]
@@ -216,7 +219,7 @@ def _fan_extras(g, v):
     for c, t in twisted:
         if t.symbol is None:
             raise InvalidInput("edge twist carries no symbol")
-        extras.append(("slot", (c, t.symbol)))
+        extras.append(("slot", (c, t.symbol._over_power_of_two())))
     return tuple(extras)
 
 
@@ -251,23 +254,42 @@ def global_index_fan(g):
 
 
 def global_index_selfglue(l, phi):
-    """Pair index of an endo-correspondence against the graph of a twist.
+    """Pair index of an endo-correspondence L against the graph G =
+    {(x, phi x)} of a twist, over the pairs that stay in the window.
 
-    This is the one-vertex one-loop model: the correspondence holds the
-    boundary values on both copies of the circle, the twist graph the
-    gluing condition.
+    This is the one-vertex one-loop model: L holds the boundary values on
+    both copies of the circle, G the gluing condition.  The index is
+    counted, dim L + dim G - ambient (``dimension_index``): phi is
+    injective, so dim G is that of phi's windowed image of the base
+    columns (``windows.image_dim``), and no frame of G is built.
+
+    It warns when one subspace contains the other, with dim(L cap G) =
+    dim L - rank R for L framed by [A; B], R = M_b A - B placed on the
+    base rows and M_b phi's block at the base columns.  R subtracts
+    terms on the scales of 1 and of M_b, so its rank is decided against
+    tol * (1 + ||M_b||_F), with a large M_b taken over its power of two.
     """
     if not l.is_endo:
         raise DimensionMismatch("self-gluing needs an endo-correspondence")
-    gr = twist_graph(phi)
-    if gr.subspace.ambient_dim != l.subspace.ambient_dim:
+    n = phi.base.dim
+    if l.subspace.ambient_dim != 2 * n:
         raise DimensionMismatch("twist does not act on the gluing circle")
-    report = pair_index(l.subspace, gr.subspace)
-    small = min(l.subspace.dim, gr.subspace.dim)
-    if small > 0 and report.dim_intersection == small:
-        warnings.warn("self-gluing pair is degenerate: one subspace contains "
-                      "the other", RuntimeWarning, stacklevel=2)
-    return report.index
+    op = phi.operator
+    cols = op.base_columns_mask()
+    graph_dim = image_dim(op, Subspace._from_mask(cols),
+                          phi._injectivity_ratio)
+    small = min(l.subspace.dim, graph_dim)
+    if small > 0:
+        frame = l.subspace.frame
+        m_b = op.entries(np.ones(op.range_window.dim, dtype=bool), cols)
+        s = 2.0 ** -max(_power_of_two_scaled(m_b)[1], 0)
+        resid = (s * m_b) @ frame[:n]
+        resid[op.base_rows_mask()] -= s * frame[n:]
+        cut = current_tolerance() * (s + np.linalg.norm(s * m_b))
+        if l.subspace.dim - rank(resid, absolute_tol=cut) == small:
+            warnings.warn("self-gluing pair is degenerate: one subspace "
+                          "contains the other", RuntimeWarning, stacklevel=2)
+    return l.subspace.dim + graph_dim - 2 * n
 
 
 def has_self_loops(g):
@@ -290,7 +312,8 @@ def sphere_path_graph(half_width, twist=None, radii=(2.0, 1.0)):
     ann = annulus_correspondence(outer, inner).subspace
     d = ann.ambient_dim // 2
     # mid slots are (e2, out) then (e1, in): swap the correspondence halves
-    mid = Subspace._trusted(np.vstack([ann.frame[d:], ann.frame[:d]]))
+    mid = Subspace._recorded(ann.ambient_dim, ann.dim, lambda: np.vstack(
+        [ann.frame[d:], ann.frame[:d]]))
     data = {
         "in": TwistChain(factors=()),
         "mid": mid,

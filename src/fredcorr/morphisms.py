@@ -33,7 +33,7 @@ from .subspaces import (
     intersection,
     singular_values,
 )
-from .windows import image_dim, restricted_image, windowed_graph
+from .windows import image_dim, restricted_image
 
 __all__ = [
     "Correspondence",
@@ -47,7 +47,6 @@ __all__ = [
     "delta_direct",
     "chain_total_index",
     "reduce_chain_ledger",
-    "twist_graph",
 ]
 
 _NO_MODES = np.zeros(0, dtype=bool)
@@ -329,15 +328,6 @@ def tilde_ind(t):
              + sharp.dim - sharp.ambient_dim)
     object.__setattr__(t, "_decided", (tol, value))
     return value
-
-
-def twist_graph(t):
-    """The twist as an endo-correspondence: pairs (x, op x) that stay in
-    the window."""
-    cols = t.operator.base_columns_mask()
-    m = t.operator.matrix[:, cols]
-    sub = windowed_graph(m, t.operator.base_rows_mask())
-    return Correspondence(source=t.base, target=t.base, subspace=sub)
 
 
 def delta(l1, l2):

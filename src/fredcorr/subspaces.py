@@ -174,11 +174,10 @@ class Subspace:
     ``Subspace(frame)`` checks the Gram matrix, for frames from outside.
     Frames that are orthonormal by construction skip it via
     :meth:`_trusted`: SVD factors (``from_span``, ``intersection``,
-    ``complement``, ``restricted_image`` and so fiber products), the
-    row swap of a diagonal's per-mode normalized graph in
-    ``graphs.sphere_path_graph``, and valid frames placed on disjoint
-    rows (``direct_sum`` and ``windows.pad_by_predicate`` of dense
-    blocks).  So do the frames that records build.
+    ``complement``, ``restricted_image`` and so fiber products) and
+    valid frames placed on disjoint rows (``direct_sum`` and
+    ``windows.pad_by_predicate`` of dense blocks).  So do the frames
+    that records build.
 
     A coordinate span (``from_indices``, ``zero``, ``full``,
     :meth:`_from_mask`) is kept as its read-only boolean mask ``_mask``,
@@ -189,8 +188,9 @@ class Subspace:
 
     A record (:meth:`_recorded`) keeps a counted ``(ambient_dim, dim)``
     and the builder of its frame: the graph of Q = diag(q^mode) of
-    ``morphisms.Correspondence._diagonal``, a link pulled back by such a
-    diagonal in ``morphisms.compose``, and the generic
+    ``morphisms.Correspondence._diagonal``, the same graph with its
+    halves swapped in ``graphs.sphere_path_graph``, a link pulled back by
+    such a diagonal in ``morphisms.compose``, and the generic
     ``circles.twisted_cap``.  Its frame is built on the first read of
     ``frame``, which raises when the built frame's shape is not the
     recorded one, and then kept.

@@ -4,14 +4,14 @@ A mode window holds Fourier-type modes ``n`` in ``[-M, M]`` for each of
 ``channels`` channels, laid out channel-major, so coordinate ``c * (2M+1)
 + (n + M)`` is mode ``n`` of channel ``c``.
 
-The central primitive is :func:`restricted_image`: the image of a
-subspace under an operator, intersected with the base window, then
-cropped to it.  This equals the window intersection of the true image
-and is what every windowed index in the package is built from; plain
-projection-cropping (take the image, chop the outside rows) is not used
-anywhere because it inflates dimensions for non-monomial symbols.
-Only :func:`image_dim` decides the dimension of an operator's windowed
-image (``WindowedOperator.apply_within_window``).
+Every windowed index is decided from the window intersection of an
+operator's image: the image of a subspace, intersected with the base
+window, then cropped to it.  :func:`image_dim` alone decides its
+dimension; :func:`restricted_image` builds it for the frames that are
+still read (``WindowedOperator.apply_within_window``, fiber products).
+Plain projection-cropping (take the image, chop the outside rows) is
+not used anywhere because it inflates dimensions for non-monomial
+symbols.
 """
 
 import functools
@@ -31,7 +31,6 @@ __all__ = [
     "window_rows_mask",
     "restricted_image",
     "image_dim",
-    "windowed_graph",
 ]
 
 
@@ -182,23 +181,6 @@ def image_dim(op, sub, ratio):
     rows = sub.rows(cols)
     return rows.shape[1] - rank(op.entries(out, cols)
                                 @ rows[:, rows.any(axis=0)])
-
-
-def windowed_graph(matrix, keep_rows):
-    """Graph ``{(x, Ax)}`` restricted to pairs that stay inside the window.
-
-    ``matrix`` maps the (already windowed) domain into an extended range
-    large enough that nothing is truncated; ``keep_rows`` masks the
-    range rows of the target window.  Returns a subspace of
-    ``domain + window`` coordinates.
-    """
-    m = np.asarray(matrix, dtype=np.complex128)
-    keep = np.asarray(keep_rows, dtype=bool)
-    if keep.shape != (m.shape[0],):
-        raise DimensionMismatch("row mask does not match matrix")
-    stacked = np.vstack([np.eye(m.shape[1], dtype=np.complex128), m])
-    mask = np.concatenate([np.ones(m.shape[1], dtype=bool), keep])
-    return restricted_image(stacked, mask)
 
 
 def _within(modes, others, lo, hi):

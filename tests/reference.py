@@ -1,17 +1,19 @@
 """Small readers and dense references shared by the test files: the
 coordinate of a window mode, membership of a vector in a subspace, a
-twist re-based onto another splitting, a graph vertex's member built
-as a frame (what ``graphs._member_dim`` counts without building), and
-the boundary pairing with its twisted image built (what
-``circles.mv_pairing`` counts), and the random symbol composed of
-validated symbols (what ``circles.random_laurent_symbol`` multiplies as
-coefficient planes)."""
+twist re-based onto another splitting, a symbol evaluated on points of
+the circle, a graph vertex's member built as a frame (what
+``graphs._member_dim`` counts without building), the boundary pairing
+with its twisted image built (what ``circles.mv_pairing`` counts), the
+twist graph built as a frame (what ``graphs.global_index_selfglue``
+counts), and the random symbol composed of validated symbols (what
+``circles.random_laurent_symbol`` multiplies as coefficient planes)."""
 
 import numpy as np
 
 from fredcorr import graphs
 from fredcorr.circles import LaurentSymbol, multiplication_operator
-from fredcorr.morphisms import Twist
+from fredcorr.errors import DimensionMismatch
+from fredcorr.morphisms import Correspondence, Twist
 from fredcorr.subspaces import Subspace, dimension_index, direct_sum
 from fredcorr.windows import (ModeWindow, pad_by_predicate, restricted_image,
                               window_rows_mask)
@@ -49,6 +51,40 @@ def rebased(t, splitting):
     """The twist ``t`` over its base space with another splitting, with
     no commutator budget (a perturbation inflates the commutator)."""
     return Twist(base=t.base.with_splitting(splitting), operator=t.operator)
+
+
+def eval_grid(sym, zs):
+    """The symbol at each point of ``zs``, as an (N, c, c) stack."""
+    zs = np.asarray(zs, dtype=np.complex128)
+    powers = zs[:, None] ** np.arange(sym.coeffs.shape[0])
+    vals = np.tensordot(powers, sym.coeffs, axes=(1, 0))
+    return vals * (zs ** sym.d_min)[:, None, None]
+
+
+def windowed_graph(matrix, keep_rows):
+    """Graph ``{(x, Ax)}`` restricted to pairs that stay inside the window.
+
+    ``matrix`` maps the (already windowed) domain into an extended range
+    large enough that nothing is truncated; ``keep_rows`` masks the
+    range rows of the target window.  Returns a subspace of
+    ``domain + window`` coordinates.
+    """
+    m = np.asarray(matrix, dtype=np.complex128)
+    keep = np.asarray(keep_rows, dtype=bool)
+    if keep.shape != (m.shape[0],):
+        raise DimensionMismatch("row mask does not match matrix")
+    stacked = np.vstack([np.eye(m.shape[1], dtype=np.complex128), m])
+    mask = np.concatenate([np.ones(m.shape[1], dtype=bool), keep])
+    return restricted_image(stacked, mask)
+
+
+def twist_graph(t):
+    """The twist as an endo-correspondence: pairs (x, op x) that stay in
+    the window, built as a frame."""
+    cols = t.operator.base_columns_mask()
+    m = t.operator.matrix[:, cols]
+    sub = windowed_graph(m, t.operator.base_rows_mask())
+    return Correspondence(source=t.base, target=t.base, subspace=sub)
 
 
 def pushed_assembly(g, v, extras=()):

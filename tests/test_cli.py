@@ -701,13 +701,15 @@ _COEFFICIENT = st.one_of(st.just(0.0), st.floats(0.125, 4.0),
 @given(data=st.data(), planes=st.integers(1, 3),
        d_min=st.integers(-2, 2), window=st.integers(2, 8),
        k=st.integers(-1000, 1000),
-       kind=st.sampled_from(["twist", "rh_transmission", "chain", "sphere"]))
+       kind=st.sampled_from(["twist", "rh_transmission", "chain", "sphere",
+                             "graph"]))
 def test_integers_do_not_depend_on_the_symbol_scale(data, planes, d_min,
                                                     window, k, kind):
     # the index of c A is the index of A; a power of two scales exactly.
-    # chain and sphere scenarios carry the symbol as their scalar cap twist
+    # chain and sphere scenarios carry the symbol as their scalar cap
+    # twist, graph scenarios as the twist of one edge of a 2-cycle
     capped = kind in ("chain", "sphere")
-    channels = 1 if capped else data.draw(st.integers(1, 2))
+    channels = 1 if capped or kind == "graph" else data.draw(st.integers(1, 2))
     entries = data.draw(st.lists(
         st.lists(st.lists(st.tuples(_COEFFICIENT, _COEFFICIENT),
                           min_size=planes, max_size=planes),
@@ -720,9 +722,52 @@ def test_integers_do_not_depend_on_the_symbol_scale(data, planes, d_min,
         sym = {"d_min": d_min, "entries": table}
         runs.append(_run_scenario_json(
             {"version": 1, "kind": kind, "window": window,
-             **({"twists": [sym]} if capped else {"symbol": sym})}))
+             **_carrying(kind, sym)}))
     assert runs[0][0] in (0, 1, 2)
     assert runs[0] == runs[1]
+
+
+def _carrying(kind, sym):
+    """The scenario entries that carry a JSON symbol in a ``kind``."""
+    if kind in ("chain", "sphere"):
+        return {"twists": [sym]}
+    if kind == "graph":
+        return {"edges": [{"source": "a", "target": "b", "twist": sym},
+                          {"source": "b", "target": "a"}]}
+    return {"symbol": sym}
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-12, 1e-9, 1e-6, 1.0, 1e8, 1e9,
+                                   1e12, 1.7e308])
+def test_a_scaled_edge_symbol_keeps_the_fan_route(scale):
+    # the edge symbol's slot sits beside an identity slot at the vertex b;
+    # the fan route composes it over its power of two
+    sym = {"d_min": 0, "entries": [[[scale, 0.3 * scale]]]}
+    code, results, checks = _run_scenario_json(
+        {"version": 1, "kind": "graph", **_carrying("graph", sym)})
+    assert code == 0 and set(checks) == {"PASS"}
+    assert results["fan"] == results["additive"] == 0
+
+
+@pytest.mark.parametrize("twists", [[], [{"d_min": 0, "entries": [[[1.0, 0.3]]]}]])
+def test_sphere_scenario_builds_no_diagonal_frame(monkeypatch, twists):
+    # the annulus and the middle vertex of the sphere graph are records:
+    # every route reads their dimensions only
+    from fredcorr import morphisms
+    built = []
+    real = morphisms._diagonal_graph_frame
+    monkeypatch.setattr(morphisms, "_diagonal_graph_frame",
+                        lambda *a: built.append(a) or real(*a))
+    report, g = cli.run_scenario({"version": 1, "kind": "sphere",
+                                  "window": 8, "twists": twists})
+    assert {c["status"] for c in report["checks"]} == {"PASS"}
+    assert graphs.to_dot(g) and built == []
+    # read afterwards, the middle frame is the annulus frame, halves swapped
+    mid = g.vertex_data["mid"]
+    d = mid.ambient_dim // 2
+    labels = g.edges["e1"].space.window.mode_labels()
+    ann = morphisms._diagonal_graph_frame(labels, 0.5)  # radii 2 and 1
+    assert np.array_equal(mid.frame, np.vstack([ann[d:], ann[:d]]))
 
 
 @pytest.mark.parametrize("kind, total", [("rh_transmission", "sphere_total"),
@@ -733,10 +778,8 @@ def test_a_cap_with_the_largest_coefficients_keeps_the_sphere_total(kind,
     # 1.7e308 + 0.5e308 z: the band matrix's largest singular value,
     # 2.2e308, is not a float, so the rank decisions scale the blocks
     sym = {"d_min": 0, "entries": [[[1.7e308, 0.5e308]]]}
-    capped = kind in ("chain", "sphere")
     code, results, checks = _run_scenario_json(
-        {"version": 1, "kind": kind,
-         **({"twists": [sym]} if capped else {"symbol": sym})})
+        {"version": 1, "kind": kind, **_carrying(kind, sym)})
     assert code == 0 and set(checks) == {"PASS"}
     assert results[total] == 1
 

@@ -1,6 +1,8 @@
 """Graph decompositions: assemblies, both global index routes, self-gluing,
 and the splitting perturbation that must not move the total."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -38,7 +40,8 @@ from fredcorr.subspaces import (
     subspaces_equal,
 )
 
-from reference import coord, pushed_assembly, rebased, vertex_subspace
+from reference import (coord, pushed_assembly, rebased, twist_graph,
+                       vertex_subspace)
 
 
 def materialize(g):
@@ -120,7 +123,6 @@ class TestTorus:
         assert global_index_selfglue(l, phi) == (0 if k == 0 else -abs(k))
 
     def test_degenerate_gluing_warns(self):
-        from fredcorr.morphisms import twist_graph
         from fredcorr.circles import multiplication_operator
         circle = twist_circle(6)
         op = multiplication_operator(LaurentSymbol.identity(1), circle.window)
@@ -135,6 +137,58 @@ class TestTorus:
         _, phi_small = build_torus(0.5, 1, 6)
         with pytest.raises(DimensionMismatch):
             global_index_selfglue(l, phi_small)
+
+    @pytest.mark.parametrize("m", [*range(4, 11), 64, 128])
+    def test_counted_selfglue_matches_the_dense_pair_index(self, m):
+        # criterion 04's q x k grid: the counted index and the warning
+        # flag against the built twist graph and its pair_index audit;
+        # at M = 128 each audit takes 0.15 s, so three twists per weight
+        for q in (0.3, 0.5, 0.9):
+            for k in (range(-3, 4) if m <= 64 else (-3, 0, 2)):
+                l, t = build_torus(q, k, m)
+                graph = twist_graph(t).subspace
+                rep = pair_index(l.subspace, graph)
+                small = min(l.subspace.dim, graph.dim)
+                assert not (small > 0 and rep.dim_intersection == small)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    assert global_index_selfglue(l, t) == rep.index
+
+    @pytest.mark.parametrize("scale", [2.0 ** -40, 1.0, 2.0 ** 40, 2.0 ** 700])
+    def test_scaled_identity_graph_warns(self, scale):
+        # G contains the twist graph of c * 1 whatever the scale of c, and
+        # the weighted diagonal meets it in mode 0 only; at 2^700 the
+        # Frobenius norm of the twist's block overflows unless scaled
+        circle = twist_circle(6)
+        phi = symbol_twist(LaurentSymbol.monomial(0, coefficient=scale), circle)
+        with pytest.warns(RuntimeWarning, match="degenerate"):
+            assert global_index_selfglue(twist_graph(phi), phi) == 0
+        l, _ = build_torus(0.5, 0, 6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert global_index_selfglue(l, phi) == 0
+
+    @pytest.mark.parametrize("k", [-2, 1, 3])
+    def test_shift_graph_against_itself_warns(self, k):
+        phi = symbol_twist(LaurentSymbol.monomial(k), twist_circle(6))
+        with pytest.warns(RuntimeWarning, match="degenerate"):
+            assert global_index_selfglue(twist_graph(phi), phi) == -2 * abs(k)
+
+    def test_selfglue_builds_no_graph_and_runs_no_audit(self, monkeypatch):
+        from fredcorr import subspaces, windows
+        called = []
+        for owner, name in ((subspaces, "pair_index"),
+                            (subspaces, "intersection"),
+                            (windows, "restricted_image")):
+            real = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *a, name=name, real=real:
+                                called.append(name) or real(*a))
+        for k in (-2, 0, 3):
+            l, t = build_torus(0.5, k, 32)
+            assert global_index_selfglue(l, t) == -abs(k)
+            # the twist's band matrix is read entry by entry, never built
+            assert t.operator._matrix is None
+        assert called == []
 
 
 class TestRandomGraphs:

@@ -37,7 +37,6 @@ from fredcorr.morphisms import (
     index,
     reduce_chain_ledger,
     tilde_ind,
-    twist_graph,
 )
 from fredcorr.spaces import (
     SHARP_NEGATIVE,
@@ -68,7 +67,7 @@ from fredcorr.windows import (
 )
 
 from reference import (built_mv_pairing, contains, coord, mode_at, rebased,
-                       vertex_subspace)
+                       twist_graph, vertex_subspace)
 
 
 def index_report(l):

@@ -13,10 +13,9 @@ from fredcorr.windows import (
     pad_by_predicate,
     restricted_image,
     window_rows_mask,
-    windowed_graph,
 )
 
-from reference import contains, coord
+from reference import contains, coord, windowed_graph
 
 
 def shift_matrix(src, dst, k):
