@@ -98,8 +98,11 @@ def _det_floor(sym):
 def _det_polynomial(coeffs):
     """Coefficients of P(z) = det A(z) / z^(c*d_min) = det sum_p A_p z^p,
     lowest power first: the inverse DFT of that determinant on the
-    deg P + 1 = c*(planes - 1) + 1 roots of unity."""
+    deg P + 1 = c*(planes - 1) + 1 roots of unity.  A one-channel
+    symbol is its own determinant, so P is its coefficients."""
     planes, c = coeffs.shape[:2]
+    if c == 1:
+        return coeffs[:, 0, 0]
     if planes == 1:
         return np.linalg.det(coeffs)
     n = c * (planes - 1) + 1
@@ -142,9 +145,10 @@ class LaurentSymbol:
 
     Construction strips zero planes at both ends and computes, once, what
     every reader of the symbol's determinant needs: the coefficients of
-    P = det A / z^(c*d_min) (``_det_polynomial``, one batch of deg P + 1
-    determinants), the norm sum S = sum_p ||A_p||_F and the grid floor of
-    sigma_min(A(z)).  It validates invertibility on the unit circle by
+    P = det A / z^(c*d_min) (``_det_polynomial``: the coefficients
+    themselves on one channel, else one batch of deg P + 1
+    determinants), the norm sum S = sum_p ||A_p||_F and the grid floor
+    of sigma_min(A(z)).  It validates invertibility on the unit circle by
     evaluating |P| on ``VALIDATION_GRID`` points, relative to the largest
     value S^c that the coefficients allow |det| there.  All but
     ``norm_sum`` are taken on ``_scaled_coeffs``, the coefficients over

@@ -19,11 +19,13 @@ from .morphisms import commutator_rank
 from .spaces import ModelSpace, Splitting
 from .subspaces import (
     PROJECTOR_ATOL,
+    _power_of_two_scaled,
     current_tolerance,
     intersection,
     rank,
-    subspace_sum,
     restricted_projection_index,
+    singular_values,
+    subspace_sum,
 )
 from .windows import (
     ModeWindow,
@@ -99,11 +101,26 @@ def partition_parts(window, cuts):
 class Interior(NamedTuple):
     """An interior factor on a base window of dimension ``dim``: the
     identity except on the sorted coordinates ``support``, where its
-    rows and columns are the square ``block``."""
+    rows and columns are the square ``block``.  ``sigma`` holds the
+    block's (sigma_min, sigma_max), which whoever makes the record knows:
+    :func:`_interior_support` from one SVD of the block, a rotation from
+    its being unitary."""
 
     dim: int
     support: np.ndarray
     block: np.ndarray
+    sigma: tuple
+
+    def ratio(self, dim):
+        """sigma_min / sigma_max of the factor embedded into a window of
+        dimension ``dim``: the block's, with 1 beside them unless the
+        block fills that window."""
+        if not self.support.size:
+            return 1.0
+        lo, hi = self.sigma
+        if self.support.size < dim:
+            lo, hi = min(lo, 1.0), max(hi, 1.0)
+        return lo / hi if hi > 0.0 else 0.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,6 +158,8 @@ class TwistChain:
                 data = _interior_support(data)
             factors.append((kind, data))
         object.__setattr__(self, "factors", tuple(factors))
+        # the walk over each window met so far (:meth:`_steps`)
+        object.__setattr__(self, "_walks", {})
 
     @property
     def margin(self):
@@ -149,10 +168,22 @@ class TwistChain:
                    for kind, data in self.factors if kind != "interior")
 
     def then(self, *factors):
-        """The chain followed by ``factors``."""
+        """The chain followed by ``factors``; with none, the chain itself."""
+        if not factors:
+            return self
         return TwistChain(factors=self.factors + factors)
 
     def _steps(self, window):
+        """The walk of :meth:`_walk` over ``window``, taken on the first
+        call and then kept: the factors are frozen, and realizing the
+        chain, pushing frames, pulling rows back and certifying its ratio
+        all read it."""
+        walk = self._walks.get(window)
+        if walk is None:
+            walk = self._walks[window] = self._walk(window)
+        return walk
+
+    def _walk(self, window):
         """(kind, data, symbol or None, source window, target window) of
         each factor, first first, and the range window; a symbol or slot
         factor widens its source by its degree, and a factor that does
@@ -174,7 +205,7 @@ class TwistChain:
             nxt = cur if sym is None else cur.pad(sym.degree)
             steps.append((kind, data, sym, cur, nxt))
             cur = nxt
-        return steps, cur
+        return tuple(steps), cur
 
     def apply(self, window, frame):
         """(range window, image) of a frame over ``window.pad(margin)``.
@@ -257,7 +288,7 @@ class TwistChain:
         ratio = 1.0
         for kind, data, sym, cur, _ in self._steps(window)[0]:
             if sym is None:
-                ratio *= _interior_ratio(data, cur.dim)
+                ratio *= data.ratio(cur.dim)
             else:
                 sym_ratio = certified_ratio(sym)
                 if kind == "slot":
@@ -318,25 +349,23 @@ def _band_apply(sym, from_window, to_window, frame):
 
 def _interior_support(data):
     """The :class:`Interior` record of a square matrix: the coordinates
-    where it differs from the identity, and its block on them."""
+    where it differs from the identity (its nonzero entries off the
+    diagonal and its diagonal entries other than 1), its block on them,
+    and the block's extreme singular values."""
     data = np.asarray(data)
     if data.ndim != 2 or data.shape[0] != data.shape[1]:
         raise DimensionMismatch("interior factor is not a square matrix")
-    diff = data != np.eye(data.shape[0])
+    diff = data != 0
+    np.fill_diagonal(diff, np.diagonal(data) != 1)
     idx = np.flatnonzero(diff.any(axis=0) | diff.any(axis=1))
-    return Interior(data.shape[0], idx, data[np.ix_(idx, idx)])
-
-
-def _interior_ratio(factor, dim):
-    """sigma_min / sigma_max of an :class:`Interior` factor embedded
-    into a window of dimension ``dim``."""
-    if not factor.support.size:
-        return 1.0
-    s = np.linalg.svd(factor.block, compute_uv=False)
-    lo, hi = s[-1], s[0]
-    if factor.support.size < dim:
-        lo, hi = min(lo, 1.0), max(hi, 1.0)
-    return float(lo / hi) if hi > 0.0 else 0.0
+    block = data[np.ix_(idx, idx)]
+    if not np.isfinite(block).all():
+        raise InvalidInput("interior factor entries must be finite")
+    sigma = (1.0, 1.0)
+    if idx.size:
+        s = singular_values(block)
+        sigma = (float(s[-1]), float(s[0]))
+    return Interior(data.shape[0], idx, block, sigma)
 
 
 def _as_chain(twist):
@@ -456,13 +485,16 @@ def fan_from_twists(space, parts, twists, budget=None):
 def _invertible_on_window(op):
     """Whether the twist maps the base window bijectively onto itself:
     no leakage out of the base rows, and an invertible square part.
-    Both are decided relative to the operator's scale."""
+    Both are decided relative to the operator's scale, on its matrix
+    over a power of two (``subspaces._power_of_two_scaled``), so no
+    singular value overflows."""
     tol = current_tolerance()
-    m = op.matrix
-    leak = m[np.ix_(~op.base_rows_mask(), op.base_columns_mask())]
+    m = _power_of_two_scaled(op.matrix)[0]
+    rows, cols = op.base_rows_mask(), op.base_columns_mask()
+    leak = m[np.ix_(~rows, cols)]
     if leak.size and np.abs(leak).max() > tol * np.abs(m).max():
         return False
-    s = np.linalg.svd(op.base_square(), compute_uv=False)
+    s = np.linalg.svd(m[np.ix_(rows, cols)], compute_uv=False)
     return s[-1] > tol * s[0]
 
 

@@ -94,6 +94,16 @@ class DecompositionGraph:
             if e.twist is not None and e.twist.base.dim != sp.dim:
                 raise DimensionMismatch(
                     f"edge {eid!r} twist does not act on its circle")
+        out = {v: [] for v in self.vertices}
+        inc = {v: [] for v in self.vertices}
+        for eid, e in self.edges.items():
+            out[e.source].append(eid)
+            inc[e.target].append(eid)
+        # every vertex's boundary slots, read by boundary_slots
+        object.__setattr__(self, "_slots", {
+            v: tuple((eid, "out") for eid in sorted(out[v]))
+            + tuple((eid, "in") for eid in sorted(inc[v]))
+            for v in self.vertices})
         for v in self.vertices:
             if v not in self.vertex_data:
                 raise InvalidInput(f"vertex {v!r} has no boundary data")
@@ -119,10 +129,9 @@ class DecompositionGraph:
 def boundary_slots(g, v):
     """Ordered (edge id, role) blocks of the boundary space of ``v``:
     outgoing blocks first, each group sorted by edge id.  A self-loop
-    contributes one block of each role."""
-    out = sorted(eid for eid, e in g.edges.items() if e.source == v)
-    inc = sorted(eid for eid, e in g.edges.items() if e.target == v)
-    return tuple((eid, "out") for eid in out) + tuple((eid, "in") for eid in inc)
+    contributes one block of each role.  The graph orders them once,
+    when it is built."""
+    return g._slots.get(v, ())
 
 
 def _vertex_window(g, v):
@@ -159,9 +168,9 @@ def _member_dim(g, v, extra_factors=()):
     """Dimension of the vertex member: ``windows.image_dim`` of the
     vertex chain followed by ``extra_factors``, on the incoming assembly
     padded by the realized operator's margin, with the chain's certified
-    ratio.  Above the cutoff only the identity columns that the chain
-    pulls back from the rows outside the window are pushed, and no
-    member is built."""
+    ratio.  The assembly is a coordinate span, so above the cutoff only
+    its unit columns that the chain pulls back from the rows outside the
+    window are pushed, and no member is built."""
     data = g.vertex_data[v]
     if isinstance(data, Subspace):
         return data.dim
@@ -231,9 +240,9 @@ def global_index_fan(g):
     The index is formula 1 of ``fan_index``, the sum of the member
     dimensions minus the ambient dimension, so each member is counted
     by :func:`_member_dim` and never built: the vertex chain followed by
-    the slot factors is pushed only on the padded-domain columns that
-    reach the rows outside the window, and the count is the rank of that
-    small block times the same rows of the padded halves.  The parts
+    the slot factors is pushed only on the columns of the padded halves
+    that reach the rows outside the window, and the count is the rank of
+    that small block.  The parts
     need no ``check_fan_parts`` pass: they are the sharp half of each edge at
     its source and the flat half at its target, so their dimensions fill
     each edge block, and every ``Splitting`` keeps its halves orthogonal
@@ -347,7 +356,9 @@ def _rotation_factor(rng, window, band):
     block = np.array([[c, -np.conj(phase) * s], [phase * s, c]])
     if i > j:  # the support is sorted, as flatnonzero sorts it
         i, j, block = j, i, block[::-1, ::-1]
-    return ("interior", Interior(window.dim, np.array([i, j]), block))
+    # a rotation is unitary: both extreme singular values are 1
+    return ("interior", Interior(window.dim, np.array([i, j]), block,
+                                 (1.0, 1.0)))
 
 
 def _shift_factor(rng, window):

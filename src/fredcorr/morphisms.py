@@ -28,6 +28,7 @@ from .spaces import (
 )
 from .subspaces import (
     Subspace,
+    _power_of_two_scaled,
     complement,
     current_tolerance,
     intersection,
@@ -204,10 +205,10 @@ class Twist:
     ``circles.multiplication_operator`` built it, its symbol
     (:attr:`symbol`) certifies that (``circles.certified_ratio``);
     otherwise, or when the certificate does not reach twice the relative
-    tolerance, the singular values of the operator's matrix decide it,
-    as a rank with the relative tolerance.  Either way the decided ratio
-    sigma_min / sigma_max (a lower bound, for the certificate) is kept
-    for :func:`tilde_ind`.
+    tolerance, the singular values of the operator's matrix over a power
+    of two decide it, as a rank with the relative tolerance, so none of
+    them overflows.  Either way the decided ratio sigma_min / sigma_max
+    (a lower bound, for the certificate) is kept for :func:`tilde_ind`.
 
     ``budget`` bounds the rank of the commutator with the sharp
     projector (:func:`commutator_rank`, which reads only the entries that
@@ -233,7 +234,7 @@ class Twist:
             raise DimensionMismatch("operator base window does not match space")
         ratio = 0.0 if self.symbol is None else certified_ratio(self.symbol)
         if not ratio:
-            s = singular_values(op.matrix)
+            s = singular_values(_power_of_two_scaled(op.matrix)[0])
             full = s.size == op.domain_window.dim and s[0] > 0.0
             if not (full and s[-1] > current_tolerance() * s[0]):
                 raise InvalidInput("windowed operator is not injective on its domain")

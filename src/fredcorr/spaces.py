@@ -125,8 +125,8 @@ class ModelSpace:
     they return the padded ``Subspace``, whose base is the half itself.
     Each padded half is built on the first call for its half and margin
     and then shared: the space and its splitting are frozen, and the
-    frame is read-only.  A padded coordinate half is a mask, whose rows
-    ``Subspace.rows`` reads without building its frame.
+    frame is read-only.  A padded coordinate half is a mask, whose
+    columns ``windows.image_dim`` reads without building its frame.
     """
 
     dim: int

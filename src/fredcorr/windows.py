@@ -173,11 +173,19 @@ def image_dim(op, sub, ratio):
     columns that vanish on them are dropped).  The count is exact there:
     every nullspace direction x of that product keeps |M_base x|^2 >=
     (sigma_min^2 - tol^2 sigma_max^2) |x|^2, above the orthonormalization
-    cutoff.  Closer to the cutoff the image is built."""
+    cutoff.  Closer to the cutoff the image is built.
+
+    A coordinate span's rows are unit columns, one per selected column
+    that reaches the outside rows, and every other frame column vanishes
+    there; a product with them only selects those columns.  So its count
+    reads the block at the columns of its mask directly, entry for entry
+    the product, and needs neither the rows nor the product."""
     if not ratio > 2.0 * current_tolerance():
         return op.apply_within_window(sub).dim
     out = ~op.base_rows_mask()
     cols = op.columns_reaching(out)
+    if sub._mask is not None:
+        return sub.dim - rank(op.entries(out, cols & sub._mask))
     rows = sub.rows(cols)
     return rows.shape[1] - rank(op.entries(out, cols)
                                 @ rows[:, rows.any(axis=0)])

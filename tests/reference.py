@@ -5,8 +5,11 @@ the circle, a graph vertex's member built as a frame (what
 ``graphs._member_dim`` counts without building), the boundary pairing
 with its twisted image built (what ``circles.mv_pairing`` counts), the
 twist graph built as a frame (what ``graphs.global_index_selfglue``
-counts), and the random symbol composed of validated symbols (what
-``circles.random_laurent_symbol`` multiplies as coefficient planes)."""
+counts), the random symbol composed of validated symbols (what
+``circles.random_laurent_symbol`` multiplies as coefficient planes),
+the product count of a windowed image (what ``windows.image_dim`` reads
+off a coordinate span's columns), and an interior factor's ratio from
+the SVD of its block (what ``fans.Interior`` records carry)."""
 
 import numpy as np
 
@@ -14,7 +17,7 @@ from fredcorr import graphs
 from fredcorr.circles import LaurentSymbol, multiplication_operator
 from fredcorr.errors import DimensionMismatch
 from fredcorr.morphisms import Correspondence, Twist
-from fredcorr.subspaces import Subspace, dimension_index, direct_sum
+from fredcorr.subspaces import Subspace, dimension_index, direct_sum, rank
 from fredcorr.windows import (ModeWindow, pad_by_predicate, restricted_image,
                               window_rows_mask)
 
@@ -174,3 +177,26 @@ def composed_random_laurent_symbol(rng, channels=1, degree=2):
             c[p] = u @ c[p] @ v
         sym = LaurentSymbol(coeffs=c, d_min=sym.d_min)
     return sym
+
+
+def product_image_dim(op, sub):
+    """The counted branch of ``windows.image_dim`` by its product: the
+    columns of ``sub`` minus the rank of the operator's block at the rows
+    outside the window and the columns reaching them, times the same rows
+    of ``sub``'s frame (columns that vanish on them dropped)."""
+    out = ~op.base_rows_mask()
+    cols = op.columns_reaching(out)
+    rows = sub.frame[cols]
+    return sub.dim - rank(op.entries(out, cols) @ rows[:, rows.any(axis=0)])
+
+
+def interior_ratio(factor, dim):
+    """sigma_min / sigma_max of an interior factor embedded into a window
+    of dimension ``dim``, from one SVD of its block."""
+    if not factor.support.size:
+        return 1.0
+    s = np.linalg.svd(factor.block, compute_uv=False)
+    lo, hi = s[-1], s[0]
+    if factor.support.size < dim:
+        lo, hi = min(lo, 1.0), max(hi, 1.0)
+    return float(lo / hi) if hi > 0.0 else 0.0

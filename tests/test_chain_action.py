@@ -7,13 +7,13 @@ import pytest
 
 from fredcorr import fans, graphs
 from fredcorr.circles import LaurentSymbol, random_laurent_symbol, symbol_band_matrix
-from fredcorr.errors import DimensionMismatch
+from fredcorr.errors import DimensionMismatch, InvalidInput
 from fredcorr.fans import TwistChain, finite_rank_twist
 from fredcorr.graphs import random_graph, sphere_path_graph
 from fredcorr.subspaces import Subspace
 from fredcorr.windows import ModeWindow, WindowedOperator
 
-from reference import coord, vertex_subspace
+from reference import coord, interior_ratio, vertex_subspace
 
 
 def embedded_scalar_symbol(sym, channel, n_channels):
@@ -346,7 +346,107 @@ def test_rotation_factor_record_matches_the_dense_rotation():
         np.testing.assert_array_equal(rec.block, m[np.ix_(support, support)])
         # the same draws leave both generators in the same state
         assert rng.uniform() == ref_rng.uniform()
+        # the record knows its block is unitary, the scan of the dense
+        # rotation takes one SVD of it, and both give the ratio of the
+        # block's SVD
+        scanned = fans._interior_support(m)
+        for dim in (window.dim, window.pad(2).dim):
+            assert rec.ratio(dim) == pytest.approx(
+                interior_ratio(rec, dim), rel=1e-12)
+            assert scanned.ratio(dim) == interior_ratio(scanned, dim)
     assert orders == {True, False}
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_interior_support_records_the_ratio_of_its_block(seed):
+    # a finite-rank interior, a block that fills the window, and the
+    # identity, each embedded into its window and a padded one
+    rng = np.random.default_rng(seed)
+    window = ModeWindow(5, 1 + seed % 3)
+    m = interior_factor(rng, window, scale=0.2 + 0.05 * seed)[1]
+    full = np.diag(rng.uniform(0.5, 2.0, window.dim)).astype(np.complex128)
+    for data in (m, full, np.eye(window.dim)):
+        rec = fans._interior_support(data)
+        for dim in (window.dim, window.pad(1).dim):
+            assert rec.ratio(dim) == interior_ratio(rec, dim)
+
+
+def test_interior_support_scans_what_differs_from_the_identity():
+    # an off-diagonal entry marks its row and column, and a diagonal
+    # entry other than 1 its own coordinate
+    m = np.eye(6, dtype=np.complex128)
+    m[1, 4] = 0.5
+    m[2, 2] = 1.0 + 1e-15j
+    m[5, 5] = -1.0
+    rec = fans._interior_support(m)
+    np.testing.assert_array_equal(rec.support, [1, 2, 4, 5])
+    np.testing.assert_array_equal(rec.block, m[np.ix_([1, 2, 4, 5],
+                                                      [1, 2, 4, 5])])
+    assert fans._interior_support(np.eye(4)).support.size == 0
+    # a NaN differs from the identity, and is refused where it enters
+    m[0, 0] = np.nan
+    with pytest.raises(InvalidInput, match="finite"):
+        TwistChain(factors=(("interior", m),))
+
+
+def test_then_with_no_factors_is_the_chain():
+    chain = TwistChain(factors=(("sym", LaurentSymbol.monomial(1)),))
+    assert chain.then() is chain
+    assert chain.then(("sym", LaurentSymbol.monomial(1))) is not chain
+
+
+def count_walks(monkeypatch):
+    """How often each (chain, window) is walked; the chains are kept, so
+    no id is reused."""
+    walks, kept = {}, []
+    real = TwistChain._walk
+
+    def spy(chain, window):
+        kept.append(chain)
+        key = (id(chain), window)
+        walks[key] = walks.get(key, 0) + 1
+        return real(chain, window)
+
+    monkeypatch.setattr(TwistChain, "_walk", spy)
+    return walks
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_member_counts_walk_each_chain_once_per_window(monkeypatch, seed):
+    # realizing a chain, reading its blocks, pulling rows back and
+    # certifying its ratio share one walk, and both routes share the
+    # recipe's
+    g = random_graph(np.random.default_rng(seed))
+    walks = count_walks(monkeypatch)
+    for v in g.vertices:
+        graphs._member_dim(g, v)
+        graphs._member_dim(g, v, graphs._fan_extras(g, v))
+    graphs.global_index_additive(g)
+    graphs.global_index_fan(g)
+    # every recipe once, and each chain with edge slots once: the one
+    # above and the one the fan route builds
+    assert len(walks) == len(g.vertices) + 2 * sum(
+        bool(graphs._fan_extras(g, v)) for v in g.vertices)
+    assert set(walks.values()) == {1}
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_certified_ratio_runs_no_svd(monkeypatch, seed):
+    g = random_graph(np.random.default_rng(seed))
+    chains = list(fan_chains(g))
+    rng = np.random.default_rng(100 + seed)
+    window = ModeWindow(5, 2)
+    chains.append((window, TwistChain(factors=(
+        interior_factor(rng, window),
+        ("sym", LaurentSymbol.monomial(1, channels=2)),
+        interior_factor(rng, window)))))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("certified_ratio ran an SVD")
+
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    for window, chain in chains:
+        assert chain.certified_ratio(window) > 0.0
 
 
 def built_member(g, v, extras=()):

@@ -789,6 +789,31 @@ def test_symbol_determinant_is_computed_once(monkeypatch, planes, channels):
     assert len(shapes) == 1
 
 
+@pytest.mark.parametrize("coefficients, d_min, winding", [
+    ([0.75, -2.8, 1.0], 0, 1),          # (z - 0.3)(z - 2.5), fault (a)
+    ([1.0, -10.0], 0, 1),
+    ([2.0, 0.5j, -0.3, 0.1], -1, -1),
+    ([3.0], 2, 2),
+])
+def test_scalar_symbol_determinant_is_its_coefficients(
+        monkeypatch, coefficients, d_min, winding):
+    # one channel: P is the scaled coefficients themselves, with no DFT
+    # and no determinant, and it is the polynomial the DFT route finds
+    calls = []
+    monkeypatch.setattr(np.linalg, "det",
+                        lambda a: calls.append(a) or np.ones(len(a)))
+    sym = LaurentSymbol.scalar(coefficients, d_min)
+    assert calls == []
+    np.testing.assert_array_equal(sym._det_coeffs,
+                                  sym._scaled_coeffs[:, 0, 0])
+    n = sym.coeffs.shape[0]
+    w = np.exp(2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n)
+    dft = w.conj() @ (w @ sym._scaled_coeffs[:, 0, 0]) / n
+    np.testing.assert_allclose(sym._det_coeffs, dft, rtol=0, atol=1e-12)
+    assert winding_number(sym) == winding
+    assert calls == []
+
+
 def test_circle_space_is_built_once():
     circle = LaurentCircle(6, channels=2)
     first = circle.space()

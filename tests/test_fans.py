@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fredcorr import fans
 from fredcorr.circles import LaurentSymbol, twist_circle
 from fredcorr.errors import DimensionMismatch, InvalidInput, NotAFan
 from fredcorr.fans import (
@@ -87,6 +88,23 @@ def test_leaking_twist_has_no_formula_2_at_any_scale(scale):
     rep = fan_index(f)
     assert rep.formula2 is None
     assert (rep.formula1, rep.formula3, rep.formula4) == (-1, -1, -1)
+
+
+@pytest.mark.parametrize("scale", [2.0 ** -1000, 1.0, 2.0 ** 1000, 1.7e308])
+def test_scaled_interior_twists_keep_formula_2(scale):
+    # every part twisted by c (I + 0.4 u v^H): the invertibility of the
+    # twists on the window is decided over their power of two, so at
+    # c = 1.7e308, where sigma_max overflows, formula 2 keeps its value
+    space, w = circle_setup()
+    rng = np.random.default_rng(5)
+    parts = partition_parts(w, [-2, 3])
+    twists = []
+    for _ in parts:
+        u, v = (fans._random_unit_interior(rng, w, 1) for _ in range(2))
+        twists.append(scale * finite_rank_twist(w, [u], [v], scale=0.4))
+    rep = fan_index(fan_from_twists(space, parts, twists))
+    assert (rep.formula1, rep.formula2, rep.formula3, rep.formula4) \
+        == (0, 0, 0, 0)
 
 
 def test_identity_twists_keep_parts():

@@ -205,6 +205,23 @@ class TestRandomGraphs:
         for v in g.vertices:
             assert boundary_slots(g, v)
 
+    def test_boundary_slots_are_ordered_once(self):
+        # outgoing blocks first, each group sorted by edge id, a
+        # self-loop in both; the graph orders them when it is built
+        for seed in range(10):
+            g = random_graph(np.random.default_rng(seed))
+            for v in g.vertices:
+                slots = boundary_slots(g, v)
+                assert slots is boundary_slots(g, v)
+                assert slots == tuple(
+                    (eid, "out") for eid in sorted(g.edges)
+                    if g.edges[eid].source == v) + tuple(
+                    (eid, "in") for eid in sorted(g.edges)
+                    if g.edges[eid].target == v)
+        g = torus_graph(0.5, 1, 4)
+        assert boundary_slots(g, "v") == (("e", "out"), ("e", "in"))
+        assert boundary_slots(g, "elsewhere") == ()
+
     def test_edge_index_is_symbol_winding(self):
         rng = np.random.default_rng(11)
         g = random_graph(rng)

@@ -545,6 +545,28 @@ def test_twist_with_a_disagreeing_symbol_is_decided_by_its_operator():
         global_index_fan(g)
 
 
+@pytest.mark.parametrize("scale", [2.0 ** -1000, 1.0, 2.0 ** 1000, 1.7e308])
+@pytest.mark.parametrize("d_min", [0, 1])
+def test_bare_twist_is_decided_at_every_scale(scale, d_min):
+    # the singular values of a bare matrix decide its injectivity over
+    # its power of two, so sigma_max of z^d (1 + 0.3z) times 1.7e308
+    # does not overflow, and the ratio and the index keep their values
+    circle = twist_circle(4)
+    sym = LaurentSymbol.scalar([1.0, 0.3], d_min)
+    op = multiplication_operator(sym, circle.window)
+
+    def bare(c):
+        return Twist(base=circle.space(), operator=WindowedOperator(
+            domain_window=op.domain_window, range_window=op.range_window,
+            base_window=op.base_window, matrix=c * op.matrix))
+
+    ref, t = bare(1.0), bare(scale)
+    assert t._injectivity_ratio == pytest.approx(ref._injectivity_ratio,
+                                                 rel=1e-12)
+    assert 0.5 < ref._injectivity_ratio < 0.6
+    assert tilde_ind(t) == tilde_ind(ref) == winding_number(sym) == d_min
+
+
 def test_symbol_twist_builds_one_band_matrix(monkeypatch):
     # the certified twist and its index build no band matrix; the first
     # read of the operator's matrix builds it once, read-only

@@ -3,11 +3,16 @@
 import numpy as np
 import pytest
 
+from fredcorr import circles, graphs
+from fredcorr.circles import (LaurentSymbol, certified_ratio,
+                              multiplication_operator, symbol_twist,
+                              twist_circle)
 from fredcorr.errors import DimensionMismatch, InvalidInput
-from fredcorr.subspaces import Subspace
+from fredcorr.subspaces import Subspace, current_tolerance, random_subspace
 from fredcorr.windows import (
     ModeWindow,
     WindowedOperator,
+    image_dim,
     lift_frame,
     mode_span,
     pad_by_predicate,
@@ -15,7 +20,7 @@ from fredcorr.windows import (
     window_rows_mask,
 )
 
-from reference import contains, coord, windowed_graph
+from reference import contains, coord, product_image_dim, windowed_graph
 
 
 def shift_matrix(src, dst, k):
@@ -194,3 +199,120 @@ def test_pad_by_predicate_tests_only_the_margin(channels, half_width, margin,
                  np.arange(dim)):
         for half in (masked, padded):
             np.testing.assert_array_equal(half.rows(rows), half.frame[rows])
+
+
+def zeros_on_both_sides(rng, channels):
+    """U diag((z - a_i)(z - b_i)) V z^d with |a_i| in [0.1, 0.5] and
+    |b_i| in [2, 4]: a determinant with zeros inside and outside the
+    circle; U and V are unitary on more than one channel."""
+    coeffs = np.zeros((3, channels, channels), dtype=np.complex128)
+    for i in range(channels):
+        a, b = (rng.uniform(lo, hi) * np.exp(2j * np.pi * rng.uniform())
+                for lo, hi in ((0.1, 0.5), (2.0, 4.0)))
+        coeffs[:, i, i] = (a * b, -(a + b), 1.0)
+    if channels > 1:
+        u, v = (np.linalg.qr(rng.standard_normal((channels, channels))
+                             + 1j * rng.standard_normal((channels,
+                                                         channels)))[0]
+                for _ in range(2))
+        coeffs = u @ coeffs @ v
+    return LaurentSymbol(coeffs=coeffs, d_min=int(rng.integers(-1, 2)))
+
+
+def spy_rows(monkeypatch):
+    """The calls of ``Subspace.rows``, recorded as they pass through."""
+    calls = []
+    real = Subspace.rows
+
+    def spy(sub, rows):
+        calls.append(sub)
+        return real(sub, rows)
+
+    monkeypatch.setattr(Subspace, "rows", spy)
+    return calls
+
+
+def assert_span_count_is_the_product(monkeypatch, op, sub, ratio):
+    assert sub._mask is not None and ratio > 2.0 * current_tolerance()
+    calls = spy_rows(monkeypatch)
+    got = image_dim(op, sub, ratio)
+    assert calls == []
+    monkeypatch.undo()
+    assert got == product_image_dim(op, sub)
+    return got
+
+
+# the fault-(a) symbol (z - 0.3)(z - 2.5), and three symbols with zeros
+# on both sides of the circle in every channel
+@pytest.mark.parametrize("channels, seed", [(1, None), (1, 0), (2, 1),
+                                            (3, 2)])
+@pytest.mark.parametrize("half_width", [8, 32])
+def test_span_count_equals_the_product_on_symbol_twists(
+        monkeypatch, channels, seed, half_width):
+    sym = (LaurentSymbol.scalar([0.75, -2.8, 1.0], 0) if seed is None
+           else zeros_on_both_sides(np.random.default_rng(seed), channels))
+    t = symbol_twist(sym, twist_circle(half_width, channels=channels))
+    for half in (t.base.flat_padded(t.margin), t.base.sharp_padded(t.margin)):
+        assert_span_count_is_the_product(monkeypatch, t.operator, half,
+                                         certified_ratio(sym))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_span_count_equals_the_product_on_graph_members(monkeypatch, seed):
+    # both routes' members: each recipe, and each recipe followed by the
+    # edge slots of the fan route, on its padded incoming assembly
+    g = graphs.random_graph(np.random.default_rng(seed))
+    counted = 0
+    for v in g.vertices:
+        window = graphs._vertex_window(g, v)
+        for extras in ((), graphs._fan_extras(g, v)):
+            chain = g.vertex_data[v].then(*extras)
+            op = chain.realize(window)
+            half = graphs._assembly(g, v, "in", op.margin)
+            assert_span_count_is_the_product(
+                monkeypatch, op, half, chain.certified_ratio(window))
+            counted += 1
+    assert counted == 2 * len(g.vertices)
+
+
+@pytest.mark.parametrize("half_width", [8, 32])
+def test_span_count_equals_the_product_on_caps_and_pairings(
+        monkeypatch, half_width):
+    # every count the generic twisted cap and the boundary pairing take
+    seen = []
+    real = circles.image_dim
+
+    def record(op, sub, ratio):
+        seen.append((op, sub, ratio))
+        return real(op, sub, ratio)
+
+    monkeypatch.setattr(circles, "image_dim", record)
+    rng = np.random.default_rng(half_width)
+    pair = circles.sphere_hardy_pair(half_width)
+    for _ in range(3):
+        sym = zeros_on_both_sides(rng, 1)
+        circles.twisted_cap(circles.chain_circle(half_width), sym)
+        circles.mv_pairing(pair, sym, 1)
+        circles.mv_pairing(pair, zeros_on_both_sides(rng, 2), 2)
+    monkeypatch.undo()
+    assert len(seen) == 9
+    for op, sub, ratio in seen:
+        assert_span_count_is_the_product(monkeypatch, op, sub, ratio)
+
+
+def test_framed_sub_keeps_the_product_route(monkeypatch):
+    # a subspace that is no coordinate span is counted by the product
+    # with its rows, and agrees with the built image
+    rng = np.random.default_rng(5)
+    sym = zeros_on_both_sides(rng, 2)
+    op = multiplication_operator(sym, ModeWindow(6, 2))
+    ratio = certified_ratio(sym)
+    for k in (3, 12, op.domain_window.dim - 4):
+        sub = random_subspace(op.domain_window.dim, k, rng)
+        assert sub._mask is None
+        calls = spy_rows(monkeypatch)
+        got = image_dim(op, sub, ratio)
+        assert calls == [sub]
+        monkeypatch.undo()
+        assert got == product_image_dim(op, sub) \
+            == op.apply_within_window(sub).dim
