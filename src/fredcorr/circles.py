@@ -40,8 +40,8 @@ from .subspaces import (
     current_tolerance,
     direct_sum,
 )
-from .windows import (ModeWindow, WindowedOperator, image_dim, mode_span,
-                      pad_by_predicate)
+from .windows import (MAX_COORDINATES, ModeWindow, WindowedOperator,
+                      image_dim, mode_span, pad_by_predicate)
 
 __all__ = [
     "LaurentSymbol",
@@ -169,6 +169,9 @@ class LaurentSymbol:
         c = np.asarray(self.coeffs, dtype=np.complex128)
         if c.ndim != 3 or c.shape[1] != c.shape[2] or c.shape[0] == 0:
             raise InvalidInput("coefficients must have shape (powers, c, c)")
+        # a power beyond any window's modes would overflow numpy's integers
+        if max(-self.d_min, self.d_min + len(c) - 1) > MAX_COORDINATES:
+            raise InvalidInput(f"symbol powers exceed +-{MAX_COORDINATES}")
         # canonicalize: strip zero planes at both ends
         nz = np.flatnonzero((c != 0).any(axis=(1, 2)))
         if not nz.size:
@@ -289,22 +292,11 @@ class LaurentCircle:
     def window(self):
         return ModeWindow(self.half_width, self.channels)
 
-    def labels(self):
-        """Mode numbers, or (mode, channel) pairs with several channels."""
-        w = self.window
-        modes = w.mode_labels().tolist()
-        if self.channels == 1:
-            return tuple(modes)
-        channels = np.repeat(np.arange(self.channels), w.modes_per_channel)
-        return tuple(zip(modes, channels.tolist()))
-
     def space(self):
         """The model space, built on the first call and then shared."""
         if "_space" not in self.__dict__:
             w = self.window
             object.__setattr__(self, "_space", ModelSpace(
-                dim=w.dim,
-                basis_labels=self.labels(),
                 splitting=splitting_for_window(w, self.convention),
                 window=w,
                 convention=self.convention,

@@ -47,6 +47,7 @@ from .fans import TwistChain
 from .morphisms import Twist, chain_total_index, index, reduce_chain_ledger, tilde_ind
 from .subspaces import complement, pair_index, random_subspace, rank, restricted_projection_index
 from .verify import available_suites, load_conventions, run_suite
+from .windows import MAX_COORDINATES
 
 SCENARIO_VERSION = 1
 
@@ -184,6 +185,8 @@ def run_pair(params, window, seed, budget):
     n = _int(params.get("ambient", 12), "ambient")
     if n < 0:
         raise UsageError(f"ambient must be nonnegative, got {n}")
+    if n > MAX_COORDINATES:
+        raise UsageError(f"ambient must be at most {MAX_COORDINATES}, got {n}")
     rng = np.random.default_rng(seed)
     dims = params.get("dims")
     if dims is None:

@@ -30,6 +30,7 @@ from .subspaces import (
 from .windows import (
     ModeWindow,
     WindowedOperator,
+    _lift_rows,
     lift_frame,
     mode_span,
     pad_by_predicate,
@@ -55,20 +56,13 @@ class PredicatePart:
     """One part of a windowed decomposition, defined by a mode predicate.
 
     The predicate is evaluated on the margin modes too
-    (``windows.pad_by_predicate``), which gives the part a canonical
-    companion at every margin: boundary parts grow into the margin,
-    interior parts do not.
+    (``windows.pad_by_predicate``, in :func:`fan_from_twists`), which
+    gives the part a canonical companion at every margin: boundary parts
+    grow into the margin, interior parts do not.
     """
 
     window: object
     predicate: object
-
-    def base(self):
-        return mode_span(self.window, self.predicate)
-
-    def padded(self, margin):
-        return pad_by_predicate(self.base(), self.window, margin,
-                                self.predicate)
 
 
 def interval_part(window, lo, hi):
@@ -306,10 +300,8 @@ def _symbol_of(kind, data):
 
 def _interior_rows(idx, window, cur):
     """Rows of ``cur``, a padding of ``window``, that hold the base
-    coordinates ``idx``: base coordinate c * per + r sits at row
-    c * per' + r + shift."""
-    shift = cur.half_width - window.half_width
-    return idx + 2 * shift * (idx // window.modes_per_channel) + shift
+    coordinates ``idx``."""
+    return _lift_rows(window, cur.half_width - window.half_width)[idx]
 
 
 def _pull_back(sym, source, target, mask):
@@ -452,23 +444,24 @@ def fan_from_twists(space, parts, twists, budget=None):
     if len(parts) != len(twists):
         raise InvalidInput("parts and twists differ in length")
     window = space.window
-    splittings = []
+    bases = []
     for part in parts:
         if part.window.dim != window.dim:
             raise DimensionMismatch("part window does not match the ambient")
-        labels = part.window.mode_labels()
-        splittings.append(Splitting._coordinate(
-            [bool(part.predicate(int(n))) for n in labels]))
+        bases.append(mode_span(part.window, part.predicate))
+    # each part against the rest of the window, from the part's own mask
+    splittings = [Splitting._coordinate(base._mask) for base in bases]
     members, construction = [], []
-    for part, twist in zip(parts, twists):
+    for part, base, twist in zip(parts, bases, twists):
         chain = _as_chain(twist)
         op = None if chain is None else chain.realize(window)
         construction.append((part, op))
         if op is None:
-            members.append(part.base())
+            members.append(base)
             continue
         # the member builds the matrix, which the commutator then reads
-        members.append(op.apply_within_window(part.padded(op.margin)))
+        members.append(op.apply_within_window(pad_by_predicate(
+            base, part.window, op.margin, part.predicate)))
         # by default the margin modes crossing a part boundary, plus slack
         # for small-rank perturbations riding on top of a shift
         cap = 2 * op.margin * window.channels + 4 if budget is None else budget
@@ -478,7 +471,7 @@ def fan_from_twists(space, parts, twists, budget=None):
                     "twist does not almost commute with a part projector "
                     f"(budget {cap})"
                 )
-    return Fan(ambient=space, parts=tuple(p.base() for p in parts),
+    return Fan(ambient=space, parts=tuple(bases),
                members=tuple(members), construction=tuple(construction))
 
 
@@ -511,8 +504,8 @@ def fan_index(f):
             op is None or _invertible_on_window(op)
             for _, op in f.construction):
         acc = np.zeros((n, n), dtype=np.complex128)
-        for part, op in f.construction:
-            p = part.base().projector()
+        for part, (_, op) in zip(f.parts, f.construction):
+            p = part.projector()
             acc += p if op is None else op.base_square() @ p
         ker = n - rank(acc)
         coker = n - rank(acc.conj().T)
@@ -547,8 +540,7 @@ def finite_rank_twist(window, vecs_out, vecs_in, scale=0.5):
 
 
 def _random_unit_interior(rng, window, edge_gap):
-    labels = window.mode_labels()
-    mask = np.abs(labels.astype(int)) <= window.half_width - edge_gap
+    mask = np.abs(window.mode_labels()) <= window.half_width - edge_gap
     v = np.zeros(window.dim, dtype=np.complex128)
     v[mask] = rng.standard_normal(int(mask.sum())) \
         + 1j * rng.standard_normal(int(mask.sum()))

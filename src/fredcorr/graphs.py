@@ -347,8 +347,7 @@ def torus_graph(q, k, half_width):
 def _rotation_factor(rng, window, band):
     """Unitary rotation of two window coordinates with modes inside the
     interior band, as an interior chain factor."""
-    labels = window.mode_labels()
-    pool = np.flatnonzero(np.abs(labels) <= band)
+    pool = np.flatnonzero(np.abs(window.mode_labels()) <= band)
     i, j = rng.choice(pool, size=2, replace=False)
     theta = rng.uniform(0.3, 1.2)
     phase = np.exp(2j * np.pi * rng.uniform())

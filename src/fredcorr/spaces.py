@@ -10,7 +10,7 @@ splitting and the difference of two splittings are read off the same
 two off-diagonal blocks (:func:`off_diagonal_singular_values`).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -117,42 +117,40 @@ def splitting_for_window(window, convention):
 
 @dataclass(frozen=True, eq=False)
 class ModelSpace:
-    """A finite model Hilbert space: labeled basis and splitting.
+    """A finite model Hilbert space: its splitting, and for a circle's
+    space the mode window and splitting convention.  The splitting's
+    ambient dimension is the space's ``dim``; a window describes the
+    coordinates, and must have that many.
 
-    Circle-derived spaces also carry their mode window and splitting
-    convention, so :meth:`flat_padded` and :meth:`sharp_padded` can pad
-    a splitting half into a wider window (``windows.pad_by_predicate``);
-    they return the padded ``Subspace``, whose base is the half itself.
-    Each padded half is built on the first call for its half and margin
-    and then shared: the space and its splitting are frozen, and the
-    frame is read-only.  A padded coordinate half is a mask, whose
-    columns ``windows.image_dim`` reads without building its frame.
+    A windowed space can pad a splitting half into a wider window
+    (:meth:`flat_padded`, :meth:`sharp_padded`, by
+    ``windows.pad_by_predicate``); they return the padded ``Subspace``,
+    whose base is the half itself.  Each padded half is built on the
+    first call for its half and margin and then shared: the space and
+    its splitting are frozen, and the frame is read-only.  A padded
+    coordinate half is a mask, whose columns ``windows.image_dim`` reads
+    without building its frame.
     """
 
-    dim: int
-    basis_labels: tuple
     splitting: Splitting
     window: ModeWindow = None
     convention: str = None
+    # stored by __post_init__ from the splitting
+    dim: int = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.dim < 0:
-            raise InvalidInput("negative dimension")
-        if len(self.basis_labels) != self.dim:
-            raise InvalidInput("label count does not match dimension")
-        if self.splitting.ambient_dim != self.dim:
-            raise DimensionMismatch("splitting does not match space dimension")
-        object.__setattr__(self, "basis_labels", tuple(self.basis_labels))
-        if self.window is not None and self.window.dim != self.dim:
+        dim = self.splitting.ambient_dim
+        if self.window is not None and self.window.dim != dim:
             raise DimensionMismatch("window does not match space dimension")
         if self.convention is not None:
             convention_predicate(self.convention)
+        object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "_padded", {})
 
     @classmethod
     def zero_space(cls):
         z = Subspace.zero(0)
-        return cls(dim=0, basis_labels=(), splitting=Splitting(sharp=z, flat=z))
+        return cls(splitting=Splitting(sharp=z, flat=z))
 
     @property
     def is_zero(self):
@@ -185,21 +183,19 @@ class ModelSpace:
         return self._half_padded("sharp", margin)
 
     def with_splitting(self, splitting):
-        return ModelSpace(dim=self.dim, basis_labels=self.basis_labels,
-                          splitting=splitting, window=self.window,
+        return ModelSpace(splitting=splitting, window=self.window,
                           convention=self.convention)
 
 
 def spaces_match(a, b):
-    """Whether two model spaces can be glued (same labels and splitting).
+    """Whether two model spaces can be glued: one window (one dimension,
+    for two windowless spaces), one convention and one splitting.
 
     The splitting halves are compared by ``subspaces_equal``: by mask
     for two coordinate spans, and otherwise array for array first and by
     principal angles only when that fails.
     """
-    if a.dim != b.dim or a.basis_labels != b.basis_labels:
-        return False
-    if a.convention != b.convention:
+    if a.dim != b.dim or a.window != b.window or a.convention != b.convention:
         return False
     sa, sb = a.splitting, b.splitting
     return sa is sb or (subspaces_equal(sa.sharp, sb.sharp)

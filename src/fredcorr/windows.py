@@ -28,10 +28,13 @@ __all__ = [
     "mode_span",
     "lift_frame",
     "pad_by_predicate",
-    "window_rows_mask",
     "restricted_image",
     "image_dim",
 ]
+
+# The most coordinates a window can have: numpy indexes an array of at
+# most this many complex (16-byte) entries.
+MAX_COORDINATES = np.iinfo(np.intp).max // np.dtype(np.complex128).itemsize
 
 
 @dataclass(frozen=True)
@@ -46,6 +49,8 @@ class ModeWindow:
             raise InvalidInput("half_width must be nonnegative")
         if self.channels < 1:
             raise InvalidInput("channels must be positive")
+        if self.channels * (2 * self.half_width + 1) > MAX_COORDINATES:
+            raise InvalidInput(f"numpy cannot index {self.dim} coordinates")
 
     @property
     def modes_per_channel(self):
@@ -56,8 +61,9 @@ class ModeWindow:
         return self.channels * self.modes_per_channel
 
     def mode_labels(self):
-        """Array of mode numbers, one per coordinate."""
-        return np.arange(self.dim) % self.modes_per_channel - self.half_width
+        """The mode number of every coordinate, read-only: equal windows
+        share one array (:func:`_channels_and_modes`)."""
+        return _channels_and_modes(self)[1]
 
     def pad(self, margin):
         """The window enlarged by ``margin`` modes on both sides."""
@@ -86,12 +92,8 @@ def lift_frame(frame, from_window, to_window):
     if frame.shape[0] != from_window.dim:
         raise DimensionMismatch("frame does not match source window")
     out = np.zeros((to_window.dim, frame.shape[1]), dtype=np.complex128)
-    shift = to_window.half_width - from_window.half_width
-    per_f = from_window.modes_per_channel
-    per_t = to_window.modes_per_channel
-    for c in range(from_window.channels):
-        out[c * per_t + shift: c * per_t + shift + per_f, :] = \
-            frame[c * per_f: (c + 1) * per_f, :]
+    out[_lift_rows(from_window,
+                   to_window.half_width - from_window.half_width)] = frame
     return out
 
 
@@ -116,32 +118,24 @@ def pad_by_predicate(sub, window, margin, predicate):
 
     The one builder of padded halves: ``ModelSpace.flat_padded`` and
     ``sharp_padded`` (twists, graph assemblies), the twisted cap,
-    ``mv_pairing`` and ``fans.PredicatePart.padded`` all call it, by the
+    ``mv_pairing`` and ``fans.fan_from_twists`` all call it, by the
     ``margin`` of the operator they feed.  An arbitrary subspace has no
     canonical enlargement, so callers keep the base they padded
     themselves."""
+    if sub.ambient_dim != window.dim:
+        raise DimensionMismatch("subspace does not match the window")
+    n = window.channels * (window.modes_per_channel + 2 * margin)
+    rows = _lift_rows(window, margin)
     extra = _margin_columns(window, margin, predicate)
-    per, per_w = window.modes_per_channel + 2 * margin, window.modes_per_channel
     if sub._mask is not None:
-        mask = np.zeros((window.channels, per), dtype=bool)
-        mask[:, margin:margin + per_w] = sub._mask.reshape(-1, per_w)
-        mask = mask.ravel()
+        mask = np.zeros(n, dtype=bool)
+        mask[rows] = sub._mask
         mask[extra] = True
         return Subspace._from_mask(mask)
-    frame = np.hstack([lift_frame(sub.frame, window, window.pad(margin)),
-                       np.zeros((window.channels * per, extra.size))])
+    frame = np.zeros((n, sub.dim + extra.size), dtype=np.complex128)
+    frame[rows, :sub.dim] = sub.frame
     frame[extra, sub.dim + np.arange(extra.size)] = 1.0
     return Subspace._trusted(frame)
-
-
-def window_rows_mask(range_window, base_window):
-    """Boolean mask over range-window coordinates that lie in the base."""
-    if range_window.channels != base_window.channels:
-        raise DimensionMismatch("channel counts differ")
-    if base_window.half_width > range_window.half_width:
-        raise DimensionMismatch("base window exceeds range window")
-    labels = range_window.mode_labels()
-    return np.abs(labels) <= base_window.half_width
 
 
 def restricted_image(matrix, keep_rows):
@@ -209,6 +203,17 @@ def _channels_and_modes(window):
     channel.setflags(write=False)
     pos.setflags(write=False)
     return channel, pos
+
+
+@functools.lru_cache(maxsize=64)
+def _lift_rows(window, margin):
+    """The row of ``window.pad(margin)`` that holds each coordinate of
+    ``window``, read-only: coordinate c * per + r sits at row
+    c * (per + 2 margin) + r + margin."""
+    channel = _channels_and_modes(window)[0]
+    rows = np.arange(window.dim) + 2 * margin * channel + margin
+    rows.setflags(write=False)
+    return rows
 
 
 class WindowedOperator:
@@ -335,7 +340,7 @@ class WindowedOperator:
 
     def base_columns_mask(self):
         """Mask of padded-domain columns whose mode lies in the base."""
-        return window_rows_mask(self.domain_window, self.base_window)
+        return np.abs(self._col_modes) <= self.base_window.half_width
 
     def base_square(self):
         """The base-to-base compression of the operator, from its matrix."""

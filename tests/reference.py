@@ -1,5 +1,7 @@
 """Small readers and dense references shared by the test files: the
-coordinate of a window mode, membership of a vector in a subspace, a
+coordinate of a window mode and the channel-by-channel layout formulas
+(the base rows of a wider window, a frame, coordinates and a padded
+half lifted into it), membership of a vector in a subspace, a
 twist re-based onto another splitting, a symbol evaluated on points of
 the circle, a graph vertex's member built as a frame (what
 ``graphs._member_dim`` counts without building), the boundary pairing
@@ -18,8 +20,7 @@ from fredcorr.circles import LaurentSymbol, multiplication_operator
 from fredcorr.errors import DimensionMismatch
 from fredcorr.morphisms import Correspondence, Twist
 from fredcorr.subspaces import Subspace, dimension_index, direct_sum, rank
-from fredcorr.windows import (ModeWindow, pad_by_predicate, restricted_image,
-                              window_rows_mask)
+from fredcorr.windows import ModeWindow, pad_by_predicate, restricted_image
 
 
 def coord(window, channel, n):
@@ -28,6 +29,57 @@ def coord(window, channel, n):
     assert -window.half_width <= n <= window.half_width
     assert 0 <= channel < window.channels
     return channel * window.modes_per_channel + n + window.half_width
+
+
+def in_base(range_window, base_window):
+    """Mask of the range-window coordinates whose mode lies in the base
+    window, one channel block at a time."""
+    per, h = range_window.modes_per_channel, range_window.half_width
+    block = np.abs(np.arange(per) - h) <= base_window.half_width
+    return np.tile(block, range_window.channels)
+
+
+def lift_by_channel(frame, from_window, to_window):
+    """A frame over ``from_window`` re-indexed into ``to_window``, one
+    channel block at a time: channel c's rows c * per .. (c + 1) * per
+    move to rows c * per' + shift onwards."""
+    out = np.zeros((to_window.dim, frame.shape[1]), dtype=np.complex128)
+    shift = to_window.half_width - from_window.half_width
+    per_f = from_window.modes_per_channel
+    per_t = to_window.modes_per_channel
+    for c in range(from_window.channels):
+        out[c * per_t + shift: c * per_t + shift + per_f] = \
+            frame[c * per_f: (c + 1) * per_f]
+    return out
+
+
+def lifted_rows(idx, window, cur):
+    """Rows of ``cur``, a padding of ``window``, holding the coordinates
+    ``idx``: coordinate c * per + r sits at row c * per' + r + shift."""
+    shift = cur.half_width - window.half_width
+    return idx + 2 * shift * (idx // window.modes_per_channel) + shift
+
+
+def pad_by_channel(sub, window, margin, predicate):
+    """``windows.pad_by_predicate`` one channel block at a time: a mask
+    lifted by reshaping it to (channels, modes), and a frame lifted by
+    :func:`lift_by_channel`, then stacked beside the unit columns of the
+    margin modes that ``predicate`` keeps, in coordinate order."""
+    padded = window.pad(margin)
+    labels = padded.mode_labels()
+    extra = np.flatnonzero([abs(int(n)) > window.half_width
+                            and predicate(int(n)) for n in labels])
+    per, per_w = padded.modes_per_channel, window.modes_per_channel
+    if sub._mask is not None:
+        mask = np.zeros((window.channels, per), dtype=bool)
+        mask[:, margin:margin + per_w] = sub._mask.reshape(-1, per_w)
+        mask = mask.ravel()
+        mask[extra] = True
+        return mask
+    frame = np.hstack([lift_by_channel(sub.frame, window, padded),
+                       np.zeros((padded.dim, extra.size))])
+    frame[extra, sub.dim + np.arange(extra.size)] = 1.0
+    return frame
 
 
 def mode_at(window, i):
@@ -98,7 +150,7 @@ def pushed_assembly(g, v, extras=()):
     window = graphs._vertex_window(g, v)
     frame = graphs._assembly(g, v, "in", margin=chain.margin).frame
     cur, image = chain.apply(window, frame)
-    return chain, window, image, window_rows_mask(cur, window)
+    return chain, window, image, in_base(cur, window)
 
 
 def vertex_subspace(g, v):

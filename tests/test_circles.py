@@ -39,7 +39,8 @@ from fredcorr.morphisms import (
     reduce_chain_ledger,
     tilde_ind,
 )
-from fredcorr.spaces import off_diagonal_singular_values, perturb_splitting
+from fredcorr.spaces import (off_diagonal_singular_values, perturb_splitting,
+                            spaces_match)
 from fredcorr.subspaces import (
     current_tolerance,
     dimension_index,
@@ -47,10 +48,10 @@ from fredcorr.subspaces import (
     rank,
     singular_values,
 )
-from fredcorr.windows import ModeWindow
+from fredcorr.windows import MAX_COORDINATES, ModeWindow
 
 from reference import (built_mv_pairing, composed_random_laurent_symbol,
-                       contains, coord, eval_grid, mode_at, rebased,
+                       contains, coord, eval_grid, rebased,
                        twist_graph)
 
 
@@ -84,6 +85,25 @@ def test_symbol_refuses_non_finite_coefficients(bad, plane):
         LaurentSymbol.scalar(c, d_min=1)
     with pytest.raises(InvalidInput, match="finite"):
         matrix_symbol(0, [[1.0, 0], [0, 2.0]], [[0, 0], [bad, 0]])
+
+
+@pytest.mark.parametrize("coeffs, d_min", [
+    ([1.0], MAX_COORDINATES + 1),
+    ([1.0], -MAX_COORDINATES - 1),
+    ([1.0, 0.5], MAX_COORDINATES),
+    ([1.0], 2 ** 63),
+    ([1.0, 0.5], -2 ** 63),
+    ([1.0], 10 ** 20),
+])
+def test_symbol_refuses_powers_beyond_any_window(coeffs, d_min):
+    with pytest.raises(InvalidInput, match="symbol powers exceed"):
+        LaurentSymbol.scalar(coeffs, d_min=d_min)
+
+
+def test_symbol_keeps_powers_at_the_window_limit():
+    top = LaurentSymbol.scalar([1.0, 0.5], d_min=MAX_COORDINATES - 1)
+    assert top.d_max == top.degree == MAX_COORDINATES
+    assert LaurentSymbol.monomial(-MAX_COORDINATES).degree == MAX_COORDINATES
 
 
 def test_singular_symbol_test_ignores_coefficient_scale():
@@ -573,18 +593,6 @@ def test_symbol_band_matrix_matches_loop(channels, d_min):
                               _band_matrix_by_loop(sym, w, to))
 
 
-@pytest.mark.parametrize("channels", [1, 2, 3])
-def test_circle_labels_match_loop(channels):
-    circle = LaurentCircle(4, channels=channels)
-    w = circle.window
-    if channels == 1:
-        expected = tuple(int(n) for n in w.mode_labels())
-    else:
-        expected = tuple((mode_at(w, i)[1], mode_at(w, i)[0])
-                         for i in range(w.dim))
-    assert circle.labels() == expected
-
-
 # Loop references for the vectorised symbol evaluation, and a phase scan
 # that the zero-counting winding number is held to.
 
@@ -820,6 +828,6 @@ def test_circle_space_is_built_once():
     assert circle.space() is first
     fresh = LaurentCircle(6, channels=2).space()
     assert fresh is not first
-    assert fresh.basis_labels == first.basis_labels
+    assert fresh.window == first.window and spaces_match(fresh, first)
     np.testing.assert_array_equal(fresh.splitting.sharp.frame,
                                   first.splitting.sharp.frame)

@@ -129,6 +129,59 @@ def test_values_that_used_to_fall_back_are_refused(tmp_path, capsys,
     assert len(lines) == 1 and lines[0].startswith(f"error: {name} ")
 
 
+# integers beyond the coordinates numpy can index; below that bound, from
+# about 2 ** 31, numpy would try to allocate them instead
+_BEYOND_INDEXING = [2 ** 61, 2 ** 62 - 1, 2 ** 62, 2 ** 63, 10 ** 20]
+
+
+def _refused_in_one_line(capsys, argv):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("value", _BEYOND_INDEXING)
+@pytest.mark.parametrize("scenario", [
+    {"kind": "twist", "window": "V"},
+    {"kind": "torus", "window": "V"},
+    {"kind": "twist", "symbol": {"d_min": "V", "entries": [[[1.0]]]}},
+    {"kind": "twist", "symbol": {"d_min": "-V", "entries": [[[1.0, 2.0]]]}},
+    {"kind": "rh_transmission", "symbol": {"power": "V"}},
+    {"kind": "torus", "k": "V"},
+    {"kind": "torus", "k": "-V"},
+    {"kind": "fan", "powers": [1, "V"]},
+    {"kind": "chain", "twist_powers": ["V"]},
+    {"kind": "sphere", "twist_powers": [0, "-V"]},
+    {"kind": "graph", "edges": [{"source": "a", "target": "b",
+                                 "twist": {"power": "V"}}]},
+    {"kind": "pair", "ambient": "V"},
+], ids=lambda s: "-".join(str(k) for k in s if k != "kind") + "-" + s["kind"])
+def test_integers_beyond_numpy_indexing_are_refused(tmp_path, capsys,
+                                                    scenario, value):
+    text = json.dumps({"version": 1, **scenario})
+    path = tmp_path / "big.json"
+    path.write_text(text.replace('"-V"', str(-value))
+                    .replace('"V"', str(value)))
+    _refused_in_one_line(capsys, ["index", str(path)])
+
+
+@pytest.mark.parametrize("value", _BEYOND_INDEXING)
+@pytest.mark.parametrize("kind", [k for k in cli.KINDS if k != "pair"])
+def test_window_flag_beyond_numpy_indexing_is_refused(tmp_path, capsys,
+                                                      kind, value):
+    path = write_scenario(tmp_path, "s.json", {"version": 1, "kind": kind})
+    _refused_in_one_line(capsys, ["index", path, "--window", str(value)])
+
+
+@pytest.mark.parametrize("value", _BEYOND_INDEXING)
+@pytest.mark.parametrize("argv", [["chain", "--twist-powers", "1,{v}"],
+                                  ["fan", "--powers", "{v},-1"]])
+def test_power_flags_beyond_numpy_indexing_are_refused(capsys, argv, value):
+    _refused_in_one_line(capsys, [a.format(v=value) for a in argv])
+
+
 @pytest.mark.parametrize("edges", [
     [{"source": "a", "target": "b", "id": "x", "twist": {"power": 2}},
      {"source": "b", "target": "a", "id": "x"}],

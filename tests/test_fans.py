@@ -194,6 +194,35 @@ def test_refining_an_untwisted_part_keeps_value():
     assert a.formula4 == b.formula4
 
 
+@pytest.mark.parametrize("channels", [1, 2])
+def test_part_predicates_run_once_per_coordinate(channels):
+    # three parts at M = 32: the untwisted one is read on the 65 modes
+    # of each channel, a twisted one on its operator's margin modes too
+    window = twist_circle(32, channels=channels).window
+    calls = []
+
+    def counted(i, lo, hi):
+        def pred(n):
+            calls.append(i)
+            return (lo is None or n >= lo) and (hi is None or n <= hi)
+        return PredicatePart(window=window, predicate=pred)
+
+    parts = [counted(0, None, -11), counted(1, -10, 10), counted(2, 11, None)]
+    twists = [LaurentSymbol.monomial(2, channels=channels), None,
+              LaurentSymbol.monomial(-1, channels=channels)]
+    space = twist_circle(32, channels=channels).space()
+    f = fan_from_twists(space, parts, twists)
+    margins = [2, 0, 1]
+    assert [calls.count(i) for i in range(3)] == [
+        window.dim + 2 * m for m in margins]
+    assert [p.dim for p in f.parts] == [22 * channels, 21 * channels,
+                                        22 * channels]
+    rep = fan_index(f)
+    assert rep.formula1 == rep.formula3 == rep.formula4
+    # the index reads the parts the fan keeps, not their predicates
+    assert len(calls) == 3 * window.dim + 2 * sum(margins)
+
+
 def test_permutation_invariance():
     rng = np.random.default_rng(23)
     for _ in range(6):

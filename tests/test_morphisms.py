@@ -66,7 +66,7 @@ from fredcorr.windows import (
     pad_by_predicate,
 )
 
-from reference import (built_mv_pairing, contains, coord, mode_at, rebased,
+from reference import (built_mv_pairing, contains, coord, rebased,
                        twist_graph, vertex_subspace)
 
 
@@ -90,13 +90,7 @@ def graph_correspondence(space, matrix, target=None):
 
 def circle_space(m, convention=SHARP_NEGATIVE, channels=1):
     w = ModeWindow(m, channels)
-    if channels == 1:
-        labels = tuple(range(-m, m + 1))
-    else:
-        labels = tuple((int(mode_at(w, i)[1]), mode_at(w, i)[0])
-                       for i in range(w.dim))
-    return ModelSpace(dim=w.dim, basis_labels=labels,
-                      splitting=splitting_for_window(w, convention),
+    return ModelSpace(splitting=splitting_for_window(w, convention),
                       window=w, convention=convention)
 
 

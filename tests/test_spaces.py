@@ -1,6 +1,8 @@
 """Tests for splittings, model spaces, perturbations and the
 polarization defect."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -31,9 +33,6 @@ from reference import contains, coord
 def hardy_space(m, convention=SHARP_NONNEG, channels=1):
     w = ModeWindow(m, channels=channels)
     return ModelSpace(
-        dim=w.dim,
-        basis_labels=tuple((int(n), c) for c in range(channels)
-                           for n in range(-m, m + 1)),
         splitting=splitting_for_window(w, convention),
         window=w,
         convention=convention,
@@ -257,6 +256,66 @@ def test_zero_space_and_match():
     assert spaces_match(h1, h2)
     assert not spaces_match(h1, h3)
     assert not spaces_match(h1, z)
+
+
+def _space_pairs():
+    """(name, a, b, whether they glue) for the identities that
+    ``spaces_match`` compares."""
+    nine = splitting_for_window(ModeWindow(4), SHARP_NONNEG)
+    wide = ModelSpace(splitting=nine, window=ModeWindow(4),
+                      convention=SHARP_NONNEG)
+    h = hardy_space(3)
+    moved = h.with_splitting(perturb_splitting(h.splitting, 1, seed=2))
+    zero = ModelSpace.zero_space()
+    return [
+        ("equal windows, conventions and halves", h, hardy_space(3), True),
+        ("one space", h, h, True),
+        ("a circle space and its copy", hardy_space(2, channels=3),
+         hardy_space(2, channels=3), True),
+        # one splitting of 9 coordinates, laid out by two windows
+        ("windows of one dimension", wide,
+         ModelSpace(splitting=nine, window=ModeWindow(1, 3),
+                    convention=SHARP_NONNEG), False),
+        ("another convention", h, ModelSpace(
+            splitting=h.splitting, window=h.window,
+            convention=SHARP_NEGATIVE), False),
+        ("a perturbed splitting", h, moved, False),
+        ("another window width", h, hardy_space(4), False),
+        ("zero spaces", zero, ModelSpace.zero_space(), True),
+        ("a zero space and a circle space", zero, h, False),
+        ("windowless spaces of one dimension",
+         ModelSpace(splitting=nine), ModelSpace(splitting=nine), True),
+        ("windowless spaces of two dimensions", ModelSpace(splitting=nine),
+         ModelSpace(splitting=h.splitting), False),
+        ("a windowless and a windowed space", ModelSpace(
+            splitting=nine, convention=SHARP_NONNEG), wide, False),
+    ]
+
+
+@pytest.mark.parametrize("name, a, b, glue", _space_pairs(),
+                         ids=[p[0] for p in _space_pairs()])
+def test_spaces_match_table(name, a, b, glue):
+    assert spaces_match(a, b) is glue
+    assert spaces_match(b, a) is glue
+
+
+def test_model_space_window_must_fit_its_splitting():
+    split = splitting_for_window(ModeWindow(4), SHARP_NONNEG)
+    for w in (ModeWindow(3), ModeWindow(4, 2)):
+        with pytest.raises(DimensionMismatch):
+            ModelSpace(splitting=split, window=w)
+    with pytest.raises(InvalidInput):
+        ModelSpace(splitting=split, window=ModeWindow(4), convention="up")
+    space = ModelSpace(splitting=split, window=ModeWindow(1, 3))
+    assert space.dim == 9 and space.window == ModeWindow(1, 3)
+
+
+def test_model_space_is_its_splitting_window_and_convention():
+    assert [f.name for f in dataclasses.fields(ModelSpace) if f.init] == [
+        "splitting", "window", "convention"]
+    h = hardy_space(3, channels=2)
+    assert h.dim == h.splitting.ambient_dim == h.window.dim == 14
+    assert ModelSpace.zero_space().window is None
 
 
 def test_spaces_match_compares_subspaces_not_frames():

@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
-from fredcorr import circles, graphs
+from fredcorr import circles, fans, graphs
 from fredcorr.circles import (LaurentSymbol, certified_ratio,
                               multiplication_operator, symbol_twist,
                               twist_circle)
 from fredcorr.errors import DimensionMismatch, InvalidInput
 from fredcorr.subspaces import Subspace, current_tolerance, random_subspace
 from fredcorr.windows import (
+    MAX_COORDINATES,
     ModeWindow,
     WindowedOperator,
     image_dim,
@@ -17,10 +18,11 @@ from fredcorr.windows import (
     mode_span,
     pad_by_predicate,
     restricted_image,
-    window_rows_mask,
 )
 
-from reference import contains, coord, product_image_dim, windowed_graph
+from reference import (contains, coord, in_base, lift_by_channel,
+                       lifted_rows, mode_at, pad_by_channel, product_image_dim,
+                       windowed_graph)
 
 
 def shift_matrix(src, dst, k):
@@ -47,6 +49,79 @@ def test_window_validation():
         ModeWindow(-1)
     with pytest.raises(InvalidInput):
         ModeWindow(2, channels=0)
+
+
+@pytest.mark.parametrize("half_width, channels", [
+    (MAX_COORDINATES // 2 + 1, 1),
+    (2 ** 61, 1),
+    # 2 ** 63 - 1 coordinates, where np.arange returns an empty array
+    (2 ** 62 - 1, 1),
+    (2 ** 63, 1),
+    (10 ** 20, 1),
+    (0, MAX_COORDINATES + 1),
+])
+def test_window_beyond_numpy_indexing_is_refused(half_width, channels):
+    with pytest.raises(InvalidInput, match="numpy cannot index"):
+        ModeWindow(half_width, channels)
+    with pytest.raises(InvalidInput, match="numpy cannot index"):
+        ModeWindow(1, channels).pad(half_width)
+
+
+def test_window_at_numpy_indexing_limit_is_kept():
+    # only the description: nothing allocates coordinates for it
+    w = ModeWindow((MAX_COORDINATES - 1) // 2)
+    assert w.dim == MAX_COORDINATES
+
+
+@pytest.mark.parametrize("half_width, channels", [(0, 1), (1, 2), (5, 3)])
+def test_mode_labels_are_one_shared_read_only_array(half_width, channels):
+    w = ModeWindow(half_width, channels)
+    labels = w.mode_labels()
+    assert ModeWindow(half_width, channels).mode_labels() is labels
+    assert not labels.flags.writeable
+    per = w.modes_per_channel
+    np.testing.assert_array_equal(
+        labels, np.arange(w.dim) % per - half_width)
+    assert labels.tolist() == [mode_at(w, i)[1] for i in range(w.dim)]
+
+
+@pytest.mark.parametrize("half_width", [0, 1, 5])
+@pytest.mark.parametrize("channels", [1, 2, 3])
+@pytest.mark.parametrize("margin", [0, 1, 2, 3, 4])
+def test_lift_map_matches_the_per_channel_formulas(half_width, channels,
+                                                   margin):
+    window = ModeWindow(half_width, channels)
+    padded = window.pad(margin)
+    rng = np.random.default_rng(100 * half_width + 10 * channels + margin)
+    frame = rng.standard_normal((window.dim, 2)) \
+        + 1j * rng.standard_normal((window.dim, 2))
+    np.testing.assert_array_equal(lift_frame(frame, window, padded),
+                                  lift_by_channel(frame, window, padded))
+    idx = np.arange(window.dim)
+    np.testing.assert_array_equal(fans._interior_rows(idx, window, padded),
+                                  lifted_rows(idx, window, padded))
+    subset = rng.permutation(window.dim)[:window.dim // 2]
+    np.testing.assert_array_equal(fans._interior_rows(subset, window, padded),
+                                  lifted_rows(subset, window, padded))
+    # the lifted rows hold the same modes on the same channels
+    at = [mode_at(window, i) for i in idx]
+    assert [mode_at(padded, r) for r in lifted_rows(idx, window, padded)] == at
+    framed = Subspace.from_span(frame)
+    masked = mode_span(window, lambda n: n % 2 == 0)
+    for pred in (lambda n: n < 0, lambda n: n % 3 == 0):
+        np.testing.assert_array_equal(
+            pad_by_predicate(framed, window, margin, pred).frame,
+            pad_by_channel(framed, window, margin, pred))
+        np.testing.assert_array_equal(
+            pad_by_predicate(masked, window, margin, pred)._mask,
+            pad_by_channel(masked, window, margin, pred))
+
+
+def test_pad_by_predicate_refuses_another_window():
+    sub = mode_span(ModeWindow(3), lambda n: n >= 0)
+    for s in (sub, Subspace(sub.frame)):
+        with pytest.raises(DimensionMismatch):
+            pad_by_predicate(s, ModeWindow(2), 1, lambda n: n >= 0)
 
 
 def test_mode_span_and_interval():
@@ -78,7 +153,7 @@ def test_restricted_image_shift():
     base = ModeWindow(2)
     rng_w = ModeWindow(3)
     m = shift_matrix(base, rng_w, 1)
-    img = restricted_image(m, window_rows_mask(rng_w, base))
+    img = restricted_image(m, in_base(rng_w, base))
     assert img.dim == 4
     assert contains(img, np.eye(base.dim)[coord(base, 0, -1)])
     assert contains(img, np.eye(base.dim)[coord(base, 0, 2)])
@@ -91,7 +166,7 @@ def test_restricted_image_mixing_is_window_intersection():
     base = ModeWindow(1)
     rng_w = ModeWindow(2)
     m = shift_matrix(base, rng_w, 0) + shift_matrix(base, rng_w, 1)
-    img = restricted_image(m, window_rows_mask(rng_w, base))
+    img = restricted_image(m, in_base(rng_w, base))
     # x = a e_{-1} + b e_0 + c e_1 maps to a e_{-1} + (a+b) e_0 + (b+c) e_1 + c e_2;
     # staying inside forces c = 0, leaving a 2-dim image
     assert img.dim == 2
@@ -103,7 +178,7 @@ def test_windowed_graph_of_shift():
     rng_w = ModeWindow(5)
     for k in (-2, 0, 2):
         m = shift_matrix(base, rng_w, k)
-        g = windowed_graph(m, window_rows_mask(rng_w, base))
+        g = windowed_graph(m, in_base(rng_w, base))
         assert g.ambient_dim == 2 * base.dim
         assert g.dim == base.dim - abs(k)
 
