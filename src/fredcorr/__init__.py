@@ -18,7 +18,6 @@ from .errors import (
 )
 from .subspaces import (
     PairIndexReport,
-    RestrictionReport,
     Subspace,
     complement,
     dimension_index,
@@ -29,7 +28,6 @@ from .subspaces import (
     principal_cosines,
     rank,
     random_subspace,
-    restricted_projection_index,
     subspace_sum,
     subspaces_equal,
 )

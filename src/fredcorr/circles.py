@@ -214,10 +214,6 @@ class LaurentSymbol:
         return self.degree
 
     @classmethod
-    def identity(cls, channels=1):
-        return cls(coeffs=np.eye(channels, dtype=np.complex128)[None, :, :], d_min=0)
-
-    @classmethod
     def monomial(cls, k, channels=1, coefficient=1.0):
         return cls(coeffs=(coefficient * np.eye(channels, dtype=np.complex128))[None, :, :],
                    d_min=k)
@@ -275,22 +271,22 @@ def winding_number(sym):
 @dataclass(frozen=True)
 class LaurentCircle:
     """A windowed Laurent-mode circle: modes -half_width..half_width in
-    each channel, with a named splitting convention."""
+    each channel, with a named splitting convention.  Its one
+    ``window`` is built with it."""
 
     half_width: int
     radius: float = 1.0
     channels: int = 1
     convention: str = SHARP_NONNEG
+    window: ModeWindow = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.radius <= 0:
             raise InvalidInput("radius must be positive")
         if self.half_width < 1:
             raise InvalidInput("window must contain at least modes -1..1")
-
-    @property
-    def window(self):
-        return ModeWindow(self.half_width, self.channels)
+        object.__setattr__(self, "window",
+                           ModeWindow(self.half_width, self.channels))
 
     def space(self):
         """The model space, built on the first call and then shared."""
@@ -315,7 +311,8 @@ def twist_circle(half_width, radius=1.0, channels=1):
 
 
 def symbol_band_matrix(sym, from_window, to_window):
-    """Exact matrix of multiplication by a symbol between two windows.
+    """Exact matrix of multiplication by a symbol between two windows:
+    :func:`_band_apply` on the identity frame.
 
     The target window must be wide enough that no output mode of any
     input mode is truncated.
@@ -324,17 +321,27 @@ def symbol_band_matrix(sym, from_window, to_window):
         raise DimensionMismatch("symbol channels do not match the windows")
     if to_window.half_width < from_window.half_width + sym.degree:
         raise DimensionMismatch("target window truncates the symbol action")
+    return _band_apply(sym, from_window, to_window,
+                       np.eye(from_window.dim, dtype=np.complex128))
+
+
+def _band_apply(sym, from_window, to_window, frame):
+    """``symbol_band_matrix(sym, from_window, to_window) @ frame`` by
+    shift-and-add over the coefficient planes, on the channel-major
+    (channel, mode, column) view of the frame."""
     c = sym.channels
-    m = np.zeros((c, to_window.modes_per_channel, c,
-                  from_window.modes_per_channel), dtype=np.complex128)
-    cols = np.arange(from_window.modes_per_channel)
-    for p in range(sym.coeffs.shape[0]):
-        # input mode n sits at column n + from_hw, its image mode
-        # n + shift at row n + shift + to_hw, in every channel pair
-        rows = cols + (sym.d_min + p) + (to_window.half_width
-                                         - from_window.half_width)
-        m[:, rows, :, cols] = sym.coeffs[p]
-    return m.reshape(to_window.dim, from_window.dim)
+    per = from_window.modes_per_channel
+    k = frame.shape[1]
+    src = frame.reshape(c, per * k)
+    out = np.zeros((c, to_window.modes_per_channel, k), dtype=np.complex128)
+    # input mode n sits at row n + from_hw, its image mode n + shift at
+    # row n + shift + to_hw
+    base = sym.d_min + to_window.half_width - from_window.half_width
+    for p, plane in enumerate(sym.coeffs):
+        if plane.any():
+            out[:, base + p: base + p + per, :] += \
+                (plane @ src).reshape(c, per, k)
+    return out.reshape(to_window.dim, k)
 
 
 def certified_ratio(sym):

@@ -10,6 +10,7 @@ parse error.
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -45,7 +46,7 @@ from .graphs import (
 )
 from .fans import TwistChain
 from .morphisms import Twist, chain_total_index, index, reduce_chain_ledger, tilde_ind
-from .subspaces import complement, pair_index, random_subspace, rank, restricted_projection_index
+from .subspaces import dimension_index, pair_index, random_subspace
 from .verify import available_suites, load_conventions, run_suite
 from .windows import MAX_COORDINATES
 
@@ -124,12 +125,21 @@ def _coeff(value):
     return complex(_number(value, "coefficient"))
 
 
+def _channels(value, name):
+    """A positive channel count whose c * c coefficient plane numpy can
+    index, refused before anything is allocated."""
+    channels = _int(value, name)
+    if channels < 1:
+        raise UsageError(f"{name} must be positive, got {channels}")
+    if channels > math.isqrt(MAX_COORDINATES):
+        raise UsageError(f"{name} must be at most "
+                         f"{math.isqrt(MAX_COORDINATES)}, got {channels}")
+    return channels
+
+
 def symbol_from_json(obj):
     if isinstance(obj, dict) and "power" in obj:
-        channels = _int(obj.get("channels", 1), "symbol channels")
-        if channels < 1:
-            raise UsageError(f"symbol channels must be positive, "
-                             f"got {channels}")
+        channels = _channels(obj.get("channels", 1), "symbol channels")
         return LaurentSymbol.monomial(_int(obj["power"], "symbol power"),
                                       channels=channels)
     if not isinstance(obj, dict) or "entries" not in obj:
@@ -197,21 +207,24 @@ def run_pair(params, window, seed, budget):
     a = random_subspace(n, da, rng)
     b = random_subspace(n, db, rng)
     rep = pair_index(a, b)
-    stacked_rank = rank(np.hstack([a.frame, -b.frame]))
-    inclusion = (da + db - stacked_rank) - (n - stacked_rank)
-    restriction = restricted_projection_index(a, complement(b)).index
+    # the stacked inclusion a + b -> C^n has kernel da + db - r and
+    # cokernel n - r, and the projection of a onto b's complement kernel
+    # da - r' and cokernel (n - db) - r': both ranks cancel, so both
+    # routes are the count, and the checks audit pair_index's
+    # intersection decision against its sum decision
+    count = dimension_index(a, b)
     results = {
         "ambient": n, "dims": [da, db],
         "pair_index": rep.index,
         "dim_intersection": rep.dim_intersection,
         "codim_sum": rep.codim_sum,
-        "inclusion_route": inclusion,
-        "restriction_route": restriction,
+        "inclusion_route": count,
+        "restriction_route": count,
     }
     checks = [
-        _check("pair index equals dimension identity", da + db - n, rep.index),
-        _check("inclusion route agrees", rep.index, inclusion),
-        _check("restriction route agrees", rep.index, restriction),
+        _check("pair index equals dimension identity", count, rep.index),
+        _check("inclusion route agrees", rep.index, count),
+        _check("restriction route agrees", rep.index, count),
     ]
     return _report("pair", {"ambient": n, "dims": [da, db], "seed": seed},
                    results, checks), None
@@ -220,12 +233,15 @@ def run_pair(params, window, seed, budget):
 def _symbol_from_params(params, seed):
     if "symbol" in params:
         return symbol_from_json(params["symbol"])
-    channels = _int(params.get("channels", 1), "channels")
-    if channels < 1:
-        raise UsageError(f"channels must be positive, got {channels}")
+    channels = _channels(params.get("channels", 1), "channels")
     degree = _int(params.get("degree", 2), "degree")
     if degree < 1:
         raise UsageError(f"degree must be positive, got {degree}")
+    # the symbol holds (degree + 1) * channels**2 coefficients
+    most = MAX_COORDINATES // channels ** 2 - 1
+    if degree > most:
+        raise UsageError(f"degree must be at most {most} for {channels} "
+                         f"channel(s), got {degree}")
     return random_laurent_symbol(np.random.default_rng(seed), channels=channels,
                                  degree=degree)
 

@@ -2,11 +2,24 @@
 sum decomposition of a windowed model space.
 
 A fan is built from pairwise orthogonal parts spanning the ambient space
-by twisting each part with a chain of windowed factors.  Its index can
-be read off four different ways (stacked inclusion, summed twist
-operator, summed restricted projections, telescoped intersections); all
-present formulas must agree, and the tests check that they do rather
-than assuming it.
+by twisting each part with a chain of windowed factors.  Inside a window
+every index is a difference of finite dimensions, so of the four
+classical formulas only one decides something new:
+
+1. the stacked inclusion of the members, whose rank cancels: it counts
+   sum dim m_i - n;
+2. the summed twist operator, a square map whose kernel and cokernel
+   match by rank-nullity: it is 0 wherever every twist maps the base
+   window onto itself, and undefined otherwise;
+3. the summed restricted projections m_i -> p_i, each (dim m_i - r) -
+   (dim p_i - r): it equals formula 1;
+4. the telescoped intersections, against the running sums: by the
+   Grassmann identity it equals formula 1 exactly when each
+   intersection's rank decision agrees with the sum's.
+
+So the fan's checks audit the intersection decisions against the sum
+decisions (formula 4), and that a fan whose twists keep the window has
+index 0 (formula 2).
 """
 
 from dataclasses import dataclass
@@ -14,6 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .circles import LaurentSymbol, _band_apply, certified_ratio, twist_circle
 from .errors import DimensionMismatch, InvalidInput, NotAFan
 from .morphisms import commutator_rank
 from .spaces import ModelSpace, Splitting
@@ -22,8 +36,6 @@ from .subspaces import (
     _power_of_two_scaled,
     current_tolerance,
     intersection,
-    rank,
-    restricted_projection_index,
     singular_values,
     subspace_sum,
 )
@@ -278,7 +290,6 @@ class TwistChain:
         identity outside its support S, so its singular values are its
         block's together with 1 whenever S is not the whole window.
         """
-        from .circles import certified_ratio
         ratio = 1.0
         for kind, data, sym, cur, _ in self._steps(window)[0]:
             if sym is None:
@@ -318,25 +329,6 @@ def _pull_back(sym, source, target, mask):
             at = sym.d_min + shift + k
             out |= (plane != 0).T @ mask[:, at:at + per]
     return out
-
-
-def _band_apply(sym, from_window, to_window, frame):
-    """``symbol_band_matrix(sym, from_window, to_window) @ frame`` by
-    shift-and-add over the coefficient planes, on the channel-major
-    (channel, mode, column) view of the frame."""
-    c = sym.channels
-    per = from_window.modes_per_channel
-    k = frame.shape[1]
-    src = frame.reshape(c, per * k)
-    out = np.zeros((c, to_window.modes_per_channel, k), dtype=np.complex128)
-    # input mode n sits at row n + from_hw, its image mode n + shift at
-    # row n + shift + to_hw
-    base = sym.d_min + to_window.half_width - from_window.half_width
-    for p, plane in enumerate(sym.coeffs):
-        if plane.any():
-            out[:, base + p: base + p + per, :] += \
-                (plane @ src).reshape(c, per, k)
-    return out.reshape(to_window.dim, k)
 
 
 def _interior_support(data):
@@ -420,8 +412,9 @@ class Fan:
 
 @dataclass(frozen=True)
 class FanIndexReport:
-    """The four index formulas; formula2 is None when some twist is not
-    exactly invertible on the window (or the fan carries no twist data)."""
+    """The four index formulas of the module docstring; formula2 is None
+    when some twist does not map the base window onto itself (or the fan
+    carries no twist data)."""
 
     formula1: int
     formula2: object
@@ -487,34 +480,22 @@ def _invertible_on_window(op):
     leak = m[np.ix_(~rows, cols)]
     if leak.size and np.abs(leak).max() > tol * np.abs(m).max():
         return False
-    s = np.linalg.svd(m[np.ix_(rows, cols)], compute_uv=False)
+    s = singular_values(m[np.ix_(rows, cols)])
     return s[-1] > tol * s[0]
 
 
 def fan_index(f):
-    """All four index formulas of a fan, computed independently."""
+    """The four index formulas of a fan: formulas 1 and 3 are counted,
+    formula 2 takes one invertibility decision per twist, and formula 4
+    an intersection and a sum per member after the first."""
     n = f.ambient.dim
-    # The stacked inclusion of the members, from their direct sum (dim T)
-    # into the ambient (dim n), has kernel T - r and cokernel n - r; its
-    # rank r cancels, so formula 1 needs no SVD.
     formula1 = sum(m.dim for m in f.members) - n
-
     formula2 = None
     if f.construction is not None and all(
             op is None or _invertible_on_window(op)
             for _, op in f.construction):
-        acc = np.zeros((n, n), dtype=np.complex128)
-        for part, (_, op) in zip(f.parts, f.construction):
-            p = part.projector()
-            acc += p if op is None else op.base_square() @ p
-        ker = n - rank(acc)
-        coker = n - rank(acc.conj().T)
-        formula2 = ker - coker
-
-    formula3 = sum(
-        restricted_projection_index(m, p).index
-        for m, p in zip(f.members, f.parts)
-    )
+        formula2 = 0
+    formula3 = sum(m.dim - p.dim for m, p in zip(f.members, f.parts))
 
     running = f.members[0]
     overlaps = 0
@@ -551,7 +532,6 @@ def random_fan(rng, half_width=6, channels=1, budget=None):
     """Synthetic fan: random interval partition, each part twisted by a
     mode shift, a finite-rank rotation of the identity, or nothing.
     ``budget`` is :func:`fan_from_twists`'s."""
-    from .circles import twist_circle, LaurentSymbol
     circle = twist_circle(half_width, channels=channels)
     space = circle.space()
     window = space.window

@@ -24,6 +24,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .circles import (LaurentSymbol, annulus_correspondence,
+                      random_laurent_symbol, symbol_twist, twist_circle,
+                      weighted_diagonal)
 from .errors import InvalidInput, DimensionMismatch, SelfLoopUnsupported
 from .fans import Interior, TwistChain
 from .morphisms import tilde_ind
@@ -104,6 +107,10 @@ class DecompositionGraph:
             v: tuple((eid, "out") for eid in sorted(out[v]))
             + tuple((eid, "in") for eid in sorted(inc[v]))
             for v in self.vertices})
+        # and the window of each vertex with slots, read by _vertex_window
+        object.__setattr__(self, "_windows", {
+            v: ModeWindow(half, channels=len(slots))
+            for v, slots in self._slots.items() if slots})
         for v in self.vertices:
             if v not in self.vertex_data:
                 raise InvalidInput(f"vertex {v!r} has no boundary data")
@@ -135,10 +142,9 @@ def boundary_slots(g, v):
 
 
 def _vertex_window(g, v):
-    slots = boundary_slots(g, v)
-    if not slots:
-        return None
-    return ModeWindow(g.half_width, channels=len(slots))
+    """The window of the boundary space of ``v``, one channel per slot;
+    None when ``v`` has no slots."""
+    return g._windows.get(v)
 
 
 def _assembly_halves(g, v, which, margin=0):
@@ -268,9 +274,10 @@ def global_index_selfglue(l, phi):
 
     This is the one-vertex one-loop model: L holds the boundary values on
     both copies of the circle, G the gluing condition.  The index is
-    counted, dim L + dim G - ambient (``dimension_index``): phi is
-    injective, so dim G is that of phi's windowed image of the base
-    columns (``windows.image_dim``), and no frame of G is built.
+    counted, dim L + dim G - ambient (the count of ``dimension_index``,
+    taken inline): phi is injective, so dim G is that of phi's windowed
+    image of the base columns (``windows.image_dim``), and no frame of G
+    is built.
 
     It warns when one subspace contains the other, with dim(L cap G) =
     dim L - rank R for L framed by [A; B], R = M_b A - B placed on the
@@ -308,8 +315,6 @@ def has_self_loops(g):
 def sphere_path_graph(half_width, twist=None, radii=(2.0, 1.0)):
     """Disk--annulus--disk path; an optional transmission symbol rides on
     the edge into the outgoing disk, whose recipe data can absorb it."""
-    from .circles import annulus_correspondence, symbol_twist, twist_circle
-    from .circles import LaurentSymbol
     r1, r2 = radii
     outer = twist_circle(half_width, r1)
     inner = twist_circle(half_width, r2)
@@ -334,7 +339,6 @@ def sphere_path_graph(half_width, twist=None, radii=(2.0, 1.0)):
 
 def torus_graph(q, k, half_width):
     """One annulus vertex self-glued along one circle, weight q, twist z^k."""
-    from .circles import LaurentSymbol, symbol_twist, twist_circle, weighted_diagonal
     if not (0.0 < q < 1.0):
         raise InvalidInput("weight q must lie strictly between 0 and 1")
     circle = twist_circle(half_width)
@@ -361,7 +365,6 @@ def _rotation_factor(rng, window, band):
 
 
 def _shift_factor(rng, window):
-    from .circles import LaurentSymbol
     js = rng.integers(-1, 2, size=window.channels)
     if not np.any(js):
         return None
@@ -380,7 +383,6 @@ def random_graph(rng, half_width=8, twist_probability=0.6):
     rotations applied to the incoming assembly; edge twists are
     monomials or random symbols of the exactly-windowable class.
     """
-    from .circles import LaurentSymbol, random_laurent_symbol, symbol_twist, twist_circle
     if half_width < 5:  # the rotations need modes inside |n| <= half_width - 4
         raise InvalidInput(f"a random graph needs half_width >= 5, got {half_width}")
     n_vertices = int(rng.integers(2, 5))

@@ -7,9 +7,11 @@ windowed pair formulation is the load-bearing one, and the classical
 operator identities reappear as consistency checks between different
 pair computations.
 
-A pair index is counted from dimensions (``dimension_index``): the rank
-decisions that build the correspondence, the twisted image and the
-composite are the ones the integer depends on; a composite that is not
+A pair index is counted from dimensions, dim a + dim b - ambient (the
+count of ``subspaces.dimension_index``, taken inline from dimensions
+read off without building both subspaces): the rank decisions that
+build the correspondence, the twisted image and the composite are the
+ones the integer depends on; a composite that is not
 a coordinate span, a diagonal graph or a diagonal's pull-back is one
 window intersection of its fiber product.
 """
@@ -124,10 +126,10 @@ class Correspondence:
 
 def index(l):
     """Index of a correspondence against the flat-source/sharp-target
-    assembly, counted as dim L + dim(flat + sharp) - ambient
-    (``dimension_index``, with the assembly's dimension read off its two
-    blocks instead of building it); equal to the intersection minus the
-    codim of the sum that ``pair_index`` audits."""
+    assembly, counted as dim L + dim(flat + sharp) - ambient: the count
+    of ``dimension_index``, taken inline with the assembly's dimension
+    read off its two blocks instead of building it; equal to the
+    intersection minus the codim of the sum that ``pair_index`` audits."""
     return (l.subspace.dim + l.source.splitting.flat.dim
             + l.target.splitting.sharp.dim - l.subspace.ambient_dim)
 

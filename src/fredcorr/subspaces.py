@@ -29,7 +29,6 @@ __all__ = [
     "current_tolerance",
     "Subspace",
     "PairIndexReport",
-    "RestrictionReport",
     "orthonormalize",
     "singular_values",
     "rank",
@@ -39,7 +38,6 @@ __all__ = [
     "complement",
     "dimension_index",
     "pair_index",
-    "restricted_projection_index",
     "principal_cosines",
     "direct_sum",
     "subspaces_equal",
@@ -75,13 +73,18 @@ def current_tolerance():
     return DEFAULT_TOL
 
 
-def _svd(a, full_matrices=False):
+def _svd(a, full_matrices=False, compute_uv=True):
     # the divide-and-conquer driver occasionally refuses benign inputs;
     # the transposed problem takes a different reduction and converges
     try:
-        return np.linalg.svd(a, full_matrices=full_matrices)
+        return np.linalg.svd(a, full_matrices=full_matrices,
+                             compute_uv=compute_uv)
     except np.linalg.LinAlgError:
-        u2, s2, vh2 = np.linalg.svd(a.conj().T, full_matrices=full_matrices)
+        out = np.linalg.svd(a.conj().T, full_matrices=full_matrices,
+                            compute_uv=compute_uv)
+        if not compute_uv:
+            return out
+        u2, s2, vh2 = out
         return vh2.conj().T, s2, u2.conj().T
 
 
@@ -96,10 +99,8 @@ def _power_of_two_scaled(a):
 
 
 def singular_values(a):
-    try:
-        return np.linalg.svd(a, compute_uv=False)
-    except np.linalg.LinAlgError:
-        return np.linalg.svd(a.conj().T, compute_uv=False)
+    """Singular values of ``a``, descending, with :func:`_svd`'s fallback."""
+    return _svd(a, compute_uv=False)
 
 
 def orthonormalize(matrix):
@@ -397,7 +398,10 @@ def dimension_index(a, b):
 
     In finite dimension this is the value of :func:`pair_index`, so the
     only decisions behind it are the rank decisions that built ``a`` and
-    ``b``.  Every index route uses it; ``pair_index`` is the audit.
+    ``b``.  The pair kind's inclusion and restriction routes return it,
+    since the rank in each cancels; the other index routes take the same
+    count inline, from dimensions they read without building both
+    subspaces.  :func:`pair_index` is the audit.
     """
     _check_same_ambient(a, b)
     return a.dim + b.dim - a.ambient_dim
@@ -408,9 +412,10 @@ def pair_index(a, b):
 
     The audit route.  Both constituents are decided independently, by
     the intersection's principal angles and by the rank of the stacked
-    frames; in finite dimension the result always equals
-    :func:`dimension_index`, and the tests, criterion 11 and the
-    ``pair_routes`` suite check that identity rather than assume it.
+    frames; in finite dimension the result equals
+    :func:`dimension_index` exactly when those two rank decisions agree,
+    which the tests, criterion 11 and the ``pair_routes`` suite check
+    rather than assume.
     """
     _check_same_ambient(a, b)
     inter = intersection(a, b)
@@ -427,32 +432,6 @@ def pair_index(a, b):
         codim_sum=codim,
         index=inter.dim - codim,
     )
-
-
-@dataclass(frozen=True)
-class RestrictionReport:
-    """Kernel/cokernel data of an orthogonal projection restricted to a
-    subspace, viewed as a map onto the target."""
-
-    rank: int
-    kernel_dim: int
-    cokernel_dim: int
-    index: int
-
-
-def restricted_projection_index(a, target):
-    """Index of ``P_target`` restricted to ``a``, as a map into ``target``.
-
-    Computed from the actual rank of the compressed matrix, not from the
-    dimension identity it happens to satisfy.
-    """
-    _check_same_ambient(a, target)
-    m = target.frame.conj().T @ a.frame
-    r = rank(m)
-    ker = a.dim - r
-    coker = target.dim - r
-    return RestrictionReport(rank=r, kernel_dim=ker, cokernel_dim=coker,
-                             index=ker - coker)
 
 
 def direct_sum(*subs):

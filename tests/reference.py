@@ -10,16 +10,24 @@ twist graph built as a frame (what ``graphs.global_index_selfglue``
 counts), the random symbol composed of validated symbols (what
 ``circles.random_laurent_symbol`` multiplies as coefficient planes),
 the product count of a windowed image (what ``windows.image_dim`` reads
-off a coordinate span's columns), and an interior factor's ratio from
-the SVD of its block (what ``fans.Interior`` records carry)."""
+off a coordinate span's columns), an interior factor's ratio from
+the SVD of its block (what ``fans.Interior`` records carry), and the
+index routes whose ranks cancel decided by those ranks: the restricted
+projection index, fan formulas 2 and 3, and the pair kind's inclusion
+and restriction routes (what ``fans.fan_index`` and ``cli.run_pair``
+count)."""
+
+from dataclasses import dataclass
 
 import numpy as np
 
-from fredcorr import graphs
+from fredcorr import fans, graphs
 from fredcorr.circles import LaurentSymbol, multiplication_operator
 from fredcorr.errors import DimensionMismatch
 from fredcorr.morphisms import Correspondence, Twist
-from fredcorr.subspaces import Subspace, dimension_index, direct_sum, rank
+from fredcorr.subspaces import (Subspace, _check_same_ambient, complement,
+                                dimension_index, direct_sum, intersection,
+                                rank, subspace_sum)
 from fredcorr.windows import ModeWindow, pad_by_predicate, restricted_image
 
 
@@ -252,3 +260,86 @@ def interior_ratio(factor, dim):
     if factor.support.size < dim:
         lo, hi = min(lo, 1.0), max(hi, 1.0)
     return float(lo / hi) if hi > 0.0 else 0.0
+
+
+@dataclass(frozen=True)
+class RestrictionReport:
+    """Kernel/cokernel data of an orthogonal projection restricted to a
+    subspace, viewed as a map onto the target."""
+
+    rank: int
+    kernel_dim: int
+    cokernel_dim: int
+    index: int
+
+
+def restricted_projection_index(a, target):
+    """Index of ``P_target`` restricted to ``a``, as a map into ``target``,
+    from the rank of the compressed matrix, which cancels from it."""
+    _check_same_ambient(a, target)
+    m = target.frame.conj().T @ a.frame
+    r = rank(m)
+    ker = a.dim - r
+    coker = target.dim - r
+    return RestrictionReport(rank=r, kernel_dim=ker, cokernel_dim=coker,
+                             index=ker - coker)
+
+
+def dense_fan_formulas(f):
+    """(formula 2, formula 3) of a fan decided by ranks: the kernel minus
+    the cokernel of the n x n summed twist sum_i T_i P_i, when every twist
+    maps the base window onto itself (else None), and the summed
+    restricted projection indices of the members onto their parts."""
+    n = f.ambient.dim
+    formula2 = None
+    if f.construction is not None and all(
+            op is None or fans._invertible_on_window(op)
+            for _, op in f.construction):
+        acc = np.zeros((n, n), dtype=np.complex128)
+        for part, (_, op) in zip(f.parts, f.construction):
+            p = part.projector()
+            acc += p if op is None else op.base_square() @ p
+        formula2 = (n - rank(acc)) - (n - rank(acc.conj().T))
+    formula3 = sum(restricted_projection_index(m, p).index
+                   for m, p in zip(f.members, f.parts))
+    return formula2, formula3
+
+
+def dense_fan_index(f):
+    """``fans.fan_index`` with formulas 2 and 3 decided by ranks: the
+    same formulas 1 and 4, beside :func:`dense_fan_formulas`."""
+    formula2, formula3 = dense_fan_formulas(f)
+    running, overlaps = f.members[0], 0
+    for m in f.members[1:]:
+        overlaps += intersection(running, m).dim
+        running = subspace_sum(running, m)
+    n = f.ambient.dim
+    return fans.FanIndexReport(
+        formula1=sum(m.dim for m in f.members) - n, formula2=formula2,
+        formula3=formula3, formula4=overlaps - (n - running.dim))
+
+
+def dense_pair_routes(a, b):
+    """(inclusion, restriction) routes of a pair decided by ranks: the
+    stacked inclusion a + b -> C^n, and the projection of ``a`` onto the
+    complement of ``b``."""
+    n = a.ambient_dim
+    r = rank(np.hstack([a.frame, -b.frame]))
+    inclusion = (a.dim + b.dim - r) - (n - r)
+    return inclusion, restricted_projection_index(a, complement(b)).index
+
+
+def svd_calls(fn, *args):
+    """The number of ``numpy.linalg.svd`` calls that ``fn(*args)`` makes."""
+    svd, calls = np.linalg.svd, []
+
+    def spy(*a, **kw):
+        calls.append(1)
+        return svd(*a, **kw)
+
+    np.linalg.svd = spy
+    try:
+        fn(*args)
+    finally:
+        np.linalg.svd = svd
+    return len(calls)

@@ -48,7 +48,6 @@ from fredcorr.subspaces import (
     pair_index,
     random_subspace,
     rank,
-    restricted_projection_index,
 )
 from fredcorr.verify import (
     _draw_radii,
@@ -57,6 +56,8 @@ from fredcorr.verify import (
     _rebased,
     load_conventions,
 )
+
+from reference import restricted_projection_index
 
 RADIUS_PAIRS = [(2.0, 1.2), (1.5, 1.0), (1.25, 1.0), (1.1, 1.0), (3.0, 2.1)]
 

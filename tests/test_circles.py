@@ -181,7 +181,7 @@ def test_multiplication_operator_entries():
     assert col[coord(op.range_window, 0, 3)] == 1.0
     assert np.count_nonzero(col) == 1
     with pytest.raises(DimensionMismatch):
-        multiplication_operator(LaurentSymbol.identity(2), w)
+        multiplication_operator(LaurentSymbol.monomial(0, channels=2), w)
 
 
 @pytest.mark.parametrize("k", range(-2, 3))
@@ -831,3 +831,29 @@ def test_circle_space_is_built_once():
     assert fresh.window == first.window and spaces_match(fresh, first)
     np.testing.assert_array_equal(fresh.splitting.sharp.frame,
                                   first.splitting.sharp.frame)
+
+
+def test_a_circle_keeps_one_window():
+    circle = LaurentCircle(6, channels=2)
+    assert circle.window is circle.window
+    assert circle.space().window is circle.window
+    # the window is derived, so it takes no part in equality or repr
+    assert circle == LaurentCircle(6, channels=2)
+    assert "window" not in repr(circle)
+
+
+@pytest.mark.parametrize("half_width", [0, 3, 8])
+@pytest.mark.parametrize("channels", [1, 2, 3])
+def test_symbol_band_matrix_matches_the_loop_bit_for_bit(channels,
+                                                         half_width):
+    rng = np.random.default_rng([channels, half_width])
+    w = ModeWindow(half_width, channels)
+    for d_min, d_max in [(-1, 0), (0, 1), (-1, 1), (-2, 1), (1, 2),
+                         (-3, -1), (0, 3), (-2, 2)]:
+        shape = (d_max - d_min + 1, channels, channels)
+        coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        coeffs[0] += 3.0 * np.eye(channels)  # keeps det A off the circle
+        sym = LaurentSymbol(coeffs=coeffs, d_min=d_min)
+        for to in (w.pad(sym.degree), w.pad(sym.degree + 2)):
+            assert symbol_band_matrix(sym, w, to).tobytes() \
+                == _band_matrix_by_loop(sym, w, to).tobytes()

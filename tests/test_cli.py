@@ -20,6 +20,9 @@ from hypothesis import strategies as st
 
 from fredcorr import cli, graphs, subspaces
 from fredcorr.circles import LaurentSymbol, random_laurent_symbol
+from fredcorr.subspaces import random_subspace
+
+from reference import dense_pair_routes, svd_calls
 
 
 @pytest.fixture(autouse=True)
@@ -180,6 +183,24 @@ def test_window_flag_beyond_numpy_indexing_is_refused(tmp_path, capsys,
                                   ["fan", "--powers", "{v},-1"]])
 def test_power_flags_beyond_numpy_indexing_are_refused(capsys, argv, value):
     _refused_in_one_line(capsys, [a.format(v=value) for a in argv])
+
+
+@pytest.mark.parametrize("value", [2 ** 61, 2 ** 62, 2 ** 63, 10 ** 20])
+@pytest.mark.parametrize("kind", ["twist", "rh_transmission"])
+@pytest.mark.parametrize("params", [
+    {"degree": "V"},
+    {"channels": "V"},
+    {"channels": 2, "degree": "V"},
+    {"symbol": {"power": 1, "channels": "V"}},
+], ids=["degree", "channels", "degree-of-two-channels", "monomial-channels"])
+def test_symbol_sizes_beyond_numpy_indexing_are_refused(tmp_path, capsys,
+                                                        params, kind, value):
+    # a symbol holds (degree + 1) * channels ** 2 coefficients; values
+    # from about 2 ** 31 up to that bound would start an allocation
+    text = json.dumps({"version": 1, "kind": kind, **params})
+    path = tmp_path / "big.json"
+    path.write_text(text.replace('"V"', str(value)))
+    _refused_in_one_line(capsys, ["index", str(path)])
 
 
 @pytest.mark.parametrize("edges", [
@@ -468,6 +489,43 @@ def test_pair_scenario_routes(tmp_path, capsys):
     rep = json.loads(capsys.readouterr().out)
     assert rep["results"]["pair_index"] == 4 + 9 - 11
     assert all(c["status"] == "PASS" for c in rep["checks"])
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_pair_routes_equal_the_dense_ranks(seed):
+    report, _ = cli.run_pair({}, None, seed, None)
+    rng = np.random.default_rng(seed)
+    da, db = (int(rng.integers(0, 13)) for _ in range(2))
+    a, b = random_subspace(12, da, rng), random_subspace(12, db, rng)
+    results = report["results"]
+    assert (results["inclusion_route"], results["restriction_route"]) \
+        == dense_pair_routes(a, b)
+
+
+def test_counted_pair_routes_equal_the_dense_ranks_on_random_pairs():
+    for i in range(100):
+        rng = np.random.default_rng([31, i])
+        n = int(rng.integers(0, 15))
+        a = random_subspace(n, int(rng.integers(0, n + 1)), rng)
+        b = random_subspace(n, int(rng.integers(0, n + 1)), rng)
+        count = subspaces.dimension_index(a, b)
+        assert dense_pair_routes(a, b) == (count, count)
+
+
+def test_pair_routes_run_no_svd():
+    # the dense routes rank the stacked frames, take b's complement by a
+    # full SVD and rank the restricted projection: three SVDs the counted
+    # routes do without
+    params, seed = {"ambient": 12, "dims": [5, 7]}, 3
+
+    def dense_run():
+        rng = np.random.default_rng(seed)
+        a, b = random_subspace(12, 5, rng), random_subspace(12, 7, rng)
+        subspaces.pair_index(a, b)
+        dense_pair_routes(a, b)
+
+    assert svd_calls(dense_run) - svd_calls(
+        cli.run_pair, params, None, seed, None) == 3
 
 
 def test_verify_subcommand(capsys):

@@ -23,7 +23,7 @@ from fredcorr.fans import (
 from fredcorr.subspaces import principal_cosines, subspaces_equal
 from fredcorr.windows import mode_span
 
-from reference import coord
+from reference import coord, dense_fan_formulas, dense_fan_index, svd_calls
 
 
 def retwist(f, syms):
@@ -111,7 +111,7 @@ def test_identity_twists_keep_parts():
     space, w = circle_setup(5)
     parts = partition_parts(w, [0])
     eye = np.eye(w.dim, dtype=np.complex128)
-    ident_sym = LaurentSymbol.identity()
+    ident_sym = LaurentSymbol.monomial(0, channels=1)
     f = fan_from_twists(space, parts, [eye, ident_sym])
     for part, member in zip(f.parts, f.members):
         assert subspaces_equal(part, member)
@@ -359,3 +359,63 @@ def test_fan_index_reads_the_realized_operators(monkeypatch):
     assert fan_index(f).formula2 is None
     assert len(realized) == 2 and checked == [ops[0]]
 
+
+@pytest.mark.parametrize("half_width", [6, 32])
+@pytest.mark.parametrize("seed", range(8))
+def test_counted_formulas_equal_the_dense_ranks_on_fan_scenarios(seed,
+                                                                half_width):
+    # the fan kind's random fans, at its default window and at 32
+    f = random_fan(np.random.default_rng(seed), half_width=half_width)
+    rep = fan_index(f)
+    assert (rep.formula2, rep.formula3) == dense_fan_formulas(f)
+
+
+def test_counted_formulas_equal_the_dense_ranks_on_random_fans():
+    rng = np.random.default_rng(31)
+    for _ in range(100):
+        f = random_fan(rng)
+        rep = fan_index(f)
+        assert (rep.formula2, rep.formula3) == dense_fan_formulas(f)
+
+
+def test_fan_index_runs_no_svd_for_formulas_2_and_3():
+    # the dense route ranks one compressed projection per part (when it
+    # is not empty) and, where formula 2 applies, the summed twist and
+    # its adjoint; the counted route decides none of them
+    applied = set()
+    for seed in range(8):
+        f = random_fan(np.random.default_rng(seed))
+        rep = fan_index(f)
+        assert rep == dense_fan_index(f)
+        applied.add(rep.formula2 is not None)
+        saved = sum(1 for m, p in zip(f.members, f.parts) if m.dim and p.dim)
+        saved += 2 if rep.formula2 is not None else 0
+        assert svd_calls(dense_fan_index, f) - svd_calls(fan_index, f) \
+            == saved
+    assert applied == {True, False}
+
+
+@pytest.mark.parametrize("square", ["invertible", "singular"])
+def test_invertibility_survives_a_refused_svd(monkeypatch, square):
+    # the SVD driver refusing once sends the decision to the transposed
+    # problem (subspaces.singular_values), which decides the same
+    space, w = circle_setup()
+    rng = np.random.default_rng(2)
+    u, v = (fans._random_unit_interior(rng, w, 1) for _ in range(2))
+    m = finite_rank_twist(w, [u], [v], scale=0.4)
+    if square == "singular":
+        m[w.dim // 2, :] = 0.0
+    op = TwistChain(factors=(("interior", m),)).realize(w)
+    expected = fans._invertible_on_window(op)
+    assert expected == (square == "invertible")
+    svd, refused = np.linalg.svd, []
+
+    def refuse_once(a, *args, **kwargs):
+        if not refused:
+            refused.append(a.shape)
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", refuse_once)
+    assert fans._invertible_on_window(op) == expected
+    assert refused == [(w.dim, w.dim)]

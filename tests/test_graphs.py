@@ -39,6 +39,7 @@ from fredcorr.subspaces import (
     rank,
     subspaces_equal,
 )
+from fredcorr.windows import ModeWindow
 
 from reference import (coord, pushed_assembly, rebased, twist_graph,
                        vertex_subspace)
@@ -125,7 +126,8 @@ class TestTorus:
     def test_degenerate_gluing_warns(self):
         from fredcorr.circles import multiplication_operator
         circle = twist_circle(6)
-        op = multiplication_operator(LaurentSymbol.identity(1), circle.window)
+        op = multiplication_operator(LaurentSymbol.monomial(0, channels=1),
+                                     circle.window)
         from fredcorr.morphisms import Twist
         phi = Twist(base=circle.space(), operator=op)
         l = twist_graph(phi)
@@ -221,6 +223,18 @@ class TestRandomGraphs:
         g = torus_graph(0.5, 1, 4)
         assert boundary_slots(g, "v") == (("e", "out"), ("e", "in"))
         assert boundary_slots(g, "elsewhere") == ()
+
+    def test_vertex_windows_are_built_once(self):
+        # one channel per slot, kept beside the slots
+        for seed in range(5):
+            g = random_graph(np.random.default_rng(seed))
+            for v in g.vertices:
+                window = graphs._vertex_window(g, v)
+                assert window is graphs._vertex_window(g, v)
+                assert window == ModeWindow(g.half_width,
+                                            len(boundary_slots(g, v)))
+        assert graphs._vertex_window(torus_graph(0.5, 1, 4), "elsewhere") \
+            is None
 
     def test_edge_index_is_symbol_winding(self):
         rng = np.random.default_rng(11)

@@ -18,12 +18,11 @@ from fredcorr.subspaces import (
     principal_cosines,
     random_subspace,
     rank,
-    restricted_projection_index,
     subspace_sum,
     subspaces_equal,
 )
 
-from reference import contains
+from reference import contains, restricted_projection_index
 
 
 def test_orthonormalize_shapes():
