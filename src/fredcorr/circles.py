@@ -4,10 +4,14 @@ numbers, and the sphere/torus scenario builders.
 
 A symbol's determinant is z^(c*d_min) times a polynomial P.  A symbol
 computes P's coefficients once, when it is built (``_det_polynomial``),
-and every reader of its determinant reads them: on the unit circle
-|det A(z)| = |P(z)|, which gives the construction check and the grid
-floor of sigma_min that the twist certificate starts from, and the
-winding number is c*d_min plus the zeros of P inside the disk.
+and its values on the validation grid, and every reader of its
+determinant reads them: on the unit circle |det A(z)| = |P(z)|, which
+gives the construction check and the grid floor of sigma_min that the
+twist certificate starts from, and the winding number is c*d_min plus
+the zeros of P inside the disk.  That count is the argument principle
+on the stored grid values whenever a Lipschitz bound certifies that P
+keeps away from zero between the grid points; otherwise the zeros are
+found with ``numpy.roots``.
 
 Mode bases are normalized per mode (the mode-k vector on a circle of
 radius r carries the factor r^k), so circle subspaces are plain
@@ -20,6 +24,7 @@ outgoing disk index 1), while twist, bordism, and graph-edge circles
 take sharp = nonnegative modes (twist index = winding number).
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -79,6 +84,32 @@ def _unit_grid(n):
 # the points of the construction check, computed once
 _VALIDATION_POINTS = _unit_grid(VALIDATION_GRID)
 _VALIDATION_POINTS.setflags(write=False)
+# Most coefficients of a polynomial evaluated by a cached table: at most
+# 16 DFT matrices of at most 16 x 16 entries (64 KB) and one table of 16
+# powers of the validation grid (128 KB).  Longer polynomials build their
+# DFT matrix per call and take Horner's rule on the grid.
+_CACHED_POWERS = 16
+
+
+def _roots_of_unity_powers(n):
+    """w[j, k] = exp(2 pi i j k / n), read off the grid by index."""
+    w = _unit_grid(n)[np.outer(np.arange(n), np.arange(n)) % n]
+    w.setflags(write=False)
+    return w
+
+
+_cached_dft = functools.lru_cache(maxsize=16)(_roots_of_unity_powers)
+
+
+@functools.lru_cache(maxsize=1)
+def _grid_powers():
+    """z_j^k for k < ``_CACHED_POWERS`` at each validation point z_j,
+    read-only, built on the first call."""
+    v = _VALIDATION_POINTS[np.outer(np.arange(_CACHED_POWERS),
+                                    np.arange(VALIDATION_GRID))
+                           % VALIDATION_GRID]
+    v.setflags(write=False)
+    return v
 
 
 def _horner(coeffs, zs):
@@ -88,6 +119,16 @@ def _horner(coeffs, zs):
         acc *= zs
         acc += a
     return acc
+
+
+def _on_grid(coeffs, n):
+    """sum_k coeffs[k] * z**k at the n-th roots of unity: one product with
+    the cached powers on the validation grid, else Horner's rule."""
+    if n != VALIDATION_GRID:
+        return _horner(coeffs, _unit_grid(n))
+    if len(coeffs) > _CACHED_POWERS:
+        return _horner(coeffs, _VALIDATION_POINTS)
+    return coeffs @ _grid_powers()[:len(coeffs)]
 
 
 def _det_floor(sym):
@@ -106,36 +147,35 @@ def _det_polynomial(coeffs):
     if planes == 1:
         return np.linalg.det(coeffs)
     n = c * (planes - 1) + 1
-    # w[j, k] = exp(2 pi i j k / n), read off the grid by index
-    w = _unit_grid(n)[np.outer(np.arange(n), np.arange(n)) % n]
+    w = (_cached_dft if n <= _CACHED_POWERS else _roots_of_unity_powers)(n)
     vals = (w[:, :planes] @ coeffs.reshape(planes, c * c)).reshape(n, c, c)
     return w.conj() @ np.linalg.det(vals) / n
 
 
 def _grid_floor(sym, n):
-    """(min |det A(z)|, min |det A(z)| / ||A(z)||_F^(c-1)) over the n-th
-    roots of unity.  The second is a floor of sigma_min(A(z)) there:
+    """(min |det A(z)|, min |det A(z)| / ||A(z)||_F^(c-1), P(z)) over the
+    n-th roots of unity z.  The second is a floor of sigma_min(A(z)) there:
     sigma_min is |det| over the product of the other c - 1 singular
     values, each at most ||A||_F.  |det A| is |P|, and ||A||_F^2 is the
     Laurent polynomial sum_{p,q} tr(A_p^H A_q) z^(q-p) of the
     coefficients' Gram traces."""
-    zs = _VALIDATION_POINTS if n == VALIDATION_GRID else _unit_grid(n)
-    dets = np.abs(_horner(sym._det_coeffs, zs))
+    vals = _on_grid(sym._det_coeffs, n)
+    dets = np.abs(vals)
     low = float(dets.min())
     c = sym.channels
     if c == 1:
-        return low, low
+        return low, low, vals
     planes = sym.coeffs.shape[0]
     flat = sym._scaled_coeffs.reshape(planes, c * c)
     gram = flat.conj() @ flat.T
     # sum_k G_k z^k over k >= 0 with G_k = sum_p tr(A_p^H A_(p+k)); the
     # terms k < 0 are its conjugate, and G_0 is counted once
-    half = _horner(np.array([gram.trace(k) for k in range(planes)]), zs)
+    half = _on_grid(np.array([gram.trace(k) for k in range(planes)]), n)
     norms2 = 2.0 * half.real - gram.trace().real
     if not norms2.min() > 0.0:
         # A(z) vanishes at a grid point, and so does sigma_min
-        return low, 0.0
-    return low, float((dets / norms2 ** ((c - 1) / 2)).min())
+        return low, 0.0, vals
+    return low, float((dets / norms2 ** ((c - 1) / 2)).min()), vals
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,15 +187,16 @@ class LaurentSymbol:
     every reader of the symbol's determinant needs: the coefficients of
     P = det A / z^(c*d_min) (``_det_polynomial``: the coefficients
     themselves on one channel, else one batch of deg P + 1
-    determinants), the norm sum S = sum_p ||A_p||_F and the grid floor
-    of sigma_min(A(z)).  It validates invertibility on the unit circle by
-    evaluating |P| on ``VALIDATION_GRID`` points, relative to the largest
-    value S^c that the coefficients allow |det| there.  All but
-    ``norm_sum`` are taken on ``_scaled_coeffs``, the coefficients over
-    the power of two of their largest real or imaginary part
-    (``subspaces._power_of_two_scaled``, which the relative rank cutoffs
-    share).  Each reader compares quantities of one degree, so the
-    scale cancels.
+    determinants), the norm sum S = sum_p ||A_p||_F, the values of P on
+    the ``VALIDATION_GRID`` points (``_grid_values``, read-only, which
+    :func:`winding_number` counts turns from) and the grid floor of
+    sigma_min(A(z)).  It validates invertibility on the unit circle by
+    |P| on those points, relative to the largest value S^c that the
+    coefficients allow |det| there.  All but ``norm_sum`` are taken on
+    ``_scaled_coeffs``, the coefficients over the power of two of their
+    largest real or imaginary part (``subspaces._power_of_two_scaled``,
+    which the relative rank cutoffs share).  Each reader compares
+    quantities of one degree, so the scale cancels.
     """
 
     coeffs: np.ndarray
@@ -199,9 +240,11 @@ class LaurentSymbol:
                             ("_scaled_norm_sum", total),
                             ("_slope", slope), ("_det_coeffs", det_coeffs)):
             object.__setattr__(self, name, value)
-        low, floor = _grid_floor(self, VALIDATION_GRID)
+        low, floor, vals = _grid_floor(self, VALIDATION_GRID)
         if low <= _det_floor(self):
             raise SymbolSingular("symbol determinant vanishes on the circle")
+        vals.setflags(write=False)
+        object.__setattr__(self, "_grid_values", vals)
         object.__setattr__(self, "_sigma_floor", floor)
 
     @property
@@ -255,11 +298,24 @@ def winding_number(sym):
     number of zeros inside the unit disk of the symbol's stored
     P = det A / z^(c*d_min).
 
-    Rounding moves zeros that P lacks towards 0 or infinity, far from
-    the circle.  A zero whose nearest circle point r/|r| has |P| at most
-    the ``MIN_DET`` floor makes the symbol singular, at any angle.
+    The count is first read off the stored values v_j of P on the
+    validation grid, by the argument principle: the turns
+    sum_j Arg(v_(j+1) / v_j) / 2 pi.  Along one grid arc P moves by at
+    most delta = (2 pi / N) * sum_k k |p_k|, so when min |v_j| - delta
+    exceeds the ``MIN_DET`` floor, P has no zero on the circle and each
+    step's principal argument is its true change.  Otherwise the zeros
+    are found with ``numpy.roots``: rounding moves zeros that P lacks
+    towards 0 or infinity, far from the circle, and a zero whose nearest
+    circle point r/|r| has |P| at most the floor makes the symbol
+    singular, at any angle.
     """
     p = sym._det_coeffs
+    vals = sym._grid_values
+    delta = 2.0 * math.pi / vals.size * float(np.arange(p.size) @ np.abs(p))
+    if np.abs(vals).min() - delta > _det_floor(sym):
+        steps = np.angle(vals[1:] * vals[:-1].conj()).sum() \
+            + np.angle(vals[0] * vals[-1].conjugate())
+        return sym.channels * sym.d_min + round(steps / (2.0 * math.pi))
     roots = np.roots(p[::-1])
     near = roots[roots != 0]
     dets = _horner(p, near / np.abs(near))
@@ -367,7 +423,7 @@ def certified_ratio(sym):
         n *= 2
         if n > CERTIFICATE_GRID_CAP:
             return 0.0
-        _, floor = _grid_floor(sym, n)
+        _, floor, _ = _grid_floor(sym, n)
 
 
 def multiplication_operator(sym, base_window):

@@ -180,12 +180,12 @@ class Subspace:
     ``windows.pad_by_predicate`` of dense blocks).  So do the frames
     that records build.
 
-    A coordinate span (``from_indices``, ``zero``, ``full``,
-    :meth:`_from_mask`) is kept as its read-only boolean mask ``_mask``,
-    which is None on every other subspace.  Its frame, one unit column
-    per selected direction in coordinate order, is built on the first
-    read of ``frame`` and then kept; ``dim``, ``ambient_dim``,
-    :meth:`rows` and the routes that meet coordinate spans read the mask.
+    A coordinate span (``zero``, ``full``, :meth:`_from_mask`) is kept
+    as its read-only boolean mask ``_mask``, which is None on every other
+    subspace.  Its frame, one unit column per selected direction in
+    coordinate order, is built on the first read of ``frame`` and then
+    kept; ``dim``, ``ambient_dim``, :meth:`rows` and the routes that meet
+    coordinate spans read the mask.
 
     A record (:meth:`_recorded`) keeps a counted ``(ambient_dim, dim)``
     and the builder of its frame: the graph of Q = diag(q^mode) of
@@ -289,18 +289,6 @@ class Subspace:
     @classmethod
     def full(cls, ambient_dim):
         return cls._from_mask(np.ones(ambient_dim, dtype=bool))
-
-    @classmethod
-    def from_indices(cls, ambient_dim, indices):
-        """Coordinate subspace spanned by the listed basis directions."""
-        idx = np.asarray(indices, dtype=int)
-        if idx.size != np.unique(idx).size:
-            raise InvalidInput("duplicate coordinate indices")
-        if idx.size and (idx.min() < 0 or idx.max() >= ambient_dim):
-            raise InvalidInput("coordinate index out of range")
-        mask = np.zeros(ambient_dim, dtype=bool)
-        mask[idx] = True
-        return cls._from_mask(mask)
 
     @classmethod
     def _from_mask(cls, mask):

@@ -66,10 +66,11 @@ class ModeWindow:
         return _channels_and_modes(self)[1]
 
     def pad(self, margin):
-        """The window enlarged by ``margin`` modes on both sides."""
+        """The window enlarged by ``margin`` modes on both sides: one
+        window per window and margin (:func:`_padded`)."""
         if margin < 0:
             raise InvalidInput("margin must be nonnegative")
-        return ModeWindow(self.half_width + margin, self.channels)
+        return _padded(self, margin)
 
 
 def mode_span(window, predicate):
@@ -203,6 +204,14 @@ def _channels_and_modes(window):
     channel.setflags(write=False)
     pos.setflags(write=False)
     return channel, pos
+
+
+@functools.lru_cache(maxsize=64)
+def _padded(window, margin):
+    """``window.pad(margin)``, built and validated on the first call and
+    then shared, as :func:`_lift_rows` is: at most 64 two-integer
+    windows are kept."""
+    return ModeWindow(window.half_width + margin, window.channels)
 
 
 @functools.lru_cache(maxsize=64)

@@ -1,29 +1,32 @@
 """Small readers and dense references shared by the test files: the
 coordinate of a window mode and the channel-by-channel layout formulas
 (the base rows of a wider window, a frame, coordinates and a padded
-half lifted into it), membership of a vector in a subspace, a
-twist re-based onto another splitting, a symbol evaluated on points of
-the circle, a graph vertex's member built as a frame (what
-``graphs._member_dim`` counts without building), the boundary pairing
-with its twisted image built (what ``circles.mv_pairing`` counts), the
-twist graph built as a frame (what ``graphs.global_index_selfglue``
-counts), the random symbol composed of validated symbols (what
-``circles.random_laurent_symbol`` multiplies as coefficient planes),
-the product count of a windowed image (what ``windows.image_dim`` reads
-off a coordinate span's columns), an interior factor's ratio from
-the SVD of its block (what ``fans.Interior`` records carry), and the
-index routes whose ranks cancel decided by those ranks: the restricted
-projection index, fan formulas 2 and 3, and the pair kind's inclusion
-and restriction routes (what ``fans.fan_index`` and ``cli.run_pair``
-count)."""
+half lifted into it), a coordinate span from its indices, membership of
+a vector in a subspace, a twist re-based onto another splitting, a
+symbol evaluated on points of the circle, the winding counted from the
+roots of the determinant (what ``circles.winding_number`` reads off its
+grid values when a bound certifies them), a graph vertex's member built
+as a frame (what ``graphs._member_dim`` counts without building), the
+boundary pairing with its twisted image built (what
+``circles.mv_pairing`` counts), the twist graph built as a frame (what
+``graphs.global_index_selfglue`` counts), the random symbol composed of
+validated symbols (what ``circles.random_laurent_symbol`` multiplies as
+coefficient planes), the product count of a windowed image (what
+``windows.image_dim`` reads off a coordinate span's columns), an
+interior factor's ratio from the SVD of its block (what
+``fans.Interior`` records carry), and the index routes whose ranks
+cancel decided by those ranks: the restricted projection index, fan
+formulas 2 and 3, and the pair kind's inclusion and restriction routes
+(what ``fans.fan_index`` and ``cli.run_pair`` count)."""
 
 from dataclasses import dataclass
 
 import numpy as np
 
 from fredcorr import fans, graphs
-from fredcorr.circles import LaurentSymbol, multiplication_operator
-from fredcorr.errors import DimensionMismatch
+from fredcorr.circles import (LaurentSymbol, _det_floor, _horner,
+                              multiplication_operator)
+from fredcorr.errors import DimensionMismatch, InvalidInput, SymbolSingular
 from fredcorr.morphisms import Correspondence, Twist
 from fredcorr.subspaces import (Subspace, _check_same_ambient, complement,
                                 dimension_index, direct_sum, intersection,
@@ -97,6 +100,18 @@ def mode_at(window, i):
     return c, r - window.half_width
 
 
+def from_indices(ambient_dim, indices):
+    """Coordinate subspace spanned by the listed basis directions."""
+    idx = np.asarray(indices, dtype=int)
+    if idx.size != np.unique(idx).size:
+        raise InvalidInput("duplicate coordinate indices")
+    if idx.size and (idx.min() < 0 or idx.max() >= ambient_dim):
+        raise InvalidInput("coordinate index out of range")
+    mask = np.zeros(ambient_dim, dtype=bool)
+    mask[idx] = True
+    return Subspace._from_mask(mask)
+
+
 def contains(sub, other):
     """Whether ``other`` (a Subspace or a vector) lies inside ``sub``:
     its normalized residual off ``sub`` stays below 1e-8."""
@@ -122,6 +137,21 @@ def eval_grid(sym, zs):
     powers = zs[:, None] ** np.arange(sym.coeffs.shape[0])
     vals = np.tensordot(powers, sym.coeffs, axes=(1, 0))
     return vals * (zs ** sym.d_min)[:, None, None]
+
+
+def roots_winding_number(sym):
+    """``circles.winding_number`` by the roots of the stored P alone:
+    c*d_min plus the zeros inside the unit disk, refused when a nonzero
+    zero's nearest circle point r/|r| has |P| at most the ``MIN_DET``
+    floor."""
+    p = sym._det_coeffs
+    roots = np.roots(p[::-1])
+    near = roots[roots != 0]
+    dets = _horner(p, near / np.abs(near))
+    if np.abs(dets).min(initial=np.inf) <= _det_floor(sym):
+        raise SymbolSingular("determinant too close to zero on the circle")
+    inside = int(np.count_nonzero(np.abs(roots) < 1.0))
+    return sym.channels * sym.d_min + inside
 
 
 def windowed_graph(matrix, keep_rows):

@@ -52,7 +52,7 @@ from fredcorr.windows import MAX_COORDINATES, ModeWindow
 
 from reference import (built_mv_pairing, composed_random_laurent_symbol,
                        contains, coord, eval_grid, rebased,
-                       twist_graph)
+                       roots_winding_number, twist_graph)
 
 
 def matrix_symbol(d_min, *planes):
@@ -774,6 +774,182 @@ def test_singular_verdicts_match_the_dense_route(angle):
                 winding_number(sym)
         else:
             assert winding_number(sym) == int(delta < 0)
+
+
+# The winding read off the stored grid values against the roots of P
+# (reference.roots_winding_number): the grid count where its Lipschitz
+# bound certifies it, and numpy.roots, with its refusal, elsewhere.
+
+@pytest.fixture
+def roots_calls(monkeypatch):
+    """The polynomials that numpy.roots is called on during the test."""
+    calls = []
+    real = np.roots
+    monkeypatch.setattr(np, "roots", lambda p: calls.append(p) or real(p))
+    return calls
+
+
+def _winding_and_route(sym, roots_calls):
+    """(winding_number(sym), "grid" or "roots"): the route is "roots"
+    when the call ran numpy.roots."""
+    before = len(roots_calls)
+    w = winding_number(sym)
+    return w, "roots" if len(roots_calls) > before else "grid"
+
+
+def _conjugated_diagonal(rng, entries):
+    """U diag(z^k_i p_i(z)) V from (k_i, coefficients of p_i) pairs."""
+    n = len(entries)
+    d_min = min(k for k, _ in entries)
+    planes = max(k - d_min + len(p) for k, p in entries)
+    coeffs = np.zeros((planes, n, n), dtype=np.complex128)
+    for i, (k, p) in enumerate(entries):
+        coeffs[k - d_min: k - d_min + len(p), i, i] = p
+    if n > 1:
+        u, v = (np.linalg.qr(rng.standard_normal((n, n))
+                             + 1j * rng.standard_normal((n, n)))[0]
+                for _ in range(2))
+        coeffs = np.einsum("ij,pjk,kl->pil", u, coeffs, v)
+    return LaurentSymbol(coeffs=coeffs, d_min=d_min)
+
+
+def _diagonal_with_zeros(rng, channels):
+    # each channel: z^k times 0-3 zeros at radius 0.05-0.95 and 0-3 at
+    # radius 1.05-4
+    entries = []
+    for _ in range(channels):
+        inner, outer = rng.integers(0, 4, size=2)
+        radii = np.concatenate([rng.uniform(0.05, 0.95, inner),
+                                rng.uniform(1.05, 4.0, outer)])
+        zeros = radii * np.exp(2j * np.pi * rng.uniform(size=radii.size))
+        entries.append((int(rng.integers(-1, 2)),
+                        np.poly(zeros)[::-1] if zeros.size else [1.0]))
+    return _conjugated_diagonal(rng, entries)
+
+
+def _near_circle_diagonal(rng, channels, radius):
+    # a zero at the given radius on channel 0 and unit constants elsewhere
+    a = radius * np.exp(2j * np.pi * rng.uniform())
+    return _conjugated_diagonal(
+        rng, [(0, [-a, 1.0])] + [(0, [1.0])] * (channels - 1))
+
+
+@pytest.mark.parametrize("channels", [1, 2, 3])
+def test_winding_matches_the_roots_route_on_zeros_both_sides(roots_calls,
+                                                             channels):
+    rng = np.random.default_rng(30 + channels)
+    routes = set()
+    for _ in range(60):
+        sym = _diagonal_with_zeros(rng, channels)
+        w, route = _winding_and_route(sym, roots_calls)
+        assert w == roots_winding_number(sym)
+        routes.add(route)
+    # zeros down to 0.05 from the circle leave some counts uncertified
+    assert routes == {"grid", "roots"}
+
+
+def test_winding_matches_the_roots_route_on_certified_families(roots_calls):
+    rng = np.random.default_rng(507060)
+    syms = [_fault_symbol(rng) for _ in range(20)]
+    # random_laurent_symbol's P is one coefficient plane plus rounding
+    syms += [random_laurent_symbol(rng, channels=c, degree=d)
+             for c in (2, 3) for d in (1, 2, 3) for _ in range(10)]
+    for sym in syms:
+        w, route = _winding_and_route(sym, roots_calls)
+        assert (w, route) == (roots_winding_number(sym), "grid")
+    assert [winding_number(s) for s in syms[:20]] == [-2] * 20
+
+
+@pytest.mark.parametrize("scale", [2.0 ** 40, 2.0 ** -40, 1.7e308])
+def test_winding_of_a_power_of_two_copy(roots_calls, scale):
+    # graphs._fan_extras composes such copies; they share the grid values
+    rng = np.random.default_rng(7)
+    for sym in [_fault_symbol(rng), _diagonal_with_zeros(rng, 2),
+                random_laurent_symbol(rng, channels=2, degree=2)]:
+        peak = np.abs(sym.coeffs.view(np.float64)).max()
+        big = LaurentSymbol(coeffs=sym.coeffs / peak * scale, d_min=sym.d_min)
+        copy = big._over_power_of_two()
+        assert copy._grid_values is big._grid_values
+        w, route = _winding_and_route(copy, roots_calls)
+        assert w == roots_winding_number(copy) == winding_number(sym)
+        assert route == _winding_and_route(sym, roots_calls)[1]
+
+
+@pytest.mark.parametrize("channels", [1, 2])
+@pytest.mark.parametrize("radius, inside", [(1 + 1e-3, 0), (1 - 1e-3, 1),
+                                            (1 + 1e-6, 0), (1 - 1e-6, 1)])
+def test_zeros_near_the_circle_take_the_roots_route(roots_calls, channels,
+                                                    radius, inside):
+    rng = np.random.default_rng(3)
+    for _ in range(10):
+        sym = _near_circle_diagonal(rng, channels, radius)
+        w, route = _winding_and_route(sym, roots_calls)
+        assert (w, route) == (roots_winding_number(sym), "roots")
+        assert w == inside
+
+
+def test_a_long_polynomial_is_counted_past_the_cached_powers(roots_calls):
+    # P = 0.01 + 0.3j z^7 + z^40 has 41 coefficients, more than the cached
+    # grid powers, so its grid values take Horner's rule; its 40 zeros lie
+    # within radius 0.97, and the grid certifies their count
+    coefficients = np.zeros(41, dtype=np.complex128)
+    coefficients[[0, 7, 40]] = 0.01, 0.3j, 1.0
+    sym = LaurentSymbol.scalar(coefficients, d_min=-25)
+    grid = np.exp(2j * np.pi * np.arange(VALIDATION_GRID) / VALIDATION_GRID)
+    np.testing.assert_allclose(sym._grid_values,
+                               np.polyval(sym._det_coeffs[::-1], grid),
+                               rtol=1e-12)
+    w, route = _winding_and_route(sym, roots_calls)
+    assert (w, route) == (roots_winding_number(sym), "grid") == (15, "grid")
+
+
+def test_cached_tables_stay_under_a_megabyte():
+    from fredcorr import circles
+    powers = circles._grid_powers()
+    cap = circles._CACHED_POWERS
+    assert powers.shape == (cap, VALIDATION_GRID)
+    assert not powers.flags.writeable
+    grid = np.exp(2j * np.pi * np.arange(VALIDATION_GRID) / VALIDATION_GRID)
+    np.testing.assert_allclose(powers[5], grid ** 5, rtol=0, atol=1e-13)
+    dft_bytes = circles._cached_dft.cache_parameters()["maxsize"] \
+        * cap ** 2 * np.dtype(np.complex128).itemsize
+    assert powers.nbytes + dft_bytes < 2 ** 20
+    # a DFT longer than the cap is built for its symbol and not kept
+    before = circles._cached_dft.cache_info()
+    rng = np.random.default_rng(2)
+    coeffs = rng.standard_normal((9, 3, 3)) \
+        + 1j * rng.standard_normal((9, 3, 3))
+    sym = LaurentSymbol(coeffs=coeffs + 4 * np.eye(3), d_min=0)
+    assert sym._det_coeffs.size == 25 > cap
+    assert circles._cached_dft.cache_info()[:2] == before[:2]
+
+
+def _refusal(fn, sym):
+    with pytest.raises(SymbolSingular) as refused:
+        fn(sym)
+    return str(refused.value)
+
+
+def test_every_refusal_is_unchanged(roots_calls):
+    # z - 1 and z + 1 vanish at grid points and are refused when built
+    for coefficients in ([-1.0, 1.0], [1.0, 1.0]):
+        with pytest.raises(SymbolSingular) as refused:
+            LaurentSymbol.scalar(coefficients, d_min=0)
+        assert str(refused.value) == \
+            "symbol determinant vanishes on the circle"
+    # the near-circle families of the tests above: the roots route runs
+    # and refuses each with the message it gives alone
+    rng = np.random.default_rng(5)
+    syms = [LaurentSymbol.scalar([-r * np.exp(1j * angle), 1.0], 0)
+            for angle in (np.pi / 512, 1.2345)
+            for r in (1 + 1e-8, 1 - 1e-8, 1 + 4e-9, 1 - 4e-9, 1 + 1e-10)]
+    syms += [_near_circle_diagonal(rng, 2, r) for r in (1 + 1e-9, 1 - 1e-9)]
+    for sym in syms:
+        message = _refusal(roots_winding_number, sym)
+        assert message == "determinant too close to zero on the circle"
+        before = len(roots_calls)
+        assert _refusal(winding_number, sym) == message
+        assert len(roots_calls) == before + 1
 
 
 @pytest.mark.parametrize("planes, channels", [(4, 2), (3, 3), (1, 2)])

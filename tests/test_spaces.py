@@ -27,7 +27,7 @@ from fredcorr.subspaces import (
 )
 from fredcorr.windows import ModeWindow, lift_frame
 
-from reference import contains, coord
+from reference import contains, coord, from_indices
 
 
 def hardy_space(m, convention=SHARP_NONNEG, channels=1):
@@ -81,8 +81,8 @@ def test_make_splitting_empty_raises():
 
 
 def test_splitting_validation_rejects_overlap():
-    a = Subspace.from_indices(4, [0, 1])
-    b = Subspace.from_indices(4, [1, 2])
+    a = from_indices(4, [0, 1])
+    b = from_indices(4, [1, 2])
     with pytest.raises(InvalidInput):
         Splitting(sharp=a, flat=b)
 
@@ -93,7 +93,7 @@ def test_splitting_validation_rejects_small_tilt():
     # is far above the slack
     theta = 1e-4
     sharp = Subspace(np.array([[np.cos(theta)], [np.sin(theta)]]))
-    flat = Subspace.from_indices(2, [1])
+    flat = from_indices(2, [1])
     with pytest.raises(InvalidInput):
         Splitting(sharp=sharp, flat=flat)
 
@@ -182,7 +182,7 @@ def test_nfold_subspace_dims():
             ref[row:row + s.ambient_dim, col:col + s.dim] = s.frame
             row, col = row + s.ambient_dim, col + s.dim
         np.testing.assert_array_equal(direct_sum(*subs).frame, ref)
-    s3 = direct_sum(*[Subspace.from_indices(4, [1, 3])] * 3)
+    s3 = direct_sum(*[from_indices(4, [1, 3])] * 3)
     assert s3.ambient_dim == 12 and s3.dim == 6
 
 

@@ -85,6 +85,24 @@ def test_mode_labels_are_one_shared_read_only_array(half_width, channels):
     assert labels.tolist() == [mode_at(w, i)[1] for i in range(w.dim)]
 
 
+def test_a_padding_is_built_once(monkeypatch):
+    w = ModeWindow(4, channels=2)
+    padded = w.pad(3)
+    assert padded == ModeWindow(7, channels=2)
+    built = []
+    validate = ModeWindow.__post_init__
+    monkeypatch.setattr(ModeWindow, "__post_init__",
+                        lambda self: built.append(self) or validate(self))
+    # equal windows share their padding, validated when first built
+    assert w.pad(3) is padded
+    equal = ModeWindow(4, channels=2)
+    assert equal.pad(3) is padded
+    assert len(built) == 1 and built[0] is equal
+    assert w.pad(0) == w
+    with pytest.raises(InvalidInput, match="nonnegative"):
+        w.pad(-1)
+
+
 @pytest.mark.parametrize("half_width", [0, 1, 5])
 @pytest.mark.parametrize("channels", [1, 2, 3])
 @pytest.mark.parametrize("margin", [0, 1, 2, 3, 4])
